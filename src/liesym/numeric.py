@@ -9,6 +9,12 @@ precision; a verdict of ProbablyZero requires |value| < 10^-(digits-20) at
 every tested point, keeping twenty orders of magnitude between roundoff and
 an honest nonzero value.
 
+A probe does not walk the expression tree: each expression is lowered once
+per precision into a straight-line program over raw mpmath values, kept in
+the expression's flags, and every probe point runs that program.  Each
+value, rejected point and magnitude string is bit-identical to evaluating
+the tree with mpf objects at the same precision.
+
 Probe points are rationals with numerator and denominator bounded by 10^6,
 with magnitudes kept in [1/4, 4] so that high-degree expressions stay well
 conditioned.  Points that land within 10^-10 of a pole, a branch point or a
@@ -19,6 +25,7 @@ which SamplingExhausted signals an identically singular expression.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 import mpmath
+from mpmath import libmp
 
 from .expr import (
     Atom,
@@ -190,8 +198,25 @@ def _key_expr(key) -> Expr:
 
 
 # -- numeric evaluation -------------------------------------------------------
+#
+# The program of ``e`` at ``digits`` lives in ``e._flags[("mp", digits)]``.
+# Its registers hold, in dependency order, the leaf atoms, prime-integer
+# bases, each transcendental atom after its argument and each compound base
+# after the bases inside it; every distinct (base, exponent) pair has a
+# register of its own.  A sum step multiplies each row's coefficient by its
+# factor registers left to right and adds the rows in term order.  Each raw
+# call is the one the mpf operators make at the same precision and rounding
+# (round to nearest), which is what keeps the results bit-identical.
 
 _TINY_EXP = -10  # admissibility threshold 10^-10 for denominators/arguments
+
+_RND = libmp.round_nearest
+
+# step opcodes: (op, destination register, source register or rows, operand)
+_SUM, _POW, _NEG_POW, _FRAC_POW, _LN, _FN = range(6)
+
+_MPF_FN = {"exp": libmp.mpf_exp, "ln": libmp.mpf_log, "arctan": libmp.mpf_atan,
+           "sin": libmp.mpf_sin, "cos": libmp.mpf_cos}
 
 
 def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
@@ -200,51 +225,124 @@ def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
     Raises _BadPoint when the point is inadmissible (near-singular
     denominator, non-positive fractional-power base, bad ln argument).
     """
-    with mpmath.workdps(digits + 15):
-        tiny = mpmath.mpf(10) ** _TINY_EXP
-        cache: dict = {}
-        return _eval_expr(e, point, cache, tiny)
+    program = e._flags.get(("mp", digits))
+    if program is None:
+        program = e._flags[("mp", digits)] = _Lowering(digits).program(e)
+    return mpmath.mp.make_mpf(_run(program, point))
 
 
-def _eval_expr(e: Expr, point, cache, tiny):
-    hit = cache.get(e)
-    if hit is not None:
-        return hit
-    total = mpmath.mpf(0)
-    for mono, coeff in e._terms:
-        v = mpmath.mpf(coeff.numerator) / coeff.denominator
-        for b, ex in mono:
-            bv = _eval_base(b, point, cache, tiny)
-            if ex.denominator == 1:
-                k = ex.numerator
-                if k < 0 and abs(bv) < tiny:
-                    raise _BadPoint
-                v *= bv ** k
+def _mpf_rational(p: int, q: int, prec: int):
+    """Raw value of ``mpf(p) / q`` at ``prec`` bits."""
+    return libmp.mpf_div(libmp.mpf_pos(libmp.from_int(p), prec, _RND),
+                         libmp.from_int(q), prec, _RND)
+
+
+class _Lowering:
+    """Builds the straight-line program of one expression at one precision."""
+
+    def __init__(self, digits: int):
+        self.prec = libmp.dps_to_prec(digits + 15)
+        self.tiny = libmp.mpf_pow_int(libmp.from_int(10), _TINY_EXP, self.prec, _RND)
+        self.regs: list = []      # initial register file; constants filled in
+        self.atoms: list = []     # (atom, register) loaded from the point
+        self.steps: list = []
+        self.slots: dict = {}     # base or node -> register
+        self.powers: dict = {}    # (register, exponent) -> register
+
+    def program(self, e: Expr) -> tuple:
+        out = self._node(e)
+        return (self.prec, self.tiny, tuple(self.atoms), self.regs,
+                tuple(self.steps), out)
+
+    def _new(self, value=None) -> int:
+        self.regs.append(value)
+        return len(self.regs) - 1
+
+    def _node(self, e: Expr) -> int:
+        reg = self.slots.get(e)
+        if reg is not None:
+            return reg
+        rows = []
+        for mono, coeff in e._terms:
+            factors = tuple(self._power(self._base(b), ex) for b, ex in mono)
+            rows.append((_mpf_rational(coeff.numerator, coeff.denominator,
+                                       self.prec), factors))
+        reg = self.slots[e] = self._new()
+        self.steps.append((_SUM, reg, tuple(rows), None))
+        return reg
+
+    def _base(self, b) -> int:
+        reg = self.slots.get(b)
+        if reg is not None:
+            return reg
+        if isinstance(b, Atom):
+            if b.kind == "transc":
+                arg = self._node(b.arg)
+                reg = self._new()
+                op = _LN if b.fn == "ln" else _FN
+                self.steps.append((op, reg, arg, _MPF_FN[b.fn]))
             else:
-                if bv < tiny:
-                    raise _BadPoint
-                v *= bv ** (mpmath.mpf(ex.numerator) / ex.denominator)
-        total += v
-    cache[e] = total
-    return total
+                reg = self._new()
+                self.atoms.append((b, reg))
+        elif isinstance(b, int):
+            reg = self._new(libmp.mpf_pos(libmp.from_int(b), self.prec, _RND))
+        else:
+            reg = self._node(b)
+        self.slots[b] = reg
+        return reg
+
+    def _power(self, base: int, ex: Fraction) -> int:
+        if ex == 1:
+            return base
+        reg = self.powers.get((base, ex))
+        if reg is not None:
+            return reg
+        if ex.denominator == 1:
+            op, operand = (_NEG_POW if ex < 0 else _POW), ex.numerator
+        else:
+            op = _FRAC_POW
+            operand = _mpf_rational(ex.numerator, ex.denominator, self.prec)
+        reg = self.powers[(base, ex)] = self._new()
+        self.steps.append((op, reg, base, operand))
+        return reg
 
 
-def _eval_base(b, point, cache, tiny):
-    if isinstance(b, Atom):
-        if b.kind == "transc":
-            arg = _eval_expr(b.arg, point, cache, tiny)
-            if b.fn == "ln":
-                if arg < tiny:
-                    raise _BadPoint
-                return mpmath.ln(arg)
-            return getattr(mpmath, {"arctan": "atan"}.get(b.fn, b.fn))(arg)
-        val = point.get(b)
+def _run(program, point):
+    """Raw value of a lowered program at a rational point."""
+    prec, tiny, atoms, regs, steps, out = program
+    mul, add, lt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_lt
+    regs = regs[:]
+    for atom, reg in atoms:
+        val = point.get(atom)
         if val is None:
-            raise ExprError(f"no value supplied for {atom_name(b)}")
-        return mpmath.mpf(val.numerator) / val.denominator
-    if isinstance(b, int):
-        return mpmath.mpf(b)
-    return _eval_expr(b, point, cache, tiny)
+            raise ExprError(f"no value supplied for {atom_name(atom)}")
+        regs[reg] = _mpf_rational(val.numerator, val.denominator, prec)
+    for op, dst, src, operand in steps:
+        if op == _SUM:
+            total = libmp.fzero
+            for coeff, factors in src:
+                v = coeff
+                for f in factors:
+                    v = mul(v, regs[f], prec, _RND)
+                total = add(total, v, prec, _RND)
+            regs[dst] = total
+            continue
+        bv = regs[src]
+        if op == _POW:
+            regs[dst] = libmp.mpf_pow_int(bv, operand, prec, _RND)
+        elif op == _NEG_POW:
+            if lt(libmp.mpf_abs(bv, prec, _RND), tiny):
+                raise _BadPoint
+            regs[dst] = libmp.mpf_pow_int(bv, operand, prec, _RND)
+        elif op == _FRAC_POW:
+            if lt(bv, tiny):
+                raise _BadPoint
+            regs[dst] = libmp.mpf_pow(bv, operand, prec, _RND)
+        else:
+            if op == _LN and lt(bv, tiny):
+                raise _BadPoint
+            regs[dst] = operand(bv, prec, _RND)
+    return regs[out]
 
 
 # -- exact rational evaluation ------------------------------------------------
@@ -296,11 +394,20 @@ def _exact_root(v: Fraction, q: int):
 
 
 def _int_root(n: int, q: int):
-    r = round(n ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** q == n:
-            return cand
-    return None
+    """The exact q-th root of n >= 0, or None when n is no perfect q-th power."""
+    if q == 2:
+        r = math.isqrt(n)
+    elif n < 2:
+        r = n
+    else:
+        # integer Newton iteration from above converges to floor(n^(1/q))
+        r = 1 << -(-n.bit_length() // q)
+        while True:
+            s = ((q - 1) * r + n // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
+    return r if r ** q == n else None
 
 
 def fractional_power_degrees(exprs) -> dict:
