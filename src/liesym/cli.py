@@ -1,7 +1,7 @@
 """Command-line surface: liesym verify | prolong | liedet | count | catalog.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 internal error.
+Exit codes: 0 pass, 1 verification failure (a check that raises is a failed
+check), 2 usage or parse error, 3 any other crash (internal error).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 
 from .catalog import CatalogError, ConstraintViolation, find_record, instantiate, load_catalog
-from .expr import ExprError, format_expr
+from .expr import format_expr
 from .harness import run_verification
 from .invariance import rank_and_count
 from .jet import VectorField, prolong
@@ -172,8 +172,8 @@ def main(argv=None) -> int:
     except (ParseError, ConstraintViolation, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExprError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a crash is an internal error, not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 2
 

@@ -1,9 +1,10 @@
-"""Batch verification over the catalog: plans every applicable check per
-record, runs them with seeds derived stably from (record, check, detail), and
-assembles a deterministic machine-readable report.
+"""Batch verification over the catalog: one check table and one runner,
+assembling a deterministic machine-readable report.
 
-Check kinds:
+The table is `plan_checks`, which yields each check of a record at an order
+n as (check, detail, params, thunk).  Check kinds, in plan order:
 
+* ``instantiate`` -- the sole, failed row when the record cannot be grounded;
 * ``equation``   -- prolonged invariance of each canonical equation, under
                     three arbitrary-function instantiations where one occurs;
 * ``invariant``  -- annihilation of each stored differential invariant;
@@ -18,6 +19,11 @@ Check kinds:
 * ``extra_symmetry``/``generator_probe`` -- exceptional-parameter
                     discrimination (a field or weight is admitted exactly at
                     the stated parameter value).
+
+The runner, `run_record_checks`, gives each check one seed,
+``derive_seed(seed, record, n, check, detail)``: the thunk probes with it and
+the report shows it.  A check that raises any exception is a failed check,
+reported once, whose sole verdict is ``"<ExceptionType>: <message>"``.
 """
 
 from __future__ import annotations
@@ -27,18 +33,20 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import (
+    H_CHOICES,
     CatalogRecord,
     default_order,
+    eval_formula,
     find_record,
     instantiate,
     load_catalog,
     secondary_order,
 )
-from .expr import ExprError
 from .invariance import check_differential_invariant, check_equation_invariance, rank_and_count
 from .invdiff import InvariantDiffOperator, apply_D, functional_rank, verify_lambda
 from .jet import MAX_JET_ORDER, VectorField
@@ -99,9 +107,6 @@ class VerificationReport:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
 
 
-H_NAMES = ("identity", "square", "one")
-
-
 def _params_json(params: dict) -> dict:
     out = {}
     for k, v in params.items():
@@ -109,231 +114,174 @@ def _params_json(params: dict) -> dict:
     return out
 
 
-def _verdicts_json(verdicts) -> list:
-    return [v.to_json() for v in verdicts]
-
-
-def _result(record, check, detail, con_n, params, seed, passed, verdicts, t0, note=""):
-    return CheckResult(record, check, detail, con_n, _params_json(params), seed,
-                       passed, verdicts, int((time.time() - t0) * 1000), note)
-
-
-def plan_orders(rec: CatalogRecord) -> list:
-    orders = [default_order(rec)]
-    second = secondary_order(rec)
-    if second is not None:
-        orders.append(second)
-    return orders
-
-
 def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
                       n_override: Optional[int] = None,
                       param_overrides: Optional[dict] = None) -> List[CheckResult]:
+    """Run every planned check of `rec`, one seed and one row per check."""
     out: List[CheckResult] = []
-    orders = [n_override] if n_override is not None else plan_orders(rec)
+    orders = [n_override] if n_override is not None else \
+        [o for o in (default_order(rec), secondary_order(rec)) if o is not None]
     for n in orders:
-        out.extend(_run_one_order(rec, n, probe, param_overrides))
+        for check, detail, params, thunk in plan_checks(rec, n, param_overrides):
+            seed = derive_seed(probe.seed, rec.label, n, check, detail)
+            t0 = time.time()
+            try:
+                passed, verdicts, note = thunk(probe.with_seed(seed))
+            except Exception as exc:  # a raising check is a failed check
+                passed, verdicts, note = False, [f"{type(exc).__name__}: {exc}"], ""
+            out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
+                                   passed, verdicts, int((time.time() - t0) * 1000), note))
     return out
 
 
-def _seeded(probe: ProbeConfig, *parts) -> ProbeConfig:
-    return probe.with_seed(derive_seed(probe.seed, *parts))
+def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
+    """Yield (check, detail, params, thunk) for every check of `rec` at order n.
 
-
-def _run_one_order(rec: CatalogRecord, n: int, probe: ProbeConfig,
-                   param_overrides: Optional[dict]) -> List[CheckResult]:
-    label = rec.label
-    out: List[CheckResult] = []
-
-    def emit(check, detail, params, passed, verdicts, t0, note=""):
-        seed = derive_seed(probe.seed, label, n, check, detail)
-        out.append(_result(label, check, detail, n, params, seed,
-                           passed, verdicts, t0, note))
-
+    A thunk maps the check's ProbeConfig to (passed, verdicts, note).  Run
+    each thunk before taking the next entry: the `singular` checks come from
+    the `lie_det` thunk's result, and a thunk that instantiates its own
+    variant of the record fills in `params`."""
     try:
         con = instantiate(rec, n=n, params=param_overrides)
-    except ExprError as exc:
-        t0 = time.time()
-        emit("instantiate", "", {}, False, [str(exc)], t0)
-        return out
+    except Exception as exc:
+        yield "instantiate", "", {}, partial(_reraise, exc)
+        return
 
-    # equations (with H choices when an arbitrary function occurs)
-    needs_h = any("H(" in eq["rhs"].replace(" ", "")
-                  for eq in rec.data.get("equations", [])) or any(
-        "H(" in e.get("rhs", "").replace(" ", "")
-        for case in rec.data.get("cases", []) for e in case.get("equations", []))
-    h_names = H_NAMES if needs_h else ("identity",)
-    for h in h_names:
+    # equations, under every H choice when an arbitrary function occurs
+    uses_h = any(ce.uses_H for ce in con.equations)
+    for h in H_CHOICES if uses_h else ("identity",):
         try:
-            con_h = instantiate(rec, n=n, params=param_overrides, h_choice=h)
-        except ExprError as exc:
-            t0 = time.time()
-            emit("equation", f"H={h}", {}, False, [str(exc)], t0)
+            con_h = con if h == "identity" else \
+                instantiate(rec, n=n, params=param_overrides, h_choice=h)
+        except Exception as exc:
+            yield "equation", f"H={h}", {}, partial(_reraise, exc)
             continue
-        for i, ce in enumerate(con_h.equations):
-            if not ce.uses_H and h != "identity":
-                continue
-            t0 = time.time()
-            detail = f"eq{i+1}@{ce.equation.order}" + (f" H={h}" if ce.uses_H else "")
-            pr = _seeded(probe, label, n, "equation", detail)
-            verdicts = check_equation_invariance(con_h.fields, ce.equation, pr)
-            emit("equation", detail, con_h.params,
-                 all(v.is_zero for v in verdicts), _verdicts_json(verdicts), t0)
+        for i, ce in enumerate(con_h.equations, 1):
+            if ce.uses_H or h == "identity":
+                detail = f"eq{i}@{ce.equation.order}" + (f" H={h}" if ce.uses_H else "")
+                yield "equation", detail, con_h.params, partial(
+                    _verdicts, check_equation_invariance, con_h.fields, ce.equation)
 
-    # invariants
-    for order, phi in con.invariants:
-        t0 = time.time()
-        detail = f"phi@{order}"
-        pr = _seeded(probe, label, n, "invariant", detail)
-        verdicts = check_differential_invariant(con.fields, phi, pr)
-        emit("invariant", detail, con.params,
-             all(v.is_zero for v in verdicts), _verdicts_json(verdicts), t0)
+    for i, (order, phi) in enumerate(con.invariants, 1):
+        yield "invariant", f"phi{i}@{order}", con.params, partial(
+            _verdicts, check_differential_invariant, con.fields, phi)
 
-    # lambda and closure
     if con.lam is not None:
-        t0 = time.time()
-        pr = _seeded(probe, label, n, "lambda", "")
-        verdicts = verify_lambda(con.fields, con.lam, pr)
-        emit("lambda", "", con.params,
-             all(v.is_zero for v in verdicts), _verdicts_json(verdicts), t0)
-        if con.invariants:
-            order, phi = con.invariants[0]
-            if order + 1 <= MAX_JET_ORDER:
-                t0 = time.time()
-                pr = _seeded(probe, label, n, "closure", "")
-                op = InvariantDiffOperator(con.lam, label, order)
-                dphi = apply_D(op, phi)
-                verdicts = check_differential_invariant(con.fields, dphi, pr)
-                emit("closure", f"D(phi)@{order+1}", con.params,
-                     all(v.is_zero for v in verdicts), _verdicts_json(verdicts), t0)
+        yield "lambda", "", con.params, partial(_verdicts, verify_lambda, con.fields, con.lam)
+        if con.invariants and con.invariants[0][0] < MAX_JET_ORDER:
+            detail = f"D(phi)@{con.invariants[0][0] + 1}"
+            yield "closure", detail, con.params, partial(_closure, con)
 
-    # Lie determinant, factors, singular equations
     if con.lie_det_expected is not None or con.singular_factors:
-        t0 = time.time()
-        pr = _seeded(probe, label, n, "lie_det", "")
-        try:
-            res = lie_determinant(con.fields, label)
-            notes = []
-            ok = True
-            if con.lie_det_expected is not None:
-                vplus = is_zero(res.determinant - con.lie_det_expected, pr)
-                if vplus.is_zero:
-                    notes.append("sign +")
-                else:
-                    vminus = is_zero(res.determinant + con.lie_det_expected, pr)
-                    if vminus.is_zero:
-                        notes.append("sign -")
-                    else:
-                        ok = False
-                        notes.append("determinant does not match the stored form")
-            if not res.non_polynomial:
-                if not (res.reassembled() - res.determinant).is_zero_expr():
-                    ok = False
-                    notes.append("factor reassembly failed")
-            for want in con.singular_factors:
-                if not any(is_zero(want - f, pr).is_zero or is_zero(want + f, pr).is_zero
-                           for f, _m in res.factors):
-                    ok = False
-                    notes.append(f"expected singular factor missing: {want}")
-            emit("lie_det", "", con.params, ok, [], t0, "; ".join(notes))
-            for s in singular_equations(res):
-                if s.equation is None or s.equation.order >= MAX_JET_ORDER:
-                    continue
-                t0 = time.time()
-                detail = f"singular@{s.equation.order}"
-                pr2 = _seeded(probe, label, n, "singular", detail)
-                verdicts = check_equation_invariance(con.fields, s.equation, pr2)
-                emit("singular", detail, con.params,
-                     all(v.is_zero for v in verdicts), _verdicts_json(verdicts), t0)
-        except ExprError as exc:
-            emit("lie_det", "", con.params, False, [str(exc)], t0)
+        singular: list = []
+        yield "lie_det", "", con.params, partial(_lie_det, con, singular)
+        for eq in singular:
+            yield "singular", f"singular@{eq.order}", con.params, partial(
+                _verdicts, check_equation_invariance, con.fields, eq)
 
-    # rank counting at the fundamental orders
     if con.fundamental_check:
-        m = con.dimension
-        for order, want_d in ((m - 1, 1), (m, 2)):
-            if order > MAX_JET_ORDER:
-                continue
-            t0 = time.time()
-            detail = f"d@{order}"
-            pr = _seeded(probe, label, n, "rank", detail)
-            try:
-                rep = rank_and_count(con.fields, order, pr)
-                emit("rank", detail, con.params, rep.count_dn == want_d,
-                     [rep.to_json()], t0)
-            except ExprError as exc:
-                emit("rank", detail, con.params, False, [str(exc)], t0)
+        for order, want_d in ((con.dimension - 1, 1), (con.dimension, 2)):
+            if order <= MAX_JET_ORDER:
+                yield "rank", f"d@{order}", con.params, partial(_rank, con.fields, order, want_d)
 
-    # alternative presentations
-    for i, (ea, eb, pos) in enumerate(con.equivalences):
-        t0 = time.time()
-        detail = f"pair{i+1}"
-        pr = _seeded(probe, label, n, "equivalence", detail)
-        v = is_zero(ea - eb, pr, positive=pos)
-        emit("equivalence", detail, con.params, v.is_zero, [v.to_json()], t0)
-    for i, group in enumerate(con.dependences):
-        t0 = time.time()
-        detail = f"group{i+1}"
-        pr = _seeded(probe, label, n, "dependence", detail)
-        try:
-            r = functional_rank(group, pr)
-            emit("dependence", detail, con.params, r < len(group),
-                 [{"rank": r, "size": len(group)}], t0)
-        except ExprError as exc:
-            emit("dependence", detail, con.params, False, [str(exc)], t0)
+    for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
+        yield "equivalence", f"pair{i}", con.params, partial(_equivalence, ea, eb, pos)
+    for i, group in enumerate(con.dependences, 1):
+        yield "dependence", f"group{i}", con.params, partial(_dependence, group)
 
     # exceptional-parameter discrimination: an extra field is admitted
     # exactly at the stated parameter value
-    for i, spec in enumerate(con.extra_symmetries):
-        for which, expect_zero in (("zero_at", True), ("nonzero_at", False)):
-            values = spec.get(which)
-            if not values:
-                continue
-            t0 = time.time()
-            detail = f"extra{i+1} {spec['field']} @ " + \
-                ",".join(f"{k}={v}" for k, v in values.items())
-            pr = _seeded(probe, label, n, "extra_symmetry", detail)
-            try:
-                con_v = instantiate(rec, n=n, params=values,
-                                    enforce_constraints=False)
-                ctx = Context(params={k: Fraction(v) if v is not None else None
-                                      for k, v in {**{"n": n}, **con_v.params}.items()})
-                xi, eta = parse_vector_field(spec["field"], ctx)
-                extra_field = VectorField(xi, eta, "extra")
-                verdicts = check_equation_invariance(
-                    [extra_field], con_v.equations[0].equation, pr)
-                good = all(v.is_zero for v in verdicts) if expect_zero \
-                    else any(not v.is_zero for v in verdicts)
-                emit("extra_symmetry", detail, con_v.params, good,
-                     _verdicts_json(verdicts), t0)
-            except ExprError as exc:
-                emit("extra_symmetry", detail, {}, False, [str(exc)], t0)
+    for i, spec in enumerate(con.extra_symmetries, 1):
+        for values, expect_zero in ((spec.get("zero_at"), True),
+                                    (spec.get("nonzero_at"), False)):
+            if values:
+                detail = f"extra{i} {spec['field']} @ " + \
+                    ",".join(f"{k}={v}" for k, v in values.items())
+                params: dict = {}
+                yield "extra_symmetry", detail, params, partial(
+                    _extra_symmetry, rec, n, spec["field"], values, params, expect_zero)
 
     # bound-parameter discrimination: the stated generator weight is the
     # only one admitting the equation
-    for i, spec in enumerate(con.generator_probes):
-        for which, expect_zero in (("zero_at", True), ("nonzero_at", False)):
-            formula = spec.get(which)
-            if formula is None:
-                continue
-            t0 = time.time()
-            detail = f"probe{i+1} {spec['param']}={formula}"
-            pr = _seeded(probe, label, n, "generator_probe", detail)
-            try:
-                from .catalog import eval_formula
+    for i, spec in enumerate(con.generator_probes, 1):
+        for formula, expect_zero in ((spec.get("zero_at"), True),
+                                     (spec.get("nonzero_at"), False)):
+            if formula is not None:
+                params = {}
+                yield "generator_probe", f"probe{i} {spec['param']}={formula}", params, \
+                    partial(_generator_probe, rec, n, spec["param"], formula, params,
+                            expect_zero)
 
-                value = eval_formula(formula, {"n": Fraction(n)})
-                con_v = instantiate(rec, n=n, bound_overrides={spec["param"]: value})
-                verdicts = check_equation_invariance(
-                    con_v.fields, con_v.equations[0].equation, pr)
-                good = all(v.is_zero for v in verdicts) if expect_zero \
-                    else any(not v.is_zero for v in verdicts)
-                emit("generator_probe", detail, con_v.params, good,
-                     _verdicts_json(verdicts), t0)
-            except ExprError as exc:
-                emit("generator_probe", detail, {}, False, [str(exc)], t0)
 
-    return out
+def _reraise(exc, probe):
+    raise exc
+
+
+def _verdicts(check, fields, target, probe, expect_zero=True):
+    """check(fields, target, probe) passes when every verdict is zero, or,
+    with expect_zero off, when some verdict is not."""
+    verdicts = check(fields, target, probe)
+    return (all(v.is_zero for v in verdicts) == expect_zero,
+            [v.to_json() for v in verdicts], "")
+
+
+def _closure(con, probe):
+    order, phi = con.invariants[0]
+    dphi = apply_D(InvariantDiffOperator(con.lam, con.label, order), phi)
+    return _verdicts(check_differential_invariant, con.fields, dphi, probe)
+
+
+def _lie_det(con, singular: list, probe):
+    """Determinant against the stored form, factors and singular factors;
+    collects the solved singular equations below the top order in `singular`."""
+    res = lie_determinant(con.fields, con.label)
+    notes, problems = [], []
+    if con.lie_det_expected is not None:
+        if is_zero(res.determinant - con.lie_det_expected, probe).is_zero:
+            notes.append("sign +")
+        elif is_zero(res.determinant + con.lie_det_expected, probe).is_zero:
+            notes.append("sign -")
+        else:
+            problems.append("determinant does not match the stored form")
+    if not res.non_polynomial and not (res.reassembled() - res.determinant).is_zero_expr():
+        problems.append("factor reassembly failed")
+    problems += [f"expected singular factor missing: {want}" for want in con.singular_factors
+                 if not any(is_zero(want - f, probe).is_zero or is_zero(want + f, probe).is_zero
+                            for f, _m in res.factors)]
+    singular.extend(s.equation for s in singular_equations(res)
+                    if s.equation is not None and s.equation.order < MAX_JET_ORDER)
+    return not problems, [], "; ".join(notes + problems)
+
+
+def _rank(fields, order, want_d, probe):
+    rep = rank_and_count(fields, order, probe)
+    return rep.count_dn == want_d, [rep.to_json()], ""
+
+
+def _equivalence(ea, eb, positive, probe):
+    v = is_zero(ea - eb, probe, positive=positive)
+    return v.is_zero, [v.to_json()], ""
+
+
+def _dependence(group, probe):
+    r = functional_rank(group, probe)
+    return r < len(group), [{"rank": r, "size": len(group)}], ""
+
+
+def _extra_symmetry(rec, n, field, values, params, expect_zero, probe):
+    con_v = instantiate(rec, n=n, params=values, enforce_constraints=False)
+    params.update(con_v.params)
+    xi, eta = parse_vector_field(field, Context(params={"n": Fraction(n), **con_v.params}))
+    return _verdicts(check_equation_invariance, [VectorField(xi, eta, "extra")],
+                     con_v.equations[0].equation, probe, expect_zero)
+
+
+def _generator_probe(rec, n, param, formula, params, expect_zero, probe):
+    value = eval_formula(formula, {"n": Fraction(n)})
+    con_v = instantiate(rec, n=n, bound_overrides={param: value})
+    params.update(con_v.params)
+    return _verdicts(check_equation_invariance, con_v.fields,
+                     con_v.equations[0].equation, probe, expect_zero)
 
 
 def _worker(args):
@@ -341,7 +289,7 @@ def _worker(args):
     probe = ProbeConfig(points=points, digits=digits, seed=seed)
     records = load_catalog()
     rec = find_record(records, label)
-    return [r for r in run_record_checks(rec, probe, n_override, params)]
+    return run_record_checks(rec, probe, n_override, params)
 
 
 def run_verification(filter_glob: Optional[str] = None,

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .expr import Expr, jet, max_jet_order, substitute
+from .expr import Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -113,8 +113,6 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     atoms = set()
     for row in matrix:
         for entry in row:
-            from .expr import leaf_atoms
-
             atoms |= leaf_atoms(entry)
     atoms = sorted(atoms, key=lambda a: a._key)
     degrees = fractional_power_degrees(e for row in matrix for e in row)

@@ -125,3 +125,56 @@ def test_failure_forces_nonzero_exit(tmp_path, monkeypatch):
     monkeypatch.setenv("LIESYM_CATALOG_DIR", str(dst))
     proc = run_cli("verify", "--filter", "(22,2)", "--points", "6")
     assert proc.returncode == 1
+
+
+def test_checks_probe_with_the_seed_they_report(monkeypatch):
+    import liesym.harness as harness
+
+    real = harness.check_differential_invariant
+    used = []
+
+    def spy(fields, phi, probe):
+        used.append(probe.seed)
+        return real(fields, phi, probe)
+
+    monkeypatch.setattr(harness, "check_differential_invariant", spy)
+    report = run_verification(filter_glob="(5,5)", probe=ProbeConfig(seed=42))
+    reported = [r.seed for r in report.results if r.check in ("invariant", "closure")]
+    assert {r.check for r in report.results} >= {"invariant", "closure"}
+    assert sorted(used) == sorted(reported)
+
+
+def test_raising_check_is_one_failed_row(monkeypatch):
+    import liesym.harness as harness
+
+    def boom(fields, equation, probe):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(harness, "check_equation_invariance", boom)
+    report = run_verification(filter_glob="(5,5)", probe=ProbeConfig(points=6, seed=42))
+    raising = [r for r in report.results if r.check in ("equation", "singular")]
+    assert {r.check for r in raising} == {"equation", "singular"}
+    for r in raising:
+        assert not r.passed
+        assert r.verdicts == ["ZeroDivisionError: division by zero"]
+    lie_det = [r for r in report.results if r.check == "lie_det"]
+    assert len(lie_det) == 1 and lie_det[0].passed
+    assert all(r.passed for r in report.results if r.check not in ("equation", "singular"))
+
+
+def test_check_keys_are_unique():
+    report = run_verification(filter_glob="(16,6)", probe=ProbeConfig(points=6, seed=42))
+    keys = [(r.record, r.n, r.check, r.detail) for r in report.results]
+    assert len(set(keys)) == len(keys)
+    assert {"phi1@5", "phi3@5"} <= {r.detail for r in report.results if r.check == "invariant"}
+
+
+def test_cli_crash_is_internal_error(monkeypatch, capsys):
+    import liesym.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "rank_and_count", boom)
+    assert cli.main(["count", "(22,2)", "--order", "1"]) == 3
+    assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
