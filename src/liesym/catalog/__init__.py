@@ -19,7 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence
 
-from ..expr import Expr, ExprError, ONE, ZERO, dep, indep, jet_or_dep, transcendental
+from ..expr import (Expr, ExprError, ONE, ZERO, dep, expr_sum, indep, jet_or_dep,
+                    sum_of_products, transcendental)
 from ..jet import VectorField, total_derivative
 from ..linear_ode import (
     CharSpec,
@@ -191,10 +192,7 @@ def find_record(records: Sequence[CatalogRecord], label: str) -> CatalogRecord:
 # -- arbitrary-function slots --------------------------------------------------
 
 def _h_identity(args: list) -> Expr:
-    out = ZERO
-    for a in args:
-        out = out + a
-    return out
+    return expr_sum(args)
 
 
 def _h_square(args: list) -> Expr:
@@ -453,9 +451,8 @@ def _prop1_builder(content: dict, n: int, env: dict, ctx: Context):
               VectorField(ZERO, dep().as_expr(), "X2"),
               VectorField(ZERO, x, "X3")]
     fields += [VectorField(ZERO, s, f"X{i+4}") for i, s in enumerate(xis)]
-    rhs = ZERO
-    for i, c in enumerate(coeffs, start=2):
-        rhs = rhs + c * jet_or_dep(i).as_expr()
+    rhs = sum_of_products((c, jet_or_dep(i).as_expr())
+                          for i, c in enumerate(coeffs, start=2))
     blocks = {"lin_rhs": rhs}
     ctx.macros.update(blocks)
     return fields, blocks

@@ -15,12 +15,19 @@ Positive integer powers of sums are always multiplied out, like terms are
 always merged and zero coefficients dropped, so structural equality implies
 mathematical equality.  Fractional powers are single valued: numeric probing
 only ever evaluates them on positive bases.
+
+Sums of many pieces are built in a single pass: :func:`expr_sum` and
+:func:`sum_of_products` add every term (or term product) into one dict of
+monomial -> coefficient and normalize once, instead of copying and
+re-sorting a growing sum at every ``+``.  Coefficient addition is exact, so
+the result is structurally identical to the left fold.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Union
 
 Rat = Fraction
@@ -238,15 +245,7 @@ class Expr:
         if not self._terms or not other._terms:
             return ZERO
         acc: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                piece = _term_product(m1, c1, m2, c2)
-                if isinstance(piece, Expr):
-                    for mono, c in piece._terms:
-                        _acc_add(acc, mono, c)
-                else:
-                    mono, c = piece
-                    _acc_add(acc, mono, c)
+        _mul_into(acc, self, other)
         return _expr_from_terms(acc)
 
     __rmul__ = __mul__
@@ -323,11 +322,41 @@ def _acc_add(acc: dict, mono, coeff):
             del acc[mono]
 
 
+def _mul_into(acc: dict, a: Expr, b: Expr) -> None:
+    """Add the term products of a*b into the accumulator."""
+    for m1, c1 in a._terms:
+        for m2, c2 in b._terms:
+            piece = _term_product(m1, c1, m2, c2)
+            if isinstance(piece, Expr):
+                for mono, c in piece._terms:
+                    _acc_add(acc, mono, c)
+            else:
+                _acc_add(acc, piece[0], piece[1])
+
+
+def expr_sum(exprs) -> Expr:
+    """The sum of the expressions, normalized once."""
+    acc: dict = {}
+    for e in exprs:
+        for mono, c in e._terms:
+            _acc_add(acc, mono, c)
+    return _expr_from_terms(acc)
+
+
+def sum_of_products(pairs) -> Expr:
+    """sum(a*b for a, b in pairs), normalized once.  Each product is added
+    term by term into one accumulator; no intermediate sum is built."""
+    acc: dict = {}
+    for a, b in pairs:
+        _mul_into(acc, a, b)
+    return _expr_from_terms(acc)
+
+
 def _expr_from_terms(acc: Mapping) -> Expr:
-    items = [(m, c) for m, c in acc.items() if c]
-    items.sort(key=lambda t: _mono_key(t[0]))
-    terms = tuple(items)
-    key = tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in terms)
+    items = [(_mono_key(m), m, c) for m, c in acc.items() if c]
+    items.sort(key=itemgetter(0))
+    terms = tuple((m, c) for _, m, c in items)
+    key = tuple((k, (c.numerator, c.denominator)) for k, _, c in items)
     return Expr(terms, key)
 
 
@@ -551,9 +580,7 @@ def diff(e: Expr, a: Atom) -> Expr:
                 continue
             rest = dict(mono)
             rest[b] = ex - 1
-            piece = _make_term(coeff * ex, rest) * db
-            for m, c in piece._terms:
-                _acc_add(acc, m, c)
+            _mul_into(acc, _make_term(coeff * ex, rest), db)
     out = _expr_from_terms(acc)
     if _CACHE_ENABLED:
         _DIFF_CACHE[(e, a)] = out
@@ -581,13 +608,17 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
     """Simultaneous replacement of atoms by expressions, renormalized."""
     if not bindings:
         return e
-    out = ZERO
-    for mono, coeff in e._terms:
-        piece = Expr.rational(coeff)
-        for b, ex in mono:
-            piece = piece * _subst_base(b, bindings).pow(ex)
-        out = out + piece
-    return out
+    return sum_of_products([_subst_term(mono, coeff, bindings)
+                            for mono, coeff in e._terms])
+
+
+def _subst_term(mono, coeff, bindings):
+    """The substituted term as a pair (head, tail) with head*tail equal to
+    coeff * base_1^e_1 * ... * base_k^e_k multiplied left to right."""
+    head, tail = Expr.rational(coeff), ONE
+    for b, ex in mono:
+        head, tail = head * tail, _subst_base(b, bindings).pow(ex)
+    return head, tail
 
 
 def _subst_base(b, bindings) -> Expr:
@@ -679,7 +710,9 @@ def is_polynomial(e: Expr) -> bool:
 
 def renormalized(e: Expr) -> Expr:
     """Rebuild the expression from scratch through the public constructors
-    (used to assert idempotence of normalization)."""
+    (used to assert idempotence of normalization).  It sums with ``+`` on
+    purpose, not with :func:`expr_sum`, so that it stays an oracle
+    independent of the single-pass sums it checks."""
     out = ZERO
     for mono, coeff in e._terms:
         piece = Expr.rational(coeff)

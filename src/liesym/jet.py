@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, ExprError, dep, diff, indep, jet, max_jet_order
+from .expr import (ONE, Expr, ExprError, dep, diff, indep, jet, max_jet_order,
+                   sum_of_products)
 
 MAX_JET_ORDER = 12
 
@@ -56,15 +57,10 @@ def total_derivative(e: Expr, max_order: int = MAX_JET_ORDER) -> Expr:
     if top is not None and top >= max_order:
         raise MaxOrderExceeded(
             f"expression already contains jet order {top} >= limit {max_order}")
-    out = diff(e, indep()) + jet(1).as_expr() * diff(e, dep())
-    k = 1
     limit = top if top is not None else 0
-    while k <= limit:
-        d = diff(e, jet(k))
-        if not d.is_zero_expr():
-            out = out + jet(k + 1).as_expr() * d
-        k += 1
-    return out
+    return sum_of_products(
+        [(ONE, diff(e, indep())), (jet(1).as_expr(), diff(e, dep()))]
+        + [(jet(k + 1).as_expr(), diff(e, jet(k))) for k in range(1, limit + 1)])
 
 
 def prolong(X: VectorField, k: int, max_order: int = MAX_JET_ORDER) -> ProlongedField:
@@ -89,12 +85,9 @@ def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
     if top is not None and top > PX.order:
         raise OrderMismatch(
             f"expression has jet order {top} but the field is prolonged to {PX.order}")
-    out = PX.base.xi * diff(e, indep()) + PX.base.eta * diff(e, dep())
-    for j, coeff in enumerate(PX.coeffs, start=1):
-        d = diff(e, jet(j))
-        if not d.is_zero_expr():
-            out = out + coeff * d
-    return out
+    return sum_of_products(
+        [(PX.base.xi, diff(e, indep())), (PX.base.eta, diff(e, dep()))]
+        + [(coeff, diff(e, jet(j))) for j, coeff in enumerate(PX.coeffs, start=1)])
 
 
 def apply_field(X: VectorField, e: Expr, max_order: int = MAX_JET_ORDER) -> Expr:

@@ -11,6 +11,7 @@ perfect powers of a multi-term polynomial, which suffices for the catalog.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -21,7 +22,9 @@ from .expr import (
     ExprError,
     ONE,
     ZERO,
+    _make_term,
     diff,
+    expr_sum,
     is_polynomial,
     jet,
     max_jet_order,
@@ -121,13 +124,8 @@ def _dense(e: Expr, vars: list) -> dict:
 
 
 def _from_dense(d: dict, vars: list) -> Expr:
-    total = ZERO
-    for exps, coeff in d.items():
-        items = {a: Fraction(k) for a, k in zip(vars, exps) if k}
-        from .expr import _make_term  # internal but stable
-
-        total = total + _make_term(coeff, items)
-    return total
+    return expr_sum(_make_term(coeff, {a: Fraction(k) for a, k in zip(vars, exps) if k})
+                    for exps, coeff in d.items())
 
 
 def _grlex_key(exps: tuple):
@@ -257,8 +255,6 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
     # rational content, signed so the leading coefficient is positive
     nums = [c.numerator for c in dense.values()]
     dens = [c.denominator for c in dense.values()]
-    import math
-
     g = 0
     for n in nums:
         g = math.gcd(g, abs(n))

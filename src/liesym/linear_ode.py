@@ -28,6 +28,7 @@ from .expr import (
     indep,
     is_rational_fragment,
     jet_or_dep,
+    sum_of_products,
     transcendental,
 )
 from .jet import VectorField
@@ -79,10 +80,8 @@ class LinearOde:
     coeffs: tuple  # length == order, index i multiplies y^(i)
 
     def rhs(self) -> Expr:
-        total = ZERO
-        for i, c in enumerate(self.coeffs):
-            total = total + c * jet_or_dep(i).as_expr()
-        return total
+        return sum_of_products((c, jet_or_dep(i).as_expr())
+                               for i, c in enumerate(self.coeffs))
 
     def residual(self, solution: Expr) -> Expr:
         """Defect of a candidate solution (a function of x)."""

@@ -39,10 +39,11 @@ from .expr import (
     Atom,
     Expr,
     ExprError,
-    ZERO,
+    ONE,
     atom_name,
     is_rational_fragment,
     leaf_atoms,
+    sum_of_products,
     walk_bases,
 )
 
@@ -182,15 +183,17 @@ def _as_num_den(e: Expr):
         for key, p in t_den.items():
             if den_max.get(key, 0) < p:
                 den_max[key] = p
-    total = ZERO
+    # each term's numerator times its missing denominator powers, multiplied
+    # left to right; the last factor is multiplied into the sum directly
+    pairs = []
     for t_num, t_den in per_term:
-        piece = t_num
+        head, tail = t_num, ONE
         for key, p in den_max.items():
             gap = p - t_den.get(key, 0)
             if gap:
-                piece = piece * _key_expr(key).pow(gap)
-        total = total + piece
-    return total, den_max
+                head, tail = head * tail, _key_expr(key).pow(gap)
+        pairs.append((head, tail))
+    return sum_of_products(pairs), den_max
 
 
 def _key_expr(key) -> Expr:
@@ -419,14 +422,8 @@ def fractional_power_degrees(exprs) -> dict:
             if isinstance(b, Atom) and b.kind != "transc" and ex.denominator != 1:
                 q = ex.denominator
                 cur = out.get(b, 1)
-                out[b] = cur * q // _gcd(cur, q)
+                out[b] = cur * q // math.gcd(cur, q)
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- the zero test ------------------------------------------------------------

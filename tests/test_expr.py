@@ -1,12 +1,15 @@
-"""Kernel behaviors: normalization, differentiation, substitution."""
+"""Kernel behaviors: normalization, single-pass sums, differentiation,
+substitution."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liesym import expr as E
-from liesym.expr import Expr, diff, renormalized, substitute
+from liesym.expr import Expr, diff, expr_sum, renormalized, substitute, sum_of_products
 from liesym.numeric import ZeroStatus, is_zero
 
 X = E.indep().as_expr()
@@ -146,3 +149,79 @@ def _random_poly(rng, atoms, terms=4, max_exp=3):
             mono = mono * a.as_expr() ** rng.randint(1, max_exp)
         out = out + mono
     return out
+
+
+# -- single-pass sums against the left fold ------------------------------------
+#
+# Random expressions mix the features that steer normalization: compound
+# bases under negative and fractional exponents (a small shared pool, so that
+# products merge their exponents, including back to a positive integer, which
+# re-expands the base), prime surds (whose exponents can leave (0, 1)),
+# transcendental atoms, and rational coefficients.
+
+_COMPOUND = [1 + X, X - 2 * Y, 1 + J(1) ** 2]
+_EXPONENTS = [F(-1), F(-2), F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(1, 3), F(2, 3)]
+_SURDS = [Expr.rational(2) ** F(1, 2), Expr.rational(3) ** F(1, 2),
+          Expr.rational(6) ** F(-1, 2), Expr.rational(5) ** F(2, 3)]
+_TRANSC = [E.transcendental("exp", X), E.transcendental("ln", 1 + X ** 2),
+           E.transcendental("arctan", Y), E.transcendental("sin", X - Y),
+           E.transcendental("cos", J(1))]
+
+_factors = st.one_of(
+    st.tuples(st.sampled_from([X, Y, J(1), J(2)]), st.integers(1, 3)).map(
+        lambda t: t[0] ** t[1]),
+    st.tuples(st.sampled_from(_COMPOUND), st.sampled_from(_EXPONENTS)).map(
+        lambda t: t[0] ** t[1]),
+    st.sampled_from(_SURDS),
+    st.sampled_from(_TRANSC),
+)
+
+
+@st.composite
+def _terms(draw):
+    out = Expr.rational(draw(st.fractions(-4, 4, max_denominator=3)))
+    for f in draw(st.lists(_factors, max_size=3)):
+        out = out * f
+    return out
+
+
+def _fold(items) -> Expr:
+    out = E.ZERO
+    for e in items:
+        out = out + e
+    return out
+
+
+_exprs = st.lists(_terms(), min_size=1, max_size=3).map(_fold)
+
+
+@given(st.lists(_exprs, max_size=5), st.booleans())
+def test_expr_sum_matches_left_fold(xs, cancel):
+    if cancel:
+        xs = xs + [-x for x in reversed(xs)]
+    got = expr_sum(xs)
+    assert got._key == _fold(xs)._key
+    assert renormalized(got) == got
+    if cancel:
+        assert got.is_zero_expr()
+
+
+@given(st.lists(st.tuples(_exprs, _exprs), max_size=4), st.booleans())
+def test_sum_of_products_matches_left_fold(pairs, cancel):
+    if cancel:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    got = sum_of_products(pairs)
+    assert got._key == _fold(a * b for a, b in pairs)._key
+    assert renormalized(got) == got
+    if cancel:
+        assert got.is_zero_expr()
+
+
+def test_sum_of_products_re_expands_merged_bases():
+    # (1+x)^(1/2) * (1+x)^(3/2) re-expands to (1+x)^2; 2^(1/2) * 2^(1/2) is 2
+    half, root2 = (1 + X) ** F(1, 2), Expr.rational(2) ** F(1, 2)
+    got = sum_of_products([(half, (1 + X) ** F(3, 2)), (root2, root2), (X, -X)])
+    assert got == 3 + 2 * X
+    assert got._key == (half * (1 + X) ** F(3, 2) + root2 * root2 - X * X)._key
+    assert sum_of_products([]) == E.ZERO and expr_sum([]) == E.ZERO
+
