@@ -98,7 +98,6 @@ class ConcreteRecord:
     singular_factors: list
     blocks: dict
     equivalences: list  # (Expr, Expr, positivity-atoms) certified-equal forms
-    dependences: list  # groups of Exprs with Jacobian rank < group size
     fundamental_check: bool
     extra_symmetries: list  # raw dicts, grounded lazily by the harness
     generator_probes: list  # raw dicts for bound-parameter discrimination
@@ -314,9 +313,6 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
             eb = parse_expression(pair[1], ctx)
             pos = frozenset()
         equivalences.append((ea, eb, pos))
-    dependences = []
-    for group in content.get("dependences", []):
-        dependences.append([parse_expression(s, ctx) for s in group])
     return ConcreteRecord(
         label=record.label,
         n=n,
@@ -330,7 +326,6 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
         singular_factors=singular,
         blocks=blocks,
         equivalences=equivalences,
-        dependences=dependences,
         fundamental_check=bool(content.get("fundamental_check")),
         extra_symmetries=content.get("extra_symmetries", []),
         generator_probes=content.get("generator_probes", []),

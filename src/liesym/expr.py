@@ -16,6 +16,12 @@ always merged and zero coefficients dropped, so structural equality implies
 mathematical equality.  Fractional powers are single valued: numeric probing
 only ever evaluates them on positive bases.
 
+An exponent is an ``int`` when it is integral and a ``Fraction`` otherwise
+(``_exp`` applies this wherever exponents are made or added), so monomials
+hash and compare their integral exponents as machine integers.  Coefficients
+are always ``Fraction``.  The bases of a monomial are sorted by base key, and
+a term product merges its two sorted monomials in one linear pass.
+
 Sums of many pieces are built in a single pass: :func:`expr_sum` and
 :func:`sum_of_products` add every term (or term product) into one dict of
 monomial -> coefficient and normalize once, instead of copying and
@@ -90,7 +96,7 @@ class Atom:
         return f"Atom({atom_name(self)})"
 
     def as_expr(self) -> "Expr":
-        return _expr_from_terms({((self, _ONE_RAT),): _ONE_RAT})
+        return _expr_from_terms({((self, 1),): _ONE_RAT})
 
 
 _ATOM_CACHE: dict = {}
@@ -149,7 +155,15 @@ def _base_key(b) -> tuple:
         return b._key
     if isinstance(b, int):
         return ("c", b)
-    return ("e",) + b._key
+    key = b._flags.get("base_key")
+    if key is None:
+        key = b._flags["base_key"] = ("e",) + b._key
+    return key
+
+
+def _exp(q):
+    """An exponent in normal form: an int when integral, else a Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
 
 _ONE_RAT = Fraction(1)
@@ -185,7 +199,9 @@ class Expr:
 
     @property
     def terms(self) -> tuple:
-        """Tuple of (monomial, coefficient); monomial is ((base, exp), ...)."""
+        """Tuple of (monomial, coefficient); monomial is ((base, exp), ...),
+        sorted by base.  A coefficient is a Fraction; an exponent is an int
+        when integral and a Fraction otherwise."""
         return self._terms
 
     def is_zero_expr(self) -> bool:
@@ -355,13 +371,14 @@ def sum_of_products(pairs) -> Expr:
 def _expr_from_terms(acc: Mapping) -> Expr:
     items = [(_mono_key(m), m, c) for m, c in acc.items() if c]
     items.sort(key=itemgetter(0))
-    terms = tuple((m, c) for _, m, c in items)
-    key = tuple((k, (c.numerator, c.denominator)) for k, _, c in items)
+    terms = tuple([(m, c) for _, m, c in items])
+    key = tuple([(k, (c.numerator, c.denominator)) for k, _, c in items])
     return Expr(terms, key)
 
 
 def _mono_key(mono) -> tuple:
-    return tuple((_base_key(b), (e.numerator, e.denominator)) for b, e in mono)
+    return tuple([(b._key if type(b) is Atom else _base_key(b), (e.numerator, e.denominator))
+                  for b, e in mono])
 
 
 ZERO = _expr_from_terms({})
@@ -371,36 +388,39 @@ ONE = _expr_from_terms({(): _ONE_RAT})
 def _term_product(m1, c1, m2, c2):
     """Multiply two terms.  Returns (mono, coeff) or a full Expr when the
     merged exponents force re-expansion (sum base at a positive integer
-    power, constant base leaving (0,1))."""
+    power, constant base leaving (0,1)).
+
+    Both monomials are sorted by base key, so their product is one linear
+    merge; only a base present in both needs its exponents added."""
     coeff = c1 * c2
-    items: dict = dict(m1)
+    out = []
     needs_rework = False
-    for b, e in m2:
-        cur = items.get(b)
-        if cur is None:
-            items[b] = e
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        b1, e1 = m1[i]
+        b2, e2 = m2[j]
+        k1, k2 = _base_key(b1), _base_key(b2)
+        if k1 < k2:
+            out.append(m1[i])
+            i += 1
+        elif k2 < k1:
+            out.append(m2[j])
+            j += 1
         else:
-            tot = cur + e
+            tot = _exp(e1 + e2)
             if tot:
-                items[b] = tot
-                if not isinstance(b, Atom):
+                out.append((b1, tot))
+                if isinstance(b1, Expr) and type(tot) is int and tot > 0 \
+                        or isinstance(b1, int) and tot >= 1:
                     needs_rework = True
-            else:
-                del items[b]
-    if not needs_rework:
-        for b, e in items.items():
-            if isinstance(b, Expr):
-                if e.denominator == 1 and e > 0:
-                    needs_rework = True
-                    break
-            elif isinstance(b, int):
-                if not (0 < e < 1):
-                    needs_rework = True
-                    break
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
     if needs_rework:
-        return _make_term(coeff, items)
-    mono = tuple(sorted(items.items(), key=lambda t: _base_key(t[0])))
-    return mono, coeff
+        return _make_term(coeff, dict(out))
+    return tuple(out), coeff
 
 
 def _make_term(coeff: Fraction, items: Mapping) -> Expr:
@@ -417,7 +437,7 @@ def _make_term(coeff: Fraction, items: Mapping) -> Expr:
             if e.denominator == 1 and e > 0:
                 expandables.append((b, e.numerator))
             else:
-                kept[b] = e
+                kept[b] = _exp(e)
         elif isinstance(b, int):
             # constant base: keep the exponent inside (0,1)
             k = math.floor(e)
@@ -427,7 +447,7 @@ def _make_term(coeff: Fraction, items: Mapping) -> Expr:
             if frac:
                 kept[b] = frac
         else:
-            kept[b] = e
+            kept[b] = _exp(e)
     mono = tuple(sorted(kept.items(), key=lambda t: _base_key(t[0])))
     result = _expr_from_terms({mono: coeff})
     for b, k in expandables:
@@ -634,7 +654,7 @@ def _subst_base(b, bindings) -> Expr:
         return b.as_expr()
     if isinstance(b, Expr):
         return substitute(b, bindings)
-    return _make_term(_ONE_RAT, {b: _ONE_RAT})
+    return _make_term(_ONE_RAT, {b: 1})
 
 
 # -- structure scans ---------------------------------------------------------

@@ -15,7 +15,7 @@ n as (check, detail, params, thunk).  Check kinds, in plan order:
                     expected singular factors appear;
 * ``singular``   -- each solved singular equation is invariant;
 * ``rank``       -- d_{m-1} = 1 and d_m = 2 at generic points;
-* ``equivalence``/``dependence`` -- alternative presentations agree;
+* ``equivalence`` -- alternative presentations agree;
 * ``extra_symmetry``/``generator_probe`` -- exceptional-parameter
                     discrimination (a field or weight is admitted exactly at
                     the stated parameter value).
@@ -48,7 +48,7 @@ from .catalog import (
     secondary_order,
 )
 from .invariance import check_differential_invariant, check_equation_invariance, rank_and_count
-from .invdiff import InvariantDiffOperator, apply_D, functional_rank, verify_lambda
+from .invdiff import InvariantDiffOperator, apply_D, verify_lambda
 from .jet import MAX_JET_ORDER, VectorField
 from .liedet import lie_determinant, singular_equations
 from .numeric import DEFAULT_PROBE, ProbeConfig, derive_seed, is_zero
@@ -186,8 +186,6 @@ def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
 
     for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
         yield "equivalence", f"pair{i}", con.params, partial(_equivalence, ea, eb, pos)
-    for i, group in enumerate(con.dependences, 1):
-        yield "dependence", f"group{i}", con.params, partial(_dependence, group)
 
     # exceptional-parameter discrimination: an extra field is admitted
     # exactly at the stated parameter value
@@ -261,11 +259,6 @@ def _rank(fields, order, want_d, probe):
 def _equivalence(ea, eb, positive, probe):
     v = is_zero(ea - eb, probe, positive=positive)
     return v.is_zero, [v.to_json()], ""
-
-
-def _dependence(group, probe):
-    r = functional_rank(group, probe)
-    return r < len(group), [{"rank": r, "size": len(group)}], ""
 
 
 def _extra_symmetry(rec, n, field, values, params, expect_zero, probe):

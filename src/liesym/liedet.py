@@ -124,7 +124,7 @@ def _dense(e: Expr, vars: list) -> dict:
 
 
 def _from_dense(d: dict, vars: list) -> Expr:
-    return expr_sum(_make_term(coeff, {a: Fraction(k) for a, k in zip(vars, exps) if k})
+    return expr_sum(_make_term(coeff, {a: k for a, k in zip(vars, exps) if k})
                     for exps, coeff in d.items())
 
 

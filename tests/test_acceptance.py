@@ -28,14 +28,12 @@ from liesym.linear_ode import (
     char_spec_coeffs,
     coeffs_from_roots,
     coeffs_from_solutions,
-    cramer_coeffs,
-    fraction_det,
     prop1_symmetries,
-    vandermonde_det,
-    vandermonde_matrix,
 )
 from liesym.numeric import ProbeConfig, ZeroStatus, is_zero
 from liesym.parse import Context, parse_expression, parse_vector_field
+
+from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 
 RECORDS = load_catalog()
 STANDARD = ProbeConfig(points=20, digits=50, seed=42)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liesym import expr as E
+from liesym.catalog import instantiate, load_catalog
 from liesym.expr import Expr, diff, expr_sum, renormalized, substitute, sum_of_products
 from liesym.numeric import ZeroStatus, is_zero
 
@@ -225,3 +226,56 @@ def test_sum_of_products_re_expands_merged_bases():
     assert got._key == (half * (1 + X) ** F(3, 2) + root2 * root2 - X * X)._key
     assert sum_of_products([]) == E.ZERO and expr_sum([]) == E.ZERO
 
+
+
+# -- normal form of exponents ----------------------------------------------------
+#
+# An exponent is an int when it is integral and a Fraction with denominator
+# > 1 otherwise; coefficients are always Fractions.  Monomials then hash and
+# compare their integral exponents as machine integers.
+
+def _assert_normal_exponents(e: Expr):
+    subs = [e]
+    for b, ex in E.walk_bases(e):
+        assert ex != 0, (b, ex)
+        if ex.denominator == 1:
+            assert type(ex) is int, (b, ex)
+        else:
+            assert type(ex) is F, (b, ex)
+        if isinstance(b, Expr):
+            subs.append(b)
+        elif isinstance(b, E.Atom) and b.kind == "transc":
+            subs.append(b.arg)
+    for sub in subs:
+        assert all(type(c) is F for _, c in sub.terms), sub
+
+
+_POWERS = [F(k) for k in (-2, -1, 2, 3)] + [F(1, 2), F(-1, 2), F(2, 3), F(-3, 2)]
+
+
+@given(_exprs, _exprs, st.sampled_from(_POWERS))
+def test_exponents_in_normal_form(a, b, r):
+    results = [a, a * b, a - b, diff(a, E.indep()), diff(a, E.jet(1)),
+               substitute(a, {E.jet(1): b, E.dep(): X + 2}),
+               expr_sum([a, b, -a]), sum_of_products([(a, b), (b, b)])]
+    for base in (a, b):
+        try:
+            results.append(base.pow(r))
+        except E.DomainError:  # zero or negative rational under this power
+            pass
+    for e in results:
+        _assert_normal_exponents(e)
+
+
+def test_catalog_exponents_in_normal_form():
+    seen = 0
+    for rec in load_catalog():
+        con = instantiate(rec)
+        exprs = [ce.equation.rhs for ce in con.equations]
+        exprs += [phi for _, phi in con.invariants]
+        exprs += [con.lam] if con.lam is not None else []
+        exprs += [c for f in con.fields for c in (f.xi, f.eta)]
+        for e in exprs:
+            _assert_normal_exponents(e)
+            seen += 1
+    assert seen > 300

@@ -13,18 +13,16 @@ from liesym.linear_ode import (
     DuplicateRoots,
     coeffs_from_roots,
     coeffs_from_solutions,
-    cramer_coeffs,
-    fraction_det,
     fundamental_solutions,
     homogeneity_symmetry,
     linear_ode_from_spec,
     prop1_symmetries,
     solution_symmetries,
     translation_symmetry,
-    vandermonde_det,
-    vandermonde_matrix,
 )
 from liesym.numeric import ProbeConfig, is_zero
+
+from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 
 X = E.indep().as_expr()
 PR = ProbeConfig(points=8, digits=50, seed=21)

@@ -1,10 +1,12 @@
-"""The kernel's single-pass sums against the left folds they replaced.
+"""The kernel's single-pass sums and merged term products against the
+code they replaced.
 
 `total_derivative`, `apply_prolonged`, `substitute` and `clear_denominators`
 each add all their summands into one accumulator.  The reference versions
 below sum with ``+`` one piece at a time, multiplying in the same order; the
 normal form makes both structurally identical, which is what keeps reports
-byte-identical.
+byte-identical.  Likewise the term product merges two sorted monomials where
+its reference copies one into a dict and re-sorts the result.
 """
 
 import random
@@ -14,7 +16,8 @@ import pytest
 
 from liesym import expr as E
 from liesym.catalog import instantiate, load_catalog
-from liesym.expr import Atom, Expr, diff, is_rational_fragment, substitute
+from liesym.expr import Atom, Expr, _base_key, _expr_from_terms, _make_term, _term_product, \
+    diff, is_rational_fragment, substitute
 from liesym.jet import VectorField, apply_prolonged, prolong, total_derivative
 from liesym.numeric import clear_denominators
 
@@ -89,6 +92,39 @@ def _key_expr(key) -> Expr:
     return key.as_expr() if isinstance(key, Atom) else key
 
 
+def ref_term_product(m1, c1, m2, c2):
+    """Term product through a dict of the first monomial, re-sorted."""
+    coeff = c1 * c2
+    items: dict = dict(m1)
+    needs_rework = False
+    for b, e in m2:
+        cur = items.get(b)
+        if cur is None:
+            items[b] = e
+        else:
+            tot = cur + e
+            if tot:
+                items[b] = tot
+                if not isinstance(b, Atom):
+                    needs_rework = True
+            else:
+                del items[b]
+    if not needs_rework:
+        for b, e in items.items():
+            if isinstance(b, Expr):
+                if e.denominator == 1 and e > 0:
+                    needs_rework = True
+                    break
+            elif isinstance(b, int):
+                if not (0 < e < 1):
+                    needs_rework = True
+                    break
+    if needs_rework:
+        return _make_term(coeff, items)
+    mono = tuple(sorted(items.items(), key=lambda t: _base_key(t[0])))
+    return mono, coeff
+
+
 # -- seeded inputs -------------------------------------------------------------
 
 def _random_poly(rng, atoms, terms):
@@ -121,7 +157,90 @@ def seven_six():
     return instantiate(rec)
 
 
+# Monomial bases with the exponents the normal form allows them: atoms any
+# nonzero rational, compound bases (content-free sums) a negative integer or a
+# non-integer, primes a fraction in (0, 1).
+_ATOM_BASES = [E.indep(), E.dep(), E.jet(1), E.jet(2), E.param("a"),
+               E.transcendental("exp", X).terms[0][0][0][0]]
+_SUM_BASES = [(1 + X).pow(-1).terms[0][0][0][0], (X - 2 * Y).pow(-1).terms[0][0][0][0],
+              (1 + J(1) ** 2).pow(-1).terms[0][0][0][0]]
+_PRIME_BASES = [2, 3, 5]
+_ATOM_EXPS = [1, 2, 3, -1, -2, F(1, 2), F(-1, 2), F(2, 3), F(-5, 3)]
+_SUM_EXPS = [-1, -2, F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(1, 3), F(2, 3)]
+_PRIME_EXPS = [F(1, 2), F(1, 3), F(2, 3), F(3, 4)]
+
+
+def _random_mono(rng, partner=()):
+    """A sorted normal-form monomial.  Against a partner monomial it often
+    reuses the partner's bases: the negated exponent (the base cancels), a
+    complement to a positive integer (a sum base re-expands, a prime leaves
+    (0, 1)), or another exponent."""
+    items = {}
+    for b, e in partner:
+        roll = rng.random()
+        if roll < 0.25:
+            continue
+        if roll < 0.45 and not isinstance(b, int):
+            items[b] = -e
+        elif roll < 0.7 and not isinstance(b, Atom):
+            items[b] = E._exp(rng.randint(1, 2) - e) if isinstance(b, Expr) else 1 - e
+        else:
+            items[b] = rng.choice(_PRIME_EXPS if isinstance(b, int) else
+                                  _SUM_EXPS if isinstance(b, Expr) else _ATOM_EXPS)
+    for pool, exps in ((_ATOM_BASES, _ATOM_EXPS), (_SUM_BASES, _SUM_EXPS),
+                       (_PRIME_BASES, _PRIME_EXPS)):
+        for b in rng.sample(pool, rng.randint(0, 2)):
+            items.setdefault(b, rng.choice(exps))
+    items = {b: E._exp(F(e)) for b, e in items.items() if e}
+    if any(isinstance(b, int) and not 0 < e < 1 for b, e in items.items()):
+        items = {b: e for b, e in items.items() if not isinstance(b, int)}
+    if any(isinstance(b, Expr) and type(e) is int and e > 0 for b, e in items.items()):
+        items = {b: e for b, e in items.items() if not isinstance(b, Expr)}
+    return tuple(sorted(items.items(), key=lambda t: _base_key(t[0])))
+
+
+def _as_expr(piece) -> Expr:
+    return piece if isinstance(piece, Expr) else _expr_from_terms({piece[0]: piece[1]})
+
+
 # -- equivalence ---------------------------------------------------------------
+
+def test_term_product_matches_dict_and_sort():
+    rng = random.Random(11)
+    expanded = cancelled = 0
+    for _ in range(3000):
+        m1 = _random_mono(rng)
+        m2 = _random_mono(rng, m1)
+        c1 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        c2 = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        got = _term_product(m1, c1, m2, c2)
+        assert _as_expr(got)._key == _as_expr(ref_term_product(m1, c1, m2, c2))._key, (m1, m2)
+        first = dict(m1)
+        sums = [(b, first[b] + e) for b, e in m2 if b in first]
+        cancelled += any(t == 0 for _, t in sums)
+        expanded += any(not isinstance(b, Atom) and t.denominator == 1 and t > 0
+                        for b, t in sums)
+    assert expanded > 300 and cancelled > 300
+
+
+def test_term_product_edge_cases():
+    x, s, two = E.indep(), _SUM_BASES[0], 2
+    cases = [
+        ((), ((x, 2),)),                              # empty monomial
+        (((x, 2),), ((x, -2),)),                      # cancels to the empty monomial
+        (((s, F(1, 2)),), ((s, F(3, 2)),)),           # sum base re-expands: (1+x)^2
+        (((s, F(-1, 2)),), ((s, F(3, 2)),)),          # sum base to the first power
+        (((s, -1), (x, 1)), ((s, 1), (x, 1))),        # sum base cancels
+        (((two, F(1, 2)),), ((two, F(1, 2)),)),       # prime surd folds: 2
+        (((two, F(2, 3)), (x, 1)), ((two, F(2, 3)),)),  # 2^(4/3) = 2 * 2^(1/3)
+    ]
+    for m1, m2 in cases:
+        for a, b in ((m1, m2), (m2, m1)):
+            got = _as_expr(_term_product(a, F(3), b, F(-1, 2)))
+            assert got._key == _as_expr(ref_term_product(a, F(3), b, F(-1, 2)))._key
+    assert _as_expr(_term_product(((s, F(1, 2)),), F(1), ((s, F(3, 2)),), F(1))) == (1 + X) ** 2
+    assert _term_product(((two, F(1, 2)),), F(1), ((two, F(1, 2)),), F(1)) == Expr.rational(2)
+
 
 @pytest.mark.parametrize("seed", range(6))
 def test_total_derivative_matches_fold(seed):
