@@ -379,38 +379,15 @@ def _default_roots(count: int, avoid_zero: bool = False) -> list:
     return out[:count]
 
 
-def _char_poly_tail(roots: Sequence[Fraction]) -> list:
-    """[a_1, ..., a_d] with t^d + a_1 t^(d-1) + ... + a_d = prod(t - r)."""
-    poly = [Fraction(1)]
-    for r in roots:
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c
-            nxt[i + 1] -= c * r
-        poly = nxt
-    return poly[1:]
-
-
-def _exp_solutions(roots: Sequence[Fraction]) -> list:
-    x = indep().as_expr()
-    out = []
-    for r in roots:
-        out.append(transcendental("exp", Fraction(r) * x) if r else ONE)
-    return out
-
-
 def _linear_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     """Generators Dx and eta_i(x)*Dy where the eta_i span the kernel of an
     order-(n-1) constant-coefficient operator; blocks u = that operator
     applied to y, and Du = its total derivative."""
-    roots = _default_roots(n - 1)
-    etas = _exp_solutions(roots)
+    spec = CharSpec(real_roots=tuple(_default_roots(n - 1)))
     fields = [VectorField(ONE, ZERO, "X1")]
-    fields += [VectorField(ZERO, s, f"X{i+2}") for i, s in enumerate(etas)]
-    a = _char_poly_tail(roots)
-    u = jet_or_dep(n - 1).as_expr()
-    for i, coeff in enumerate(a):
-        u = u + Expr.rational(coeff) * jet_or_dep(n - 2 - i).as_expr()
+    fields += [VectorField(ZERO, s, f"X{i+2}")
+               for i, s in enumerate(fundamental_solutions(spec))]
+    u = jet_or_dep(n - 1).as_expr() - linear_ode_from_spec(spec).rhs()
     blocks = {"u": u, "Du": total_derivative(u)}
     ctx.macros.update(blocks)
     return fields, blocks
@@ -420,14 +397,11 @@ def _log_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     """Generators Dx, y*Dy and eta_i(x)*Dy with the eta_i spanning the kernel
     of an order-(n-2) operator; blocks u, Du, D2u_low (second total
     derivative with the top jet removed)."""
-    roots = _default_roots(n - 2, avoid_zero=True)
-    etas = _exp_solutions(roots)
+    spec = CharSpec(real_roots=tuple(_default_roots(n - 2, avoid_zero=True)))
     fields = [VectorField(ONE, ZERO, "X1"), VectorField(ZERO, dep().as_expr(), "X2")]
-    fields += [VectorField(ZERO, s, f"X{i+3}") for i, s in enumerate(etas)]
-    a = _char_poly_tail(roots)
-    u = jet_or_dep(n - 2).as_expr()
-    for i, coeff in enumerate(a):
-        u = u + Expr.rational(coeff) * jet_or_dep(n - 3 - i).as_expr()
+    fields += [VectorField(ZERO, s, f"X{i+3}")
+               for i, s in enumerate(fundamental_solutions(spec))]
+    u = jet_or_dep(n - 2).as_expr() - linear_ode_from_spec(spec).rhs()
     du = total_derivative(u)
     d2u_low = total_derivative(du) - jet_or_dep(n).as_expr()
     blocks = {"u": u, "Du": du, "D2u_low": d2u_low}

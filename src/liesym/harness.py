@@ -241,7 +241,7 @@ def _lie_det(con, singular: list, probe):
             notes.append("sign -")
         else:
             problems.append("determinant does not match the stored form")
-    if not res.non_polynomial and not (res.reassembled() - res.determinant).is_zero_expr():
+    if not (res.reassembled() - res.determinant).is_zero_expr():
         problems.append("factor reassembly failed")
     problems += [f"expected singular factor missing: {want}" for want in con.singular_factors
                  if not any(is_zero(want - f, probe).is_zero or is_zero(want + f, probe).is_zero

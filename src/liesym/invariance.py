@@ -25,7 +25,7 @@ from .numeric import (
     eval_exact,
     fractional_power_degrees,
     is_zero,
-    sample_rational,
+    sample_point,
 )
 
 
@@ -96,8 +96,7 @@ def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:
 
 
 def rank_at_point(matrix: list, point: dict) -> int:
-    rows = [[eval_exact(entry, point) for entry in row] for row in matrix]
-    return _fraction_rank(rows)
+    return _rank([[eval_exact(entry, point) for entry in row] for row in matrix])
 
 
 def rank_and_count(fields: Sequence[VectorField], order: int,
@@ -109,7 +108,19 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    matrix = coefficient_matrix(fields, order)
+    best, points = generic_rank(coefficient_matrix(fields, order), probe, samples, eval_exact)
+    return RankReport(order, best, order + 2 - best, points)
+
+
+def generic_rank(matrix: list, probe: ProbeConfig, samples: int, evaluate, tol=0):
+    """(largest rank, points) of a matrix of expressions over `samples`
+    admissible seeded points; each point is a tuple of (atom, value).
+
+    `evaluate(entry, point)` gives each entry's value; a point where it
+    raises _BadPoint or ZeroDivisionError is skipped.  Atoms under
+    fractional powers are sampled as |t|^q (see `sample_point`), which
+    keeps exact evaluation rational.
+    """
     atoms = set()
     for row in matrix:
         for entry in row:
@@ -122,48 +133,41 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     tried = 0
     while len(points) < samples and tried < samples * probe.max_retries:
         tried += 1
-        point = {}
-        for a in atoms:
-            v = sample_rational(rng, probe)
-            q = degrees.get(a)
-            if q:
-                v = abs(v) ** q
-            point[a] = v
+        point = sample_point(rng, atoms, probe, degrees=degrees)
         try:
-            r = rank_at_point(matrix, point)
+            best = max(best, _rank([[evaluate(e, point) for e in row] for row in matrix], tol))
         except (_BadPoint, ZeroDivisionError):
             continue
         points.append(tuple((a, point[a]) for a in atoms))
-        if r > best:
-            best = r
     if len(points) < samples:
         raise SamplingExhausted("could not find admissible rank sample points")
-    return RankReport(order, best, order + 2 - best, tuple(points))
+    return best, tuple(points)
 
 
-def _fraction_rank(rows: list) -> int:
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    col = 0
-    r = 0
-    while r < m and col < n:
-        pivot = None
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def _rank(rows: list, tol=0) -> int:
+    """Rank by Gaussian elimination; an entry counts as zero when
+    |entry| <= tol (tol = 0 for exact values).  Inexact values pivot on the
+    largest entry (partial pivoting).  Any nonzero exact pivot gives the
+    same rank, so exact values take the first one, which keeps their
+    fractions smaller."""
+    rows = [list(row) for row in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    rank = col = 0
+    while rank < m and col < n:
+        if tol:
+            piv = max(range(rank, m), key=lambda i: abs(rows[i][col]))
+            piv = piv if abs(rows[piv][col]) > tol else None
+        else:
+            piv = next((i for i in range(rank, m) if rows[i][col]), None)
+        if piv is None:
             col += 1
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, m):
+        pv = rows[piv][col]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, m):
             f = rows[i][col] / pv
             if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-        r += 1
         col += 1
     return rank

@@ -5,23 +5,21 @@ recursion w_k = D_x(w_{k-1}) / D_x(w_{k-2})."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import mpmath
 
-from .expr import Expr, ExprError, leaf_atoms, max_jet_order
+from .expr import Expr, ExprError, diff, leaf_atoms, max_jet_order
+from .invariance import generic_rank
 from .jet import MAX_JET_ORDER, VectorField, apply_prolonged, prolong, total_derivative
 from .numeric import (
     DEFAULT_PROBE,
     ProbeConfig,
     ZeroStatus,
     ZeroVerdict,
-    _BadPoint,
     eval_mp,
     is_zero,
-    sample_point,
 )
 
 
@@ -90,54 +88,13 @@ def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE,
     phi2} the rank stays at 2 even when the tabulated phi2 differs from
     D(phi1) by a function of phi1.
     """
-    from .expr import diff
-
     atoms = set()
     for e in exprs:
         atoms |= leaf_atoms(e)
     atoms = sorted(atoms, key=lambda a: a._key)
     jac = [[diff(e, a) for a in atoms] for e in exprs]
-    rng = random.Random(probe.seed)
-    best = 0
-    done = 0
-    attempts = 0
-    while done < samples and attempts < probe.max_retries * samples:
-        attempts += 1
-        point = sample_point(rng, atoms, probe)
-        try:
-            with mpmath.workdps(probe.digits + 15):
-                rows = [[eval_mp(entry, point, probe.digits) for entry in row]
-                        for row in jac]
-                best = max(best, _numeric_rank(rows, probe.digits))
-            done += 1
-        except _BadPoint:
-            continue
-    if done < samples:
-        raise ExprError("could not sample enough points for the Jacobian rank")
+    with mpmath.workdps(probe.digits + 15):
+        tol = mpmath.mpf(10) ** (-(probe.digits // 2))
+        best, _points = generic_rank(
+            jac, probe, samples, lambda e, point: eval_mp(e, point, probe.digits), tol)
     return best
-
-
-def _numeric_rank(rows, digits: int) -> int:
-    tol = mpmath.mpf(10) ** (-(digits // 2))
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    r = 0
-    rows = [list(row) for row in rows]
-    while r < m and col < n:
-        piv, pval = None, tol
-        for i in range(r, m):
-            if abs(rows[i][col]) > pval:
-                piv, pval = i, abs(rows[i][col])
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            f = rows[i][col] / rows[r][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank

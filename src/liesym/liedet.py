@@ -2,11 +2,18 @@
 of an m-dimensional algebra at order m-2, and extraction of the singular
 invariant equations from its factors.
 
-The determinant is computed by fraction-free Bareiss elimination over the
-polynomial ring Q[atoms] (exact multivariate division under graded-lex), with
-a division-free Laplace expansion as fallback when an entry is not
-polynomial.  Factor extraction covers rational content, atom monomials and
-perfect powers of a multi-term polynomial, which suffices for the catalog.
+The determinant is computed by fraction-free Bareiss elimination (Bareiss,
+Math. Comp. 1968) over a polynomial ring with exact multivariate division
+under graded-lex.  Its indeterminates are the powers that occur in the
+entries: b^k with k a positive integer is the k-th power of the indeterminate
+b, and any other power b^e (a negative or fractional exponent, a compound or
+constant base) is an indeterminate of its own.  This is exact for every
+matrix: the determinant is an integer polynomial in the entries, Bareiss
+divisions are exact in any polynomial ring, and substituting the powers back
+is a ring homomorphism, under which exponents of one base add up.  On
+entries in Q[atoms] the indeterminates are just the atoms.  Factor
+extraction covers rational content, monomials and perfect powers of a
+multi-term polynomial, which suffices for the catalog.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .expr import (
-    Atom,
     Expr,
     ExprError,
     ONE,
     ZERO,
+    _base_key,
     _make_term,
     diff,
     expr_sum,
@@ -31,6 +38,7 @@ from .expr import (
 )
 from .invariance import OdeEquation, coefficient_matrix
 from .jet import VectorField
+from .numeric import _exact_root
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,7 @@ class LieDeterminantResult:
     determinant: Expr
     factors: tuple
     constant_prefactor: Expr
-    non_polynomial: bool = False
+    non_polynomial: bool = False  # some entry lies outside Q[atoms]
 
     def reassembled(self) -> Expr:
         out = self.constant_prefactor
@@ -71,13 +79,11 @@ def lie_determinant(fields: Sequence[VectorField], label: str = "") -> LieDeterm
         raise ValueError("a Lie determinant needs at least two generators")
     order = m - 2
     matrix = coefficient_matrix(fields, order)
-    if all(is_polynomial(e) for row in matrix for e in row):
-        det = _bareiss_determinant(matrix)
-        prefactor, factors = factor_polynomial(det)
-        return LieDeterminantResult(label, order, det, tuple(factors),
-                                    Expr.rational(prefactor))
-    det = _laplace_determinant(matrix)
-    return LieDeterminantResult(label, order, det, (), ONE, non_polynomial=True)
+    det = _bareiss_determinant(matrix)
+    prefactor, factors = factor_polynomial(det)
+    return LieDeterminantResult(
+        label, order, det, tuple(factors), Expr.rational(prefactor),
+        non_polynomial=not all(is_polynomial(e) for row in matrix for e in row))
 
 
 def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
@@ -103,29 +109,45 @@ def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
 
 # -- dense polynomial helpers -------------------------------------------------
 
+def _unit(ex) -> tuple:
+    """(unit exponent u, power k) with b^ex = (b^u)^k: u = 1 for a positive
+    integer exponent, else u = ex and k = 1."""
+    if ex.denominator == 1 and ex > 0:
+        return 1, ex
+    return ex, 1
+
+
 def _poly_vars(exprs) -> list:
-    atoms = set()
+    """The indeterminates (base, unit exponent) of the given expressions."""
+    vars = set()
     for e in exprs:
         for mono, _ in e._terms:
-            for b, _ex in mono:
-                atoms.add(b)
-    return sorted(atoms, key=lambda a: a._key)
+            for b, ex in mono:
+                vars.add((b, _unit(ex)[0]))
+    return sorted(vars, key=lambda v: (_base_key(v[0]), v[1]))
 
 
 def _dense(e: Expr, vars: list) -> dict:
-    index = {a: i for i, a in enumerate(vars)}
+    index = {v: i for i, v in enumerate(vars)}
     out = {}
     for mono, coeff in e._terms:
         exps = [0] * len(vars)
         for b, ex in mono:
-            exps[index[b]] = ex.numerator
+            u, k = _unit(ex)
+            exps[index[(b, u)]] = k
         out[tuple(exps)] = coeff
     return out
 
 
 def _from_dense(d: dict, vars: list) -> Expr:
-    return expr_sum(_make_term(coeff, {a: k for a, k in zip(vars, exps) if k})
-                    for exps, coeff in d.items())
+    def term(coeff, exps):
+        items: dict = {}
+        for (b, u), k in zip(vars, exps):
+            if k:
+                items[b] = items.get(b, 0) + u * k
+        return _make_term(coeff, items)
+
+    return expr_sum(term(coeff, exps) for exps, coeff in d.items())
 
 
 def _grlex_key(exps: tuple):
@@ -214,36 +236,12 @@ def _bareiss_determinant(matrix: list) -> Expr:
     return _from_dense(det, vars)
 
 
-def _laplace_determinant(matrix: list) -> Expr:
-    m = len(matrix)
-    memo: dict = {}
-
-    def minor(k: int, cols: tuple) -> Expr:
-        if k == m:
-            return ONE
-        hit = memo.get((k, cols))
-        if hit is not None:
-            return hit
-        total = ZERO
-        for idx, j in enumerate(cols):
-            entry = matrix[k][j]
-            if entry.is_zero_expr():
-                continue
-            sub = minor(k + 1, cols[:idx] + cols[idx + 1:])
-            piece = entry * sub
-            total = total + piece if idx % 2 == 0 else total - piece
-        memo[(k, cols)] = total
-        return total
-
-    return minor(0, tuple(range(m)))
-
-
 # -- factor extraction --------------------------------------------------------
 
 def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
     """(prefactor, [(factor, multiplicity), ...]) with factors content-free.
 
-    Handles rational content, atom-monomial factors, and a remaining perfect
+    Handles rational content, monomial factors, and a remaining perfect
     power of a multi-term polynomial.  The remaining factor is returned with
     multiplicity 1 when no power structure is found.
     """
@@ -266,13 +264,13 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
         content = -content
     dense = {ex: c / content for ex, c in dense.items()}
     factors: list = []
-    # atom-monomial part
+    # monomial part
     mins = [min(ex[i] for ex in dense) for i in range(len(vars))]
     if any(mins):
         dense = {tuple(x - mn for x, mn in zip(ex, mins)): c for ex, c in dense.items()}
-        for a, mn in zip(vars, mins):
+        for (b, u), mn in zip(vars, mins):
             if mn:
-                factors.append((a.as_expr() if isinstance(a, Atom) else a, mn))
+                factors.append((_make_term(Fraction(1), {b: u}), mn))
     rest_expr = _from_dense(dense, vars)
     if rest_expr == ONE:
         return content, factors
@@ -367,7 +365,7 @@ def _dense_root(p: dict, k: int, vars: list):
     lead = max(p, key=_grlex_key)
     if any(x % k for x in lead):
         return None
-    c0 = _fraction_root(p[lead], k)
+    c0 = _exact_root(p[lead], k)
     if c0 is None:
         return None
     b0_exp = tuple(x // k for x in lead)
@@ -400,21 +398,3 @@ def _dense_pow(p: dict, k: int) -> dict:
         if n:
             base = _dense_mul(base, base)
     return out
-
-
-def _fraction_root(c: Fraction, k: int):
-    if c < 0:
-        return None
-    num = _iroot(c.numerator, k)
-    den = _iroot(c.denominator, k)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _iroot(n: int, k: int):
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None

@@ -56,12 +56,12 @@ class CharSpec:
     complex_pairs: tuple = ()
 
     def __post_init__(self):
-        roots = [complex(Fraction(r), 0) for r in self.real_roots]
+        roots = [(Fraction(r), Fraction(0)) for r in self.real_roots]
         for a, b in self.complex_pairs:
             if Fraction(b) == 0:
                 raise ValueError("complex pair with zero imaginary part")
-            roots.append(complex(Fraction(a), Fraction(b)))
-            roots.append(complex(Fraction(a), -Fraction(b)))
+            roots.append((Fraction(a), Fraction(b)))
+            roots.append((Fraction(a), -Fraction(b)))
         if len(set(roots)) != len(roots):
             raise DuplicateRoots("characteristic roots must be pairwise distinct")
 
@@ -100,20 +100,8 @@ def _derivative_ladder(f: Expr, order: int) -> list:
 
 def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
     """[A_0, ..., A_{n-1}] for y^(n) = sum A_i y^(i) with the given simple
-    roots: expand prod(t - a_k) and negate the lower coefficients."""
-    roots = [Fraction(r) for r in roots]
-    if len(set(roots)) != len(roots):
-        raise DuplicateRoots("repeated characteristic root")
-    poly = [Fraction(1)]  # coefficients, highest power first
-    for r in roots:
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c
-            nxt[i + 1] -= c * r
-        poly = nxt
-    # poly[k] multiplies t^(n-k); A_i = -coefficient of t^i
-    n = len(roots)
-    return [-poly[n - i] for i in range(n)]
+    roots; raises DuplicateRoots on a repeated root."""
+    return char_spec_coeffs(CharSpec(real_roots=tuple(roots)))
 
 
 def char_spec_coeffs(spec: CharSpec) -> List[Fraction]:

@@ -138,11 +138,18 @@ def sample_rational(rng: random.Random, probe: ProbeConfig) -> Fraction:
 
 
 def sample_point(rng: random.Random, atoms, probe: ProbeConfig,
-                 positive=frozenset()) -> dict:
+                 positive=frozenset(), degrees=None) -> dict:
+    """One rational per atom, in atom-key order.  Atoms in ``positive`` get
+    |t|; an atom with degree q in ``degrees`` gets |t|^q, so that its
+    q-th roots stay rational."""
     out = {}
     for a in sorted(atoms, key=lambda a: a._key):
         v = sample_rational(rng, probe)
-        out[a] = abs(v) if a in positive else v
+        q = degrees.get(a) if degrees else None
+        if q:
+            out[a] = abs(v) ** q
+        else:
+            out[a] = abs(v) if a in positive else v
     return out
 
 

@@ -9,6 +9,7 @@ The sub-test rejects the square and confirms the cube against an oracle that
 expands the tabulated rows without the engine.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -37,6 +38,10 @@ from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermo
 
 RECORDS = load_catalog()
 STANDARD = ProbeConfig(points=20, digits=50, seed=42)
+# sha256 of the seed-42 report of criterion 2, serialised with sort_keys and
+# without `elapsed_ms`.  A change that alters any verdict, note or witness
+# must re-pin this and say why.
+REPORT_SHA256 = "64d71d7f09f644aec3c027a03e5daf01f934b2191a6f184287b0f961b8e1613d"
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
 
@@ -177,6 +182,11 @@ def test_criterion_2_full_catalog_verification():
     assert len({r.record for r in report.results}) == 41
     assert len(report.results) >= 160
     assert single < 600, f"single-worker run took {single:.0f}s"
+    data = report.to_json()
+    for c in data["checks"]:
+        c.pop("elapsed_ms")
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_SHA256
     t0 = time.monotonic()
     report4 = run_verification(probe=STANDARD, workers=4)
     quad = time.monotonic() - t0

@@ -5,10 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from liesym import expr as E
+from liesym.catalog import default_order, instantiate, load_catalog, secondary_order
 from liesym.invariance import coefficient_matrix, rank_at_point
 from liesym.jet import VectorField
-from liesym.liedet import factor_polynomial, lie_determinant, singular_equations
-from liesym.numeric import ProbeConfig
+from liesym.liedet import (
+    _bareiss_determinant,
+    factor_polynomial,
+    lie_determinant,
+    singular_equations,
+)
+from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
 
 X = E.indep().as_expr()
@@ -127,8 +133,130 @@ def test_factor_reassembly_identity():
 def test_non_polynomial_entries_fallback():
     half = VectorField(X ** F(5, 2), E.ZERO)
     res = lie_determinant([DX, DY, half])
-    assert res.non_polynomial and res.factors == ()
+    assert res.non_polynomial
+    assert (res.reassembled() - res.determinant).is_zero_expr()
     assert not res.determinant.is_zero_expr()
+
+
+def cofactor_determinant(matrix):
+    """Reference determinant by cofactor (Laplace) expansion along the first
+    row, memoized on the remaining columns; it divides nothing, so it holds
+    for entries of any kind."""
+    m = len(matrix)
+    memo = {}
+
+    def minor(k, cols):
+        if k == m:
+            return E.ONE
+        if (k, cols) not in memo:
+            total = E.ZERO
+            for idx, j in enumerate(cols):
+                if matrix[k][j].is_zero_expr():
+                    continue
+                piece = matrix[k][j] * minor(k + 1, cols[:idx] + cols[idx + 1:])
+                total = total + piece if idx % 2 == 0 else total - piece
+            memo[(k, cols)] = total
+        return memo[(k, cols)]
+
+    return minor(0, tuple(range(m)))
+
+
+def _non_polynomial_generator_sets():
+    exp_x = E.transcendental("exp", X)
+    sin_x = E.transcendental("sin", X)
+    return [
+        # fractional powers of atoms
+        [DX, DY, VectorField(X, Y ** F(1, 3)), VectorField(E.ZERO, X ** F(1, 2))],
+        [DX, DY, VectorField(X ** F(3, 2), Y), VectorField(X * Y ** F(1, 2), X ** F(5, 3))],
+        # negative powers of compound bases
+        [DX, DY, VectorField((1 + X ** 2).pow(-1), Y),
+         VectorField(E.ZERO, (X + Y).pow(-2))],
+        [DY, VectorField(X, 2 * Y), VectorField((1 + Y ** 2).pow(F(-1, 2)), X),
+         VectorField(E.ZERO, (1 + X).pow(-1) + Y)],
+        # exp and sin entries
+        [DX, VectorField(E.ZERO, exp_x), VectorField(E.ZERO, sin_x),
+         VectorField(E.ZERO, X * exp_x), VectorField(Y, exp_x * sin_x)],
+        # all kinds together
+        [DX, DY, VectorField(sin_x, Y ** F(1, 2)), VectorField(E.ZERO, (1 + exp_x).pow(-1)),
+         VectorField(X ** F(2, 3), E.ZERO)],
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_bareiss_matches_cofactor_expansion_off_polynomials(case):
+    gens = _non_polynomial_generator_sets()[case]
+    matrix = coefficient_matrix(gens, len(gens) - 2)
+    res = lie_determinant(gens)
+    assert res.non_polynomial
+    assert res.determinant == _bareiss_determinant(matrix)
+    assert is_zero(res.determinant - cofactor_determinant(matrix), PR).is_zero
+    assert (res.reassembled() - res.determinant).is_zero_expr()
+
+
+def test_perfect_powers_with_large_coefficients():
+    # integer roots are taken exactly, not through a float
+    big = 10 ** 200 * J(1) + 1
+    assert factor_polynomial(big ** 2) == (1, [(big, 2)])
+    cube = (3 ** 40 + 1) * J(1) + 1
+    assert factor_polynomial(cube ** 3) == (1, [(cube, 3)])
+    assert factor_polynomial(F(1, 3 ** 60) * cube ** 3) == (F(1, 3 ** 60), [(cube, 3)])
+
+
+def _catalog_lie_det_instantiations():
+    out = []
+    for rec in load_catalog():
+        for n in (default_order(rec), secondary_order(rec)):
+            if n is None:
+                continue
+            con = instantiate(rec, n=n)
+            if con.lie_det_expected is not None or con.singular_factors:
+                out.append(con)
+    return out
+
+
+def _to_sympy(sympy, e):
+    def base(b):
+        if isinstance(b, int):
+            return sympy.Integer(b)
+        if isinstance(b, E.Expr):
+            return _to_sympy(sympy, b)
+        if b.kind == "transc":
+            fn = {"arctan": sympy.atan, "ln": sympy.log}.get(b.fn) or getattr(sympy, b.fn)
+            return fn(_to_sympy(sympy, b.arg))
+        return sympy.Symbol(E.atom_name(b))
+
+    return sympy.Add(*(
+        sympy.Mul(sympy.Rational(c.numerator, c.denominator),
+                  *(base(b) ** sympy.Rational(F(ex).numerator, F(ex).denominator)
+                    for b, ex in mono))
+        for mono, c in e.terms))
+
+
+def test_catalog_determinants_sympy_oracle():
+    # every catalog Lie determinant, at default and secondary order, against
+    # sympy's determinant of the matrix that sympy prolongs from (xi, eta)
+    sympy = pytest.importorskip("sympy")
+    cons = _catalog_lie_det_instantiations()
+    assert len(cons) == 23
+    for con in cons:
+        order = len(con.fields) - 2
+        x = sympy.Symbol("x")
+        jets = [sympy.Symbol(E.atom_name(E.jet_or_dep(k))) for k in range(order + 2)]
+
+        def total_d(f):
+            return sympy.diff(f, x) + sum(
+                jets[k + 1] * sympy.diff(f, jets[k]) for k in range(order + 1))
+
+        rows = []
+        for X_ in con.fields:
+            xi, eta = _to_sympy(sympy, X_.xi), _to_sympy(sympy, X_.eta)
+            row = [xi, eta]
+            for k in range(1, order + 1):
+                row.append(sympy.expand(total_d(row[-1]) - jets[k] * total_d(xi)))
+            rows.append(row)
+        want = sympy.Matrix(rows).det(method="bareiss")
+        got = lie_determinant(con.fields, con.label).determinant
+        assert sympy.expand(want - _to_sympy(sympy, got)) == 0, con.label
 
 
 def test_composite_square_factor_split():

@@ -87,6 +87,14 @@ def test_duplicate_roots_rejected():
         CharSpec(complex_pairs=((1, 0),))
 
 
+def test_roots_closer_than_float_resolution_are_distinct():
+    a, b = F(1, 3), F(1, 3) + F(1, 10 ** 30)
+    assert coeffs_from_roots([a, b]) == [-(a * b), a + b]
+    assert CharSpec(real_roots=(a, b), complex_pairs=((a, 1), (b, 1))).order == 6
+    with pytest.raises(DuplicateRoots):
+        CharSpec(complex_pairs=((a, 1), (a, -1)))
+
+
 def test_fundamental_solutions_real_roots():
     spec = CharSpec(real_roots=(0, 1))
     ode = linear_ode_from_spec(spec)
