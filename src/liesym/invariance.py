@@ -14,17 +14,22 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .expr import Expr, jet, leaf_atoms, max_jet_order, substitute
+from .expr import (ONE, Expr, is_rational_fragment, jet, leaf_atoms, max_jet_order,
+                   substitute, sum_of_products)
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
     ProbeConfig,
     SamplingExhausted,
+    ZeroStatus,
     ZeroVerdict,
     _BadPoint,
+    decide_exactly,
     eval_exact,
+    exact_nonzero,
     fractional_power_degrees,
     is_zero,
+    power_split,
     sample_point,
 )
 
@@ -81,13 +86,60 @@ def check_equation_invariance(fields: Sequence[VectorField], eq: OdeEquation,
 def check_differential_invariant(fields: Sequence[VectorField], phi: Expr,
                                  probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
     """Per-field verdict on pr_k(X)(phi), with no constraint substitution."""
-    top = max_jet_order(phi)
+    return relative_invariant_verdicts(fields, phi, None, probe)
+
+
+def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multiplier,
+                                probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
+    """Per-field verdict on pr(X)(f) - w*f, where w = multiplier(X), or
+    w = 0 when multiplier is None.
+
+    When f splits as N * prod P_k^(c_k) (`power_split`), the residual is
+    prod P_k^(c_k - 1) times
+        D_X = (X(N) - w*N) * prod_k P_k + N * sum_k c_k*X(P_k)*prod_{i!=k} P_i,
+    and that factor is nowhere zero where f is defined.  So a D_X that the
+    exact tier decides settles the verdict whatever the c_k: zero without
+    building the residual, nonzero from the residual's witness when the
+    residual is rational.  Otherwise the residual goes to `is_zero`.
+    """
+    top = max_jet_order(f)
     k = top if top is not None else 0
+    split = power_split(f)
     verdicts = []
     for X in fields:
-        residual = apply_prolonged(prolong(X, k), phi)
-        verdicts.append(is_zero(residual, probe))
+        PX = prolong(X, k)
+        w = multiplier(X) if multiplier else None
+        zero = None if split is None else decide_exactly(_log_derivative_numerator(PX, w, *split))
+        if zero:
+            verdicts.append(ZeroVerdict(ZeroStatus.EXACT_ZERO))
+            continue
+        residual = apply_prolonged(PX, f)
+        if w is not None:
+            residual = residual - f * w
+        if zero is False and is_rational_fragment(residual):
+            verdicts.append(exact_nonzero(residual, probe))
+        else:
+            verdicts.append(is_zero(residual, probe))
     return verdicts
+
+
+def _log_derivative_numerator(PX, w, N: Expr, factors) -> Expr:
+    """D_X of `relative_invariant_verdicts` for f = N * prod P_k^(c_k)."""
+    bases = [P for P, _c in factors]
+    log_terms = sum_of_products(
+        [(c * apply_prolonged(PX, P), _product(bases[:k] + bases[k + 1:]))
+         for k, (P, c) in enumerate(factors)])
+    head = apply_prolonged(PX, N)
+    if w is not None:
+        head = head - w * N
+    return sum_of_products([(head, _product(bases)), (N, log_terms)])
+
+
+def _product(exprs) -> Expr:
+    out = ONE
+    for e in exprs:
+        out = out * e
+    return out
 
 
 def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:

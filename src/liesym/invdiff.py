@@ -10,9 +10,9 @@ from typing import List, Sequence
 
 import mpmath
 
-from .expr import Expr, ExprError, diff, leaf_atoms, max_jet_order
-from .invariance import generic_rank
-from .jet import MAX_JET_ORDER, VectorField, apply_prolonged, prolong, total_derivative
+from .expr import Expr, ExprError, diff, leaf_atoms
+from .invariance import generic_rank, relative_invariant_verdicts
+from .jet import MAX_JET_ORDER, VectorField, total_derivative
 from .numeric import (
     DEFAULT_PROBE,
     ProbeConfig,
@@ -39,13 +39,7 @@ class InvariantDiffOperator:
 def verify_lambda(fields: Sequence[VectorField], lam: Expr,
                   probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
     """Per-field verdict on pr(X)(lambda) - lambda * D_x(xi)."""
-    top = max_jet_order(lam)
-    k = top if top is not None else 0
-    verdicts = []
-    for X in fields:
-        residual = apply_prolonged(prolong(X, k), lam) - lam * total_derivative(X.xi)
-        verdicts.append(is_zero(residual, probe))
-    return verdicts
+    return relative_invariant_verdicts(fields, lam, lambda X: total_derivative(X.xi), probe)
 
 
 def apply_D(op: InvariantDiffOperator, phi: Expr,

@@ -9,6 +9,15 @@ precision; a verdict of ProbablyZero requires |value| < 10^-(digits-20) at
 every tested point, keeping twenty orders of magnitude between roundoff and
 an honest nonzero value.
 
+A third way decides zero for derivations of a target with radicals in it.
+`power_split` writes such a target f as N * prod P_k^(c_k), with N and
+every P_k polynomials and each c_k rational.  For a vector field X and a
+multiplier w, X(f) - w*f is then prod P_k^(c_k-1) times a rational
+function, and that factor vanishes nowhere where f is defined; the exact
+tier decides the rational function, whatever the c_k (see
+`invariance.relative_invariant_verdicts`).  `exact_nonzero` builds every
+ExactNonzero verdict, here and in `is_zero`.
+
 A probe does not walk the expression tree: each expression is lowered once
 per precision into a straight-line program over raw mpmath values, kept in
 the expression's flags, and every probe point runs that program.  Each
@@ -40,7 +49,10 @@ from .expr import (
     Expr,
     ExprError,
     ONE,
+    _make_term,
     atom_name,
+    expr_sum,
+    is_polynomial,
     is_rational_fragment,
     leaf_atoms,
     sum_of_products,
@@ -205,6 +217,87 @@ def _as_num_den(e: Expr):
 
 def _key_expr(key) -> Expr:
     return key.as_expr() if isinstance(key, Atom) else key
+
+
+# -- power-product split ------------------------------------------------------
+
+def power_split(e: Expr):
+    """(N, ((P_1, c_1), ...)) with e == N * prod_k P_k^(c_k), N and every
+    P_k polynomials over the atoms and each c_k rational; or None.
+
+    Integer denominators come from `_as_num_den`.  A base under a
+    fractional exponent is factored out at its lowest exponent, provided
+    its exponents differ by integers across all terms (a term without it
+    counts as exponent 0).  Such a base is positive wherever e is defined;
+    when it is a rational function Q / prod D_j^(p_j) it is rewritten as
+    (Q * prod_{p_j odd} D_j) / prod (D_j^2)^ceil(p_j/2), whose factors are
+    positive there too, so the identity holds at every point where e is
+    defined and every P_k with a fractional exponent is positive.  A base P
+    and its negation -P are merged when one of them has an integer
+    exponent.  None for transcendental atoms, constant surds, mixed
+    exponent classes, radicals inside a base, and P and -P both under
+    fractional exponents (a target defined nowhere).
+    """
+    for b, _ex in walk_bases(e):
+        if isinstance(b, int) or isinstance(b, Atom) and b.kind == "transc":
+            return None
+    lows: dict = {}
+    for mono, _c in e._terms:
+        for b, ex in mono:
+            if type(ex) is not int:
+                lows[b] = min(ex, lows.get(b, ex))
+    for b, low in lows.items():
+        if isinstance(b, Expr) and not is_rational_fragment(b):
+            return None
+        for mono, _c in e._terms:
+            if (dict(mono).get(b, 0) - low).denominator != 1:
+                return None
+    rest = e
+    if lows:
+        rest = expr_sum(_make_term(coeff, {b: ex - lows[b] if b in lows else ex
+                                           for b, ex in mono})
+                        for mono, coeff in e._terms)
+    if not is_rational_fragment(rest):
+        return None
+    num, den = _as_num_den(rest)
+    factors = [(_key_expr(key), Fraction(-p)) for key, p in den.items()]
+    for b, c in lows.items():
+        if not isinstance(b, Expr) or is_polynomial(b):
+            factors.append((_key_expr(b), c))
+            continue
+        nb, db = _as_num_den(b)
+        for key, p in db.items():
+            d = _key_expr(key)
+            if p % 2:
+                nb = nb * d
+            factors.append((d * d, -((p + 1) // 2) * c))
+        factors.append((nb, c))
+    merged: dict = {}
+    for base, c in factors:
+        if base.is_rational_const():
+            v = base.as_rational()
+            if c.denominator != 1 and v != 1:
+                return None
+            num = num * v ** c.numerator
+            continue
+        neg = -base
+        if neg in merged:
+            # (-P)^k = (-1)^k * P^k for an integer k
+            c_neg = merged[neg]
+            if c.denominator == 1:
+                base, flip = neg, c
+            elif c_neg.denominator == 1:
+                del merged[neg]
+                flip = c_neg
+            else:
+                return None
+            c += c_neg
+            if flip.numerator % 2:
+                num = -num
+        else:
+            c = merged.get(base, 0) + c
+        merged[base] = c
+    return num, tuple((base, c) for base, c in merged.items() if c)
 
 
 # -- numeric evaluation -------------------------------------------------------
@@ -443,15 +536,9 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
     at `probe.points` admissible points and `probe.digits` digits.  Atoms in
     ``positive`` are sampled on the positive axis (branch restrictions).
     """
-    if e.is_zero_expr():
-        return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    if is_rational_fragment(e):
-        cleared = clear_denominators(e)
-        if cleared.is_zero_expr():
-            return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-        witness, magnitude = _exact_witness(e, probe)
-        return ZeroVerdict(ZeroStatus.EXACT_NONZERO,
-                           witness=witness, magnitude=magnitude)
+    zero = decide_exactly(e)
+    if zero is not None:
+        return ZeroVerdict(ZeroStatus.EXACT_ZERO) if zero else exact_nonzero(e, probe)
     rng = random.Random(probe.seed)
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
@@ -471,6 +558,24 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
     return ZeroVerdict(ZeroStatus.PROBABLY_ZERO,
                        points_tested=probe.points,
                        precision_digits=probe.digits)
+
+
+def decide_exactly(e: Expr) -> Optional[bool]:
+    """The exact tier: whether e is identically zero, or None outside the
+    rational fragment.  The cleared numerator is a polynomial, which is
+    zero iff its normal form is empty."""
+    if e.is_zero_expr():
+        return True
+    if not is_rational_fragment(e):
+        return None
+    return clear_denominators(e).is_zero_expr()
+
+
+def exact_nonzero(e: Expr, probe: ProbeConfig) -> ZeroVerdict:
+    """The verdict on a rational-fragment expression already proved
+    nonzero, with a witness point and the magnitude there."""
+    witness, magnitude = _exact_witness(e, probe)
+    return ZeroVerdict(ZeroStatus.EXACT_NONZERO, witness=witness, magnitude=magnitude)
 
 
 def _exact_witness(e: Expr, probe: ProbeConfig):

@@ -178,3 +178,9 @@ def test_cli_crash_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "rank_and_count", boom)
     assert cli.main(["count", "(22,2)", "--order", "1"]) == 3
     assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+def test_python_dash_m_liesym_runs_verify():
+    proc = subprocess.run([sys.executable, "-m", "liesym", "verify", "--filter", "(5,5)"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

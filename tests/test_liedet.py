@@ -16,6 +16,7 @@ from liesym.liedet import (
 )
 from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
+from sympy_oracle import to_sympy
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -214,24 +215,6 @@ def _catalog_lie_det_instantiations():
     return out
 
 
-def _to_sympy(sympy, e):
-    def base(b):
-        if isinstance(b, int):
-            return sympy.Integer(b)
-        if isinstance(b, E.Expr):
-            return _to_sympy(sympy, b)
-        if b.kind == "transc":
-            fn = {"arctan": sympy.atan, "ln": sympy.log}.get(b.fn) or getattr(sympy, b.fn)
-            return fn(_to_sympy(sympy, b.arg))
-        return sympy.Symbol(E.atom_name(b))
-
-    return sympy.Add(*(
-        sympy.Mul(sympy.Rational(c.numerator, c.denominator),
-                  *(base(b) ** sympy.Rational(F(ex).numerator, F(ex).denominator)
-                    for b, ex in mono))
-        for mono, c in e.terms))
-
-
 def test_catalog_determinants_sympy_oracle():
     # every catalog Lie determinant, at default and secondary order, against
     # sympy's determinant of the matrix that sympy prolongs from (xi, eta)
@@ -249,14 +232,14 @@ def test_catalog_determinants_sympy_oracle():
 
         rows = []
         for X_ in con.fields:
-            xi, eta = _to_sympy(sympy, X_.xi), _to_sympy(sympy, X_.eta)
+            xi, eta = to_sympy(sympy, X_.xi), to_sympy(sympy, X_.eta)
             row = [xi, eta]
             for k in range(1, order + 1):
                 row.append(sympy.expand(total_d(row[-1]) - jets[k] * total_d(xi)))
             rows.append(row)
         want = sympy.Matrix(rows).det(method="bareiss")
         got = lie_determinant(con.fields, con.label).determinant
-        assert sympy.expand(want - _to_sympy(sympy, got)) == 0, con.label
+        assert sympy.expand(want - to_sympy(sympy, got)) == 0, con.label
 
 
 def test_composite_square_factor_split():
