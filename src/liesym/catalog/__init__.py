@@ -27,6 +27,7 @@ from ..linear_ode import (
     coeffs_from_solutions,
     fundamental_solutions,
     linear_ode_from_spec,
+    prop1_symmetries,
 )
 from ..parse import Context, parse_expression, parse_vector_field
 
@@ -37,19 +38,6 @@ class CatalogError(ExprError):
 
 class ConstraintViolation(CatalogError):
     pass
-
-
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """The algebra-family view of a record: label, generator templates with
-    their parameters, the valid order range, and abstract-algebra metadata."""
-
-    label: str
-    dimension_formula: str
-    n_range: tuple
-    generators: tuple
-    parameters: tuple
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -67,21 +55,11 @@ class CatalogRecord:
     def notes(self) -> str:
         return self.data.get("notes", "")
 
-    def algebra_spec(self) -> AlgebraSpec:
-        lo, hi = self.data.get("n_range", [1, None])
-        gens = tuple(g if isinstance(g, str) else dict(g)
-                     for g in self.data.get("generators", []))
-        params = tuple(p["name"] for p in self.data.get("parameters", []))
-        return AlgebraSpec(self.label, self.data.get("dimension", ""),
-                           (lo, hi), gens, params,
-                           dict(self.data.get("metadata", {})))
-
 
 @dataclass
 class ConcreteEquation:
     equation: "OdeEquation"
     uses_H: bool
-    h_name: str
 
 
 @dataclass
@@ -211,8 +189,7 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
                 params: Optional[Mapping[str, object]] = None,
                 h_choice: str = "identity",
                 enforce_constraints: bool = True,
-                bound_overrides: Optional[Mapping[str, Fraction]] = None,
-                max_jet: int = 12) -> ConcreteRecord:
+                bound_overrides: Optional[Mapping[str, Fraction]] = None) -> ConcreteRecord:
     """Ground a record at order n with concrete parameter values.
 
     ``params`` values may be Fractions/ints, strings of formulas in n, or
@@ -261,7 +238,7 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
             break
     dimension = int(eval_formula(data.get("dimension", "0"), env))
     builder = data.get("builder")
-    ctx = Context(params=dict(env), max_jet=max_jet)
+    ctx = Context(params=dict(env))
     blocks: dict = {}
     for name, tmpl in content.get("building_blocks", {}).items():
         blocks[name] = parse_expression(tmpl, ctx)
@@ -286,13 +263,12 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
     for eq in content.get("equations", []):
         uses_H = "H(" in eq["rhs"].replace(" ", "")
         ectx = Context(params=dict(ctx.params), macros=dict(ctx.macros),
-                       functions={"H": h_fn}, max_jet=max_jet)
+                       functions={"H": h_fn})
         rhs = parse_expression(eq["rhs"], ectx)
         order = int(eval_formula(eq.get("order", data.get("order", "n")), env))
         from ..invariance import OdeEquation
 
-        equations.append(ConcreteEquation(OdeEquation(order, rhs), uses_H,
-                                          h_choice if uses_H else ""))
+        equations.append(ConcreteEquation(OdeEquation(order, rhs), uses_H))
     lam = None
     if content.get("lambda"):
         lam = parse_expression(content["lambda"], ctx)
@@ -416,10 +392,7 @@ def _prop1_builder(content: dict, n: int, env: dict, ctx: Context):
     x = indep().as_expr()
     xis = [x ** j for j in range(2, n - 1)] + [transcendental("exp", x)]
     coeffs = coeffs_from_solutions(xis, n, 2)
-    fields = [VectorField(ZERO, ONE, "X1"),
-              VectorField(ZERO, dep().as_expr(), "X2"),
-              VectorField(ZERO, x, "X3")]
-    fields += [VectorField(ZERO, s, f"X{i+4}") for i, s in enumerate(xis)]
+    fields = prop1_symmetries(xis, 2)
     rhs = sum_of_products((c, jet_or_dep(i).as_expr())
                           for i, c in enumerate(coeffs, start=2))
     blocks = {"lin_rhs": rhs}

@@ -16,51 +16,57 @@ from .harness import run_verification
 from .invariance import rank_and_count
 from .jet import VectorField, prolong
 from .liedet import lie_determinant, singular_equations
-from .numeric import ProbeConfig
+from .numeric import DEFAULT_PROBE, ProbeConfig
 from .parse import Context, ParseError, parse_vector_field
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=20240101,
-                        help="probe seed (default 20240101)")
-    common.add_argument("--points", type=int, default=20,
-                        help="probe points per check (default 20)")
-    common.add_argument("--digits", type=int, default=50,
-                        help="working precision in decimal digits (default 50)")
-    common.add_argument("--out", type=str, default=None,
-                        help="write the JSON report to this path")
-    common.add_argument("--n", type=int, default=None,
-                        help="instantiation order for family records")
-    common.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                        help="parameter override (repeatable); VALUE may be a "
-                             "rational or a formula in n")
+    """Each subcommand takes only the flags it reads."""
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_PROBE.seed,
+                      help="probe seed (default %(default)s)")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=int, default=None,
+                          help="instantiation order for family records")
+    instance.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
+                          help="parameter override (repeatable); VALUE may be a "
+                               "rational or a formula in n")
     p = argparse.ArgumentParser(prog="liesym",
                                 description="symbolic verification of point-symmetry algebras of scalar ODEs")
     sub = p.add_subparsers(dest="command")
 
-    v = sub.add_parser("verify", parents=[common],
+    v = sub.add_parser("verify", parents=[seed, instance],
                        help="run the catalog verification harness")
+    v.add_argument("--points", type=int, default=DEFAULT_PROBE.points,
+                   help="probe points per check (default %(default)s)")
+    v.add_argument("--digits", type=int, default=DEFAULT_PROBE.digits,
+                   help="working precision in decimal digits (default %(default)s)")
+    v.add_argument("--out", type=str, default=None,
+                   help="write the JSON report to this path")
     v.add_argument("--filter", type=str, default=None, help="label glob, e.g. '(5,5)' or '(2*'")
     v.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    v.set_defaults(run=cmd_verify)
 
-    pr = sub.add_parser("prolong", parents=[common],
-                        help="print prolongation coefficients of a vector field")
+    pr = sub.add_parser("prolong", help="print prolongation coefficients of a vector field")
     pr.add_argument("field", type=str, help="e.g. 'x*Dx + a*y*Dy'")
     pr.add_argument("order", type=int)
+    pr.set_defaults(run=cmd_prolong)
 
-    ld = sub.add_parser("liedet", parents=[common],
+    ld = sub.add_parser("liedet", parents=[instance],
                         help="Lie determinant of a catalog algebra or explicit fields")
     ld.add_argument("target", type=str,
                     help="record label, or semicolon-separated vector fields")
+    ld.set_defaults(run=cmd_liedet)
 
-    ct = sub.add_parser("count", parents=[common],
+    ct = sub.add_parser("count", parents=[seed, instance],
                         help="invariant count d_n for a catalog algebra")
     ct.add_argument("label", type=str)
     ct.add_argument("--order", type=int, required=True)
+    ct.set_defaults(run=cmd_count)
 
-    cat = sub.add_parser("catalog", parents=[common], help="catalog inspection")
+    cat = sub.add_parser("catalog", help="catalog inspection")
     cat.add_argument("action", choices=["list"])
+    cat.set_defaults(run=cmd_catalog)
     return p
 
 
@@ -81,7 +87,11 @@ def _instantiate_target(label: str, args):
 
 
 def cmd_verify(args) -> int:
-    probe = ProbeConfig(points=args.points, digits=args.digits, seed=args.seed)
+    try:
+        probe = ProbeConfig(points=args.points, digits=args.digits, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_verification(filter_glob=args.filter, probe=probe,
                               workers=args.workers, n_override=args.n,
                               param_overrides=_parse_params(args.param) or None)
@@ -116,11 +126,9 @@ def cmd_liedet(args) -> int:
         for chunk in args.target.split(";"):
             xi, eta = parse_vector_field(chunk.strip(), ctx)
             fields.append(VectorField(xi, eta, f"X{len(fields)+1}"))
-        label = "<fields>"
     else:
-        con = _instantiate_target(args.target, args)
-        fields, label = con.fields, args.target
-    res = lie_determinant(fields, label)
+        fields = _instantiate_target(args.target, args).fields
+    res = lie_determinant(fields)
     print(f"matrix order: {res.matrix_order}")
     print(f"determinant: {format_expr(res.determinant)}")
     print(f"prefactor: {format_expr(res.constant_prefactor)}")
@@ -137,8 +145,7 @@ def cmd_liedet(args) -> int:
 
 def cmd_count(args) -> int:
     con = _instantiate_target(args.label, args)
-    probe = ProbeConfig(points=args.points, digits=args.digits, seed=args.seed)
-    rep = rank_and_count(con.fields, args.order, probe)
+    rep = rank_and_count(con.fields, args.order, ProbeConfig(seed=args.seed))
     print(json.dumps({"record": args.label, "order": rep.order,
                       "rank": rep.rank_rn, "count": rep.count_dn}, sort_keys=True))
     return 0
@@ -158,24 +165,13 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "prolong":
-            return cmd_prolong(args)
-        if args.command == "liedet":
-            return cmd_liedet(args)
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except (ParseError, ConstraintViolation, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is an internal error, not a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

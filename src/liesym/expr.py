@@ -572,26 +572,16 @@ _D_TRANSC: dict = {
 
 # -- differentiation ---------------------------------------------------------
 
-_CACHE_ENABLED = True
 _DIFF_CACHE: dict = {}
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Toggle transparent memoization (results are identical either way)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    if not enabled:
-        _DIFF_CACHE.clear()
 
 
 def diff(e: Expr, a: Atom) -> Expr:
     """Exact partial derivative, all other atoms held fixed."""
     if a.kind == "transc":
         raise ValueError("cannot differentiate with respect to a transcendental atom")
-    if _CACHE_ENABLED:
-        hit = _DIFF_CACHE.get((e, a))
-        if hit is not None:
-            return hit
+    hit = _DIFF_CACHE.get((e, a))
+    if hit is not None:
+        return hit
     acc: dict = {}
     for mono, coeff in e._terms:
         for i, (b, ex) in enumerate(mono):
@@ -602,8 +592,7 @@ def diff(e: Expr, a: Atom) -> Expr:
             rest[b] = ex - 1
             _mul_into(acc, _make_term(coeff * ex, rest), db)
     out = _expr_from_terms(acc)
-    if _CACHE_ENABLED:
-        _DIFF_CACHE[(e, a)] = out
+    _DIFF_CACHE[(e, a)] = out
     return out
 
 

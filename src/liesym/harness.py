@@ -32,7 +32,7 @@ import fnmatch
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
 from typing import List, Optional
@@ -48,7 +48,7 @@ from .catalog import (
     secondary_order,
 )
 from .invariance import check_differential_invariant, check_equation_invariance, rank_and_count
-from .invdiff import InvariantDiffOperator, apply_D, verify_lambda
+from .invdiff import apply_D, verify_lambda
 from .jet import MAX_JET_ORDER, VectorField
 from .liedet import lie_determinant, singular_equations
 from .numeric import DEFAULT_PROBE, ProbeConfig, derive_seed, is_zero
@@ -126,7 +126,7 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
             seed = derive_seed(probe.seed, rec.label, n, check, detail)
             t0 = time.time()
             try:
-                passed, verdicts, note = thunk(probe.with_seed(seed))
+                passed, verdicts, note = thunk(replace(probe, seed=seed))
             except Exception as exc:  # a raising check is a failed check
                 passed, verdicts, note = False, [f"{type(exc).__name__}: {exc}"], ""
             out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
@@ -224,15 +224,14 @@ def _verdicts(check, fields, target, probe, expect_zero=True):
 
 
 def _closure(con, probe):
-    order, phi = con.invariants[0]
-    dphi = apply_D(InvariantDiffOperator(con.lam, con.label, order), phi)
+    dphi = apply_D(con.lam, con.invariants[0][1])
     return _verdicts(check_differential_invariant, con.fields, dphi, probe)
 
 
 def _lie_det(con, singular: list, probe):
     """Determinant against the stored form, factors and singular factors;
     collects the solved singular equations below the top order in `singular`."""
-    res = lie_determinant(con.fields, con.label)
+    res = lie_determinant(con.fields)
     notes, problems = [], []
     if con.lie_det_expected is not None:
         if is_zero(res.determinant - con.lie_det_expected, probe).is_zero:
@@ -278,8 +277,7 @@ def _generator_probe(rec, n, param, formula, params, expect_zero, probe):
 
 
 def _worker(args):
-    label, seed, points, digits, n_override, params = args
-    probe = ProbeConfig(points=points, digits=digits, seed=seed)
+    label, probe, n_override, params = args
     records = load_catalog()
     rec = find_record(records, label)
     return run_record_checks(rec, probe, n_override, params)
@@ -296,8 +294,7 @@ def run_verification(filter_glob: Optional[str] = None,
     chosen.sort(key=lambda r: r.label)
     results: List[CheckResult] = []
     if workers > 1:
-        jobs = [(r.label, probe.seed, probe.points, probe.digits,
-                 n_override, param_overrides) for r in chosen]
+        jobs = [(r.label, probe, n_override, param_overrides) for r in chosen]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_worker, jobs):
                 results.extend(chunk)

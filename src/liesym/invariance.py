@@ -19,6 +19,7 @@ from .expr import (ONE, Expr, is_rational_fragment, jet, leaf_atoms, max_jet_ord
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
+    MAX_RETRIES,
     ProbeConfig,
     SamplingExhausted,
     ZeroStatus,
@@ -152,15 +153,15 @@ def rank_at_point(matrix: list, point: dict) -> int:
 
 
 def rank_and_count(fields: Sequence[VectorField], order: int,
-                   probe: ProbeConfig = DEFAULT_PROBE, samples: int = 5) -> RankReport:
-    """Generic rank over >= `samples` exact rational sample points.
+                   probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
+    """Generic rank over 5 exact rational sample points.
 
     The rank is certified with exact fraction arithmetic at each point and
     the maximum over samples is reported; d_n = order + 2 - rank.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    best, points = generic_rank(coefficient_matrix(fields, order), probe, samples, eval_exact)
+    best, points = generic_rank(coefficient_matrix(fields, order), probe, 5, eval_exact)
     return RankReport(order, best, order + 2 - best, points)
 
 
@@ -183,9 +184,9 @@ def generic_rank(matrix: list, probe: ProbeConfig, samples: int, evaluate, tol=0
     best = 0
     points = []
     tried = 0
-    while len(points) < samples and tried < samples * probe.max_retries:
+    while len(points) < samples and tried < samples * MAX_RETRIES:
         tried += 1
-        point = sample_point(rng, atoms, probe, degrees=degrees)
+        point = sample_point(rng, atoms, degrees=degrees)
         try:
             best = max(best, _rank([[evaluate(e, point) for e in row] for row in matrix], tol))
         except (_BadPoint, ZeroDivisionError):

@@ -5,14 +5,13 @@ recursion w_k = D_x(w_{k-1}) / D_x(w_{k-2})."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import mpmath
 
 from .expr import Expr, ExprError, diff, leaf_atoms
 from .invariance import generic_rank, relative_invariant_verdicts
-from .jet import MAX_JET_ORDER, VectorField, total_derivative
+from .jet import VectorField, total_derivative
 from .numeric import (
     DEFAULT_PROBE,
     ProbeConfig,
@@ -27,29 +26,19 @@ class DegenerateDenominator(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class InvariantDiffOperator:
-    """D = lambda * D_x for a specific algebra."""
-
-    lam: Expr
-    algebra_label: str = ""
-    verified_to_order: int = 0
-
-
 def verify_lambda(fields: Sequence[VectorField], lam: Expr,
                   probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
     """Per-field verdict on pr(X)(lambda) - lambda * D_x(xi)."""
     return relative_invariant_verdicts(fields, lam, lambda X: total_derivative(X.xi), probe)
 
 
-def apply_D(op: InvariantDiffOperator, phi: Expr,
-            max_order: int = MAX_JET_ORDER) -> Expr:
-    """lambda * D_x(phi), normalized; raises MaxOrderExceeded at the jet cap."""
-    return op.lam * total_derivative(phi, max_order)
+def apply_D(lam: Expr, phi: Expr) -> Expr:
+    """D(phi) = lambda * D_x(phi), normalized; raises MaxOrderExceeded at
+    the jet cap."""
+    return lam * total_derivative(phi)
 
 
-def lie_recursion(u: Expr, v: Expr, steps: int,
-                  max_order: int = MAX_JET_ORDER) -> List[Expr]:
+def lie_recursion(u: Expr, v: Expr, steps: int) -> List[Expr]:
     """[w_1, ..., w_{steps+1}] with w_1 = v and
     w_k = D_x(w_{k-1}) / D_x(w_{k-2}), seeded by w_0 = u.
 
@@ -62,21 +51,21 @@ def lie_recursion(u: Expr, v: Expr, steps: int,
     out = [v]
     prev, cur = u, v
     for _ in range(steps):
-        den = total_derivative(prev, max_order)
+        den = total_derivative(prev)
         if is_zero(den).status == ZeroStatus.EXACT_ZERO:
             raise DegenerateDenominator(
                 "total derivative of the previous invariant is identically zero")
-        num = total_derivative(cur, max_order)
+        num = total_derivative(cur)
         nxt = num / den
         out.append(nxt)
         prev, cur = cur, nxt
     return out
 
 
-def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE,
-                    samples: int = 4) -> int:
+def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE) -> int:
     """Generic rank of the Jacobian of the given jet-space functions with
-    respect to all their coordinates, estimated at high precision.
+    respect to all their coordinates, estimated at high precision at 4
+    sample points.
 
     Used to certify functional dependence: for invariants {phi1, D(phi1),
     phi2} the rank stays at 2 even when the tabulated phi2 differs from
@@ -90,5 +79,5 @@ def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE,
     with mpmath.workdps(probe.digits + 15):
         tol = mpmath.mpf(10) ** (-(probe.digits // 2))
         best, _points = generic_rank(
-            jac, probe, samples, lambda e, point: eval_mp(e, point, probe.digits), tol)
+            jac, probe, 4, lambda e, point: eval_mp(e, point, probe.digits), tol)
     return best

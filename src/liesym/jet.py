@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .expr import (ONE, Expr, ExprError, dep, diff, indep, jet, max_jet_order,
                    sum_of_products)
 
+# The one jet-order ceiling: prolongation, total derivatives, the parser
+# and the harness's check plan all stop here.
 MAX_JET_ORDER = 12
 
 
@@ -50,30 +52,30 @@ class ProlongedField:
     coeffs: tuple  # (eta[1], ..., eta[order])
 
 
-def total_derivative(e: Expr, max_order: int = MAX_JET_ORDER) -> Expr:
+def total_derivative(e: Expr) -> Expr:
     """D_x e, exact.  Refuses input already at the jet ceiling because the
-    result would introduce order max_order + 1."""
+    result would introduce order MAX_JET_ORDER + 1."""
     top = max_jet_order(e)
-    if top is not None and top >= max_order:
+    if top is not None and top >= MAX_JET_ORDER:
         raise MaxOrderExceeded(
-            f"expression already contains jet order {top} >= limit {max_order}")
+            f"expression already contains jet order {top} >= limit {MAX_JET_ORDER}")
     limit = top if top is not None else 0
     return sum_of_products(
         [(ONE, diff(e, indep())), (jet(1).as_expr(), diff(e, dep()))]
         + [(jet(k + 1).as_expr(), diff(e, jet(k))) for k in range(1, limit + 1)])
 
 
-def prolong(X: VectorField, k: int, max_order: int = MAX_JET_ORDER) -> ProlongedField:
-    """Prolongation to order k (k >= 0)."""
+def prolong(X: VectorField, k: int) -> ProlongedField:
+    """Prolongation to order k (0 <= k <= MAX_JET_ORDER)."""
     if k < 0:
         raise ValueError("prolongation order must be >= 0")
-    if k > max_order:
-        raise MaxOrderExceeded(f"prolongation order {k} exceeds limit {max_order}")
-    dxi = total_derivative(X.xi, max_order)
+    if k > MAX_JET_ORDER:
+        raise MaxOrderExceeded(f"prolongation order {k} exceeds limit {MAX_JET_ORDER}")
+    dxi = total_derivative(X.xi)
     coeffs = []
     prev = X.eta
     for j in range(1, k + 1):
-        cur = total_derivative(prev, max_order) - jet(j).as_expr() * dxi
+        cur = total_derivative(prev) - jet(j).as_expr() * dxi
         coeffs.append(cur)
         prev = cur
     return ProlongedField(X, k, tuple(coeffs))
@@ -88,13 +90,6 @@ def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
     return sum_of_products(
         [(PX.base.xi, diff(e, indep())), (PX.base.eta, diff(e, dep()))]
         + [(coeff, diff(e, jet(j))) for j, coeff in enumerate(PX.coeffs, start=1)])
-
-
-def apply_field(X: VectorField, e: Expr, max_order: int = MAX_JET_ORDER) -> Expr:
-    """Prolong just far enough for e and apply."""
-    top = max_jet_order(e)
-    order = top if top is not None else 0
-    return apply_prolonged(prolong(X, order, max_order), e)
 
 
 def characteristic(X: VectorField) -> Expr:

@@ -18,7 +18,6 @@ multi-term polynomial, which suffices for the catalog.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -29,6 +28,7 @@ from .expr import (
     ONE,
     ZERO,
     _base_key,
+    _extract_content,
     _make_term,
     diff,
     expr_sum,
@@ -59,7 +59,6 @@ class SingularEquation:
 
 @dataclass(frozen=True)
 class LieDeterminantResult:
-    algebra_label: str
     matrix_order: int
     determinant: Expr
     factors: tuple
@@ -73,7 +72,7 @@ class LieDeterminantResult:
         return out
 
 
-def lie_determinant(fields: Sequence[VectorField], label: str = "") -> LieDeterminantResult:
+def lie_determinant(fields: Sequence[VectorField]) -> LieDeterminantResult:
     m = len(fields)
     if m < 2:
         raise ValueError("a Lie determinant needs at least two generators")
@@ -82,7 +81,7 @@ def lie_determinant(fields: Sequence[VectorField], label: str = "") -> LieDeterm
     det = _bareiss_determinant(matrix)
     prefactor, factors = factor_polynomial(det)
     return LieDeterminantResult(
-        label, order, det, tuple(factors), Expr.rational(prefactor),
+        order, det, tuple(factors), Expr.rational(prefactor),
         non_polynomial=not all(is_polynomial(e) for row in matrix for e in row))
 
 
@@ -218,9 +217,7 @@ def _bareiss_determinant(matrix: list) -> Expr:
         if not a[k][k]:
             pivot_row = next((i for i in range(k + 1, m) if a[i][k]), None)
             if pivot_row is None:
-                if all(not a[i][k] for i in range(k, m)):
-                    return ZERO
-                pivot_row = k  # unreachable; defensive
+                return ZERO  # column k is zero from row k down
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         for i in range(k + 1, m):
@@ -247,22 +244,13 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
     """
     if e.is_zero_expr():
         return Fraction(0), []
-    vars = _poly_vars([e])
-    dense = _dense(e, vars)
-    lead = max(dense, key=_grlex_key)
-    # rational content, signed so the leading coefficient is positive
-    nums = [c.numerator for c in dense.values()]
-    dens = [c.denominator for c in dense.values()]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
-    content = Fraction(g, l)
-    if dense[lead] < 0:
+    content, body = _extract_content(e)
+    vars = _poly_vars([body])
+    dense = _dense(body, vars)
+    # the content is signed so that the leading coefficient is positive
+    if dense[max(dense, key=_grlex_key)] < 0:
         content = -content
-    dense = {ex: c / content for ex, c in dense.items()}
+        dense = {ex: -c for ex, c in dense.items()}
     factors: list = []
     # monomial part
     mins = [min(ex[i] for ex in dense) for i in range(len(vars))]

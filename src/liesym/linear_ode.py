@@ -32,6 +32,7 @@ from .expr import (
 from .jet import VectorField
 from .numeric import (
     DEFAULT_PROBE,
+    MAX_RETRIES,
     ProbeConfig,
     ZeroStatus,
     _BadPoint,
@@ -208,7 +209,7 @@ def _solve_sampled(rows: list, rhs: list, probe: ProbeConfig) -> list:
 
     with mpmath.workdps(digits + 15):
         solution = None
-        for _ in range(probe.max_retries):
+        for _ in range(MAX_RETRIES):
             t0 = Fraction(rng.randint(1, 400), rng.randint(97, 211))
             try:
                 A = mpmath.matrix([[eval_at(e, t0) for e in row] for row in rows])

@@ -24,11 +24,14 @@ the expression's flags, and every probe point runs that program.  Each
 value, rejected point and magnitude string is bit-identical to evaluating
 the tree with mpf objects at the same precision.
 
-Probe points are rationals with numerator and denominator bounded by 10^6,
-with magnitudes kept in [1/4, 4] so that high-degree expressions stay well
-conditioned.  Points that land within 10^-10 of a pole, a branch point or a
-non-positive fractional-power base are resampled, at most 100 times, after
-which SamplingExhausted signals an identically singular expression.
+The sampling policy is fixed, not configured: every coordinate of a probe
+point is a rational sign*num/den with den in [10^3, 10^6] and magnitude
+num/den in [1/4, 4], so that high-degree expressions stay well conditioned
+(DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH).  Points that land within 10^-10 of
+a pole, a branch point or a non-positive fractional-power base are
+resampled, at most MAX_RETRIES = 100 times, after which SamplingExhausted
+signals an identically singular expression.  A ProbeConfig sets only the
+point count, the precision and the seed.
 """
 
 from __future__ import annotations
@@ -108,27 +111,33 @@ class ZeroVerdict:
         return out
 
 
+# The sampling policy (see the module docstring).
+DEN_LOW = 1_000
+DEN_HIGH = 1_000_000
+MAG_LOW = Fraction(1, 4)
+MAG_HIGH = Fraction(4)
+MAX_RETRIES = 100
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Sampling policy: point count, precision, region and seed.
+    """Points per probe, working precision in decimal digits, and seed.
 
-    Points are rationals sign*num/den with den in [den_low, den_high] and
-    magnitudes in [mag_low, mag_high]; numerators and denominators stay
-    bounded by 4 * den_high.
+    A ProbablyZero verdict needs |value| < 10^-(digits-20) at every one of
+    `points` points, so at least one point and more than 20 digits are
+    required.  The sampling region and the retry limit are fixed by the
+    module constants DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH and MAX_RETRIES.
     """
 
     points: int = 20
     digits: int = 50
     seed: int = 20240101
-    max_retries: int = 100
-    den_low: int = 1_000
-    den_high: int = 1_000_000
-    mag_low: Fraction = Fraction(1, 4)
-    mag_high: Fraction = Fraction(4)
 
-    def with_seed(self, seed: int) -> "ProbeConfig":
-        return ProbeConfig(self.points, self.digits, seed, self.max_retries,
-                           self.den_low, self.den_high, self.mag_low, self.mag_high)
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError(f"points must be at least 1, got {self.points}")
+        if self.digits <= 20:
+            raise ValueError(f"digits must exceed 20, got {self.digits}")
 
 
 DEFAULT_PROBE = ProbeConfig()
@@ -140,23 +149,22 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def sample_rational(rng: random.Random, probe: ProbeConfig) -> Fraction:
-    den = rng.randint(probe.den_low, probe.den_high)
-    lo = int(den * probe.mag_low) + 1
-    hi = max(int(den * probe.mag_high), lo)
+def sample_rational(rng: random.Random) -> Fraction:
+    den = rng.randint(DEN_LOW, DEN_HIGH)
+    lo = int(den * MAG_LOW) + 1
+    hi = max(int(den * MAG_HIGH), lo)
     num = rng.randint(lo, hi)
     sign = 1 if rng.random() < 0.5 else -1
     return Fraction(sign * num, den)
 
 
-def sample_point(rng: random.Random, atoms, probe: ProbeConfig,
-                 positive=frozenset(), degrees=None) -> dict:
+def sample_point(rng: random.Random, atoms, positive=frozenset(), degrees=None) -> dict:
     """One rational per atom, in atom-key order.  Atoms in ``positive`` get
     |t|; an atom with degree q in ``degrees`` gets |t|^q, so that its
     q-th roots stay rational."""
     out = {}
     for a in sorted(atoms, key=lambda a: a._key):
-        v = sample_rational(rng, probe)
+        v = sample_rational(rng)
         q = degrees.get(a) if degrees else None
         if q:
             out[a] = abs(v) ** q
@@ -583,8 +591,8 @@ def _exact_witness(e: Expr, probe: ProbeConfig):
     expression takes a nonzero value, for the verification log."""
     rng = random.Random(derive_seed(probe.seed, "witness"))
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
-    for _ in range(probe.max_retries):
-        point = sample_point(rng, atoms, probe)
+    for _ in range(MAX_RETRIES):
+        point = sample_point(rng, atoms)
         try:
             value = eval_exact(e, point)
         except (_BadPoint, ExactEvalError):
@@ -598,14 +606,14 @@ def _exact_witness(e: Expr, probe: ProbeConfig):
 
 def _probe_once(e: Expr, atoms, rng: random.Random, probe: ProbeConfig,
                 positive=frozenset()):
-    for _ in range(probe.max_retries):
-        point = sample_point(rng, atoms, probe, positive)
+    for _ in range(MAX_RETRIES):
+        point = sample_point(rng, atoms, positive)
         try:
             return point, eval_mp(e, point, probe.digits)
         except _BadPoint:
             continue
     raise SamplingExhausted(
-        f"no admissible probe point found in {probe.max_retries} attempts; "
+        f"no admissible probe point found in {MAX_RETRIES} attempts; "
         "the expression appears identically singular")
 
 

@@ -36,6 +36,7 @@ from .expr import (
     param,
     transcendental,
 )
+from .jet import MAX_JET_ORDER, total_derivative
 
 _FUNCTIONS = ("exp", "ln", "arctan", "sin", "cos", "sqrt")
 
@@ -63,14 +64,12 @@ class Context:
     params: dict = field(default_factory=dict)
     macros: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
-    max_jet: int = 12
     auto_params: bool = False
 
     def child(self, **extra_params) -> "Context":
         p = dict(self.params)
         p.update(extra_params)
-        return Context(p, dict(self.macros), dict(self.functions),
-                       self.max_jet, self.auto_params)
+        return Context(p, dict(self.macros), dict(self.functions), self.auto_params)
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,7 @@ class _Parser:
             self.expect_op("(")
             arg = self.parse_expr()
             self.expect_op(")")
-            from .jet import total_derivative
-
-            return total_derivative(arg, max_order=self.ctx.max_jet)
+            return total_derivative(arg)
         if name in self.ctx.functions:
             return self.parse_function_slot(name, t)
         if name in self.ctx.macros:
@@ -309,9 +306,9 @@ class _Parser:
         return dep().as_expr()
 
     def _check_jet(self, order: int, pos: int) -> None:
-        if order > self.ctx.max_jet:
+        if order > MAX_JET_ORDER:
             raise ParseError(
-                f"jet order {order} exceeds the declared maximum {self.ctx.max_jet}", pos)
+                f"jet order {order} exceeds the maximum {MAX_JET_ORDER}", pos)
 
     def parse_function_slot(self, name: str, t: _Token) -> Expr:
         """Apply an arbitrary-function slot to its parsed argument list."""

@@ -67,7 +67,7 @@ def test_criterion_1_lie_determinant_exactness():
 
     def det_of(label, n, params=None):
         con = instantiate(find_record(RECORDS, label), n=n, params=params)
-        return lie_determinant(con.fields, label).determinant
+        return lie_determinant(con.fields).determinant
 
     # weighted scaling family: factprod(n-1)*(alpha-n)*y^(n)
     for n in (4, 6):
@@ -141,7 +141,7 @@ def test_criterion_1_tabulated_5_5_square_as_stated():
     both have the same zero set: the singular equation y'' = 0.
     """
     con = instantiate(find_record(RECORDS, "(5,5)"))
-    res = lie_determinant(con.fields, "(5,5)")
+    res = lie_determinant(con.fields)
     det = res.determinant
     # the engine value is exactly the cube
     assert is_zero(det - 9 * J(2) ** 3).status == ZeroStatus.EXACT_ZERO

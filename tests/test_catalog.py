@@ -37,17 +37,6 @@ def test_manifest_complete():
     assert len(RECORDS) == 41
 
 
-def test_algebra_spec_view():
-    spec = find_record(RECORDS, "(8,8)").algebra_spec()
-    assert spec.dimension_formula == "8"
-    assert spec.n_range == (5, 5)
-    assert spec.metadata.get("algebra") == "sl(3,R)"
-    assert len(spec.generators) == 8
-    spec = find_record(RECORDS, "(24,n+1)").algebra_spec()
-    assert spec.parameters == ("alpha", "K")
-    assert spec.n_range == (3, None)
-
-
 def test_every_record_instantiates_at_default_orders():
     for rec in RECORDS:
         for n in filter(None, [default_order(rec), secondary_order(rec)]):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from liesym.harness import run_verification
 from liesym.numeric import ProbeConfig
 
@@ -93,6 +95,54 @@ def test_cli_count():
     assert json.loads(proc.stdout)["count"] == 1
     proc = run_cli("count", "(6,6)", "--order", "4")
     assert json.loads(proc.stdout)["count"] == 0
+
+
+UNREAD_FLAGS = {
+    ("prolong", "Dx", "2"): ("--seed", "--points", "--digits", "--out", "--n", "--param"),
+    ("catalog", "list"): ("--seed", "--points", "--digits", "--out", "--n", "--param"),
+    ("liedet", "(5,5)"): ("--seed", "--points", "--digits", "--out"),
+    ("count", "(22,2)", "--order", "1"): ("--points", "--digits", "--out"),
+}
+FLAG_VALUES = {"--seed": "1", "--points": "6", "--digits": "50", "--n": "4",
+               "--param": "a=1"}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                          for f in flags])
+def test_subcommands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
+    import liesym.cli as cli
+
+    out = tmp_path / "f"
+    value = str(out) if flag == "--out" else FLAG_VALUES[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subcommands_accept_the_flags_they_read(capsys):
+    import liesym.cli as cli
+
+    assert cli.main(["count", "(26,n+1)", "--order", "4", "--seed", "7", "--n", "5",
+                     "--param", "K=5/4"]) == 0
+    assert json.loads(capsys.readouterr().out)["record"] == "(26,n+1)"
+    assert cli.main(["liedet", "(26,n+1)", "--n", "5", "--param", "K=5/4"]) == 0
+    assert "matrix order: 4" in capsys.readouterr().out
+    # the flags are read: an unknown parameter name is a usage error
+    for command in (["count", "(26,n+1)", "--order", "4"], ["liedet", "(26,n+1)"]):
+        assert cli.main([*command, "--param", "Z=1"]) == 2
+        assert "unknown parameter 'Z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--points", "0"), ("--digits", "20")])
+def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys):
+    import liesym.cli as cli
+
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--filter", "(5,5)", flag, value, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_catalog_list():

@@ -1,6 +1,7 @@
 """Zero certification: exact tier, probabilistic tier, sampling discipline."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -64,7 +65,7 @@ def test_sampling_exhausted_on_identically_singular():
 def test_determinism_same_seed():
     u = (2 * J(1) * J(3) - 3 * J(2) ** 2) ** F(1, 2) - J(2)
     assert is_zero(u, PR) == is_zero(u, PR)
-    first, second = is_zero(u, PR.with_seed(7)), is_zero(u, PR.with_seed(7))
+    first, second = is_zero(u, replace(PR, seed=7)), is_zero(u, replace(PR, seed=7))
     assert first.status == ZeroStatus.PROBABLY_NONZERO
     assert first.witness is not None and first.magnitude is not None
     assert first == second  # verdict, witness and magnitude alike
@@ -80,7 +81,7 @@ def test_probing_soundness_of_exact_zeros():
     hits = 0
     with mpmath.workdps(65):
         while hits < 5:
-            point = sample_point(rng, atoms, PR)
+            point = sample_point(rng, atoms)
             try:
                 v = eval_mp(e, point, 50)
             except _BadPoint:
@@ -93,7 +94,7 @@ def test_sample_points_are_bounded_rationals():
     rng = random.Random(1)
     atoms = [E.indep(), E.jet(1)]
     for _ in range(50):
-        pt = sample_point(rng, atoms, PR)
+        pt = sample_point(rng, atoms)
         for v in pt.values():
             assert abs(v.numerator) <= 4 * 10 ** 6 and 0 < v.denominator <= 10 ** 6
             assert F(1, 4) <= abs(v) <= 4
@@ -103,7 +104,7 @@ def test_positive_constraint_sampling():
     rng = random.Random(2)
     a = E.jet(2)
     for _ in range(20):
-        pt = sample_point(rng, [a], PR, positive=frozenset([a]))
+        pt = sample_point(rng, [a], positive=frozenset([a]))
         assert pt[a] > 0
 
 
@@ -137,6 +138,19 @@ def test_zero_tolerance_tracks_precision():
     tiny = E.Expr.rational(F(1, 10 ** 25)) * E.transcendental("exp", X)
     v = is_zero(tiny, PR)
     assert v.status == ZeroStatus.PROBABLY_NONZERO
+
+
+@pytest.mark.parametrize("kwargs", [{"points": 0}, {"points": -3}, {"digits": 20},
+                                    {"digits": 0}])
+def test_probe_config_refuses_a_probe_that_tests_nothing(kwargs):
+    # with no point, or a threshold 10^-(digits-20) of 1 or more, the
+    # nonzero constant y''^(1/2) + 5 would come out ProbablyZero
+    with pytest.raises(ValueError):
+        ProbeConfig(**kwargs)
+    with pytest.raises(ValueError):
+        replace(PR, **kwargs)
+    assert is_zero(J(2) ** F(1, 2) + 5, ProbeConfig(points=1, digits=21)).status \
+        == ZeroStatus.PROBABLY_NONZERO
 
 
 # -- the lowered evaluator ----------------------------------------------------
@@ -240,7 +254,7 @@ def test_lowered_evaluator_matches_tree_walk_and_sympy_oracle():
             t, st = _random_pair(rng, sp, syms, pool, 3)
             e, se = e + t, se + st
         for _ in range(2):
-            point = sample_point(rng, _ORACLE_ATOMS, PR)
+            point = sample_point(rng, _ORACLE_ATOMS)
             try:
                 v = eval_mp(e, point, 50)
             except _BadPoint:

@@ -75,10 +75,9 @@ def test_unknown_identifier_offset():
 
 
 def test_jet_order_cap():
+    assert parse_expression("y^(12)") == E.jet(12).as_expr()
     with pytest.raises(ParseError):
-        parse_expression("y^(20)")
-    ctx = Context(max_jet=20)
-    assert parse_expression("y^(20)", ctx) == E.jet(20).as_expr()
+        parse_expression("y^(13)")
 
 
 def test_syntax_error_reports_offset():
