@@ -48,10 +48,6 @@ class CatalogRecord:
     data: dict
 
     @property
-    def family(self) -> str:
-        return self.data.get("family", "")
-
-    @property
     def notes(self) -> str:
         return self.data.get("notes", "")
 
@@ -125,9 +121,9 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def load_catalog(path: Optional[Path] = None) -> List[CatalogRecord]:
+def load_catalog() -> List[CatalogRecord]:
     """Load every record and check the shipped manifest (count and labels)."""
-    base = Path(path) if path is not None else data_dir()
+    base = data_dir()
     manifest_path = base / "manifest.json"
     if not manifest_path.exists():
         raise CatalogError(f"manifest not found under {base}")
@@ -327,16 +323,14 @@ def _build_generators(specs: list, ctx: Context) -> list:
     fields = []
     for spec in specs:
         if isinstance(spec, str):
-            xi, eta = parse_vector_field(spec, ctx)
-            fields.append(VectorField(xi, eta, f"X{len(fields)+1}"))
+            fields.append(VectorField(*parse_vector_field(spec, ctx)))
         else:
             var = spec["var"]
             lo = int(eval_formula(spec["from"], ctx.params))
             hi = int(eval_formula(spec["to"], ctx.params))
             for k in range(lo, hi + 1):
                 sub = ctx.child(**{var: Fraction(k)})
-                xi, eta = parse_vector_field(spec["template"], sub)
-                fields.append(VectorField(xi, eta, f"X{len(fields)+1}"))
+                fields.append(VectorField(*parse_vector_field(spec["template"], sub)))
     return fields
 
 
@@ -360,9 +354,8 @@ def _linear_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     order-(n-1) constant-coefficient operator; blocks u = that operator
     applied to y, and Du = its total derivative."""
     spec = CharSpec(real_roots=tuple(_default_roots(n - 1)))
-    fields = [VectorField(ONE, ZERO, "X1")]
-    fields += [VectorField(ZERO, s, f"X{i+2}")
-               for i, s in enumerate(fundamental_solutions(spec))]
+    fields = [VectorField(ONE, ZERO)]
+    fields += [VectorField(ZERO, s) for s in fundamental_solutions(spec)]
     u = jet_or_dep(n - 1).as_expr() - linear_ode_from_spec(spec).rhs()
     blocks = {"u": u, "Du": total_derivative(u)}
     ctx.macros.update(blocks)
@@ -374,9 +367,8 @@ def _log_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     of an order-(n-2) operator; blocks u, Du, D2u_low (second total
     derivative with the top jet removed)."""
     spec = CharSpec(real_roots=tuple(_default_roots(n - 2, avoid_zero=True)))
-    fields = [VectorField(ONE, ZERO, "X1"), VectorField(ZERO, dep().as_expr(), "X2")]
-    fields += [VectorField(ZERO, s, f"X{i+3}")
-               for i, s in enumerate(fundamental_solutions(spec))]
+    fields = [VectorField(ONE, ZERO), VectorField(ZERO, dep().as_expr())]
+    fields += [VectorField(ZERO, s) for s in fundamental_solutions(spec)]
     u = jet_or_dep(n - 2).as_expr() - linear_ode_from_spec(spec).rhs()
     du = total_derivative(u)
     d2u_low = total_derivative(du) - jet_or_dep(n).as_expr()
@@ -410,9 +402,9 @@ def _char_roots_builder(content: dict, n: int, env: dict, ctx: Context):
         spec = CharSpec(real_roots=(Fraction(1),))
     ode = linear_ode_from_spec(spec)
     sols = fundamental_solutions(spec)
-    fields = [VectorField(ZERO, s, f"X{i+1}") for i, s in enumerate(sols)]
-    fields.append(VectorField(ZERO, dep().as_expr(), f"X{n+1}"))
-    fields.append(VectorField(ONE, ZERO, f"X{n+2}"))
+    fields = [VectorField(ZERO, s) for s in sols]
+    fields.append(VectorField(ZERO, dep().as_expr()))
+    fields.append(VectorField(ONE, ZERO))
     blocks = {"lin_rhs": ode.rhs()}
     ctx.macros.update(blocks)
     return fields, blocks

@@ -14,10 +14,17 @@ from .catalog import CatalogError, ConstraintViolation, find_record, instantiate
 from .expr import format_expr
 from .harness import run_verification
 from .invariance import rank_and_count
-from .jet import VectorField, prolong
+from .jet import MAX_JET_ORDER, VectorField, prolong
 from .liedet import lie_determinant, singular_equations
 from .numeric import DEFAULT_PROBE, ProbeConfig
 from .parse import Context, ParseError, parse_vector_field
+
+
+def _jet_order(text: str) -> int:
+    order = int(text)
+    if not 0 <= order <= MAX_JET_ORDER:
+        raise argparse.ArgumentTypeError(f"order {order} outside 0..{MAX_JET_ORDER}")
+    return order
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("prolong", help="print prolongation coefficients of a vector field")
     pr.add_argument("field", type=str, help="e.g. 'x*Dx + a*y*Dy'")
-    pr.add_argument("order", type=int)
+    pr.add_argument("order", type=_jet_order)
     pr.set_defaults(run=cmd_prolong)
 
     ld = sub.add_parser("liedet", parents=[instance],
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct = sub.add_parser("count", parents=[seed, instance],
                         help="invariant count d_n for a catalog algebra")
     ct.add_argument("label", type=str)
-    ct.add_argument("--order", type=int, required=True)
+    ct.add_argument("--order", type=_jet_order, required=True)
     ct.set_defaults(run=cmd_count)
 
     cat = sub.add_parser("catalog", help="catalog inspection")
@@ -112,8 +119,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prolong(args) -> int:
     ctx = Context(auto_params=True)
-    xi, eta = parse_vector_field(args.field, ctx)
-    pf = prolong(VectorField(xi, eta, "X"), args.order)
+    pf = prolong(VectorField(*parse_vector_field(args.field, ctx)), args.order)
     for j, coeff in enumerate(pf.coeffs, start=1):
         print(f"eta[{j}] = {format_expr(coeff)}")
     return 0
@@ -122,12 +128,14 @@ def cmd_prolong(args) -> int:
 def cmd_liedet(args) -> int:
     if "Dx" in args.target or "Dy" in args.target:
         ctx = Context(auto_params=True)
-        fields = []
-        for chunk in args.target.split(";"):
-            xi, eta = parse_vector_field(chunk.strip(), ctx)
-            fields.append(VectorField(xi, eta, f"X{len(fields)+1}"))
+        fields = [VectorField(*parse_vector_field(chunk.strip(), ctx))
+                  for chunk in args.target.split(";")]
     else:
         fields = _instantiate_target(args.target, args).fields
+    if not 2 <= len(fields) <= MAX_JET_ORDER + 2:
+        print(f"error: a Lie determinant needs 2 to {MAX_JET_ORDER + 2} generators, "
+              f"got {len(fields)}", file=sys.stderr)
+        return 2
     res = lie_determinant(fields)
     print(f"matrix order: {res.matrix_order}")
     print(f"determinant: {format_expr(res.determinant)}")

@@ -191,10 +191,6 @@ class Expr:
             return ZERO
         return _expr_from_terms({(): c})
 
-    @staticmethod
-    def atom(a: Atom) -> "Expr":
-        return a.as_expr()
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -306,14 +302,6 @@ class Expr:
         items = dict(const_bases)
         items[body] = items.get(body, _ZERO_RAT) + r
         return _make_term(out_coeff, items)
-
-    # -- calculus / rewriting ----------------------------------------------
-
-    def diff(self, a: Atom) -> "Expr":
-        return diff(self, a)
-
-    def substitute(self, bindings: Mapping[Atom, "Expr"]) -> "Expr":
-        return substitute(self, bindings)
 
 
 def _coerce(value):

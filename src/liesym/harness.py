@@ -264,7 +264,7 @@ def _extra_symmetry(rec, n, field, values, params, expect_zero, probe):
     con_v = instantiate(rec, n=n, params=values, enforce_constraints=False)
     params.update(con_v.params)
     xi, eta = parse_vector_field(field, Context(params={"n": Fraction(n), **con_v.params}))
-    return _verdicts(check_equation_invariance, [VectorField(xi, eta, "extra")],
+    return _verdicts(check_equation_invariance, [VectorField(xi, eta)],
                      con_v.equations[0].equation, probe, expect_zero)
 
 

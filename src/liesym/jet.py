@@ -32,7 +32,6 @@ class VectorField:
 
     xi: Expr
     eta: Expr
-    label: str = ""
 
     def __post_init__(self):
         for name, e in (("xi", self.xi), ("eta", self.eta)):
@@ -42,7 +41,7 @@ class VectorField:
 
     def scaled(self, c) -> "VectorField":
         factor = Expr.rational(c)
-        return VectorField(self.xi * factor, self.eta * factor, self.label)
+        return VectorField(self.xi * factor, self.eta * factor)
 
 
 @dataclass(frozen=True)

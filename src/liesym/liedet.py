@@ -13,7 +13,8 @@ divisions are exact in any polynomial ring, and substituting the powers back
 is a ring homomorphism, under which exponents of one base add up.  On
 entries in Q[atoms] the indeterminates are just the atoms.  Factor
 extraction covers rational content, monomials and perfect powers of a
-multi-term polynomial, which suffices for the catalog.
+multi-term polynomial, which suffices for the catalog.  `determinant` and
+`exact_quotient` also serve the Cramer solve of :mod:`liesym.linear_ode`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def lie_determinant(fields: Sequence[VectorField]) -> LieDeterminantResult:
         raise ValueError("a Lie determinant needs at least two generators")
     order = m - 2
     matrix = coefficient_matrix(fields, order)
-    det = _bareiss_determinant(matrix)
+    det = determinant(matrix)
     prefactor, factors = factor_polynomial(det)
     return LieDeterminantResult(
         order, det, tuple(factors), Expr.rational(prefactor),
@@ -207,7 +208,18 @@ def _dense_div_exact(p: dict, q: dict) -> dict:
     return quot
 
 
-def _bareiss_determinant(matrix: list) -> Expr:
+def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
+    """p / q when q divides p in the polynomial ring over the powers of
+    p and q (see the module docstring), else None."""
+    vars = _poly_vars([p, q])
+    try:
+        return _from_dense(_dense_div_exact(_dense(p, vars), _dense(q, vars)), vars)
+    except ExprError:
+        return None
+
+
+def determinant(matrix: list) -> Expr:
+    """Exact determinant of a square matrix of expressions (Bareiss)."""
     m = len(matrix)
     vars = _poly_vars(e for row in matrix for e in row)
     a = [[_dense(e, vars) for e in row] for row in matrix]
@@ -307,23 +319,16 @@ def _split_quadratic_square(f: Expr):
     common = _common_recognized_factor(a2, b) if not b.is_zero_expr() else None
     lin = a2 * v.as_expr() + b
     if common is not None and common != ONE:
-        try:
-            vars = _poly_vars([lin, common])
-            lin = _from_dense(
-                _dense_div_exact(_dense(lin, vars), _dense(common, vars)), vars)
-        except (ExprError, ZeroDivisionError):
+        lin = exact_quotient(lin, common)
+        if lin is None:
             return None
     _lin_content, lin_parts = factor_polynomial(lin)
     root = ONE
     for g, m in lin_parts:
         root = root * g.pow(m)
-    try:
-        vars = _poly_vars([f, root])
-        quot = _dense_div_exact(_dense(f, vars), _dense_mul(
-            _dense(root, vars), _dense(root, vars)))
-    except (ExprError, ZeroDivisionError):
+    cof_expr = exact_quotient(f, root * root)
+    if cof_expr is None:
         return None
-    cof_expr = _from_dense(quot, vars)
     out = [(root, 2)]
     extra = Fraction(1)
     if cof_expr != ONE:

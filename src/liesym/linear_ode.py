@@ -9,12 +9,9 @@ real solutions e^(ax)cos(bx), e^(ax)sin(bx).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
-
-import mpmath
+from typing import List, Sequence
 
 from .expr import (
     Expr,
@@ -24,21 +21,12 @@ from .expr import (
     dep,
     diff,
     indep,
-    is_rational_fragment,
     jet_or_dep,
     sum_of_products,
     transcendental,
 )
 from .jet import VectorField
-from .numeric import (
-    DEFAULT_PROBE,
-    MAX_RETRIES,
-    ProbeConfig,
-    ZeroStatus,
-    _BadPoint,
-    eval_mp,
-    is_zero,
-)
+from .liedet import determinant, exact_quotient
 
 
 class DuplicateRoots(ExprError):
@@ -152,14 +140,16 @@ def _exp_of(arg: Expr) -> Expr:
 
 # -- coefficient recovery from prescribed solutions ---------------------------
 
-def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int,
-                          probe: ProbeConfig = DEFAULT_PROBE) -> List[Expr]:
+def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) -> List[Expr]:
     """Solve xi_k^(n) = sum_{i>=lowest_index} A_i(x) xi_k^(i) for the A_i.
 
-    With rational-function solutions the elimination is exact over the
-    expression field.  Otherwise the coefficients are assumed constant (the
-    fundamental-solution use case), solved numerically at a sample point,
-    validated at held-out points, and reconstructed as exact rationals.
+    Cramer's rule, A_i = det(M_i) / det(M), over the exact determinant of
+    :mod:`liesym.liedet`, where M holds the derivatives xi_k^(i) and M_i has
+    column i replaced by the xi_k^(n).  A_i is the polynomial quotient when
+    det(M) divides det(M_i), as it does for constant coefficients, and the
+    expression fraction otherwise.  Dependence is decided over the
+    determinant's indeterminates (atoms and calls such as exp(x), sin(x)),
+    so a dependence through an identity like sin^2 + cos^2 = 1 goes unseen.
     Returns [A_lowest, ..., A_{order-1}].
     """
     if not 0 <= lowest_index < order:
@@ -168,107 +158,40 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int,
     if len(xis) != m:
         raise ValueError(f"need exactly {m} solutions, got {len(xis)}")
     ladders = [_derivative_ladder(f, order) for f in xis]
-    rows = [[lad[i] for i in range(lowest_index, order)] for lad in ladders]
-    rhs = [lad[order] for lad in ladders]
-    if all(is_rational_fragment(e) for lad in ladders for e in lad):
-        sol = _solve_exact(rows, rhs)
-    else:
-        sol = _solve_sampled(rows, rhs, probe)
-    return sol
-
-
-def _solve_exact(rows: list, rhs: list) -> list:
-    m = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for k in range(m):
-        piv = None
-        for i in range(k, m):
-            if is_zero(a[i][k]).status == ZeroStatus.EXACT_NONZERO:
-                piv = i
-                break
-        if piv is None:
-            raise DependentSolutions("elimination degenerated; solutions dependent")
-        a[k], a[piv] = a[piv], a[k]
-        inv = a[k][k].pow(Fraction(-1))
-        a[k] = [entry * inv for entry in a[k]]
-        for i in range(m):
-            if i != k and not a[i][k].is_zero_expr():
-                f = a[i][k]
-                a[i] = [u - f * v for u, v in zip(a[i], a[k])]
-    return [a[i][m] for i in range(m)]
-
-
-def _solve_sampled(rows: list, rhs: list, probe: ProbeConfig) -> list:
-    m = len(rows)
-    x = indep()
-    rng = random.Random(probe.seed)
-    digits = probe.digits
-
-    def eval_at(e: Expr, t: Fraction):
-        return eval_mp(e, {x: t}, digits)
-
-    with mpmath.workdps(digits + 15):
-        solution = None
-        for _ in range(MAX_RETRIES):
-            t0 = Fraction(rng.randint(1, 400), rng.randint(97, 211))
-            try:
-                A = mpmath.matrix([[eval_at(e, t0) for e in row] for row in rows])
-                b = mpmath.matrix([eval_at(e, t0) for e in rhs])
-                solution = mpmath.lu_solve(A, b)
-                break
-            except (_BadPoint, ZeroDivisionError):
-                continue
-        if solution is None:
-            raise DependentSolutions("no admissible sample point for the solve")
-        # exact reconstruction, then held-out validation
-        out = []
-        for v in solution:
-            frac = _rationalize(v, digits)
-            if frac is None:
-                raise DependentSolutions(
-                    "sampled solve did not reconstruct constant rational coefficients")
-            out.append(frac)
-        tol = mpmath.mpf(10) ** (-(digits - 20))
-        for _ in range(3):
-            t = Fraction(rng.randint(1, 500), rng.randint(101, 223))
-            for row, b in zip(rows, rhs):
-                lhs = sum(mpmath.mpf(c.numerator) / c.denominator * eval_at(e, t)
-                          for c, e in zip(out, row))
-                if abs(lhs - eval_at(b, t)) > tol:
-                    raise DependentSolutions(
-                        "held-out validation failed; coefficients are not constant")
-    return [Expr.rational(c) for c in out]
-
-
-def _rationalize(v, digits: int) -> Optional[Fraction]:
-    f = Fraction(str(mpmath.nstr(v, digits // 2))).limit_denominator(10 ** 6)
-    with mpmath.workdps(digits + 15):
-        if abs(mpmath.mpf(f.numerator) / f.denominator - v) < mpmath.mpf(10) ** (-(digits // 2 - 10)):
-            return f
-    return None
+    rows = [lad[lowest_index:order] for lad in ladders]
+    den = determinant(rows)
+    if den.is_zero_expr():
+        raise DependentSolutions("the prescribed solutions are linearly dependent")
+    out = []
+    for i in range(m):
+        num = determinant([row[:i] + [lad[order]] + row[i + 1:]
+                           for row, lad in zip(rows, ladders)])
+        quot = exact_quotient(num, den)
+        out.append(quot if quot is not None else num / den)
+    return out
 
 
 # -- symmetry generator sets ---------------------------------------------------
 
 def solution_symmetries(solutions: Sequence[Expr]) -> List[VectorField]:
     """eta(x) * d/dy for each prescribed solution."""
-    return [VectorField(ZERO, s, f"sol{i+1}") for i, s in enumerate(solutions)]
+    return [VectorField(ZERO, s) for s in solutions]
 
 
 def homogeneity_symmetry() -> VectorField:
-    return VectorField(ZERO, dep().as_expr(), "yDy")
+    return VectorField(ZERO, dep().as_expr())
 
 
 def translation_symmetry() -> VectorField:
-    return VectorField(ONE, ZERO, "Dx")
+    return VectorField(ONE, ZERO)
 
 
 def prop1_symmetries(xis: Sequence[Expr], lowest_index: int) -> List[VectorField]:
     """The generator set certifying a recovered equation: d/dy, y d/dy, the
     power solutions x^j below lowest_index, and each prescribed solution."""
     x = indep().as_expr()
-    fields = [VectorField(ZERO, ONE, "Dy"), homogeneity_symmetry()]
+    fields = [VectorField(ZERO, ONE), homogeneity_symmetry()]
     for j in range(1, lowest_index):
-        fields.append(VectorField(ZERO, x ** j, f"x{j}Dy"))
+        fields.append(VectorField(ZERO, x ** j))
     fields.extend(solution_symmetries(xis))
     return fields

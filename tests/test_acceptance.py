@@ -212,8 +212,7 @@ def test_criterion_4_exceptional_parameter_discrimination():
     ctx = Context(params={"n": None})
     for n in (5, 6):
         rec = find_record(RECORDS, "(26,n+1)")
-        extra = VectorField(*parse_vector_field(
-            f"x^2*Dx + {n-3}*x*y*Dy", ctx), "extra")
+        extra = VectorField(*parse_vector_field(f"x^2*Dx + {n-3}*x*y*Dy", ctx))
         good = instantiate(rec, n=n, params={"K": F(n, n - 1)})
         vs = check_equation_invariance([extra], good.equations[0].equation, STANDARD)
         assert all(v.is_zero for v in vs), ("(26)", n)
@@ -222,7 +221,7 @@ def test_criterion_4_exceptional_parameter_discrimination():
         assert all(not v.is_zero for v in vs)
         assert all(v.witness is not None for v in vs), "witness must be logged"
         rec27 = find_record(RECORDS, "(27,n+1)")
-        ydy = VectorField(E.ZERO, Y, "yDy")
+        ydy = VectorField(E.ZERO, Y)
         good = instantiate(rec27, n=n, params={"K": 0}, enforce_constraints=False)
         vs = check_equation_invariance([ydy], good.equations[0].equation, STANDARD)
         assert all(v.is_zero for v in vs), ("(27)", n)
@@ -273,7 +272,7 @@ def test_criterion_6_prop1_round_trip():
          CharSpec(real_roots=(0, 1), complex_pairs=((0, 1),))),
     ]
     for xis, order, lowest, spec in cases:
-        A = coeffs_from_solutions(xis, order, lowest, STANDARD)
+        A = coeffs_from_solutions(xis, order, lowest)
         rhs = E.ZERO
         for i, c in enumerate(A, start=lowest):
             rhs = rhs + c * E.jet_or_dep(i).as_expr()

@@ -157,6 +157,14 @@ def test_builder_records_expose_blocks():
     assert len(con.fields) == 6
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_solution_chain_recovers_its_equation_exactly(n):
+    # solutions 1, x, ..., x^(n-2), e^x span the kernel of y^(n) = y^(n-1)
+    con = instantiate(find_record(RECORDS, "(21,n+1)"), n=n)
+    assert con.blocks["lin_rhs"] == E.jet(n - 1).as_expr()
+    assert con.equations[0].equation.rhs == E.jet(n - 1).as_expr()
+
+
 def test_templates_parse_under_grammar_round_trip():
     # every stored invariant template reparses from its printed form
     from liesym.expr import format_expr
@@ -168,7 +176,7 @@ def test_templates_parse_under_grammar_round_trip():
                 params={k: None for k in con.params})) == phi
 
 
-def test_manifest_mismatch_detected(tmp_path):
+def test_manifest_mismatch_detected(tmp_path, monkeypatch):
     import json
     import shutil
     from liesym.catalog import data_dir
@@ -179,5 +187,6 @@ def test_manifest_mismatch_detected(tmp_path):
     manifest["labels"] = manifest["labels"][:-1]
     manifest["count"] -= 1
     (dst / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setenv("LIESYM_CATALOG_DIR", str(dst))
     with pytest.raises(CatalogError):
-        load_catalog(dst)
+        load_catalog()

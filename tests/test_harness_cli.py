@@ -145,6 +145,20 @@ def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["prolong", "Dx", "13"], ["prolong", "Dx", "-1"],
+                                  ["count", "(22,2)", "--order", "13"], ["liedet", "Dx"]])
+def test_bad_user_input_is_a_usage_error(argv, capsys):
+    import liesym.cli as cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "internal error" not in err
+
+
 def test_cli_catalog_list():
     proc = run_cli("catalog", "list")
     assert proc.returncode == 0

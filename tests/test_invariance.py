@@ -37,8 +37,8 @@ def J(k):
     return E.jet(k).as_expr()
 
 
-DX = VectorField(E.ONE, E.ZERO, "Dx")
-DY = VectorField(E.ZERO, E.ONE, "Dy")
+DX = VectorField(E.ONE, E.ZERO)
+DY = VectorField(E.ZERO, E.ONE)
 
 
 def gens55():

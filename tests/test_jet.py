@@ -28,8 +28,8 @@ def J(k):
     return E.jet(k).as_expr()
 
 
-DX = VectorField(E.ONE, E.ZERO, "Dx")
-DY = VectorField(E.ZERO, E.ONE, "Dy")
+DX = VectorField(E.ONE, E.ZERO)
+DY = VectorField(E.ZERO, E.ONE)
 
 
 def test_total_derivative_basics():
