@@ -114,6 +114,7 @@ def cmd_verify(args) -> int:
     failures = [r for r in report.results if not r.passed]
     for r in failures:
         print(f"FAIL {r.record} {r.check} {r.detail}", file=sys.stderr)
+    print(report.summary(), file=sys.stderr)
     return 0 if not failures else 1
 
 

@@ -16,11 +16,16 @@ always merged and zero coefficients dropped, so structural equality implies
 mathematical equality.  Fractional powers are single valued: numeric probing
 only ever evaluates them on positive bases.
 
-An exponent is an ``int`` when it is integral and a ``Fraction`` otherwise
-(``_exp`` applies this wherever exponents are made or added), so monomials
-hash and compare their integral exponents as machine integers.  Coefficients
-are always ``Fraction``.  The bases of a monomial are sorted by base key, and
-a term product merges its two sorted monomials in one linear pass.
+Exponents and coefficients are exact rationals in one normal form: an
+``int`` when integral and a ``Fraction`` otherwise (``_normal`` applies it
+wherever they are made or combined).  So monomials hash and compare their
+integral exponents as machine integers, and the mostly integral coefficients
+multiply and add as machine integers.  ``hash(2) == hash(Fraction(2))`` and
+the structural key reads (numerator, denominator), so the normal form does
+not change term order or keys.  Dividing two coefficients must go through
+``Fraction``: ``/`` on two ints is a float.  The bases of a monomial are
+sorted by base key, and a term product merges its two sorted monomials in
+one linear pass.
 
 Sums of many pieces are built in a single pass: :func:`expr_sum` and
 :func:`sum_of_products` add every term (or term product) into one dict of
@@ -51,11 +56,12 @@ class DomainError(ExprError):
     """Raised when an operation leaves the supported real domain."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_exact(value):
+    """An int or Fraction argument in normal form (see `_normal`)."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return _normal(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -96,7 +102,7 @@ class Atom:
         return f"Atom({atom_name(self)})"
 
     def as_expr(self) -> "Expr":
-        return _expr_from_terms({((self, 1),): _ONE_RAT})
+        return _expr_from_terms({((self, 1),): 1})
 
 
 _ATOM_CACHE: dict = {}
@@ -161,12 +167,12 @@ def _base_key(b) -> tuple:
     return key
 
 
-def _exp(q):
-    """An exponent in normal form: an int when integral, else a Fraction."""
+def _normal(q):
+    """An exponent or coefficient in normal form: an int when integral,
+    else a Fraction."""
     return q.numerator if q.denominator == 1 else q
 
 
-_ONE_RAT = Fraction(1)
 _ZERO_RAT = Fraction(0)
 
 
@@ -186,7 +192,7 @@ class Expr:
 
     @staticmethod
     def rational(value) -> "Expr":
-        c = _as_fraction(value)
+        c = _as_exact(value)
         if c == 0:
             return ZERO
         return _expr_from_terms({(): c})
@@ -196,8 +202,8 @@ class Expr:
     @property
     def terms(self) -> tuple:
         """Tuple of (monomial, coefficient); monomial is ((base, exp), ...),
-        sorted by base.  A coefficient is a Fraction; an exponent is an int
-        when integral and a Fraction otherwise."""
+        sorted by base.  A coefficient or exponent is an int when integral
+        and a Fraction otherwise."""
         return self._terms
 
     def is_zero_expr(self) -> bool:
@@ -210,7 +216,7 @@ class Expr:
         if not self._terms:
             return _ZERO_RAT
         if len(self._terms) == 1 and not self._terms[0][0]:
-            return self._terms[0][1]
+            return Fraction(self._terms[0][1])
         raise ExprError("expression is not a rational constant")
 
     def __eq__(self, other):
@@ -266,16 +272,16 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.pow(Fraction(-1))
+        return self * other.pow(-1)
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.pow(Fraction(-1))
+        return _coerce(other) * self.pow(-1)
 
     def __pow__(self, exponent):
         return self.pow(exponent)
 
     def pow(self, exponent) -> "Expr":
-        r = _as_fraction(exponent)
+        r = _as_exact(exponent)
         if r == 0:
             return ONE
         if not self._terms:
@@ -293,14 +299,14 @@ class Expr:
             out_coeff, const_bases = _const_pow(coeff, r)
             items = dict(const_bases)
             for b, e in mono:
-                items[b] = items.get(b, _ZERO_RAT) + e * r
+                items[b] = items.get(b, 0) + e * r
             return _make_term(out_coeff, items)
         # Multi-term base under a negative or fractional exponent: factor out
         # the positive rational content so equal bases merge structurally.
         content, body = _extract_content(self)
         out_coeff, const_bases = _const_pow(content, r)
         items = dict(const_bases)
-        items[body] = items.get(body, _ZERO_RAT) + r
+        items[body] = items.get(body, 0) + r
         return _make_term(out_coeff, items)
 
 
@@ -321,7 +327,7 @@ def _acc_add(acc: dict, mono, coeff):
     else:
         cur = cur + coeff
         if cur:
-            acc[mono] = cur
+            acc[mono] = cur if type(cur) is int else _normal(cur)
         else:
             del acc[mono]
 
@@ -370,7 +376,7 @@ def _mono_key(mono) -> tuple:
 
 
 ZERO = _expr_from_terms({})
-ONE = _expr_from_terms({(): _ONE_RAT})
+ONE = _expr_from_terms({(): 1})
 
 
 def _term_product(m1, c1, m2, c2):
@@ -381,6 +387,8 @@ def _term_product(m1, c1, m2, c2):
     Both monomials are sorted by base key, so their product is one linear
     merge; only a base present in both needs its exponents added."""
     coeff = c1 * c2
+    if type(coeff) is not int:
+        coeff = _normal(coeff)
     out = []
     needs_rework = False
     i = j = 0
@@ -396,7 +404,7 @@ def _term_product(m1, c1, m2, c2):
             out.append(m2[j])
             j += 1
         else:
-            tot = _exp(e1 + e2)
+            tot = _normal(e1 + e2)
             if tot:
                 out.append((b1, tot))
                 if isinstance(b1, Expr) and type(tot) is int and tot > 0 \
@@ -411,7 +419,7 @@ def _term_product(m1, c1, m2, c2):
     return tuple(out), coeff
 
 
-def _make_term(coeff: Fraction, items: Mapping) -> Expr:
+def _make_term(coeff, items: Mapping) -> Expr:
     """Build an expression from coefficient * product(base^exp), restoring
     all normal-form invariants (expansion, constant folding)."""
     if coeff == 0:
@@ -425,7 +433,7 @@ def _make_term(coeff: Fraction, items: Mapping) -> Expr:
             if e.denominator == 1 and e > 0:
                 expandables.append((b, e.numerator))
             else:
-                kept[b] = _exp(e)
+                kept[b] = _normal(e)
         elif isinstance(b, int):
             # constant base: keep the exponent inside (0,1)
             k = math.floor(e)
@@ -435,9 +443,9 @@ def _make_term(coeff: Fraction, items: Mapping) -> Expr:
             if frac:
                 kept[b] = frac
         else:
-            kept[b] = _exp(e)
+            kept[b] = _normal(e)
     mono = tuple(sorted(kept.items(), key=lambda t: _base_key(t[0])))
-    result = _expr_from_terms({mono: coeff})
+    result = _expr_from_terms({mono: _normal(coeff)})
     for b, k in expandables:
         result = result * _int_pow(b, k)
     return result
@@ -469,8 +477,9 @@ def _extract_content(e: Expr):
     content = Fraction(g, l)
     if content == 1:
         return content, e
-    inv = 1 / content
-    body = _expr_from_terms({m: c * inv for m, c in e._terms})
+    # c / content = (c.numerator / g) * (l / c.denominator), both integers
+    body = _expr_from_terms({m: c.numerator // g * (l // c.denominator)
+                             for m, c in e._terms})
     return content, body
 
 
@@ -497,13 +506,14 @@ def _factor_int(n: int) -> list:
     return out
 
 
-def _const_pow(c: Fraction, r: Fraction):
+def _const_pow(c, r):
     """c**r as (rational coefficient, {prime_base: fractional exponent})."""
     if r.denominator == 1:
-        return c ** r.numerator, {}
+        k = r.numerator
+        return _normal(c ** k if k >= 0 else Fraction(c) ** k), {}
     if c == 0:
         raise DomainError("zero under a fractional power")
-    sign = _ONE_RAT
+    sign = 1
     if c < 0:
         if r.denominator % 2 == 1:
             sign = Fraction(-1) ** (r.numerator % 2)
@@ -524,7 +534,7 @@ def _const_pow(c: Fraction, r: Fraction):
             coeff *= Fraction(prime) ** k
         if frac:
             bases[prime] = bases.get(prime, _ZERO_RAT) + frac
-    return coeff, bases
+    return _normal(coeff), bases
 
 
 # -- transcendental calls ----------------------------------------------------
@@ -551,8 +561,8 @@ def transcendental(fn: str, arg: Expr) -> Expr:
 
 _D_TRANSC: dict = {
     "exp": lambda a: transcendental("exp", a.arg),
-    "ln": lambda a: a.arg.pow(Fraction(-1)),
-    "arctan": lambda a: (ONE + a.arg * a.arg).pow(Fraction(-1)),
+    "ln": lambda a: a.arg.pow(-1),
+    "arctan": lambda a: (ONE + a.arg * a.arg).pow(-1),
     "sin": lambda a: transcendental("cos", a.arg),
     "cos": lambda a: -transcendental("sin", a.arg),
 }
@@ -631,7 +641,7 @@ def _subst_base(b, bindings) -> Expr:
         return b.as_expr()
     if isinstance(b, Expr):
         return substitute(b, bindings)
-    return _make_term(_ONE_RAT, {b: 1})
+    return _make_term(1, {b: 1})
 
 
 # -- structure scans ---------------------------------------------------------
@@ -722,7 +732,7 @@ def renormalized(e: Expr) -> Expr:
             elif isinstance(b, Expr):
                 piece = piece * renormalized(b).pow(ex)
             else:
-                piece = piece * _make_term(_ONE_RAT, {b: ex})
+                piece = piece * _make_term(1, {b: ex})
         out = out + piece
     return out
 

@@ -5,6 +5,8 @@ The table is `plan_checks`, which yields each check of a record at an order
 n as (check, detail, params, thunk).  Check kinds, in plan order:
 
 * ``instantiate`` -- the sole, failed row when the record cannot be grounded;
+* ``worker``     -- the sole, failed row of a record whose worker process
+                    died (several workers only);
 * ``equation``   -- prolonged invariance of each canonical equation, under
                     three arbitrary-function instantiations where one occurs;
 * ``invariant``  -- annihilation of each stored differential invariant;
@@ -31,7 +33,9 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
@@ -51,7 +55,7 @@ from .invariance import check_differential_invariant, check_equation_invariance,
 from .invdiff import apply_D, verify_lambda
 from .jet import MAX_JET_ORDER, VectorField
 from .liedet import lie_determinant, singular_equations
-from .numeric import DEFAULT_PROBE, ProbeConfig, derive_seed, is_zero
+from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroStatus, derive_seed, is_zero
 from .parse import Context, parse_vector_field
 
 
@@ -105,6 +109,19 @@ class VerificationReport:
 
     def render(self) -> str:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
+
+    def summary(self) -> str:
+        """One line: checks and failures, verdicts by status, and the five
+        slowest checks."""
+        statuses = Counter(v["status"] for r in self.results for v in r.verdicts
+                           if isinstance(v, dict) and "status" in v)
+        slowest = sorted(self.results, key=lambda r: -r.elapsed_ms)[:5]
+        failed = sum(not r.passed for r in self.results)
+        return (f"{len(self.results)} checks, {failed} failed; verdicts: "
+                + ", ".join(f"{s.value} {statuses[s.value]}" for s in ZeroStatus)
+                + "; slowest: "
+                + ", ".join(" ".join(filter(None, (r.record, r.check, r.detail)))
+                            + f" {r.elapsed_ms} ms" for r in slowest))
 
 
 def _params_json(params: dict) -> dict:
@@ -283,6 +300,15 @@ def _worker(args):
     return run_record_checks(rec, probe, n_override, params)
 
 
+def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[int],
+                 exc: BrokenProcessPool) -> CheckResult:
+    """The failed row of a record whose worker died before returning."""
+    n = n_override if n_override is not None else default_order(rec)
+    return CheckResult(rec.label, "worker", "", n, {},
+                       derive_seed(probe.seed, rec.label, n, "worker", ""), False,
+                       [f"{type(exc).__name__}: {exc}"], 0)
+
+
 def run_verification(filter_glob: Optional[str] = None,
                      probe: ProbeConfig = DEFAULT_PROBE,
                      workers: int = 1,
@@ -296,8 +322,12 @@ def run_verification(filter_glob: Optional[str] = None,
     if workers > 1:
         jobs = [(r.label, probe, n_override, param_overrides) for r in chosen]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_worker, jobs):
-                results.extend(chunk)
+            futures = [pool.submit(_worker, job) for job in jobs]
+            for rec, fut in zip(chosen, futures):
+                try:
+                    results.extend(fut.result())
+                except BrokenProcessPool as exc:
+                    results.append(_worker_died(rec, probe, n_override, exc))
     else:
         for rec in chosen:
             results.extend(run_record_checks(rec, probe, n_override, param_overrides))

@@ -10,6 +10,7 @@ generic rank of the m x (n+2) matrix of prolonged coefficients.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -148,15 +149,11 @@ def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:
     return [coefficient_row(X, order) for X in fields]
 
 
-def rank_at_point(matrix: list, point: dict) -> int:
-    return _rank([[eval_exact(entry, point) for entry in row] for row in matrix])
-
-
 def rank_and_count(fields: Sequence[VectorField], order: int,
                    probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
     """Generic rank over 5 exact rational sample points.
 
-    The rank is certified with exact fraction arithmetic at each point and
+    The rank at each point is exact (fraction-free integer elimination) and
     the maximum over samples is reported; d_n = order + 2 - rank.
     """
     if order < 0:
@@ -199,20 +196,16 @@ def generic_rank(matrix: list, probe: ProbeConfig, samples: int, evaluate, tol=0
 
 def _rank(rows: list, tol=0) -> int:
     """Rank by Gaussian elimination; an entry counts as zero when
-    |entry| <= tol (tol = 0 for exact values).  Inexact values pivot on the
-    largest entry (partial pivoting).  Any nonzero exact pivot gives the
-    same rank, so exact values take the first one, which keeps their
-    fractions smaller."""
+    |entry| <= tol.  Inexact values (tol > 0) pivot on the largest entry
+    (partial pivoting).  Exact rationals (tol = 0) go to `_integer_rank`."""
+    if not tol:
+        return _integer_rank(rows)
     rows = [list(row) for row in rows]
     m, n = len(rows), len(rows[0]) if rows else 0
     rank = col = 0
     while rank < m and col < n:
-        if tol:
-            piv = max(range(rank, m), key=lambda i: abs(rows[i][col]))
-            piv = piv if abs(rows[piv][col]) > tol else None
-        else:
-            piv = next((i for i in range(rank, m) if rows[i][col]), None)
-        if piv is None:
+        piv = max(range(rank, m), key=lambda i: abs(rows[i][col]))
+        if abs(rows[piv][col]) <= tol:
             col += 1
             continue
         pv = rows[piv][col]
@@ -221,6 +214,37 @@ def _rank(rows: list, tol=0) -> int:
             f = rows[i][col] / pv
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _integer_rank(rows: list) -> int:
+    """Exact rank of a matrix of rationals by fraction-free elimination
+    (Bareiss, Math. Comp. 1968) over the integers.  Each row is first
+    scaled by the lcm of its denominators, which keeps the rank.  Then every
+    entry below the pivot rows is a minor of the scaled matrix, so dividing
+    by the previous pivot is exact, also when a zero column is skipped.
+    Any nonzero pivot gives the same rank, so the first one is taken."""
+    a = []
+    for row in rows:
+        scale = math.lcm(*[v.denominator for v in row])
+        a.append([v.numerator * (scale // v.denominator) for v in row])
+    m, n = len(a), len(a[0]) if a else 0
+    rank = col = 0
+    prev = 1
+    while rank < m and col < n:
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        pv = top[col]
+        for i in range(rank + 1, m):
+            f = a[i][col]
+            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pv
         rank += 1
         col += 1
     return rank

@@ -31,6 +31,7 @@ from .expr import (
     _base_key,
     _extract_content,
     _make_term,
+    _normal,
     diff,
     expr_sum,
     is_polynomial,
@@ -202,8 +203,8 @@ def _dense_div_exact(p: dict, q: dict) -> dict:
         exps = tuple(a - b for a, b in zip(lr, lq))
         if any(x < 0 for x in exps):
             raise ExprError("inexact polynomial division")
-        c = rem[lr] / cq
-        quot[exps] = quot.get(exps, Fraction(0)) + c
+        c = _normal(Fraction(rem[lr], cq))
+        quot[exps] = quot.get(exps, 0) + c
         rem = _dense_sub(rem, _dense_mul({exps: c}, q))
     return quot
 
@@ -224,7 +225,7 @@ def determinant(matrix: list) -> Expr:
     vars = _poly_vars(e for row in matrix for e in row)
     a = [[_dense(e, vars) for e in row] for row in matrix]
     sign = 1
-    prev: dict = {tuple([0] * len(vars)): Fraction(1)}
+    prev: dict = {tuple([0] * len(vars)): 1}
     for k in range(m - 1):
         if not a[k][k]:
             pivot_row = next((i for i in range(k + 1, m) if a[i][k]), None)
@@ -270,7 +271,7 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
         dense = {tuple(x - mn for x, mn in zip(ex, mins)): c for ex, c in dense.items()}
         for (b, u), mn in zip(vars, mins):
             if mn:
-                factors.append((_make_term(Fraction(1), {b: u}), mn))
+                factors.append((_make_term(1, {b: u}), mn))
     rest_expr = _from_dense(dense, vars)
     if rest_expr == ONE:
         return content, factors
@@ -373,15 +374,15 @@ def _dense_root(p: dict, k: int, vars: list):
         exps = tuple(a - b for a, b in zip(lr, next(iter(div))))
         if any(x < 0 for x in exps):
             return None
-        c = rem[lr] / next(iter(div.values()))
+        c = _normal(Fraction(rem[lr], next(iter(div.values()))))
         if _grlex_key(exps) >= _grlex_key(max(root, key=_grlex_key)):
             return None
-        root[exps] = root.get(exps, Fraction(0)) + c
+        root[exps] = root.get(exps, 0) + c
     return None
 
 
 def _dense_pow(p: dict, k: int) -> dict:
-    out = {tuple([0] * len(next(iter(p)))): Fraction(1)} if p else {}
+    out = {tuple([0] * len(next(iter(p)))): 1} if p else {}
     base = p
     n = k
     while n:

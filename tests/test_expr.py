@@ -226,26 +226,32 @@ def test_sum_of_products_re_expands_merged_bases():
 
 
 
-# -- normal form of exponents ----------------------------------------------------
+# -- normal form of exponents and coefficients -----------------------------------
 #
-# An exponent is an int when it is integral and a Fraction with denominator
-# > 1 otherwise; coefficients are always Fractions.  Monomials then hash and
-# compare their integral exponents as machine integers.
+# An exponent or coefficient is an int when it is integral and a Fraction
+# with denominator > 1 otherwise.  Monomials then hash and compare their
+# integral exponents as machine integers, and integral coefficients multiply
+# and add as machine integers.
+
+def _assert_normal_rational(q):
+    if q.denominator == 1:
+        assert type(q) is int, q
+    else:
+        assert type(q) is F, q
+
 
 def _assert_normal_exponents(e: Expr):
     subs = [e]
     for b, ex in E.walk_bases(e):
         assert ex != 0, (b, ex)
-        if ex.denominator == 1:
-            assert type(ex) is int, (b, ex)
-        else:
-            assert type(ex) is F, (b, ex)
+        _assert_normal_rational(ex)
         if isinstance(b, Expr):
             subs.append(b)
         elif isinstance(b, E.Atom) and b.kind == "transc":
             subs.append(b.arg)
     for sub in subs:
-        assert all(type(c) is F for _, c in sub.terms), sub
+        for _, c in sub.terms:
+            _assert_normal_rational(c)
 
 
 _POWERS = [F(k) for k in (-2, -1, 2, 3)] + [F(1, 2), F(-1, 2), F(2, 3), F(-3, 2)]
@@ -277,3 +283,20 @@ def test_catalog_exponents_in_normal_form():
             _assert_normal_exponents(e)
             seen += 1
     assert seen > 300
+
+
+def test_as_rational_is_a_fraction():
+    for e in (Expr.rational(3), Expr.rational(F(6, 3)), Expr.rational(F(3, 4)),
+              E.ZERO, (X + 1) - X):
+        assert type(e.as_rational()) is F
+    assert Expr.rational(F(6, 3)).as_rational() == 2
+
+
+def test_integer_to_a_negative_power_is_exact():
+    half = Expr.rational(2).pow(-1)
+    assert half.as_rational() == F(1, 2)
+    assert type(half.terms[0][1]) is F
+    assert Expr.rational(-3).pow(-2).as_rational() == F(1, 9)
+    assert Expr.rational(1).pow(-3) == E.ONE
+    assert (2 * X).pow(-1) == F(1, 2) * X.pow(-1)
+    assert Expr.rational(4).pow(F(-1, 2)).as_rational() == F(1, 2)

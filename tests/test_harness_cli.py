@@ -248,3 +248,48 @@ def test_python_dash_m_liesym_runs_verify():
     proc = subprocess.run([sys.executable, "-m", "liesym", "verify", "--filter", "(5,5)"],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_worker_death_is_a_failed_row(monkeypatch, tmp_path, capsys):
+    import os
+
+    import liesym.cli as cli
+    import liesym.harness as harness
+
+    inner = harness.run_record_checks
+
+    def dies_on_one_record(rec, *args):
+        if rec.label == "(11,3)":
+            os._exit(1)
+        return inner(rec, *args)
+
+    # the pool forks its workers, so they run the patched module
+    monkeypatch.setattr(harness, "run_record_checks", dies_on_one_record)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--filter", "(1[0-3],*", "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    rows = json.loads(out.read_text())["checks"]
+    assert {r["record"] for r in rows} == {"(10,2)", "(11,3)", "(13,4)"}
+    dead = [r for r in rows if r["record"] == "(11,3)"]
+    assert len(dead) == 1 and dead[0]["check"] == "worker" and not dead[0]["pass"]
+    assert dead[0]["verdicts"][0].startswith("BrokenProcessPool: ")
+    assert "FAIL (11,3) worker" in capsys.readouterr().err
+    # a record is either checked in full or one failed `worker` row
+    for label in ("(10,2)", "(13,4)"):
+        mine = [r["check"] for r in rows if r["record"] == label]
+        assert mine == ["worker"] or "worker" not in mine
+
+
+def test_verify_ends_with_a_summary_line(tmp_path, capsys):
+    import liesym.cli as cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--filter", "(5,5)", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    rows = json.loads(out.read_text())["checks"]
+    statuses = [v["status"] for r in rows for v in r["verdicts"] if "status" in v]
+    assert err[0].startswith(f"{len(rows)} checks, 0 failed; verdicts: "
+                             f"ExactZero {statuses.count('ExactZero')}, ExactNonzero 0, "
+                             "ProbablyZero 0, ProbablyNonzero 0; slowest: (5,5) ")
+    assert err[0].count(" ms") == 5

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from liesym import expr as E
+from liesym.catalog import default_order, instantiate, load_catalog
 from liesym.invariance import (
     OdeEquation,
     _rank,
@@ -15,18 +16,20 @@ from liesym.invariance import (
     check_equation_invariance,
     coefficient_matrix,
     rank_and_count,
-    rank_at_point,
 )
 from liesym.jet import VectorField
 from liesym.numeric import (
     MAX_RETRIES,
+    ExactEvalError,
     ProbeConfig,
     ZeroStatus,
     _BadPoint,
+    eval_exact,
     fractional_power_degrees,
     sample_point,
     sample_rational,
 )
+from rank_oracle import rank_at_point, ref_fraction_rank
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -160,28 +163,6 @@ def test_rank_drops_on_singular_locus():
 
 # -- the rank routine against the eliminations it replaced ---------------------
 
-def ref_fraction_rank(rows):
-    """Exact rank by elimination on the first nonzero pivot."""
-    rows = [list(r) for r in rows]
-    m, n = len(rows), len(rows[0]) if rows else 0
-    rank = col = r = 0
-    while r < m and col < n:
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, m):
-            f = rows[i][col] / pv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
 def ref_numeric_rank(rows, digits):
     """Rank with partial pivoting and pivot tolerance 10^-(digits//2)."""
     tol = mpmath.mpf(10) ** (-(digits // 2))
@@ -223,8 +204,57 @@ def _low_rank_matrices(seed, count):
                for i in range(m)]
 
 
+def _hard_rank_matrices(seed, count):
+    """Seeded low-rank matrices with numerators and denominators up to 10^6,
+    some columns zeroed, some rows with a zero prefix, and rows ordered by
+    their first nonzero column, latest first, so that elimination has to
+    swap rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        r = rng.randint(1, min(m, n))
+
+        def entry():
+            if rng.random() < 0.2:
+                return F(0)
+            return F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+        a = [[entry() for _ in range(r)] for _ in range(m)]
+        b = [[entry() for _ in range(n)] for _ in range(r)]
+        zero_cols = set(rng.sample(range(n), rng.randint(0, n // 2)))
+        rows = [[F(0) if j in zero_cols else sum((a[i][k] * b[k][j] for k in range(r)), F(0))
+                 for j in range(n)] for i in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m - 1)):
+            k = rng.randint(1, n)
+            rows[i][:k] = [F(0)] * k
+        rows.sort(key=lambda row: next((j for j, v in enumerate(row) if v), n), reverse=True)
+        yield rows
+
+
+def _catalog_rank_matrices():
+    """The matrices of the catalog's `rank` checks, at sampled points."""
+    rng = random.Random(14)
+    for rec in load_catalog():
+        con = instantiate(rec, n=default_order(rec))
+        if not con.fundamental_check:
+            continue
+        for order in (con.dimension - 1, con.dimension):
+            matrix = coefficient_matrix(con.fields, order)
+            atoms = set().union(*(E.leaf_atoms(e) for row in matrix for e in row))
+            degrees = fractional_power_degrees(e for row in matrix for e in row)
+            for _ in range(2):
+                point = sample_point(rng, atoms, degrees=degrees)
+                try:
+                    yield [[eval_exact(e, point) for e in row] for row in matrix]
+                except (_BadPoint, ZeroDivisionError, ExactEvalError):
+                    continue
+
+
 def test_rank_matches_fraction_elimination():
-    for rows in _low_rank_matrices(11, 400):
+    cases = list(_low_rank_matrices(11, 400)) + list(_hard_rank_matrices(15, 300))
+    catalog = list(_catalog_rank_matrices())
+    assert len(catalog) > 50
+    for rows in cases + catalog:
         before = [list(r) for r in rows]
         assert _rank(rows) == ref_fraction_rank(rows)
         assert rows == before

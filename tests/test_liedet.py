@@ -6,16 +6,18 @@ import pytest
 
 from liesym import expr as E
 from liesym.catalog import default_order, instantiate, load_catalog, secondary_order
-from liesym.invariance import coefficient_matrix, rank_at_point
+from liesym.invariance import coefficient_matrix
 from liesym.jet import VectorField
 from liesym.liedet import (
     determinant,
+    exact_quotient,
     factor_polynomial,
     lie_determinant,
     singular_equations,
 )
 from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
+from rank_oracle import rank_at_point
 from sympy_oracle import to_sympy
 
 X = E.indep().as_expr()
@@ -240,6 +242,31 @@ def test_catalog_determinants_sympy_oracle():
         want = sympy.Matrix(rows).det(method="bareiss")
         got = lie_determinant(con.fields).determinant
         assert sympy.expand(want - to_sympy(sympy, got)) == 0, con.label
+
+
+def _assert_exact_numbers(e):
+    """Every coefficient and exponent of e, inside compound bases and call
+    arguments too, is an int when integral and a Fraction otherwise."""
+    subs = [e] + [b for b, _ in E.walk_bases(e) if isinstance(b, E.Expr)] \
+        + [b.arg for b, _ in E.walk_bases(e) if isinstance(b, E.Atom) and b.kind == "transc"]
+    for sub in subs:
+        for mono, c in sub.terms:
+            for q in [c] + [ex for _b, ex in mono]:
+                assert type(q) is (int if q.denominator == 1 else F), (sub, q)
+
+
+def test_catalog_determinants_have_exact_coefficients():
+    # no float reaches a coefficient through an int / int division
+    for con in _catalog_lie_det_instantiations():
+        det = determinant(coefficient_matrix(con.fields, len(con.fields) - 2))
+        _assert_exact_numbers(det)
+        prefactor, factors = factor_polynomial(det)
+        assert type(prefactor) is F
+        for f, m in factors:
+            _assert_exact_numbers(f)
+            quot = exact_quotient(det, f.pow(m))
+            assert quot is not None, con.label
+            _assert_exact_numbers(quot)
 
 
 def test_composite_square_factor_split():

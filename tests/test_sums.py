@@ -183,7 +183,7 @@ def _random_mono(rng, partner=()):
         if roll < 0.45 and not isinstance(b, int):
             items[b] = -e
         elif roll < 0.7 and not isinstance(b, Atom):
-            items[b] = E._exp(rng.randint(1, 2) - e) if isinstance(b, Expr) else 1 - e
+            items[b] = E._normal(rng.randint(1, 2) - e) if isinstance(b, Expr) else 1 - e
         else:
             items[b] = rng.choice(_PRIME_EXPS if isinstance(b, int) else
                                   _SUM_EXPS if isinstance(b, Expr) else _ATOM_EXPS)
@@ -191,7 +191,7 @@ def _random_mono(rng, partner=()):
                        (_PRIME_BASES, _PRIME_EXPS)):
         for b in rng.sample(pool, rng.randint(0, 2)):
             items.setdefault(b, rng.choice(exps))
-    items = {b: E._exp(F(e)) for b, e in items.items() if e}
+    items = {b: E._normal(F(e)) for b, e in items.items() if e}
     if any(isinstance(b, int) and not 0 < e < 1 for b, e in items.items()):
         items = {b: e for b, e in items.items() if not isinstance(b, int)}
     if any(isinstance(b, Expr) and type(e) is int and e > 0 for b, e in items.items()):
