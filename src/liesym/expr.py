@@ -41,7 +41,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Union
 
-Rat = Fraction
 
 _TRANSC_FNS = ("exp", "ln", "arctan", "sin", "cos")
 

@@ -6,7 +6,8 @@ n as (check, detail, params, thunk).  Check kinds, in plan order:
 
 * ``instantiate`` -- the sole, failed row when the record cannot be grounded;
 * ``worker``     -- the sole, failed row of a record whose worker process
-                    died (several workers only);
+                    dies also when the record runs alone in a pool of its
+                    own (several workers only);
 * ``equation``   -- prolonged invariance of each canonical equation, under
                     three arbitrary-function instantiations where one occurs;
 * ``invariant``  -- annihilation of each stored differential invariant;
@@ -309,6 +310,19 @@ def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[in
                        [f"{type(exc).__name__}: {exc}"], 0)
 
 
+def _pool_results(jobs: list, workers: int) -> list:
+    """Each job's rows from a pool of `workers` processes, or the
+    BrokenProcessPool its future raised."""
+    out = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(_worker, job) for job in jobs]:
+            try:
+                out.append(fut.result())
+            except BrokenProcessPool as exc:
+                out.append(exc)
+    return out
+
+
 def run_verification(filter_glob: Optional[str] = None,
                      probe: ProbeConfig = DEFAULT_PROBE,
                      workers: int = 1,
@@ -321,13 +335,14 @@ def run_verification(filter_glob: Optional[str] = None,
     results: List[CheckResult] = []
     if workers > 1:
         jobs = [(r.label, probe, n_override, param_overrides) for r in chosen]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_worker, job) for job in jobs]
-            for rec, fut in zip(chosen, futures):
-                try:
-                    results.extend(fut.result())
-                except BrokenProcessPool as exc:
-                    results.append(_worker_died(rec, probe, n_override, exc))
+        for rec, job, rows in zip(chosen, jobs, _pool_results(jobs, workers)):
+            # a broken pool fails every pending job: rerun each on its own
+            if isinstance(rows, BrokenProcessPool):
+                rows, = _pool_results([job], 1)
+            if isinstance(rows, BrokenProcessPool):
+                results.append(_worker_died(rec, probe, n_override, rows))
+            else:
+                results.extend(rows)
     else:
         for rec in chosen:
             results.extend(run_record_checks(rec, probe, n_override, param_overrides))

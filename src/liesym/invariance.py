@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .expr import (ONE, Expr, is_rational_fragment, jet, leaf_atoms, max_jet_order,
-                   substitute, sum_of_products)
+from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute, sum_of_products
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -28,10 +27,10 @@ from .numeric import (
     _BadPoint,
     decide_exactly,
     eval_exact,
-    exact_nonzero,
     fractional_power_degrees,
     is_zero,
     power_split,
+    probe_verdict,
     sample_point,
 )
 
@@ -99,10 +98,10 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
     When f splits as N * prod P_k^(c_k) (`power_split`), the residual is
     prod P_k^(c_k - 1) times
         D_X = (X(N) - w*N) * prod_k P_k + N * sum_k c_k*X(P_k)*prod_{i!=k} P_i,
-    and that factor is nowhere zero where f is defined.  So a D_X that the
-    exact tier decides settles the verdict whatever the c_k: zero without
-    building the residual, nonzero from the residual's witness when the
-    residual is rational.  Otherwise the residual goes to `is_zero`.
+    and that factor is nowhere zero where f is defined.  So the exact tier's
+    answer on D_X settles the verdict whatever the c_k: zero without
+    building the residual, nonzero with the residual's probe witness
+    (`probe_verdict`).  Without a split the residual goes to `is_zero`.
     """
     top = max_jet_order(f)
     k = top if top is not None else 0
@@ -118,10 +117,8 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
         residual = apply_prolonged(PX, f)
         if w is not None:
             residual = residual - f * w
-        if zero is False and is_rational_fragment(residual):
-            verdicts.append(exact_nonzero(residual, probe))
-        else:
-            verdicts.append(is_zero(residual, probe))
+        verdicts.append(is_zero(residual, probe) if zero is None else
+                        probe_verdict(residual, zero, probe, frozenset()))
     return verdicts
 
 

@@ -1,22 +1,23 @@
 """Two-tier zero certification and exact/high-precision evaluation.
 
-On the rational-function fragment (no transcendental atoms, no fractional
-powers) zero is decided exactly: every compound or atomic denominator is
-cleared, which leaves a genuine polynomial in the atoms, and a polynomial is
-zero iff its normal form is empty.  Outside the fragment the expression is
-probed at seeded random rational points with mpmath at the configured
-precision; a verdict of ProbablyZero requires |value| < 10^-(digits-20) at
-every tested point, keeping twenty orders of magnitude between roundoff and
-an honest nonzero value.
+The exact tier, `decide_exactly`, writes an expression e as
+N * prod P_k^(c_k) (`power_split`), with N and every P_k polynomials in the
+atoms and each c_k rational.  The product vanishes nowhere where e is
+defined, so e is identically zero exactly when N is, and a polynomial is
+zero iff its normal form is empty.  That holds whatever the relations
+between the radicals P_k^(c_k); nothing assumes them independent (the
+pitfall described by Caviness & Fateman, 1976).  A rational function is
+the split with no fractional factor: N is its numerator once every compound
+or atomic denominator is cleared (`clear_denominators`).  An expression
+that does not split (transcendental atoms, constant surds, mixed exponent
+classes, radicals inside a base) gets no exact answer.
 
-A third way decides zero for derivations of a target with radicals in it.
-`power_split` writes such a target f as N * prod P_k^(c_k), with N and
-every P_k polynomials and each c_k rational.  For a vector field X and a
-multiplier w, X(f) - w*f is then prod P_k^(c_k-1) times a rational
-function, and that factor vanishes nowhere where f is defined; the exact
-tier decides the rational function, whatever the c_k (see
-`invariance.relative_invariant_verdicts`).  `exact_nonzero` builds every
-ExactNonzero verdict, here and in `is_zero`.
+`probe_verdict` turns the exact tier's answer into the verdict.  Unless e
+is proved zero, it is probed at seeded random rational points with mpmath
+at the configured precision, and the first point where
+|value| >= 10^-(digits-20) is the witness of ExactNonzero or
+ProbablyNonzero.  The threshold keeps twenty orders of magnitude between
+roundoff and an honest nonzero value.
 
 A probe does not walk the expression tree: each expression is lowered once
 per precision into a straight-line program over raw mpmath values, kept in
@@ -175,16 +176,11 @@ def sample_point(rng: random.Random, atoms, positive=frozenset(), degrees=None) 
 
 # -- denominator clearing (exact tier) ---------------------------------------
 
-def clear_denominators(e: Expr) -> Expr:
-    """Numerator polynomial of a rational-fragment expression: e multiplied
-    by a product of its (nonzero) denominator polynomials, fully expanded."""
-    num, _den = _as_num_den(e)
-    return num
-
-
-def _as_num_den(e: Expr):
-    """(N, D): e == N / prod(D) with N polynomial and D a dict mapping each
-    denominator base (atom or polynomial expression) to its positive power."""
+def clear_denominators(e: Expr):
+    """(N, D) for a rational-fragment expression: e == N / prod(D), with N
+    a polynomial (e times its nonzero denominators, fully expanded) and D a
+    dict mapping each denominator base (atom or polynomial expression) to
+    its positive power."""
     per_term = []
     den_max: dict = {}
     for mono, coeff in e._terms:
@@ -198,7 +194,7 @@ def _as_num_den(e: Expr):
                 else:
                     t_den[b] = t_den.get(b, 0) - k
             elif isinstance(b, Expr):
-                nb, db = _as_num_den(b)
+                nb, db = clear_denominators(b)
                 if k >= 0:
                     raise ExprError("unexpected expanded compound base")
                 for dkey, dpow in db.items():
@@ -233,7 +229,7 @@ def power_split(e: Expr):
     """(N, ((P_1, c_1), ...)) with e == N * prod_k P_k^(c_k), N and every
     P_k polynomials over the atoms and each c_k rational; or None.
 
-    Integer denominators come from `_as_num_den`.  A base under a
+    Integer denominators come from `clear_denominators`.  A base under a
     fractional exponent is factored out at its lowest exponent, provided
     its exponents differ by integers across all terms (a term without it
     counts as exponent 0).  Such a base is positive wherever e is defined;
@@ -267,13 +263,13 @@ def power_split(e: Expr):
                         for mono, coeff in e._terms)
     if not is_rational_fragment(rest):
         return None
-    num, den = _as_num_den(rest)
+    num, den = clear_denominators(rest)
     factors = [(_key_expr(key), Fraction(-p)) for key, p in den.items()]
     for b, c in lows.items():
         if not isinstance(b, Expr) or is_polynomial(b):
             factors.append((_key_expr(b), c))
             continue
-        nb, db = _as_num_den(b)
+        nb, db = clear_denominators(b)
         for key, p in db.items():
             d = _key_expr(key)
             if p % 2:
@@ -538,15 +534,38 @@ def fractional_power_degrees(exprs) -> dict:
 
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
             positive=frozenset()) -> ZeroVerdict:
-    """Certify whether an expression is identically zero.
-
-    Exact verdicts on the rational fragment; elsewhere seeded random probing
-    at `probe.points` admissible points and `probe.digits` digits.  Atoms in
-    ``positive`` are sampled on the positive axis (branch restrictions).
+    """Certify whether an expression is identically zero: the exact tier's
+    answer, completed by probing (`probe_verdict`).  Atoms in ``positive``
+    are sampled on the positive axis (branch restrictions).
     """
-    zero = decide_exactly(e)
-    if zero is not None:
-        return ZeroVerdict(ZeroStatus.EXACT_ZERO) if zero else exact_nonzero(e, probe)
+    return probe_verdict(e, decide_exactly(e), probe, positive)
+
+
+def decide_exactly(e: Expr) -> Optional[bool]:
+    """The exact tier: whether e is identically zero, or None when e does
+    not split.  For e == N * prod P_k^(c_k) (`power_split`) the product is
+    nonzero wherever e is defined, so e is zero iff the polynomial N is,
+    that is iff N's normal form is empty."""
+    if e.is_zero_expr():
+        return True
+    split = power_split(e)
+    return None if split is None else split[0].is_zero_expr()
+
+
+def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
+                  positive) -> ZeroVerdict:
+    """The verdict on e, given the exact tier's answer `zero`.
+
+    True is ExactZero, without probing.  Otherwise e is probed at
+    `probe.points` seeded admissible points at `probe.digits` digits, atoms
+    in ``positive`` on the positive axis.  The first point where
+    |e| >= 10^-(digits-20) is the witness: of ExactNonzero when `zero` is
+    False, of ProbablyNonzero when it is None.  Without such a point the
+    verdict is ProbablyZero, or ExactNonzero without a witness.
+    """
+    if zero:
+        return ZeroVerdict(ZeroStatus.EXACT_ZERO)
+    proved = zero is False
     rng = random.Random(probe.seed)
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
@@ -556,56 +575,14 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}
-                return ZeroVerdict(
-                    ZeroStatus.PROBABLY_NONZERO,
-                    points_tested=probe.points,
-                    precision_digits=probe.digits,
-                    witness=witness,
-                    magnitude=mpmath.nstr(abs(value), 6),
-                )
-    return ZeroVerdict(ZeroStatus.PROBABLY_ZERO,
-                       points_tested=probe.points,
-                       precision_digits=probe.digits)
+                status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
+                return ZeroVerdict(status, probe.points, probe.digits, witness,
+                                   mpmath.nstr(abs(value), 6))
+    status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
+    return ZeroVerdict(status, probe.points, probe.digits)
 
 
-def decide_exactly(e: Expr) -> Optional[bool]:
-    """The exact tier: whether e is identically zero, or None outside the
-    rational fragment.  The cleared numerator is a polynomial, which is
-    zero iff its normal form is empty."""
-    if e.is_zero_expr():
-        return True
-    if not is_rational_fragment(e):
-        return None
-    return clear_denominators(e).is_zero_expr()
-
-
-def exact_nonzero(e: Expr, probe: ProbeConfig) -> ZeroVerdict:
-    """The verdict on a rational-fragment expression already proved
-    nonzero, with a witness point and the magnitude there."""
-    witness, magnitude = _exact_witness(e, probe)
-    return ZeroVerdict(ZeroStatus.EXACT_NONZERO, witness=witness, magnitude=magnitude)
-
-
-def _exact_witness(e: Expr, probe: ProbeConfig):
-    """Best-effort concrete point where an exactly-nonzero rational-fragment
-    expression takes a nonzero value, for the verification log."""
-    rng = random.Random(derive_seed(probe.seed, "witness"))
-    atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
-    for _ in range(MAX_RETRIES):
-        point = sample_point(rng, atoms)
-        try:
-            value = eval_exact(e, point)
-        except (_BadPoint, ExactEvalError):
-            continue
-        if value:
-            witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
-                       for a, v in point.items()}
-            return witness, mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator, 6)
-    return None, None
-
-
-def _probe_once(e: Expr, atoms, rng: random.Random, probe: ProbeConfig,
-                positive=frozenset()):
+def _probe_once(e: Expr, atoms, rng: random.Random, probe: ProbeConfig, positive):
     for _ in range(MAX_RETRIES):
         point = sample_point(rng, atoms, positive)
         try:

@@ -16,6 +16,7 @@ from liesym.numeric import (
     ZeroStatus,
     eval_mp,
     is_zero,
+    probe_verdict,
     sample_point,
 )
 
@@ -74,16 +75,19 @@ def test_hyperbolic_branch_domains_are_disjoint():
 
 
 def test_affine_algebra_residual_tier_and_finite_differences():
-    # the shear-generator residual of the fifth-order invariant is certified
-    # probabilistically, and a directional finite difference at one probe
-    # point agrees with the symbolic evaluation
+    # the shear-generator residual of the fifth-order invariant, which holds
+    # radicals, is proved zero through its power-product split; the probe
+    # tier on its own agrees, and a directional finite difference at one
+    # probe point agrees with the symbolic evaluation
     con = rec("(6,6)")
     phi1 = con.invariants[0][1]
     X4 = con.fields[3]  # y * d/dx
     residual = apply_prolonged(prolong(X4, 5), phi1)
-    verdict = is_zero(residual, PR)
-    assert verdict.status == ZeroStatus.PROBABLY_ZERO
-    assert verdict.points_tested == 20 and verdict.precision_digits == 50
+    assert not E.is_rational_fragment(residual)
+    assert is_zero(residual, PR).status == ZeroStatus.EXACT_ZERO
+    probed = probe_verdict(residual, None, PR, frozenset())
+    assert probed.status == ZeroStatus.PROBABLY_ZERO
+    assert probed.points_tested == 20 and probed.precision_digits == 50
 
     atoms = sorted(E.leaf_atoms(phi1) | E.leaf_atoms(X4.xi) | {E.indep(), E.dep()},
                    key=lambda a: a._key)

@@ -274,10 +274,41 @@ def test_worker_death_is_a_failed_row(monkeypatch, tmp_path, capsys):
     assert len(dead) == 1 and dead[0]["check"] == "worker" and not dead[0]["pass"]
     assert dead[0]["verdicts"][0].startswith("BrokenProcessPool: ")
     assert "FAIL (11,3) worker" in capsys.readouterr().err
-    # a record is either checked in full or one failed `worker` row
+    # only the record that kills its worker loses its rows
     for label in ("(10,2)", "(13,4)"):
-        mine = [r["check"] for r in rows if r["record"] == label]
-        assert mine == ["worker"] or "worker" not in mine
+        assert "worker" not in [r["check"] for r in rows if r["record"] == label]
+
+
+def test_worker_death_fails_only_the_record_that_caused_it(monkeypatch):
+    import os
+
+    import liesym.harness as harness
+
+    def rows(report):
+        out = {}
+        for r in report.results:
+            j = r.to_json()
+            j.pop("elapsed_ms")
+            out.setdefault(r.record, []).append(j)
+        return out
+
+    want = rows(harness.run_verification(filter_glob="(1*"))
+    inner = harness.run_record_checks
+
+    def dies_on_one_record(rec, *args):
+        if rec.label == "(11,3)":
+            os._exit(1)
+        return inner(rec, *args)
+
+    # the pools fork their workers, so they run the patched module; the
+    # death breaks the pool for every pending record, and each of those is
+    # rerun on its own
+    monkeypatch.setattr(harness, "run_record_checks", dies_on_one_record)
+    got = rows(harness.run_verification(filter_glob="(1*", workers=2))
+    assert set(got) == set(want) and len(want) == 9
+    dead = got.pop("(11,3)")
+    assert [r["check"] for r in dead] == ["worker"] and not dead[0]["pass"]
+    assert got == {label: r for label, r in want.items() if label != "(11,3)"}
 
 
 def test_verify_ends_with_a_summary_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The power-product split and the exact decision of pr(X)(f) = w*f checks
-through the logarithmic derivative of the split."""
+"""The power-product split, the exact tier built on it, and the exact
+decision of pr(X)(f) = w*f checks through the logarithmic derivative of the
+split."""
 
 import random
 from fractions import Fraction as F
@@ -10,16 +11,22 @@ from hypothesis import given, settings, strategies as st
 
 from liesym import expr as E
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
-from liesym.invariance import check_differential_invariant, relative_invariant_verdicts
+from liesym.invariance import (
+    _log_derivative_numerator,
+    check_differential_invariant,
+    relative_invariant_verdicts,
+)
 from liesym.invdiff import apply_D
 from liesym.jet import apply_prolonged, prolong, total_derivative
 from liesym.numeric import (
     ProbeConfig,
     ZeroStatus,
     _BadPoint,
+    decide_exactly,
     eval_mp,
     is_zero,
     power_split,
+    probe_verdict,
     sample_point,
 )
 from sympy_oracle import to_sympy
@@ -92,6 +99,38 @@ def test_split_reproduces_the_target(target):
         if admissible == 5:
             break
     assert admissible > 0
+
+
+@st.composite
+def polynomials(draw, constant_term=True):
+    """Up to three terms in x, y and y' of degree at most 2 in each, with
+    small rational coefficients; no constant term when asked."""
+    p = E.ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        term = E.Expr.rational(F(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
+        for a in ATOMS[:3]:
+            term = term * a ** draw(st.integers(0, 2))
+        if not constant_term:
+            term = term * draw(st.sampled_from(ATOMS[:3]))
+        p = p + term
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), polynomials(), polynomials(constant_term=False),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6), st.booleans())
+def test_exact_tier_decides_a_split_sum(A, B, Q, c, cancel):
+    # A*P^c + B*P^(c+1) == P^c * (A + B*P), and P = 1 + (60*Q)^2 is
+    # positive, with integer coefficients and content 1, so the sum is
+    # zero exactly when A + B*P is
+    Q = 60 * Q
+    P = 1 + Q * Q
+    if cancel:
+        A = -B * P
+    e = A * P ** c + B * P ** (c + 1)
+    zero = decide_exactly(e)
+    assert zero == (A + B * P).is_zero_expr()
+    assert probe_verdict(e, None, PR, frozenset()).is_zero == zero
 
 
 def test_split_merges_a_base_and_its_negation():
@@ -175,21 +214,47 @@ def _default_checks():
 
 
 def test_split_verdicts_agree_with_the_residual_zero_test():
-    # every new zero is a zero of is_zero(residual), every nonzero verdict
-    # (status, witness, magnitude) is the one is_zero(residual) gives
-    upgraded = rejected = 0
+    # every verdict is the one is_zero(residual) gives, or an exact verdict
+    # where is_zero(residual) gives the probable one with the same witness
+    # and magnitude; more than a hundred are exact although the residual
+    # holds radicals, the 37 nonzero ones among them proved through D_X
+    upgrades = {(ZeroStatus.EXACT_ZERO, ZeroStatus.PROBABLY_ZERO),
+                (ZeroStatus.EXACT_NONZERO, ZeroStatus.PROBABLY_NONZERO)}
+    with_radicals = nonzero_with_radicals = rejected = 0
     for label, fields, f, weighted, perturbed in _default_checks():
         new = relative_invariant_verdicts(fields, f, _weight if weighted else None, PR)
-        old = [is_zero(_residual(X_, f, weighted), PR) for X_ in fields]
-        for a, b in zip(new, old):
+        for X_, a in zip(fields, new):
+            residual = _residual(X_, f, weighted)
+            b = is_zero(residual, PR)
             if a != b:
-                assert (a.status, b.status) == (ZeroStatus.EXACT_ZERO,
-                                                ZeroStatus.PROBABLY_ZERO), label
-                upgraded += 1
+                assert (a.status, b.status) in upgrades, label
+                assert (a.witness, a.magnitude) == (b.witness, b.magnitude), label
+            if a.is_exact and not E.is_rational_fragment(residual):
+                with_radicals += 1
+                nonzero_with_radicals += a.status == ZeroStatus.EXACT_NONZERO
         if perturbed:
             assert not all(v.is_zero for v in new), label
             rejected += 1
-    assert upgraded >= 50 and rejected >= 60
+    assert with_radicals >= 100 and nonzero_with_radicals >= 37 and rejected >= 60
+
+
+def test_negatives_residual_with_radicals_is_exact_nonzero():
+    # the negatives workload's perturbed lambda*(1 + c*x) of (8,8): under the
+    # eighth field the residual holds radicals, D_X is proved nonzero, and
+    # the verdict is ExactNonzero with the probe tier's witness
+    con = _default("(8,8)")
+    f = con.lam * (X * F(3, 7) + 1)
+    X_ = con.fields[7]
+    residual = _residual(X_, f, True)
+    assert not E.is_rational_fragment(residual)
+    PX = prolong(X_, E.max_jet_order(f))
+    assert decide_exactly(_log_derivative_numerator(PX, _weight(X_), *power_split(f))) is False
+    verdict, = relative_invariant_verdicts([X_], f, _weight, PR)
+    assert verdict.status == ZeroStatus.EXACT_NONZERO
+    assert verdict.witness is not None and verdict.magnitude is not None
+    probed = probe_verdict(residual, None, PR, frozenset())
+    assert probed.status == ZeroStatus.PROBABLY_NONZERO
+    assert (verdict.witness, verdict.magnitude) == (probed.witness, probed.magnitude)
 
 
 @pytest.mark.parametrize("label,check,field", [
@@ -204,7 +269,12 @@ def test_upgraded_residuals_vanish_under_sympy(label, check, field):
     f = con.lam if weighted else con.invariants[int(check[3:]) - 1][1]
     X_ = con.fields[field]
     residual = _residual(X_, f, weighted)
-    assert is_zero(residual, PR).status == ZeroStatus.PROBABLY_ZERO
+    # the residual holds radicals: the probe tier alone gives a probable
+    # zero, the splits of the residual and of the target prove it, and
+    # sympy confirms it independently
+    assert not E.is_rational_fragment(residual)
+    assert probe_verdict(residual, None, PR, frozenset()).status == ZeroStatus.PROBABLY_ZERO
+    assert is_zero(residual, PR).status == ZeroStatus.EXACT_ZERO
     verdict, = relative_invariant_verdicts([X_], f, _weight if weighted else None, PR)
     assert verdict.status == ZeroStatus.EXACT_ZERO
     assert sympy.simplify(to_sympy(sympy, residual)) == 0
