@@ -32,6 +32,17 @@ Sums of many pieces are built in a single pass: :func:`expr_sum` and
 monomial -> coefficient and normalize once, instead of copying and
 re-sorting a growing sum at every ``+``.  Coefficient addition is exact, so
 the result is structurally identical to the left fold.
+
+Input that is already in normal form takes a direct route, and each route
+keeps one invariant: its result is structurally identical to the generic
+route's (the same terms, key and hash, and an ``int`` wherever the normal
+form requires one).  An atom is immutable, so its one-term expression is
+built once and shared (:meth:`Atom.as_expr`).  A one-term accumulator is
+keyed with no sort.  A term product with an empty monomial is the other
+monomial with the product coefficient.  :func:`diff` applies the
+power rule in place to a base that is the differentiation atom: lowering an
+exponent, or dropping the base at exponent 1, keeps the bases in order, so
+the monomial needs no rebuild.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ class Atom:
     equal exactly when their function names and normalized arguments agree.
     """
 
-    __slots__ = ("kind", "order", "name", "fn", "arg", "_key", "_hash")
+    __slots__ = ("kind", "order", "name", "fn", "arg", "_key", "_hash", "_expr")
 
     def __init__(self, kind: str, order: int = 0, name: str = "",
                  fn: str = "", arg: "Expr | None" = None):
@@ -90,6 +101,7 @@ class Atom:
             extra = ()
         self._key = ("a", _KIND_RANK[kind]) + extra
         self._hash = hash(self._key)
+        self._expr = None
 
     def __eq__(self, other):
         return isinstance(other, Atom) and self._key == other._key
@@ -101,7 +113,11 @@ class Atom:
         return f"Atom({atom_name(self)})"
 
     def as_expr(self) -> "Expr":
-        return _expr_from_terms({((self, 1),): 1})
+        """The one-term expression of the atom, built once and shared."""
+        e = self._expr
+        if e is None:
+            e = self._expr = _expr_from_terms({((self, 1),): 1})
+        return e
 
 
 _ATOM_CACHE: dict = {}
@@ -362,6 +378,11 @@ def sum_of_products(pairs) -> Expr:
 
 
 def _expr_from_terms(acc: Mapping) -> Expr:
+    if len(acc) == 1:
+        (m, c), = acc.items()
+        if not c:
+            return ZERO
+        return Expr(((m, c),), ((_mono_key(m), (c.numerator, c.denominator)),))
     items = [(_mono_key(m), m, c) for m, c in acc.items() if c]
     items.sort(key=itemgetter(0))
     terms = tuple([(m, c) for _, m, c in items])
@@ -388,6 +409,10 @@ def _term_product(m1, c1, m2, c2):
     coeff = c1 * c2
     if type(coeff) is not int:
         coeff = _normal(coeff)
+    if not m2:
+        return m1, coeff
+    if not m1:
+        return m2, coeff
     out = []
     needs_rework = False
     i = j = 0
@@ -395,7 +420,8 @@ def _term_product(m1, c1, m2, c2):
     while i < n1 and j < n2:
         b1, e1 = m1[i]
         b2, e2 = m2[j]
-        k1, k2 = _base_key(b1), _base_key(b2)
+        k1 = b1._key if type(b1) is Atom else _base_key(b1)
+        k2 = b2._key if type(b2) is Atom else _base_key(b2)
         if k1 < k2:
             out.append(m1[i])
             i += 1
@@ -582,6 +608,15 @@ def diff(e: Expr, a: Atom) -> Expr:
     acc: dict = {}
     for mono, coeff in e._terms:
         for i, (b, ex) in enumerate(mono):
+            if type(b) is Atom and b._key == a._key:
+                # power rule: the base keeps its place, so the monomial
+                # stays sorted and needs no rebuild
+                c = coeff * ex
+                if type(c) is not int:
+                    c = _normal(c)
+                lowered = () if ex == 1 else ((b, ex - 1),)
+                _acc_add(acc, mono[:i] + lowered + mono[i + 1:], c)
+                continue
             db = _diff_base(b, a)
             if db.is_zero_expr():
                 continue
@@ -594,9 +629,8 @@ def diff(e: Expr, a: Atom) -> Expr:
 
 
 def _diff_base(b, a: Atom) -> Expr:
+    """d b / d a for a base other than `a` itself (`diff` takes that one)."""
     if isinstance(b, Atom):
-        if b == a:
-            return ONE
         if b.kind == "transc":
             inner = diff(b.arg, a)
             if inner.is_zero_expr():

@@ -87,12 +87,6 @@ def _derivative_ladder(f: Expr, order: int) -> list:
     return out
 
 
-def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
-    """[A_0, ..., A_{n-1}] for y^(n) = sum A_i y^(i) with the given simple
-    roots; raises DuplicateRoots on a repeated root."""
-    return char_spec_coeffs(CharSpec(real_roots=tuple(roots)))
-
-
 def char_spec_coeffs(spec: CharSpec) -> List[Fraction]:
     """Real coefficients for a root set with complex pairs: multiply the
     real linear factors and the rational quadratics t^2 - 2a t + (a^2+b^2)."""
@@ -180,10 +174,6 @@ def solution_symmetries(solutions: Sequence[Expr]) -> List[VectorField]:
 
 def homogeneity_symmetry() -> VectorField:
     return VectorField(ZERO, dep().as_expr())
-
-
-def translation_symmetry() -> VectorField:
-    return VectorField(ONE, ZERO)
 
 
 def prop1_symmetries(xis: Sequence[Expr], lowest_index: int) -> List[VectorField]:

@@ -1,4 +1,4 @@
-"""An oracle for `liesym.linear_ode.coeffs_from_roots`, independent of it.
+"""An oracle for `linear_ode_helpers.coeffs_from_roots`, independent of it.
 
 For distinct roots a_1..a_n the coefficients A_i of y^(n) = sum A_i y^(i)
 solve the Vandermonde system V X = B with B = (a_1^n, ..., a_n^n)^T.  This

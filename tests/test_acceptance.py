@@ -27,13 +27,13 @@ from liesym.liedet import lie_determinant, singular_equations
 from liesym.linear_ode import (
     CharSpec,
     char_spec_coeffs,
-    coeffs_from_roots,
     coeffs_from_solutions,
     prop1_symmetries,
 )
 from liesym.numeric import ProbeConfig, ZeroStatus, is_zero
 from liesym.parse import Context, parse_expression, parse_vector_field
 
+from linear_ode_helpers import coeffs_from_roots
 from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 
 RECORDS = load_catalog()

@@ -1,0 +1,169 @@
+"""The kernel's direct routes against the generic route they short-cut.
+
+Four routes skip work on input that is already in normal form: an atom's
+shared one-term expression, a one-term `_expr_from_terms` with no sort, a
+term product with an empty monomial, and the power rule in `diff` for a base
+that is the differentiation atom.  Each must build exactly the `Expr` the
+generic route builds: the same terms, the same key and hash, and an `int`
+wherever the normal form requires one.  The references below are the generic
+route written out: every term sorted by monomial key, and the product rule
+through `_make_term` and `_mul_into` for every base.
+"""
+
+import pickle
+from fractions import Fraction as F
+from operator import itemgetter
+
+import mpmath
+from hypothesis import given, strategies as st
+
+from liesym import expr as E
+from liesym.expr import Expr, diff, renormalized, substitute
+from liesym.numeric import eval_mp, is_zero, power_split
+
+from test_expr import _assert_normal_exponents
+from test_sums import ref_term_product
+
+X = E.indep().as_expr()
+Y = E.dep().as_expr()
+A = E.param("a").as_expr()
+
+
+def J(k):
+    return E.jet(k).as_expr()
+
+
+# -- the generic route -----------------------------------------------------------
+
+def sorted_from_terms(acc) -> Expr:
+    """`_expr_from_terms` through the sort, for any number of entries."""
+    items = [(E._mono_key(m), m, c) for m, c in acc.items() if c]
+    items.sort(key=itemgetter(0))
+    return Expr(tuple((m, c) for _, m, c in items),
+                tuple((k, (c.numerator, c.denominator)) for k, _, c in items))
+
+
+def product_rule_diff(e: Expr, a: E.Atom) -> Expr:
+    """d e / d a with every base, the atom `a` included, rebuilt by
+    `_make_term` and multiplied by its derivative through `_mul_into`."""
+    acc: dict = {}
+    for mono, coeff in e.terms:
+        for b, ex in mono:
+            db = E.ONE if b == a else E._diff_base(b, a)
+            if db.is_zero_expr():
+                continue
+            rest = dict(mono)
+            rest[b] = ex - 1
+            E._mul_into(acc, E._make_term(coeff * ex, rest), db)
+    return sorted_from_terms(acc)
+
+
+# -- random expressions ------------------------------------------------------------
+#
+# Terms over x, y, y', y'' and a parameter, with integer, negative and
+# fractional exponents, fractional coefficients, and one compound base that
+# holds two of the atoms (so its derivative goes through the chain rule).
+# Coefficients with denominators 2 and 3 against exponents such as 2/3 and
+# 3/2 make products coeff*ex that are integral: the power rule must give ints.
+
+_ATOMS = [E.indep(), E.dep(), E.jet(1), E.jet(2), E.param("a")]
+_COMPOUND = 1 + X * J(1)
+_EXPONENTS = [1, 2, 3, -1, -2, F(1, 2), F(-1, 2), F(2, 3), F(3, 2), F(-3, 2), F(-5, 3)]
+_COMPOUND_EXPONENTS = [-1, -2, F(1, 2), F(-1, 2), F(2, 3), F(-3, 2)]
+
+_factors = st.one_of(
+    st.tuples(st.sampled_from(_ATOMS), st.sampled_from(_EXPONENTS)).map(
+        lambda t: t[0].as_expr() ** t[1]),
+    st.sampled_from(_COMPOUND_EXPONENTS).map(lambda r: _COMPOUND ** r),
+)
+
+
+@st.composite
+def _terms(draw):
+    out = Expr.rational(draw(st.fractions(-4, 4, max_denominator=3)))
+    for f in draw(st.lists(_factors, max_size=4)):
+        out = out * f
+    return out
+
+
+_exprs = st.lists(_terms(), min_size=1, max_size=4).map(E.expr_sum)
+
+
+@given(_exprs, st.sampled_from(_ATOMS))
+def test_power_rule_route_matches_product_rule(e, a):
+    got = diff(e, a)
+    ref = product_rule_diff(e, a)
+    assert got._key == ref._key and got._hash == ref._hash
+    assert got.terms == ref.terms
+    again = renormalized(got)
+    assert again._key == got._key and again._hash == got._hash
+    _assert_normal_exponents(got)
+
+
+def test_power_rule_route_examples():
+    x, y1 = E.indep(), E.jet(1)
+    # the exponent-1 base is dropped, not kept at exponent 0
+    assert diff(X * J(1), x).terms == ((((y1, 1),), 1),)
+    # 3/2 * x^(2/3) differentiates to the int coefficient 1
+    (mono, c), = diff(F(3, 2) * X ** F(2, 3), x).terms
+    assert mono == ((x, F(-1, 3)),) and type(c) is int and c == 1
+    # an atom equal to the interned one but built apart takes the same route
+    twin = E.Atom("jet", order=1)
+    assert twin is not y1 and diff(J(1) ** 3, twin) == 3 * J(1) ** 2
+
+
+@given(_exprs, st.fractions(-4, 4, max_denominator=3).filter(bool))
+def test_term_product_with_empty_monomial_matches_merge(e, c):
+    c = E._normal(c)
+    for mono, coeff in e.terms:
+        for args in ((mono, coeff, (), c), ((), c, mono, coeff)):
+            got = E._term_product(*args)
+            ref = ref_term_product(*args)
+            assert got == ref
+            assert type(got[1]) is (int if got[1].denominator == 1 else F)
+
+
+@given(_exprs)
+def test_single_entry_from_terms_matches_sorted_route(e):
+    for mono, coeff in e.terms:
+        got = E._expr_from_terms({mono: coeff})
+        ref = sorted_from_terms({mono: coeff})
+        assert got._key == ref._key and got._hash == ref._hash
+        assert got.terms == ref.terms
+    assert E._expr_from_terms({(): 0}) == E.ZERO
+    assert E._expr_from_terms({((E.indep(), 2),): 0}).is_zero_expr()
+
+
+# -- shared atom expressions -------------------------------------------------------
+
+def test_atom_expression_is_shared():
+    assert E.jet(3).as_expr() is E.jet(3).as_expr()
+    assert E.param("a").as_expr() is A
+    shared = X
+    key = E._base_key(shared)
+    assert E.is_rational_fragment(shared)
+    # mixed use: products, a compound base, derivatives, substitution,
+    # the exact tier, and the numeric program cached on the shared object
+    compound = (1 + shared * Y) ** F(-1, 2)
+    assert diff(compound, E.indep()) == F(-1, 2) * Y * (1 + X * Y) ** F(-3, 2)
+    assert substitute(shared * Y, {E.dep(): shared}) == X ** 2
+    assert is_zero(shared * shared - X ** 2).is_zero
+    assert power_split(compound * shared) is not None
+    assert eval_mp(shared, {E.indep(): F(3)}, 30) == 3
+    assert eval_mp(shared, {E.indep(): F(-1, 4)}, 30) == mpmath.mpf(-1) / 4
+    assert E.is_rational_fragment(shared)
+    assert not E.is_rational_fragment(compound)
+    assert E._base_key(shared) == key == ("e",) + shared._key
+    assert shared is E.indep().as_expr() and shared.terms == ((((E.indep(), 1),), 1),)
+
+
+def test_atom_pickle_round_trip():
+    atoms = [E.indep(), E.dep(), E.jet(3), E.param("alpha"),
+             E.transcendental("exp", X * J(1)).terms[0][0][0][0]]
+    for atom in atoms:
+        atom.as_expr()  # the copy carries the filled cache too
+        copy = pickle.loads(pickle.dumps(atom))
+        assert copy == atom and hash(copy) == hash(atom)
+        assert copy.as_expr() == atom.as_expr()
+        if atom.kind != "transc":
+            assert diff(copy.as_expr() ** 2, atom) == 2 * atom.as_expr()

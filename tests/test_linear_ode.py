@@ -11,17 +11,16 @@ from liesym.linear_ode import (
     CharSpec,
     DependentSolutions,
     DuplicateRoots,
-    coeffs_from_roots,
     coeffs_from_solutions,
     fundamental_solutions,
     homogeneity_symmetry,
     linear_ode_from_spec,
     prop1_symmetries,
     solution_symmetries,
-    translation_symmetry,
 )
 from liesym.numeric import ProbeConfig, is_zero
 
+from linear_ode_helpers import coeffs_from_roots, translation_symmetry
 from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 from sympy_oracle import to_sympy
 
