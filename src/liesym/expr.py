@@ -42,7 +42,16 @@ keyed with no sort.  A term product with an empty monomial is the other
 monomial with the product coefficient.  :func:`diff` applies the
 power rule in place to a base that is the differentiation atom: lowering an
 exponent, or dropping the base at exponent 1, keeps the bases in order, so
-the monomial needs no rebuild.
+the monomial needs no rebuild.  :func:`substitute` passes through what its
+bindings do not touch: a term with no touched base goes into the
+accumulator as it is, and any other term starts from its untouched atoms and
+the untouched bases before its first touched one (still sorted), then
+multiplies in the rest in order, a touched base substituted and an
+untouched one as itself.  A base is touched when it is a bound atom, a
+transcendental atom whose argument holds one, or a compound base that holds
+one.  Only compound and prime bases re-expand when exponents merge, so
+keeping their order keeps every intermediate product of the left fold.
+``-`` adds the negated terms of its right operand with no negated copy.
 """
 
 from __future__ import annotations
@@ -266,10 +275,16 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self._terms)
+        for mono, c in other._terms:
+            _acc_add(acc, mono, -c)
+        return _expr_from_terms(acc)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -290,7 +305,10 @@ class Expr:
         return self * other.pow(-1)
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.pow(-1)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.pow(-1)
 
     def __pow__(self, exponent):
         return self.pow(exponent)
@@ -645,20 +663,50 @@ def _diff_base(b, a: Atom) -> Expr:
 # -- substitution ------------------------------------------------------------
 
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
-    """Simultaneous replacement of atoms by expressions, renormalized."""
+    """Simultaneous replacement of atoms by expressions, renormalized: the
+    left fold over each term's bases, with the module docstring's pass-through."""
     if not bindings:
         return e
-    return sum_of_products([_subst_term(mono, coeff, bindings)
-                            for mono, coeff in e._terms])
+    bound = {a._key for a in bindings}
+    acc: dict = {}
+    for mono, coeff in e._terms:
+        kept = []
+        rest = []  # multiplied in in order, from the first touched base on
+        for b, ex in mono:
+            touched = _touched(b, bound)
+            if touched or rest and type(b) is not Atom:
+                rest.append(_subst_base(b, bindings).pow(ex) if touched
+                            else _expr_from_terms({((b, ex),): 1}))
+            else:
+                kept.append((b, ex))
+        if not rest:
+            _acc_add(acc, mono, coeff)
+            continue
+        head = _expr_from_terms({tuple(kept): coeff})
+        for piece in rest[:-1]:
+            head = head * piece
+        _mul_into(acc, head, rest[-1])
+    return _expr_from_terms(acc)
 
 
-def _subst_term(mono, coeff, bindings):
-    """The substituted term as a pair (head, tail) with head*tail equal to
-    coeff * base_1^e_1 * ... * base_k^e_k multiplied left to right."""
-    head, tail = Expr.rational(coeff), ONE
-    for b, ex in mono:
-        head, tail = head * tail, _subst_base(b, bindings).pow(ex)
-    return head, tail
+def _touched(b, bound) -> bool:
+    """Whether a substitution binding the atom keys `bound` changes base b."""
+    if type(b) is Atom:
+        if b._key in bound:
+            return True
+        return b.kind == "transc" and not bound.isdisjoint(_atom_keys(b.arg))
+    return isinstance(b, Expr) and not bound.isdisjoint(_atom_keys(b))
+
+
+def _atom_keys(e: Expr) -> frozenset:
+    """The keys of every atom in e, cached on e.  Keys, not atoms: pickle
+    rebuilds an atom's shared expression, and so a set of atoms cached on
+    it, before it restores the atom's `_hash`."""
+    keys = e._flags.get("atom_keys")
+    if keys is None:
+        keys = e._flags["atom_keys"] = frozenset(
+            [b._key for b, _ in walk_bases(e) if type(b) is Atom])
+    return keys
 
 
 def _subst_base(b, bindings) -> Expr:
@@ -746,28 +794,6 @@ def is_polynomial(e: Expr) -> bool:
             if ex.denominator != 1 or ex < 0:
                 return False
     return True
-
-
-def renormalized(e: Expr) -> Expr:
-    """Rebuild the expression from scratch through the public constructors
-    (used to assert idempotence of normalization).  It sums with ``+`` on
-    purpose, not with :func:`expr_sum`, so that it stays an oracle
-    independent of the single-pass sums it checks."""
-    out = ZERO
-    for mono, coeff in e._terms:
-        piece = Expr.rational(coeff)
-        for b, ex in mono:
-            if isinstance(b, Atom):
-                if b.kind == "transc":
-                    piece = piece * transcendental(b.fn, renormalized(b.arg)).pow(ex)
-                else:
-                    piece = piece * b.as_expr().pow(ex)
-            elif isinstance(b, Expr):
-                piece = piece * renormalized(b).pow(ex)
-            else:
-                piece = piece * _make_term(1, {b: ex})
-        out = out + piece
-    return out
 
 
 # -- printing ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Invariant differentiation: certify lambda candidates against the defining
-linear PDE pr(X)(lambda) = lambda * D_x(xi), apply D = lambda * D_x to climb
-from an invariant of order k to one of order k+1, and run the two-invariant
-recursion w_k = D_x(w_{k-1}) / D_x(w_{k-2})."""
+linear PDE pr(X)(lambda) = lambda * D_x(xi), and apply D = lambda * D_x to
+climb from an invariant of order k to one of order k+1."""
 
 from __future__ import annotations
 
@@ -9,21 +8,10 @@ from typing import List, Sequence
 
 import mpmath
 
-from .expr import Expr, ExprError, diff, leaf_atoms
+from .expr import Expr, diff, leaf_atoms
 from .invariance import generic_rank, relative_invariant_verdicts
 from .jet import VectorField, total_derivative
-from .numeric import (
-    DEFAULT_PROBE,
-    ProbeConfig,
-    ZeroStatus,
-    ZeroVerdict,
-    eval_mp,
-    is_zero,
-)
-
-
-class DegenerateDenominator(ExprError):
-    pass
+from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroVerdict, eval_mp
 
 
 def verify_lambda(fields: Sequence[VectorField], lam: Expr,
@@ -36,30 +24,6 @@ def apply_D(lam: Expr, phi: Expr) -> Expr:
     """D(phi) = lambda * D_x(phi), normalized; raises MaxOrderExceeded at
     the jet cap."""
     return lam * total_derivative(phi)
-
-
-def lie_recursion(u: Expr, v: Expr, steps: int) -> List[Expr]:
-    """[w_1, ..., w_{steps+1}] with w_1 = v and
-    w_k = D_x(w_{k-1}) / D_x(w_{k-2}), seeded by w_0 = u.
-
-    Each quotient of total derivatives of invariants is again an invariant.
-    Raises DegenerateDenominator when a denominator derivative vanishes
-    identically.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = [v]
-    prev, cur = u, v
-    for _ in range(steps):
-        den = total_derivative(prev)
-        if is_zero(den).status == ZeroStatus.EXACT_ZERO:
-            raise DegenerateDenominator(
-                "total derivative of the previous invariant is identically zero")
-        num = total_derivative(cur)
-        nxt = num / den
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
 
 
 def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE) -> int:

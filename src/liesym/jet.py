@@ -4,6 +4,10 @@ A point vector field xi(x,y)*Dx + eta(x,y)*Dy is prolonged to order k by the
 recursion eta[j] = D_x(eta[j-1]) - y^(j) * D_x(xi) with eta[0] = eta, where
 D_x = d/dx + y'*d/dy + sum_k y^(k+1)*d/dy^(k) is the total derivative.  The
 coefficient eta[j] involves jets of order at most j.
+
+Prolongation is memoized by field value: each field keeps D_x(xi) and the
+coefficients built so far, and a higher order extends that list, so a field
+is prolonged once per process whatever the orders asked of it.
 """
 
 from __future__ import annotations
@@ -64,20 +68,24 @@ def total_derivative(e: Expr) -> Expr:
         + [(jet(k + 1).as_expr(), diff(e, jet(k))) for k in range(1, limit + 1)])
 
 
+# VectorField -> [D_x(xi), [eta[1], eta[2], ...]], like expr's _DIFF_CACHE.
+_PROLONG_CACHE: dict = {}
+
+
 def prolong(X: VectorField, k: int) -> ProlongedField:
     """Prolongation to order k (0 <= k <= MAX_JET_ORDER)."""
     if k < 0:
         raise ValueError("prolongation order must be >= 0")
     if k > MAX_JET_ORDER:
         raise MaxOrderExceeded(f"prolongation order {k} exceeds limit {MAX_JET_ORDER}")
-    dxi = total_derivative(X.xi)
-    coeffs = []
-    prev = X.eta
-    for j in range(1, k + 1):
-        cur = total_derivative(prev) - jet(j).as_expr() * dxi
-        coeffs.append(cur)
-        prev = cur
-    return ProlongedField(X, k, tuple(coeffs))
+    entry = _PROLONG_CACHE.get(X)
+    if entry is None:
+        entry = _PROLONG_CACHE[X] = [total_derivative(X.xi), []]
+    dxi, coeffs = entry
+    for j in range(len(coeffs) + 1, k + 1):
+        prev = coeffs[-1] if coeffs else X.eta
+        coeffs.append(total_derivative(prev) - jet(j).as_expr() * dxi)
+    return ProlongedField(X, k, tuple(coeffs[:k]))
 
 
 def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:

@@ -1,6 +1,7 @@
 """Kernel behaviors: normalization, single-pass sums, differentiation,
 substitution."""
 
+import operator
 import random
 from fractions import Fraction as F
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from liesym import expr as E
 from liesym.catalog import instantiate, load_catalog
-from liesym.expr import Expr, diff, expr_sum, renormalized, substitute, sum_of_products
+from liesym.expr import Expr, diff, expr_sum, substitute, sum_of_products
 from liesym.numeric import ZeroStatus, is_zero
+
+from expr_helpers import renormalized
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -105,6 +108,13 @@ def test_substitute_examples():
     e = X + Y
     out = substitute(e, {E.indep(): Y, E.dep(): X})
     assert out == X + Y
+
+
+@pytest.mark.parametrize("op", [operator.sub, operator.truediv])
+def test_reflected_operators_refuse_unsupported_types(op):
+    for left, right in ((3.5, X), (X, 3.5)):
+        with pytest.raises(TypeError, match="float"):
+            op(left, right)
 
 
 def test_substitute_into_transcendental_arguments():

@@ -1,13 +1,17 @@
 """The kernel's direct routes against the generic route they short-cut.
 
-Four routes skip work on input that is already in normal form: an atom's
+Six routes skip work on input that is already in normal form: an atom's
 shared one-term expression, a one-term `_expr_from_terms` with no sort, a
-term product with an empty monomial, and the power rule in `diff` for a base
-that is the differentiation atom.  Each must build exactly the `Expr` the
-generic route builds: the same terms, the same key and hash, and an `int`
-wherever the normal form requires one.  The references below are the generic
-route written out: every term sorted by monomial key, and the product rule
-through `_make_term` and `_mul_into` for every base.
+term product with an empty monomial, the power rule in `diff` for a base
+that is the differentiation atom, `substitute` passing through the terms
+and bases its bindings do not touch, and `-` adding the negated terms of
+its right operand with no negated copy.  Each must build exactly the `Expr`
+the generic route builds: the same terms, the same key and hash, and an
+`int` wherever the normal form requires one.  The references below are the
+generic route written out: every term sorted by monomial key, the product
+rule through `_make_term` and `_mul_into` for every base, the substitution
+as a left fold over every base (`test_sums.ref_substitute`), and
+subtraction as the sum with the negation.
 """
 
 import pickle
@@ -15,14 +19,16 @@ from fractions import Fraction as F
 from operator import itemgetter
 
 import mpmath
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from liesym import expr as E
-from liesym.expr import Expr, diff, renormalized, substitute
+from liesym.expr import Expr, diff, substitute
 from liesym.numeric import eval_mp, is_zero, power_split
 
+from expr_helpers import renormalized
 from test_expr import _assert_normal_exponents
-from test_sums import ref_term_product
+from test_sums import ref_substitute, ref_term_product
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -167,3 +173,89 @@ def test_atom_pickle_round_trip():
         assert copy.as_expr() == atom.as_expr()
         if atom.kind != "transc":
             assert diff(copy.as_expr() ** 2, atom) == 2 * atom.as_expr()
+
+
+# -- substitution passes untouched terms through ---------------------------------
+#
+# Bindings of y, y' or y'' to the random factors or expressions above, into
+# terms that also carry transcendental atoms whose argument holds y, y'' or
+# neither, and the compound base 1 + x*y' (touched by a binding of y' only).
+# Bound values under fractional powers become compound bases of their own.
+
+_TRANSC = [E.transcendental("exp", J(2)), E.transcendental("arctan", X * Y),
+           E.transcendental("sin", 1 + X ** 2)]
+_subst_factors = st.one_of(
+    _factors,
+    st.tuples(st.sampled_from(_TRANSC), st.sampled_from([1, 2, -1, F(1, 2)])).map(
+        lambda t: t[0] ** t[1]),
+)
+
+
+@st.composite
+def _subst_terms(draw):
+    out = Expr.rational(draw(st.fractions(-4, 4, max_denominator=3)))
+    for f in draw(st.lists(_subst_factors, max_size=4)):
+        out = out * f
+    return out
+
+
+_bindings = st.dictionaries(st.sampled_from([E.dep(), E.jet(1), E.jet(2)]),
+                            st.one_of(_factors, _exprs), min_size=1, max_size=2)
+
+
+@given(st.lists(_subst_terms(), min_size=1, max_size=4).map(E.expr_sum), _bindings)
+@example(Y * J(2) * _COMPOUND ** F(-1, 2),
+         {E.dep(): _COMPOUND ** F(3, 2), E.jet(2): _COMPOUND ** -1})
+def test_substitute_matches_left_fold(e, bindings):
+    # in the example, multiplying the untouched (1 + x*y')^(-1/2) in before
+    # the bound values would expand (1 + x*y')^1 midway: the fold gives 1
+    try:
+        ref = ref_substitute(e, bindings)
+    except E.DomainError:  # an even root of a negative bound value
+        with pytest.raises(E.DomainError):
+            substitute(e, bindings)
+        return
+    got = substitute(e, bindings)
+    assert got._key == ref._key and got._hash == ref._hash
+    assert got.terms == ref.terms
+    _assert_normal_exponents(got)
+
+
+_atom_exps = st.sampled_from(_EXPONENTS)
+_compound_exps = st.sampled_from(_COMPOUND_EXPONENTS)
+
+
+@given(_atom_exps, _atom_exps, _compound_exps, _compound_exps, _compound_exps,
+       st.sampled_from([E.ONE, X, A]))
+def test_substitute_on_shared_compound_bases_matches_left_fold(e1, e2, a, r1, r2, extra):
+    # the bound values and an untouched base share the compound base, so
+    # partial products can reach a positive integer power and re-expand
+    e = extra * Y ** e1 * J(2) ** e2 * _COMPOUND ** a + Y ** e1
+    bindings = {E.dep(): _COMPOUND ** r1, E.jet(2): X * _COMPOUND ** r2}
+    got, ref = substitute(e, bindings), ref_substitute(e, bindings)
+    assert got._key == ref._key and got._hash == ref._hash
+
+
+def test_substitute_passes_untouched_terms_through():
+    compound = (1 + X * J(1)) ** F(-1, 2)
+    arctan = E.transcendental("arctan", X * Y)
+    e = 3 * X * compound * arctan + F(1, 2) * Y ** 2 * J(2) ** F(1, 3) + J(1)
+    # no base holds y'': every term is carried over, compound bases too
+    same = substitute(e, {E.jet(3): X})
+    assert same._key == e._key and same.terms == e.terms
+    # y is bound: the arctan argument changes, the compound base does not
+    out = substitute(e, {E.dep(): X})
+    assert out == 3 * X * compound * E.transcendental("arctan", X ** 2) \
+        + F(1, 2) * X ** 2 * J(2) ** F(1, 3) + J(1)
+    assert E._atom_keys(compound.terms[0][0][0][0]) == frozenset(
+        {E.indep()._key, E.jet(1)._key})
+
+
+# -- subtraction with no negated copy ----------------------------------------------
+
+@given(_exprs, _exprs)
+def test_sub_matches_sum_with_negation(a, b):
+    for got, ref in ((a - b, a + (-b)), (a - a, E.ZERO), (a - 3, a + (-Expr.rational(3)))):
+        assert got._key == ref._key and got._hash == ref._hash
+        assert got.terms == ref.terms
+        _assert_normal_exponents(got)

@@ -12,6 +12,7 @@ from liesym.jet import (
     MaxOrderExceeded,
     OrderMismatch,
     VectorField,
+    _PROLONG_CACHE,
     apply_prolonged,
     characteristic,
     coefficient_row,
@@ -81,6 +82,46 @@ def test_prolongation_matches_tabulated_matrix_rows():
     assert row[2] == -J(1) ** 2
     assert row[3] == -3 * J(1) * J(2)
     assert row[4] == -(3 * J(2) ** 2 + 4 * J(1) * J(3))
+
+
+def _prolong_from_scratch(field, k):
+    """eta[1..k] by the recursion, with no memo."""
+    dxi = total_derivative(field.xi)
+    out, prev = [], field.eta
+    for j in range(1, k + 1):
+        prev = total_derivative(prev) - J(j) * dxi
+        out.append(prev)
+    return out
+
+
+def test_prolong_memo_in_any_order():
+    field = VectorField(X ** 2 * Y + 1, X * Y ** 2 - 3 * Y)
+    _PROLONG_CACHE.pop(field, None)
+    want = _prolong_from_scratch(field, 8)
+    for k in (5, 2, 7, 0, 7, 8, 1):
+        pf = prolong(field, k)
+        assert type(pf.coeffs) is tuple and pf.order == k and pf.base == field
+        assert [c._key for c in pf.coeffs] == [c._key for c in want[:k]]
+    # an equal field built apart shares the memo
+    twin = VectorField(X ** 2 * Y + 1, X * Y ** 2 - 3 * Y)
+    assert prolong(twin, 8).coeffs == tuple(want)
+    assert len(_PROLONG_CACHE[field][1]) == 8
+
+
+def test_prolong_order_errors_leave_memo_unchanged():
+    field = VectorField(X * Y, Y ** 3)
+    prolong(field, 3)
+    fresh = VectorField(Y ** 2, X ** 3)
+    _PROLONG_CACHE.pop(fresh, None)
+    before = {f: (dxi, tuple(cs)) for f, (dxi, cs) in _PROLONG_CACHE.items()}
+    for f in (field, fresh):
+        with pytest.raises(ValueError):
+            prolong(f, -1)
+        with pytest.raises(MaxOrderExceeded):
+            prolong(f, 13)
+    after = {f: (dxi, tuple(cs)) for f, (dxi, cs) in _PROLONG_CACHE.items()}
+    assert after == before and fresh not in after
+    assert len(prolong(field, 12).coeffs) == 12
 
 
 def test_apply_prolonged_examples():

@@ -3,8 +3,9 @@ code they replaced.
 
 `total_derivative`, `apply_prolonged`, `substitute` and `clear_denominators`
 each add all their summands into one accumulator.  The reference versions
-below sum with ``+`` one piece at a time, multiplying in the same order; the
-normal form makes both structurally identical, which is what keeps reports
+below sum with ``+`` one piece at a time, multiplying in the same order
+(`substitute` multiplies a term's untouched bases first); the normal form
+makes both structurally identical, which is what keeps reports
 byte-identical.  Likewise the term product merges two sorted monomials where
 its reference copies one into a dict and re-sorts the result.
 """
@@ -47,13 +48,29 @@ def ref_apply_prolonged(PX, e: Expr) -> Expr:
 
 
 def ref_substitute(e: Expr, bindings) -> Expr:
+    """The left fold: every base of every term substituted, compound bases
+    and transcendental arguments recursively, and multiplied in in order."""
     out = E.ZERO
     for mono, coeff in e.terms:
         piece = Expr.rational(coeff)
         for b, ex in mono:
-            piece = piece * E._subst_base(b, bindings).pow(ex)
+            piece = piece * ref_subst_base(b, bindings).pow(ex)
         out = out + piece
     return out
+
+
+def ref_subst_base(b, bindings) -> Expr:
+    if isinstance(b, Atom):
+        direct = bindings.get(b)
+        if direct is not None:
+            return direct
+        if b.kind == "transc":
+            new_arg = ref_substitute(b.arg, bindings)
+            return b.as_expr() if new_arg == b.arg else E.transcendental(b.fn, new_arg)
+        return b.as_expr()
+    if isinstance(b, Expr):
+        return ref_substitute(b, bindings)
+    return _make_term(1, {b: 1})
 
 
 def ref_num_den(e: Expr):
