@@ -19,8 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence
 
-from ..expr import (Expr, ExprError, ONE, ZERO, dep, expr_sum, indep, jet_or_dep,
+from ..expr import (Expr, ExprError, ONE, ZERO, dep, expr_sum, indep, jet_or_dep, leaf_atoms,
                     sum_of_products, transcendental)
+from ..invariance import OdeEquation
 from ..jet import VectorField, total_derivative
 from ..linear_ode import (
     CharSpec,
@@ -54,8 +55,19 @@ class CatalogRecord:
 
 @dataclass
 class ConcreteEquation:
-    equation: "OdeEquation"
-    uses_H: bool
+    """One canonical equation under every H choice: `variants` maps each
+    name of `H_CHOICES` to its equation when H occurs, and holds only
+    `"identity"` otherwise."""
+
+    variants: dict  # {h: OdeEquation}
+
+    @property
+    def equation(self) -> OdeEquation:
+        return self.variants["identity"]
+
+    @property
+    def uses_H(self) -> bool:
+        return len(self.variants) > 1
 
 
 @dataclass
@@ -183,7 +195,6 @@ H_CHOICES: dict = {"identity": _h_identity, "square": _h_square, "one": _h_one}
 
 def instantiate(record: CatalogRecord, n: Optional[int] = None,
                 params: Optional[Mapping[str, object]] = None,
-                h_choice: str = "identity",
                 enforce_constraints: bool = True,
                 bound_overrides: Optional[Mapping[str, Fraction]] = None) -> ConcreteRecord:
     """Ground a record at order n with concrete parameter values.
@@ -254,17 +265,15 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
         invariants.append((order, expr))
         ctx.macros[f"phi{len(invariants)}"] = expr
         blocks[f"phi{len(invariants)}"] = expr
-    h_fn = H_CHOICES[h_choice]
     equations = []
     for eq in content.get("equations", []):
-        uses_H = "H(" in eq["rhs"].replace(" ", "")
-        ectx = Context(params=dict(ctx.params), macros=dict(ctx.macros),
-                       functions={"H": h_fn})
-        rhs = parse_expression(eq["rhs"], ectx)
         order = int(eval_formula(eq.get("order", data.get("order", "n")), env))
-        from ..invariance import OdeEquation
-
-        equations.append(ConcreteEquation(OdeEquation(order, rhs), uses_H))
+        variants = {}
+        for h in H_CHOICES if "H(" in eq["rhs"].replace(" ", "") else ("identity",):
+            ectx = Context(params=dict(ctx.params), macros=dict(ctx.macros),
+                           functions={"H": H_CHOICES[h]})
+            variants[h] = OdeEquation(order, parse_expression(eq["rhs"], ectx))
+        equations.append(ConcreteEquation(variants))
     lam = None
     if content.get("lambda"):
         lam = parse_expression(content["lambda"], ctx)
@@ -274,17 +283,10 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
     singular = [parse_expression(s, ctx) for s in content.get("singular_factors", [])]
     equivalences = []
     for pair in content.get("equivalences", []):
-        from ..numeric import atom_by_name
-
-        if isinstance(pair, dict):
-            ea = parse_expression(pair["a"], ctx)
-            eb = parse_expression(pair["b"], ctx)
-            pos = frozenset(atom_by_name(nm) for nm in pair.get("positive", []))
-        else:
-            ea = parse_expression(pair[0], ctx)
-            eb = parse_expression(pair[1], ctx)
-            pos = frozenset()
-        equivalences.append((ea, eb, pos))
+        pos = frozenset().union(*(leaf_atoms(parse_expression(nm, ctx))
+                                  for nm in pair.get("positive", [])))
+        equivalences.append((parse_expression(pair["a"], ctx),
+                             parse_expression(pair["b"], ctx), pos))
     return ConcreteRecord(
         label=record.label,
         n=n,

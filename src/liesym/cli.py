@@ -27,6 +27,13 @@ def _jet_order(text: str) -> int:
     return order
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers {workers} below 1")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags it reads."""
     seed = argparse.ArgumentParser(add_help=False)
@@ -51,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", type=str, default=None,
                    help="write the JSON report to this path")
     v.add_argument("--filter", type=str, default=None, help="label glob, e.g. '(5,5)' or '(2*'")
-    v.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    v.add_argument("--workers", type=_workers, default=1, help="parallel worker processes")
     v.set_defaults(run=cmd_verify)
 
     pr = sub.add_parser("prolong", help="print prolongation coefficients of a vector field")

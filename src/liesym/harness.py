@@ -47,7 +47,6 @@ from .catalog import (
     CatalogRecord,
     default_order,
     eval_formula,
-    find_record,
     instantiate,
     load_catalog,
     secondary_order,
@@ -166,19 +165,13 @@ def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
         return
 
     # equations, under every H choice when an arbitrary function occurs
-    uses_h = any(ce.uses_H for ce in con.equations)
-    for h in H_CHOICES if uses_h else ("identity",):
-        try:
-            con_h = con if h == "identity" else \
-                instantiate(rec, n=n, params=param_overrides, h_choice=h)
-        except Exception as exc:
-            yield "equation", f"H={h}", {}, partial(_reraise, exc)
-            continue
-        for i, ce in enumerate(con_h.equations, 1):
-            if ce.uses_H or h == "identity":
-                detail = f"eq{i}@{ce.equation.order}" + (f" H={h}" if ce.uses_H else "")
-                yield "equation", detail, con_h.params, partial(
-                    _verdicts, check_equation_invariance, con_h.fields, ce.equation)
+    for h in H_CHOICES:
+        for i, ce in enumerate(con.equations, 1):
+            if h in ce.variants:
+                eq = ce.variants[h]
+                detail = f"eq{i}@{eq.order}" + (f" H={h}" if ce.uses_H else "")
+                yield "equation", detail, con.params, partial(
+                    _verdicts, check_equation_invariance, con.fields, eq)
 
     for i, (order, phi) in enumerate(con.invariants, 1):
         yield "invariant", f"phi{i}@{order}", con.params, partial(
@@ -295,10 +288,8 @@ def _generator_probe(rec, n, param, formula, params, expect_zero, probe):
 
 
 def _worker(args):
-    label, probe, n_override, params = args
-    records = load_catalog()
-    rec = find_record(records, label)
-    return run_record_checks(rec, probe, n_override, params)
+    """One pool job: the rows of one record, from run_record_checks' arguments."""
+    return run_record_checks(*args)
 
 
 def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[int],
@@ -311,10 +302,10 @@ def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[in
 
 
 def _pool_results(jobs: list, workers: int) -> list:
-    """Each job's rows from a pool of `workers` processes, or the
+    """Each job's rows from a pool of at most `workers` processes, or the
     BrokenProcessPool its future raised."""
     out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         for fut in [pool.submit(_worker, job) for job in jobs]:
             try:
                 out.append(fut.result())
@@ -333,8 +324,8 @@ def run_verification(filter_glob: Optional[str] = None,
               if filter_glob is None or fnmatch.fnmatch(r.label, filter_glob)]
     chosen.sort(key=lambda r: r.label)
     results: List[CheckResult] = []
-    if workers > 1:
-        jobs = [(r.label, probe, n_override, param_overrides) for r in chosen]
+    if workers > 1 and chosen:
+        jobs = [(r, probe, n_override, param_overrides) for r in chosen]
         for rec, job, rows in zip(chosen, jobs, _pool_results(jobs, workers)):
             # a broken pool fails every pending job: rerun each on its own
             if isinstance(rows, BrokenProcessPool):

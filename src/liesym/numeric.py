@@ -593,17 +593,3 @@ def _probe_once(e: Expr, atoms, rng: random.Random, probe: ProbeConfig, positive
         f"no admissible probe point found in {MAX_RETRIES} attempts; "
         "the expression appears identically singular")
 
-
-def atom_by_name(name: str) -> Atom:
-    """Resolve a grammar-level coordinate name to its atom."""
-    from .expr import dep, indep, jet, param
-
-    if name == "x":
-        return indep()
-    if name == "y":
-        return dep()
-    if set(name) <= {"y", "'"} and name.startswith("y"):
-        return jet(len(name) - 1)
-    if name.startswith("y^(") and name.endswith(")"):
-        return jet(int(name[3:-1]))
-    return param(name)

@@ -140,13 +140,41 @@ def test_unknown_parameter_rejected():
 
 
 def test_h_choices_differ():
-    rec = find_record(RECORDS, "(22,2)")
-    rhs_id = instantiate(rec, n=4, h_choice="identity").equations[0].equation.rhs
-    rhs_sq = instantiate(rec, n=4, h_choice="square").equations[0].equation.rhs
-    rhs_one = instantiate(rec, n=4, h_choice="one").equations[0].equation.rhs
+    variants = instantiate(find_record(RECORDS, "(22,2)"), n=4).equations[0].variants
+    rhs_id, rhs_sq, rhs_one = (variants[h].rhs for h in ("identity", "square", "one"))
     assert rhs_id != rhs_sq and rhs_one == E.ONE
     s = E.jet(1).as_expr() + E.jet(2).as_expr() + E.jet(3).as_expr()
     assert rhs_id == s and rhs_sq == s ** 2
+
+
+def _equation_templates(rec, con):
+    """The rhs templates of the case `instantiate` selected."""
+    content = dict(rec.data)
+    for case in rec.data.get("cases", []):
+        if "; ".join(case["when"]) == con.case_note:
+            content.update(case)
+            break
+    return [eq["rhs"] for eq in content.get("equations", [])]
+
+
+def test_one_instantiation_holds_every_h_variant():
+    for rec in RECORDS:
+        con = instantiate(rec)
+        templates = _equation_templates(rec, con)
+        assert len(templates) == len(con.equations), rec.label
+        for tmpl, ce in zip(templates, con.equations):
+            uses_h = "H(" in tmpl.replace(" ", "")
+            want = {"identity", "square", "one"} if uses_h else {"identity"}
+            assert set(ce.variants) == want, rec.label
+            assert ce.uses_H == uses_h and ce.equation is ce.variants["identity"]
+            assert len({eq.order for eq in ce.variants.values()}) == 1
+
+
+def test_equivalences_resolve_positive_names_through_the_parser():
+    pos = {label: [p for _a, _b, p in instantiate(find_record(RECORDS, label)).equivalences]
+           for label in ("(6,6)", "(28,6)", "(7,6)", "(16,6)")}
+    assert pos == {"(6,6)": [frozenset({E.jet(2)})], "(28,6)": [frozenset({E.jet(3)})],
+                   "(7,6)": [frozenset()], "(16,6)": [frozenset()]}
 
 
 def test_builder_records_expose_blocks():

@@ -146,7 +146,9 @@ def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys
 
 
 @pytest.mark.parametrize("argv", [["prolong", "Dx", "13"], ["prolong", "Dx", "-1"],
-                                  ["count", "(22,2)", "--order", "13"], ["liedet", "Dx"]])
+                                  ["count", "(22,2)", "--order", "13"], ["liedet", "Dx"],
+                                  ["verify", "--workers", "0"],
+                                  ["verify", "--workers", "-3"]])
 def test_bad_user_input_is_a_usage_error(argv, capsys):
     import liesym.cli as cli
 
@@ -324,3 +326,78 @@ def test_verify_ends_with_a_summary_line(tmp_path, capsys):
                              f"ExactZero {statuses.count('ExactZero')}, ExactNonzero 0, "
                              "ProbablyZero 0, ProbablyNonzero 0; slowest: (5,5) ")
     assert err[0].count(" ms") == 5
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the harness's process pool for one that records the size it is
+    asked for and runs each job in this process; return the sizes."""
+    from concurrent.futures import Future
+
+    import liesym.harness as harness
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize("glob,workers,want", [("(5,5)", 5000, [1]),
+                                               ("(1[0-3],*", 5000, [3]),
+                                               ("(99,99)", 4, [])])
+def test_pool_holds_no_more_processes_than_records(glob, workers, want, pool_sizes,
+                                                   tmp_path):
+    import liesym.cli as cli
+
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--filter", glob, "--workers", str(workers), "--out", str(out)])
+    assert pool_sizes == want
+    assert code == (0 if want else 2)  # no records matched: a usage error
+
+
+def test_pool_jobs_do_not_reload_the_catalog(pool_sizes, monkeypatch):
+    import liesym.harness as harness
+
+    real = harness.load_catalog
+    loads = []
+
+    def counting_load():
+        loads.append(1)
+        return real()
+
+    monkeypatch.setattr(harness, "load_catalog", counting_load)
+    report = run_verification(filter_glob="(1[0-3],*", workers=2)
+    assert pool_sizes == [2] and len(loads) == 1
+    assert {r.record for r in report.results} == {"(10,2)", "(11,3)", "(13,4)"}
+
+
+def test_instantiate_runs_once_per_record_and_order(monkeypatch):
+    import liesym.harness as harness
+
+    real = harness.instantiate
+    calls = []
+
+    def spy(rec, *args, **kwargs):
+        calls.append(rec.label)
+        return real(rec, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "instantiate", spy)
+    report = run_verification()
+    variants = [r for r in report.results if r.check in ("extra_symmetry", "generator_probe")]
+    assert len(calls) == len({(r.record, r.n) for r in report.results}) + len(variants)
+    assert len(calls) == 77
