@@ -1,7 +1,8 @@
 """Command-line surface: liesym verify | prolong | liedet | count | catalog.
 
 Exit codes: 0 pass, 1 verification failure (a check that raises is a failed
-check), 2 usage or parse error, 3 any other crash (internal error).
+check), 2 usage or parse error, or generators with no exact value at a
+rational point (count), 3 any other crash (internal error).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .harness import run_verification
 from .invariance import rank_and_count
 from .jet import MAX_JET_ORDER, VectorField, prolong
 from .liedet import lie_determinant, singular_equations
-from .numeric import DEFAULT_PROBE, ProbeConfig
+from .numeric import DEFAULT_PROBE, ExactEvalError, ProbeConfig
 from .parse import Context, ParseError, parse_vector_field
 
 
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.run(args)
-    except (ParseError, ConstraintViolation, CatalogError) as exc:
+    except (ParseError, ConstraintViolation, CatalogError, ExactEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is an internal error, not a failed check

@@ -193,7 +193,8 @@ def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
     if con.fundamental_check:
         for order, want_d in ((con.dimension - 1, 1), (con.dimension, 2)):
             if order <= MAX_JET_ORDER:
-                yield "rank", f"d@{order}", con.params, partial(_rank, con.fields, order, want_d)
+                yield "rank", f"d@{order}", con.params, partial(
+                    _rank_count, con.fields, order, want_d)
 
     for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
         yield "equivalence", f"pair{i}", con.params, partial(_equivalence, ea, eb, pos)
@@ -261,7 +262,7 @@ def _lie_det(con, singular: list, probe):
     return not problems, [], "; ".join(notes + problems)
 
 
-def _rank(fields, order, want_d, probe):
+def _rank_count(fields, order, want_d, probe):
     rep = rank_and_count(fields, order, probe)
     return rep.count_dn == want_d, [rep.to_json()], ""
 

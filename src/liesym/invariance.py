@@ -27,7 +27,6 @@ from .numeric import (
     _BadPoint,
     decide_exactly,
     eval_exact,
-    fractional_power_degrees,
     is_zero,
     power_split,
     probe_verdict,
@@ -150,70 +149,36 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
                    probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
     """Generic rank over 5 exact rational sample points.
 
-    The rank at each point is exact (fraction-free integer elimination) and
-    the maximum over samples is reported; d_n = order + 2 - rank.
+    The matrix is evaluated exactly (`eval_exact`) at seeded points, one
+    rational per atom in atom-key order; a point where it raises _BadPoint
+    or ZeroDivisionError is skipped, at most 5 * MAX_RETRIES points are
+    tried.  The rank at each point is exact (`_integer_rank`) and the
+    maximum over samples is reported; d_n = order + 2 - rank.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    best, points = generic_rank(coefficient_matrix(fields, order), probe, 5, eval_exact)
-    return RankReport(order, best, order + 2 - best, points)
-
-
-def generic_rank(matrix: list, probe: ProbeConfig, samples: int, evaluate, tol=0):
-    """(largest rank, points) of a matrix of expressions over `samples`
-    admissible seeded points; each point is a tuple of (atom, value).
-
-    `evaluate(entry, point)` gives each entry's value; a point where it
-    raises _BadPoint or ZeroDivisionError is skipped.  Atoms under
-    fractional powers are sampled as |t|^q (see `sample_point`), which
-    keeps exact evaluation rational.
-    """
+    matrix = coefficient_matrix(fields, order)
     atoms = set()
     for row in matrix:
         for entry in row:
             atoms |= leaf_atoms(entry)
     atoms = sorted(atoms, key=lambda a: a._key)
-    degrees = fractional_power_degrees(e for row in matrix for e in row)
     rng = random.Random(probe.seed)
     best = 0
     points = []
     tried = 0
-    while len(points) < samples and tried < samples * MAX_RETRIES:
+    while len(points) < 5 and tried < 5 * MAX_RETRIES:
         tried += 1
-        point = sample_point(rng, atoms, degrees=degrees)
+        point = sample_point(rng, atoms)
         try:
-            best = max(best, _rank([[evaluate(e, point) for e in row] for row in matrix], tol))
+            best = max(best, _integer_rank([[eval_exact(e, point) for e in row]
+                                            for row in matrix]))
         except (_BadPoint, ZeroDivisionError):
             continue
         points.append(tuple((a, point[a]) for a in atoms))
-    if len(points) < samples:
+    if len(points) < 5:
         raise SamplingExhausted("could not find admissible rank sample points")
-    return best, tuple(points)
-
-
-def _rank(rows: list, tol=0) -> int:
-    """Rank by Gaussian elimination; an entry counts as zero when
-    |entry| <= tol.  Inexact values (tol > 0) pivot on the largest entry
-    (partial pivoting).  Exact rationals (tol = 0) go to `_integer_rank`."""
-    if not tol:
-        return _integer_rank(rows)
-    rows = [list(row) for row in rows]
-    m, n = len(rows), len(rows[0]) if rows else 0
-    rank = col = 0
-    while rank < m and col < n:
-        piv = max(range(rank, m), key=lambda i: abs(rows[i][col]))
-        if abs(rows[piv][col]) <= tol:
-            col += 1
-            continue
-        pv = rows[piv][col]
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, m):
-            f = rows[i][col] / pv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return RankReport(order, best, order + 2 - best, tuple(points))
 
 
 def _integer_rank(rows: list) -> int:

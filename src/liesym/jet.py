@@ -43,10 +43,6 @@ class VectorField:
             if order is not None and order > 0:
                 raise ValueError(f"{name} coefficient must not contain jet atoms")
 
-    def scaled(self, c) -> "VectorField":
-        factor = Expr.rational(c)
-        return VectorField(self.xi * factor, self.eta * factor)
-
 
 @dataclass(frozen=True)
 class ProlongedField:

@@ -70,14 +70,6 @@ class LinearOde:
         return sum_of_products((c, jet_or_dep(i).as_expr())
                                for i, c in enumerate(self.coeffs))
 
-    def residual(self, solution: Expr) -> Expr:
-        """Defect of a candidate solution (a function of x)."""
-        derivs = _derivative_ladder(solution, self.order)
-        total = derivs[self.order]
-        for i, c in enumerate(self.coeffs):
-            total = total - c * derivs[i]
-        return total
-
 
 def _derivative_ladder(f: Expr, order: int) -> list:
     x = indep()

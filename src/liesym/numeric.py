@@ -53,6 +53,7 @@ from .expr import (
     Expr,
     ExprError,
     ONE,
+    _format_base_pow,
     _make_term,
     atom_name,
     expr_sum,
@@ -159,18 +160,13 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(sign * num, den)
 
 
-def sample_point(rng: random.Random, atoms, positive=frozenset(), degrees=None) -> dict:
+def sample_point(rng: random.Random, atoms, positive=frozenset()) -> dict:
     """One rational per atom, in atom-key order.  Atoms in ``positive`` get
-    |t|; an atom with degree q in ``degrees`` gets |t|^q, so that its
-    q-th roots stay rational."""
+    |t|."""
     out = {}
     for a in sorted(atoms, key=lambda a: a._key):
         v = sample_rational(rng)
-        q = degrees.get(a) if degrees else None
-        if q:
-            out[a] = abs(v) ** q
-        else:
-            out[a] = abs(v) if a in positive else v
+        out[a] = abs(v) if a in positive else v
     return out
 
 
@@ -455,32 +451,26 @@ def _run(program, point):
 # -- exact rational evaluation ------------------------------------------------
 
 def eval_exact(e: Expr, point: Mapping[Atom, Fraction]) -> Fraction:
-    """Exact value at a rational point.  Fractional powers succeed only when
-    the base value is a perfect power; transcendentals are not supported."""
+    """Exact value at a rational point.  Only integer powers of atoms and
+    compound bases are evaluated: a transcendental atom or a fractional
+    power raises ExactEvalError naming it, and a zero denominator raises
+    _BadPoint."""
     total = Fraction(0)
     for mono, coeff in e._terms:
         v = coeff
         for b, ex in mono:
+            if ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc":
+                raise ExactEvalError(
+                    f"{_format_base_pow(b, ex)} has no exact value at a rational point")
             if isinstance(b, Atom):
-                if b.kind == "transc":
-                    raise ExactEvalError("transcendental atom in exact evaluation")
                 bv = point.get(b)
                 if bv is None:
                     raise ExprError(f"no value supplied for {atom_name(b)}")
-            elif isinstance(b, int):
-                bv = Fraction(b)
             else:
                 bv = eval_exact(b, point)
-            if ex.denominator == 1:
-                if bv == 0 and ex < 0:
-                    raise _BadPoint
-                v *= bv ** ex.numerator
-            else:
-                root = _exact_root(bv, ex.denominator)
-                if root is None:
-                    raise ExactEvalError(
-                        f"{bv} is not an exact {ex.denominator}th power")
-                v *= root ** ex.numerator
+            if bv == 0 and ex < 0:
+                raise _BadPoint
+            v *= bv ** ex.numerator
         total += v
     return total
 
@@ -515,19 +505,6 @@ def _int_root(n: int, q: int):
                 break
             r = s
     return r if r ** q == n else None
-
-
-def fractional_power_degrees(exprs) -> dict:
-    """Per atom, the lcm of denominators of fractional exponents applied
-    directly to it; sampling t^q for such atoms keeps evaluation exact."""
-    out: dict = {}
-    for e in exprs:
-        for b, ex in walk_bases(e):
-            if isinstance(b, Atom) and b.kind != "transc" and ex.denominator != 1:
-                q = ex.denominator
-                cur = out.get(b, 1)
-                out[b] = cur * q // math.gcd(cur, q)
-    return out
 
 
 # -- the zero test ------------------------------------------------------------

@@ -1,15 +1,22 @@
-"""The two-invariant recursion of Lie, which only the tests use.
+"""The two-invariant recursion of Lie and the Jacobian rank, which only the
+tests use.
 
 From invariants u and v, each quotient w_k = D_x(w_{k-1}) / D_x(w_{k-2}) of
 total derivatives is again an invariant; no catalog record states a
-recursion claim, so the report never runs it.
+recursion claim, so the report never runs it.  `functional_rank` certifies
+functional dependence among invariants by a high-precision Jacobian rank.
 """
 
-from typing import List
+import random
+from typing import List, Sequence
 
-from liesym.expr import Expr, ExprError
+import mpmath
+
+from liesym.expr import Expr, ExprError, diff, leaf_atoms
 from liesym.jet import total_derivative
-from liesym.numeric import ZeroStatus, is_zero
+from liesym.numeric import (DEFAULT_PROBE, MAX_RETRIES, ProbeConfig, SamplingExhausted,
+                            ZeroStatus, _BadPoint, eval_mp, is_zero, sample_point)
+from rank_oracle import ref_numeric_rank
 
 
 class DegenerateDenominator(ExprError):
@@ -37,3 +44,30 @@ def lie_recursion(u: Expr, v: Expr, steps: int) -> List[Expr]:
         out.append(nxt)
         prev, cur = cur, nxt
     return out
+
+
+def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE) -> int:
+    """Generic rank of the Jacobian of the given jet-space functions with
+    respect to all their coordinates, the largest over 4 seeded admissible
+    points at `probe.digits` digits.
+
+    Used to certify functional dependence: for invariants {phi1, D(phi1),
+    phi2} the rank stays at 2 even when the tabulated phi2 differs from
+    D(phi1) by a function of phi1.
+    """
+    atoms = sorted(set().union(*(leaf_atoms(e) for e in exprs)), key=lambda a: a._key)
+    jac = [[diff(e, a) for a in atoms] for e in exprs]
+    rng = random.Random(probe.seed)
+    best = found = 0
+    with mpmath.workdps(probe.digits + 15):
+        for _ in range(4 * MAX_RETRIES):
+            point = sample_point(rng, atoms)
+            try:
+                rows = [[eval_mp(e, point, probe.digits) for e in row] for row in jac]
+            except _BadPoint:
+                continue
+            best = max(best, ref_numeric_rank(rows, probe.digits))
+            found += 1
+            if found == 4:
+                return best
+    raise SamplingExhausted("could not find admissible Jacobian sample points")

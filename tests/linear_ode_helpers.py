@@ -1,16 +1,17 @@
-"""Small constructors over `liesym.linear_ode` that only the tests use.
+"""Small helpers over `liesym.linear_ode` that only the tests use.
 
 `coeffs_from_roots` is the real-root case of `char_spec_coeffs`, the
 symmetric-function route that `cramer_oracle` checks; `translation_symmetry`
-is the field d/dx that leaves every constant-coefficient equation invariant.
+is the field d/dx that leaves every constant-coefficient equation invariant;
+`residual` is the defect of a candidate solution.
 """
 
 from fractions import Fraction
 from typing import List, Sequence
 
-from liesym.expr import ONE, ZERO
+from liesym.expr import ONE, ZERO, Expr
 from liesym.jet import VectorField
-from liesym.linear_ode import CharSpec, char_spec_coeffs
+from liesym.linear_ode import CharSpec, LinearOde, _derivative_ladder, char_spec_coeffs
 
 
 def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
@@ -21,3 +22,12 @@ def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
 
 def translation_symmetry() -> VectorField:
     return VectorField(ONE, ZERO)
+
+
+def residual(ode: LinearOde, solution: Expr) -> Expr:
+    """Defect of a candidate solution (a function of x)."""
+    derivs = _derivative_ladder(solution, ode.order)
+    total = derivs[ode.order]
+    for i, c in enumerate(ode.coeffs):
+        total = total - c * derivs[i]
+    return total

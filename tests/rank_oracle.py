@@ -1,9 +1,13 @@
-"""An exact rank oracle, independent of `liesym.invariance._rank`.
+"""Rank oracles, independent of `liesym.invariance._integer_rank`.
 
 `ref_fraction_rank` is plain Gaussian elimination with Fraction arithmetic
 on the first nonzero pivot; `rank_at_point` evaluates a matrix of
 expressions exactly at a rational point and takes that rank.
+`ref_numeric_rank` eliminates mpmath values with partial pivoting and a
+pivot tolerance, for matrices that have no exact value.
 """
+
+import mpmath
 
 from liesym.numeric import eval_exact
 
@@ -33,3 +37,27 @@ def ref_fraction_rank(rows):
 def rank_at_point(matrix: list, point: dict) -> int:
     """Rank of a matrix of expressions at a rational point."""
     return ref_fraction_rank([[eval_exact(entry, point) for entry in row] for row in matrix])
+
+
+def ref_numeric_rank(rows, digits):
+    """Rank with partial pivoting and pivot tolerance 10^-(digits//2)."""
+    tol = mpmath.mpf(10) ** (-(digits // 2))
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    rank = col = r = 0
+    while r < m and col < n:
+        piv, pval = None, tol
+        for i in range(r, m):
+            if abs(rows[i][col]) > pval:
+                piv, pval = i, abs(rows[i][col])
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, m):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rank += 1
+        r += 1
+        col += 1
+    return rank

@@ -8,7 +8,6 @@ import pytest
 from liesym import expr as E
 from liesym.catalog import find_record, instantiate, load_catalog
 from liesym.invariance import check_differential_invariant
-from liesym.invdiff import functional_rank
 from liesym.jet import apply_prolonged, coefficient_row, prolong, total_derivative
 from liesym.numeric import (
     ProbeConfig,
@@ -19,6 +18,8 @@ from liesym.numeric import (
     probe_verdict,
     sample_point,
 )
+
+from invdiff_helpers import functional_rank
 
 RECORDS = load_catalog()
 PR = ProbeConfig(points=20, digits=50, seed=42)

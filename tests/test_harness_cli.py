@@ -95,6 +95,18 @@ def test_cli_count():
     assert json.loads(proc.stdout)["count"] == 1
     proc = run_cli("count", "(6,6)", "--order", "4")
     assert json.loads(proc.stdout)["count"] == 0
+    proc = run_cli("count", "(5,5)", "--order", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rank"] == 5
+
+
+@pytest.mark.parametrize("label", ["(21,n+1)", "(22,n)", "(23,n)", "(23,n+2)"])
+def test_cli_count_refuses_transcendental_generators(label, capsys):
+    import liesym.cli as cli
+
+    assert cli.main(["count", label, "--order", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp(x) has no exact value at a rational point")
 
 
 UNREAD_FLAGS = {

@@ -4,14 +4,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 
 from liesym import expr as E
 from liesym.catalog import default_order, instantiate, load_catalog
 from liesym.invariance import (
     OdeEquation,
-    _rank,
+    _integer_rank,
     check_differential_invariant,
     check_equation_invariance,
     coefficient_matrix,
@@ -25,7 +24,6 @@ from liesym.numeric import (
     ZeroStatus,
     _BadPoint,
     eval_exact,
-    fractional_power_degrees,
     sample_point,
     sample_rational,
 )
@@ -130,7 +128,8 @@ def test_rank_monotone_in_order():
 
 def test_generator_scaling_leaves_verdicts_unchanged():
     gens = gens55()
-    scaled = [g.scaled(F(-7, 3)) for g in gens]
+    c = F(-7, 3)
+    scaled = [VectorField(c * g.xi, c * g.eta) for g in gens]
     phi1 = J(4) * J(2) ** F(-5, 3) - F(5, 3) * J(3) ** 2 * J(2) ** F(-8, 3)
     a = [v.status for v in check_differential_invariant(gens, phi1, PR)]
     b = [v.status for v in check_differential_invariant(scaled, phi1, PR)]
@@ -138,7 +137,7 @@ def test_generator_scaling_leaves_verdicts_unchanged():
     eq = OdeEquation(5, 2 * J(4) ** F(3, 4))
     a = [v.status for v in check_equation_invariance([VectorField(X, 7 * Y)], eq, PR)]
     b = [v.status for v in check_equation_invariance(
-        [VectorField(X, 7 * Y).scaled(5)], eq, PR)]
+        [VectorField(5 * X, 35 * Y)], eq, PR)]
     assert a == b
 
 
@@ -162,30 +161,6 @@ def test_rank_drops_on_singular_locus():
 
 
 # -- the rank routine against the eliminations it replaced ---------------------
-
-def ref_numeric_rank(rows, digits):
-    """Rank with partial pivoting and pivot tolerance 10^-(digits//2)."""
-    tol = mpmath.mpf(10) ** (-(digits // 2))
-    rows = [list(r) for r in rows]
-    m, n = len(rows), len(rows[0]) if rows else 0
-    rank = col = r = 0
-    while r < m and col < n:
-        piv, pval = None, tol
-        for i in range(r, m):
-            if abs(rows[i][col]) > pval:
-                piv, pval = i, abs(rows[i][col])
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            f = rows[i][col] / rows[r][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
 
 def _low_rank_matrices(seed, count):
     """Seeded m x n Fraction matrices of rank at most r, built as products
@@ -241,12 +216,11 @@ def _catalog_rank_matrices():
         for order in (con.dimension - 1, con.dimension):
             matrix = coefficient_matrix(con.fields, order)
             atoms = set().union(*(E.leaf_atoms(e) for row in matrix for e in row))
-            degrees = fractional_power_degrees(e for row in matrix for e in row)
             for _ in range(2):
-                point = sample_point(rng, atoms, degrees=degrees)
+                point = sample_point(rng, atoms)
                 try:
                     yield [[eval_exact(e, point) for e in row] for row in matrix]
-                except (_BadPoint, ZeroDivisionError, ExactEvalError):
+                except (_BadPoint, ZeroDivisionError):
                     continue
 
 
@@ -256,38 +230,20 @@ def test_rank_matches_fraction_elimination():
     assert len(catalog) > 50
     for rows in cases + catalog:
         before = [list(r) for r in rows]
-        assert _rank(rows) == ref_fraction_rank(rows)
+        assert _integer_rank(rows) == ref_fraction_rank(rows)
         assert rows == before
 
 
-def test_rank_matches_numeric_elimination():
-    digits = 50
-    rng = random.Random(12)
-    with mpmath.workdps(digits + 15):
-        tol = mpmath.mpf(10) ** (-(digits // 2))
-        for rows in _low_rank_matrices(13, 300):
-            scale = mpmath.mpf(10) ** rng.choice((0, -20, -24, -26, -30))
-            noisy = [[mpmath.mpf(v.numerator) / v.denominator * scale
-                      + mpmath.mpf(rng.randint(-9, 9)) * mpmath.mpf(10) ** -40
-                      for v in row] for row in rows]
-            assert _rank(noisy, tol) == ref_numeric_rank(noisy, digits)
-
-
 def ref_rank_and_count(fields, order, probe, samples=5):
-    """The sampling loop rank_and_count ran before it shared one."""
+    """rank_and_count's sampling loop, written out over the Fraction oracle."""
     matrix = coefficient_matrix(fields, order)
     atoms = sorted(set().union(*(E.leaf_atoms(e) for row in matrix for e in row)),
                    key=lambda a: a._key)
-    degrees = fractional_power_degrees(e for row in matrix for e in row)
     rng = random.Random(probe.seed)
     best, points, tried = 0, [], 0
     while len(points) < samples and tried < samples * MAX_RETRIES:
         tried += 1
-        point = {}
-        for a in atoms:
-            v = sample_rational(rng)
-            q = degrees.get(a)
-            point[a] = abs(v) ** q if q else v
+        point = {a: sample_rational(rng) for a in atoms}
         try:
             r = rank_at_point(matrix, point)
         except (_BadPoint, ZeroDivisionError):
@@ -297,20 +253,16 @@ def ref_rank_and_count(fields, order, probe, samples=5):
     return best, tuple(points)
 
 
-def test_sample_point_degrees_reproduce_rank_sampling():
+def test_rank_sampling_matches_the_reference_loop():
+    for seed in (1, 77, 20240101):
+        probe = replace(PR, seed=seed)
+        rep = rank_and_count(gens55(), 4, probe)
+        assert (rep.rank_rn, rep.sample_points) == ref_rank_and_count(gens55(), 4, probe)
+
+
+def test_rank_refuses_radical_generators():
     radical = [DX, DY, VectorField(X ** F(1, 2), Y ** F(2, 3)),
                VectorField(E.ZERO, (X - Y).pow(-1)), VectorField(Y, X ** F(3, 4))]
-    for gens, order in ((gens55(), 4), (radical, 3), (radical, 4)):
-        for seed in (1, 77, 20240101):
-            probe = replace(PR, seed=seed)
-            rep = rank_and_count(gens, order, probe)
-            assert (rep.rank_rn, rep.sample_points) == ref_rank_and_count(gens, order, probe)
-    atoms = [E.indep(), E.dep(), E.jet(1)]
-    degrees = {E.indep(): 2, E.jet(1): 12}
-    rng_a, rng_b = random.Random(5), random.Random(5)
-    for _ in range(50):
-        want = {}
-        for a in atoms:
-            v = sample_rational(rng_a)
-            want[a] = abs(v) ** degrees[a] if a in degrees else v
-        assert sample_point(rng_b, atoms, degrees=degrees) == want
+    for order in (3, 4):
+        with pytest.raises(ExactEvalError, match="has no exact value at a rational point"):
+            rank_and_count(radical, order, PR)

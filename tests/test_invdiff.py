@@ -6,11 +6,11 @@ import pytest
 
 from liesym import expr as E
 from liesym.invariance import check_differential_invariant
-from liesym.invdiff import apply_D, functional_rank, verify_lambda
+from liesym.invdiff import apply_D, verify_lambda
 from liesym.jet import MaxOrderExceeded, VectorField, total_derivative
 from liesym.numeric import ProbeConfig, ZeroStatus
 
-from invdiff_helpers import DegenerateDenominator, lie_recursion
+from invdiff_helpers import DegenerateDenominator, functional_rank, lie_recursion
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()

@@ -20,7 +20,7 @@ from liesym.linear_ode import (
 )
 from liesym.numeric import ProbeConfig, is_zero
 
-from linear_ode_helpers import coeffs_from_roots, translation_symmetry
+from linear_ode_helpers import coeffs_from_roots, residual, translation_symmetry
 from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 from sympy_oracle import to_sympy
 
@@ -102,7 +102,7 @@ def test_fundamental_solutions_real_roots():
     sols = fundamental_solutions(spec)
     assert sols[0] == E.ONE
     for s in sols:
-        assert is_zero(ode.residual(s), PR).is_zero
+        assert is_zero(residual(ode, s), PR).is_zero
 
 
 def test_fundamental_solutions_complex_pair():
@@ -110,7 +110,7 @@ def test_fundamental_solutions_complex_pair():
     ode = linear_ode_from_spec(spec)
     assert [c.as_rational() for c in ode.coeffs] == [-1, 0]  # y'' = -y
     for s in fundamental_solutions(spec):
-        assert is_zero(ode.residual(s), PR).is_zero
+        assert is_zero(residual(ode, s), PR).is_zero
 
 
 def test_three_real_roots_round_trip():
@@ -118,7 +118,7 @@ def test_three_real_roots_round_trip():
     ode = linear_ode_from_spec(spec)
     assert [c.as_rational() for c in ode.coeffs] == [6, -11, 6]
     for s in fundamental_solutions(spec):
-        assert is_zero(ode.residual(s), PR).is_zero
+        assert is_zero(residual(ode, s), PR).is_zero
 
 
 def test_mixed_spec_round_trip_and_closure():

@@ -9,6 +9,7 @@ import pytest
 
 from liesym import expr as E
 from liesym.numeric import (
+    ExactEvalError,
     ProbeConfig,
     SamplingExhausted,
     ZeroStatus,
@@ -109,15 +110,18 @@ def test_positive_constraint_sampling():
 
 
 def test_eval_exact_fractional_perfect_powers():
-    e = J(2) ** F(3, 2)
-    assert eval_exact(e, {E.jet(2): F(9, 4)}) == F(27, 8)
-    with pytest.raises(Exception):
-        eval_exact(e, {E.jet(2): F(2)})
+    # refused even where the root is rational: the exact rank evaluates
+    # integer powers only
+    for e, value in ((J(2) ** F(3, 2), F(9, 4)), (J(2) ** F(1, 2), F(10 ** 400)),
+                     (X + (1 + J(1) ** 2) ** F(-1, 2), F(0))):
+        with pytest.raises(ExactEvalError, match="has no exact value at a rational point"):
+            eval_exact(e, {E.indep(): F(1), E.jet(1): value, E.jet(2): value})
+    with pytest.raises(ExactEvalError, match=r"^exp\(x\) has no exact value"):
+        eval_exact(E.transcendental("exp", X), {E.indep(): F(1)})
 
 
 def test_int_root_is_exact_for_huge_and_near_float_limit_powers():
     assert _int_root(10 ** 400, 2) == 10 ** 200
-    assert eval_exact(J(2) ** F(1, 2), {E.jet(2): F(10 ** 400)}) == 10 ** 200
     assert _int_root((3 ** 40 + 1) ** 2, 2) == 3 ** 40 + 1
     assert _int_root((3 ** 40 + 1) ** 2 + 1, 2) is None
     assert _int_root((7 ** 30 + 2) ** 3, 3) == 7 ** 30 + 2
