@@ -87,11 +87,13 @@ def _as_exact(value):
 class Atom:
     """A leaf coordinate of the computation.
 
-    Atoms compare and hash by structural key, so two transcendental atoms are
-    equal exactly when their function names and normalized arguments agree.
+    The module constructors intern every atom by structure (`_interned`),
+    and unpickling re-interns (`__reduce__`), so atoms compare and hash by
+    identity, in C: two transcendental atoms are one exactly when their
+    function names and normalized arguments agree.
     """
 
-    __slots__ = ("kind", "order", "name", "fn", "arg", "_key", "_hash", "_expr")
+    __slots__ = ("kind", "order", "name", "fn", "arg", "_key", "_expr")
 
     def __init__(self, kind: str, order: int = 0, name: str = "",
                  fn: str = "", arg: "Expr | None" = None):
@@ -109,14 +111,10 @@ class Atom:
         else:
             extra = ()
         self._key = ("a", _KIND_RANK[kind]) + extra
-        self._hash = hash(self._key)
         self._expr = None
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return _interned, (self.kind, self.order, self.name, self.fn, self.arg)
 
     def __repr__(self):
         return f"Atom({atom_name(self)})"
@@ -133,29 +131,31 @@ _ATOM_CACHE: dict = {}
 
 
 def indep() -> Atom:
-    return _cached_atom(("indep",), lambda: Atom("indep"))
+    return _interned("indep", 0, "", "", None)
 
 
 def dep() -> Atom:
-    return _cached_atom(("dep",), lambda: Atom("dep"))
+    return _interned("dep", 0, "", "", None)
 
 
 def jet(k: int) -> Atom:
     if k < 1:
         raise ValueError("jet order must be >= 1; use dep() for order 0")
-    return _cached_atom(("jet", k), lambda: Atom("jet", order=k))
+    return _interned("jet", k, "", "", None)
 
 
 def param(name: str) -> Atom:
     if not name:
         raise ValueError("parameter name must be nonempty")
-    return _cached_atom(("param", name), lambda: Atom("param", name=name))
+    return _interned("param", 0, name, "", None)
 
 
-def _cached_atom(key, build):
+def _interned(kind: str, order: int, name: str, fn: str, arg) -> Atom:
+    """The one atom of this structure in the process."""
+    key = (kind, order, name, fn, None if arg is None else arg._key)
     atom = _ATOM_CACHE.get(key)
     if atom is None:
-        atom = _ATOM_CACHE[key] = build()
+        atom = _ATOM_CACHE[key] = Atom(kind, order, name, fn, arg)
     return atom
 
 
@@ -599,7 +599,7 @@ def transcendental(fn: str, arg: Expr) -> Expr:
                 return ONE
         if v == 1 and fn == "ln":
             return ZERO
-    return Atom("transc", fn=fn, arg=arg).as_expr()
+    return _interned("transc", 0, "", fn, arg).as_expr()
 
 
 _D_TRANSC: dict = {
@@ -699,9 +699,8 @@ def _touched(b, bound) -> bool:
 
 
 def _atom_keys(e: Expr) -> frozenset:
-    """The keys of every atom in e, cached on e.  Keys, not atoms: pickle
-    rebuilds an atom's shared expression, and so a set of atoms cached on
-    it, before it restores the atom's `_hash`."""
+    """The keys of every atom in e, cached on e.  Keys, not atoms: the cache
+    pickles with e, and `substitute` matches its bindings by key."""
     keys = e._flags.get("atom_keys")
     if keys is None:
         keys = e._flags["atom_keys"] = frozenset(

@@ -27,6 +27,17 @@ The runner, `run_record_checks`, gives each check one seed,
 ``derive_seed(seed, record, n, check, detail)``: the thunk probes with it and
 the report shows it.  A check that raises any exception is a failed check,
 reported once, whose sole verdict is ``"<ExceptionType>: <message>"``.
+
+`run_verification` takes the records longest first by a static cost key,
+`_job_cost` (the size of the record's JSON template times its number of
+planned orders; ties by label), and submits the pool jobs in that order:
+longest-processing-time-first list scheduling (Graham 1969), so `(7,6)`,
+a third of the summed check time, starts at once.  The checks grow with
+the number and length of the stored equations, invariants and fields, so
+the template size stands in for the work: on the catalog this key gives a
+2-worker makespan within 0.2% of the order by measured check time, with
+no timing file or setting.  The report rows are sorted at the end, so the
+report does not depend on the order.
 """
 
 from __future__ import annotations
@@ -136,9 +147,7 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
                       param_overrides: Optional[dict] = None) -> List[CheckResult]:
     """Run every planned check of `rec`, one seed and one row per check."""
     out: List[CheckResult] = []
-    orders = [n_override] if n_override is not None else \
-        [o for o in (default_order(rec), secondary_order(rec)) if o is not None]
-    for n in orders:
+    for n in _planned_orders(rec, n_override):
         for check, detail, params, thunk in plan_checks(rec, n, param_overrides):
             seed = derive_seed(probe.seed, rec.label, n, check, detail)
             t0 = time.time()
@@ -149,6 +158,13 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
             out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
                                    passed, verdicts, int((time.time() - t0) * 1000), note))
     return out
+
+
+def _planned_orders(rec: CatalogRecord, n_override: Optional[int]) -> List[int]:
+    """The orders at which `run_record_checks` checks `rec`."""
+    if n_override is not None:
+        return [n_override]
+    return [o for o in (default_order(rec), secondary_order(rec)) if o is not None]
 
 
 def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
@@ -315,6 +331,12 @@ def _pool_results(jobs: list, workers: int) -> list:
     return out
 
 
+def _job_cost(rec: CatalogRecord, n_override: Optional[int]) -> int:
+    """The static cost key of a record's job: its template size times its
+    number of planned orders (see the module docstring)."""
+    return len(json.dumps(rec.data, sort_keys=True)) * len(_planned_orders(rec, n_override))
+
+
 def run_verification(filter_glob: Optional[str] = None,
                      probe: ProbeConfig = DEFAULT_PROBE,
                      workers: int = 1,
@@ -323,7 +345,7 @@ def run_verification(filter_glob: Optional[str] = None,
     records = load_catalog()
     chosen = [r for r in records
               if filter_glob is None or fnmatch.fnmatch(r.label, filter_glob)]
-    chosen.sort(key=lambda r: r.label)
+    chosen.sort(key=lambda r: (-_job_cost(r, n_override), r.label))
     results: List[CheckResult] = []
     if workers > 1 and chosen:
         jobs = [(r, probe, n_override, param_overrides) for r in chosen]

@@ -173,6 +173,14 @@ def test_criterion_1_tabulated_5_5_square_as_stated():
                       "cube 9*y''^3 confirmed by engine and cofactor oracle")
 
 
+def _digest(report):
+    """sha256 of the report without `elapsed_ms`, as REPORT_SHA256 pins it."""
+    data = report.to_json()
+    for c in data["checks"]:
+        c.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 def test_criterion_2_full_catalog_verification():
     t0 = time.monotonic()
     report = run_verification(probe=STANDARD, workers=1)
@@ -182,15 +190,13 @@ def test_criterion_2_full_catalog_verification():
     assert len({r.record for r in report.results}) == 41
     assert len(report.results) >= 160
     assert single < 600, f"single-worker run took {single:.0f}s"
-    data = report.to_json()
-    for c in data["checks"]:
-        c.pop("elapsed_ms")
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-    assert digest == REPORT_SHA256
+    assert _digest(report) == REPORT_SHA256
     t0 = time.monotonic()
     report4 = run_verification(probe=STANDARD, workers=4)
     quad = time.monotonic() - t0
     assert report4.passed
+    # the pool's job order must not change the report
+    assert _digest(report4) == REPORT_SHA256
     assert quad < 180, f"four-worker run took {quad:.0f}s"
     announce(2, True,
              f"{len(report.results)} checks over 41 records pass "

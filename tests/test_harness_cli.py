@@ -341,18 +341,20 @@ def test_verify_ends_with_a_summary_line(tmp_path, capsys):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def inline_pool(monkeypatch):
     """Swap the harness's process pool for one that records the size it is
-    asked for and runs each job in this process; return the sizes."""
+    asked for and the record label of each job in submission order, and
+    runs each job in this process; return both lists."""
     from concurrent.futures import Future
+    from types import SimpleNamespace
 
     import liesym.harness as harness
 
-    sizes = []
+    seen = SimpleNamespace(sizes=[], labels=[])
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            seen.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -360,29 +362,30 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
+        def submit(self, fn, job):
+            seen.labels.append(job[0].label)
             fut = Future()
-            fut.set_result(fn(*args))
+            fut.set_result(fn(job))
             return fut
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    return sizes
+    return seen
 
 
 @pytest.mark.parametrize("glob,workers,want", [("(5,5)", 5000, [1]),
                                                ("(1[0-3],*", 5000, [3]),
                                                ("(99,99)", 4, [])])
-def test_pool_holds_no_more_processes_than_records(glob, workers, want, pool_sizes,
+def test_pool_holds_no_more_processes_than_records(glob, workers, want, inline_pool,
                                                    tmp_path):
     import liesym.cli as cli
 
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--filter", glob, "--workers", str(workers), "--out", str(out)])
-    assert pool_sizes == want
+    assert inline_pool.sizes == want
     assert code == (0 if want else 2)  # no records matched: a usage error
 
 
-def test_pool_jobs_do_not_reload_the_catalog(pool_sizes, monkeypatch):
+def test_pool_jobs_do_not_reload_the_catalog(inline_pool, monkeypatch):
     import liesym.harness as harness
 
     real = harness.load_catalog
@@ -394,8 +397,25 @@ def test_pool_jobs_do_not_reload_the_catalog(pool_sizes, monkeypatch):
 
     monkeypatch.setattr(harness, "load_catalog", counting_load)
     report = run_verification(filter_glob="(1[0-3],*", workers=2)
-    assert pool_sizes == [2] and len(loads) == 1
+    assert inline_pool.sizes == [2] and len(loads) == 1
     assert {r.record for r in report.results} == {"(10,2)", "(11,3)", "(13,4)"}
+
+
+def test_pool_jobs_are_submitted_longest_first(inline_pool, monkeypatch):
+    import liesym.harness as harness
+
+    # the jobs only need to be submitted: skip their checks
+    monkeypatch.setattr(harness, "run_record_checks", lambda rec, *args: [])
+    records = {r.label: r for r in harness.load_catalog()}
+    harness.run_verification(workers=2)
+    first = list(inline_pool.labels)
+    assert sorted(first) == sorted(records) and len(first) == 41
+    keys = [(-harness._job_cost(records[label], None), label) for label in first]
+    assert keys == sorted(keys)
+    # the record that is a third of the check time starts at once
+    assert "(7,6)" in first[:2]
+    harness.run_verification(workers=2)
+    assert inline_pool.labels[41:] == first
 
 
 def test_instantiate_runs_once_per_record_and_order(monkeypatch):
