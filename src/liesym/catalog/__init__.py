@@ -104,20 +104,16 @@ def eval_formula(text, env: Mapping[str, Fraction]) -> Fraction:
 def check_condition(cond: str, env: Mapping[str, Fraction]) -> bool:
     """'alpha != n-1' or 'K = n/(n-1)', evaluated exactly.
 
-    Conditions on symbolic (unset) parameters hold vacuously.
+    Conditions on symbolic (unset) parameters hold vacuously; a condition
+    that does not parse raises ParseError.
     """
-    if "!=" in cond:
-        lhs, rhs = cond.split("!=")
-        op = "!="
-    elif "=" in cond:
-        lhs, rhs = cond.split("=")
-        op = "="
-    else:
+    op = "!=" if "!=" in cond else "="
+    lhs, found, rhs = cond.partition(op)
+    if not found:
         raise CatalogError(f"cannot parse condition {cond!r}")
-    try:
-        lv = eval_formula(lhs.strip(), env)
-        rv = eval_formula(rhs.strip(), env)
-    except ExprError:
+    ctx = Context(params=dict(env))
+    lv, rv = parse_expression(lhs, ctx), parse_expression(rhs, ctx)
+    if not (lv.is_rational_const() and rv.is_rational_const()):
         return True  # involves a symbolic parameter: not checkable
     return (lv == rv) if op == "=" else (lv != rv)
 

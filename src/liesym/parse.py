@@ -2,29 +2,34 @@
 
 Grammar (whitespace insignificant):
 
-* identifiers ``x``, ``y``; jets ``y'``, ``y''``, ``y'''`` and ``y^(k)`` for
-  k >= 1 (``y^(2)`` is the same atom as ``y''``); to raise y itself to a
-  parenthesized power, parenthesize the base: ``(y)^(3)``.
+* numbers are runs of decimal digits; rationals are written with ``/``.  An
+  identifier starts with a word character that is not a decimal digit.
+* jets ``y'``, ``y''``, ``y'''`` and ``y^(k)`` for k >= 1 (``y^(2)`` is the
+  same atom as ``y''``); to raise y itself to a parenthesized power,
+  parenthesize the base: ``(y)^(3)``.
 * operators ``+ - * / ^`` with precedence ``^`` > unary minus > ``* /`` >
-  ``+ -``; ``^`` is right-associative and its exponent must fold to an
-  exact rational (integers, parenthesized rationals, or bound parameters).
+  ``+ -``.  ``^`` takes a unary expression that must fold to an exact
+  rational (integers, parenthesized rationals, or bound parameters); that
+  expression may hold a ``^`` itself, so ``^`` is right-associative.
 * functions ``exp( ) ln( ) arctan( ) sin( ) cos( ) sqrt( )``; ``sqrt(u)``
   is ``u^(1/2)``.  ``fact(k)`` folds to k! for an integer k (usable inside
   coefficients and exponents).
-* integers; rationals are written with ``/``.
 * free identifiers must be declared in the :class:`Context` (as symbolic
   parameters, bound rational values, named macros, or function slots).
 
 Vector fields use the same grammar extended with the terminals ``Dx`` and
-``Dy`` and must be linear in them, e.g. ``x^2*Dx + r*x*y*Dy``.
+``Dy`` and must be linear in them, with jet-free coefficients, e.g.
+``x^2*Dx + r*x*y*Dy``.  Every input error, also a value the kernel rejects
+(``ln(0)``), is a :class:`ParseError` at the offending token's offset.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expr import (
     Expr,
@@ -33,6 +38,8 @@ from .expr import (
     diff,
     indep,
     jet,
+    leaf_atoms,
+    max_jet_order,
     param,
     transcendental,
 )
@@ -49,6 +56,15 @@ class ParseError(ExprError):
 
 class UnknownIdentifierError(ParseError):
     pass
+
+
+def _guard(pos: int, fn, *args):
+    """``fn(*args)`` for a value built from input; a kernel error becomes a
+    ParseError at ``pos``."""
+    try:
+        return fn(*args)
+    except ExprError as exc:
+        raise ParseError(str(exc), pos) from exc
 
 
 @dataclass
@@ -72,53 +88,29 @@ class Context:
         return Context(p, dict(self.macros), dict(self.functions), self.auto_params)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num ident prime op end
     text: str
     pos: int
 
 
+# number | identifier | primes | operator | any other non-space character
+_TOKEN_RE = re.compile(r"(\d+)|([^\W\d]\w*)|('+)|([-+*/^(),])|(\S)")
+_KINDS = (None, "num", "ident", "prime", "op")
+
+
 def _tokenize(text: str) -> list:
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch == "'":
-            j = i
-            while j < n and text[j] == "'":
-                j += 1
-            out.append(_Token("prime", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            out.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == len(_KINDS):
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        out.append(_Token(_KINDS[m.lastindex], m.group(), m.start()))
+    out.append(_Token("end", "", len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list, context: Context, allow_fields: bool = False):
+    def __init__(self, tokens: list, context: Context, allow_fields: bool):
         self.toks = tokens
         self.pos = 0
         self.ctx = context
@@ -128,6 +120,11 @@ class _Parser:
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the operators ``ops``."""
+        t = self.peek()
+        return t.kind == "op" and t.text in ops
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -145,7 +142,7 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at("+-"):
             op = self.next().text
             rhs = self.parse_term()
             node = node + rhs if op == "+" else node - rhs
@@ -153,57 +150,53 @@ class _Parser:
 
     def parse_term(self) -> Expr:
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.at("*/"):
             op = self.next()
             rhs = self.parse_unary()
             if op.text == "*":
                 node = node * rhs
+            elif rhs.is_zero_expr():
+                raise ParseError("division by zero", op.pos)
             else:
-                if rhs.is_zero_expr():
-                    raise ParseError("division by zero", op.pos)
                 node = node / rhs
         return node
 
     def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.next()
             return -self.parse_unary()
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_primary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.next()
-            exponent = self.parse_exponent()
-            try:
-                return base.pow(exponent)
-            except ExprError as exc:
-                raise ParseError(str(exc), caret.pos) from exc
-        return base
+        if not self.at("^"):
+            return base
+        caret = self.next()
+        return _guard(caret.pos, base.pow, self._fold_rational(self.parse_unary))
 
-    def parse_exponent(self) -> Fraction:
-        """Right-associative exponent, folded to an exact rational."""
-        tok = self.peek()
-        node = self.parse_unary_exponent()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            node = node ** self.parse_exponent()
-        return self._fold_rational(node, tok.pos)
+    def _fold_rational(self, parse) -> Fraction:
+        """Run ``parse`` and fold its expression to an exact rational."""
+        pos = self.peek().pos
+        e = parse()
+        if not e.is_rational_const():
+            raise ParseError("expected an expression that folds to an exact rational", pos)
+        return e.as_rational()
 
-    def parse_unary_exponent(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            return -self.parse_unary_exponent()
-        tok = self.peek()
-        e = self.parse_primary()
-        return self._fold_rational(e, tok.pos)
+    def _int_arg(self, name: str) -> int:
+        """``(k)`` for a nonnegative integer k, the argument of fact and factprod."""
+        self.expect_op("(")
+        pos = self.peek().pos
+        k = self._fold_rational(self.parse_expr)
+        self.expect_op(")")
+        if k.denominator != 1 or k < 0:
+            raise ParseError(f"{name}() needs a nonnegative integer", pos)
+        return k.numerator
 
-    def _fold_rational(self, e, pos: int) -> Fraction:
-        if isinstance(e, Fraction):
-            return e
-        if isinstance(e, Expr) and e.is_rational_const():
-            return e.as_rational()
-        raise ParseError("exponent does not reduce to an exact rational", pos)
+    def _call_arg(self) -> Expr:
+        self.expect_op("(")
+        arg = self.parse_expr()
+        self.expect_op(")")
+        return arg
 
     def parse_primary(self) -> Expr:
         t = self.next()
@@ -222,45 +215,23 @@ class _Parser:
         if name == "x":
             return indep().as_expr()
         if name == "y":
-            return self.parse_dependent(t)
+            return self.parse_dependent()
         if name in ("Dx", "Dy"):
             if not self.allow_fields:
                 raise UnknownIdentifierError(f"unknown identifier {name!r}", t.pos)
             return param("\x00" + name).as_expr()
         if name in _FUNCTIONS:
-            self.expect_op("(")
-            arg = self.parse_expr()
-            self.expect_op(")")
+            arg = self._call_arg()
             if name == "sqrt":
-                try:
-                    return arg.pow(Fraction(1, 2))
-                except ExprError as exc:
-                    raise ParseError(str(exc), t.pos) from exc
-            return transcendental(name, arg)
+                return _guard(t.pos, arg.pow, Fraction(1, 2))
+            return _guard(t.pos, transcendental, name, arg)
         if name == "fact":
-            self.expect_op("(")
-            tok = self.peek()
-            arg = self._fold_rational(self.parse_expr(), tok.pos)
-            self.expect_op(")")
-            if arg.denominator != 1 or arg < 0:
-                raise ParseError("fact() needs a nonnegative integer", tok.pos)
-            return Expr.rational(math.factorial(arg.numerator))
+            return Expr.rational(math.factorial(self._int_arg(name)))
         if name == "factprod":
-            self.expect_op("(")
-            tok = self.peek()
-            arg = self._fold_rational(self.parse_expr(), tok.pos)
-            self.expect_op(")")
-            if arg.denominator != 1 or arg < 0:
-                raise ParseError("factprod() needs a nonnegative integer", tok.pos)
-            out = 1
-            for j in range(1, arg.numerator + 1):
-                out *= math.factorial(j)
-            return Expr.rational(out)
+            k = self._int_arg(name)
+            return Expr.rational(math.prod(math.factorial(j) for j in range(1, k + 1)))
         if name == "totd":
-            self.expect_op("(")
-            arg = self.parse_expr()
-            self.expect_op(")")
-            return total_derivative(arg)
+            return _guard(t.pos, total_derivative, self._call_arg())
         if name in self.ctx.functions:
             return self.parse_function_slot(name, t)
         if name in self.ctx.macros:
@@ -274,7 +245,7 @@ class _Parser:
             return param(name).as_expr()
         raise UnknownIdentifierError(f"unknown identifier {name!r}", t.pos)
 
-    def parse_dependent(self, t: _Token) -> Expr:
+    def parse_dependent(self) -> Expr:
         """Bare ``y``: may continue as primes or the ``y^(k)`` jet spelling."""
         nxt = self.peek()
         if nxt.kind == "prime":
@@ -282,27 +253,16 @@ class _Parser:
             order = len(nxt.text)
             self._check_jet(order, nxt.pos)
             return jet(order).as_expr()
-        if nxt.kind == "op" and nxt.text == "^" and \
-                self.peek(1).kind == "op" and self.peek(1).text == "(":
+        if self.at("^") and self.peek(1).text == "(":
             caret = self.next()
             self.expect_op("(")
-            tok = self.peek()
-            inner = self.parse_expr()
+            pos = self.peek().pos
+            r = self._fold_rational(self.parse_expr)
             self.expect_op(")")
-            r = self._fold_rational(inner, tok.pos)
             if r.denominator == 1 and r >= 1:
-                order = r.numerator
-                self._check_jet(order, tok.pos)
-                node = jet(order).as_expr()
-                # a further ^ binds to the jet atom: y^(4)^2
-                if self.peek().kind == "op" and self.peek().text == "^":
-                    self.next()
-                    return node.pow(self.parse_exponent())
-                return node
-            try:
-                return dep().as_expr().pow(r)
-            except ExprError as exc:
-                raise ParseError(str(exc), caret.pos) from exc
+                self._check_jet(r.numerator, pos)
+                return jet(r.numerator).as_expr()
+            return _guard(caret.pos, dep().as_expr().pow, r)
         return dep().as_expr()
 
     def _check_jet(self, order: int, pos: int) -> None:
@@ -315,21 +275,17 @@ class _Parser:
         fn = self.ctx.functions[name]
         self.expect_op("(")
         args: list = []
-        if not (self.peek().kind == "op" and self.peek().text == ")"):
+        if not self.at(")"):
             while True:
                 if self.peek().kind == "ident" and self.peek().text == "series":
                     args.extend(self.parse_series())
                 else:
                     args.append(self.parse_expr())
-                if self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+                if not self.at(","):
+                    break
+                self.next()
         self.expect_op(")")
-        try:
-            return fn(args)
-        except ExprError as exc:
-            raise ParseError(f"function slot {name!r} failed: {exc}", t.pos) from exc
+        return _guard(t.pos, fn, args)
 
     def parse_series(self) -> list:
         """series(var, lo, hi, template): the template re-parsed per var value.
@@ -342,14 +298,13 @@ class _Parser:
         if var_tok.kind != "ident":
             raise ParseError("series() needs a loop variable name", var_tok.pos)
         self.expect_op(",")
-        tok = self.peek()
-        lo = self._fold_rational(self.parse_expr(), tok.pos)
+        lo = self._fold_rational(self.parse_expr)
         self.expect_op(",")
-        tok = self.peek()
-        hi = self._fold_rational(self.parse_expr(), tok.pos)
+        pos = self.peek().pos
+        hi = self._fold_rational(self.parse_expr)
         self.expect_op(",")
         if lo.denominator != 1 or hi.denominator != 1:
-            raise ParseError("series() bounds must be integers", tok.pos)
+            raise ParseError("series() bounds must be integers", pos)
         start = self.pos
         out = []
         end = None
@@ -367,15 +322,19 @@ class _Parser:
         return out
 
 
-def parse_expression(text: str, context: Optional[Context] = None) -> Expr:
-    """Parse ``text`` to a normalized expression."""
-    ctx = context or Context()
-    p = _Parser(_tokenize(text), ctx)
+def _parse(text: str, context: Optional[Context], allow_fields: bool) -> Expr:
+    """Parse all of ``text``; input left after the expression is an error."""
+    p = _Parser(_tokenize(text), context or Context(), allow_fields)
     e = p.parse_expr()
     t = p.next()
     if t.kind != "end":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
     return e
+
+
+def parse_expression(text: str, context: Optional[Context] = None) -> Expr:
+    """Parse ``text`` to a normalized expression."""
+    return _parse(text, context, allow_fields=False)
 
 
 _DX = param("\x00Dx")
@@ -386,20 +345,15 @@ def parse_vector_field(text: str, context: Optional[Context] = None):
     """Parse a point vector field written with ``Dx``/``Dy`` terminals.
 
     Returns the pair (xi, eta) of coefficient expressions; the input must be
-    linear in Dx and Dy with coefficients free of them.
+    linear in Dx and Dy with coefficients free of them and of jets.
     """
-    ctx = context or Context()
-    p = _Parser(_tokenize(text), ctx, allow_fields=True)
-    e = p.parse_expr()
-    t = p.next()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
+    e = _parse(text, context, allow_fields=True)
     xi = diff(e, _DX)
     eta = diff(e, _DY)
     residual = e - xi * _DX.as_expr() - eta * _DY.as_expr()
-    from .expr import leaf_atoms  # local import to keep module top thin
-
     if not residual.is_zero_expr() or \
             {_DX, _DY} & (leaf_atoms(xi) | leaf_atoms(eta)):
         raise ParseError("vector field must be linear in Dx and Dy", 0)
+    if max(max_jet_order(xi) or 0, max_jet_order(eta) or 0) > 0:
+        raise ParseError("vector field coefficients must not contain jets", 0)
     return xi, eta

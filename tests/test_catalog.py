@@ -1,5 +1,7 @@
 """Catalog loading, instantiation grounding, and constraint handling."""
 
+import copy
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -8,13 +10,14 @@ from liesym import expr as E
 from liesym.catalog import (
     CatalogError,
     ConstraintViolation,
+    check_condition,
     default_order,
     find_record,
     instantiate,
     load_catalog,
     secondary_order,
 )
-from liesym.parse import Context, parse_expression
+from liesym.parse import Context, ParseError, parse_expression
 
 RECORDS = load_catalog()
 
@@ -112,6 +115,20 @@ def test_case_selection_on_special_weights():
     con = instantiate(rec, n=5, params={"alpha": 3})  # alpha = n-2
     assert con.invariants[0][1] == E.jet(3).as_expr()
     assert con.lam == E.jet(4).as_expr() ** -1
+
+
+def test_malformed_case_condition_raises():
+    env = {"alpha": F(3), "n": F(5)}
+    for cond in ("alpah = n-1", "alpha = n-", "alpha == n-1"):  # unknown name, bad syntax
+        with pytest.raises(ParseError):
+            check_condition(cond, env)
+    assert not check_condition("alpha = n-1", env)
+    assert check_condition("alpha = n-1", {"alpha": None, "n": F(5)})  # unset: holds
+    rec = find_record(RECORDS, "(24,n)")
+    data = copy.deepcopy(rec.data)
+    data["cases"][0]["when"] = ["alpah = n-1"]
+    with pytest.raises(ParseError):
+        instantiate(dataclasses.replace(rec, data=data), n=5, params={"alpha": 3})
 
 
 def test_constraint_violations_are_named():

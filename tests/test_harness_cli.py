@@ -173,6 +173,25 @@ def test_bad_user_input_is_a_usage_error(argv, capsys):
     assert "error: " in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("argv", [["prolong", "2²*x*Dx", "1"], ["prolong", "ln(0)*Dx", "1"],
+                                  ["prolong", "ln(1-1)*Dx", "1"],
+                                  ["prolong", "totd(y^(12))*Dx", "1"],
+                                  ["prolong", "y'*Dx", "1"], ["liedet", "y'*Dx; Dy"]])
+def test_bad_field_is_a_usage_error(argv, capsys):
+    import liesym.cli as cli
+
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "internal error" not in err
+
+
+def test_cli_prolong_folds_an_exponent_chain(capsys):
+    import liesym.cli as cli
+
+    assert cli.main(["prolong", "x^4^(1/2)*Dx", "1"]) == 0
+    assert capsys.readouterr().out == "eta[1] = -2*x*y'\n"
+
+
 def test_cli_catalog_list():
     proc = run_cli("catalog", "list")
     assert proc.returncode == 0

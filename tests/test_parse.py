@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liesym import expr as E
 from liesym.expr import format_expr
@@ -129,3 +130,55 @@ def test_print_parse_round_trip_on_catalog_shapes():
     ]
     for s in samples:
         rt(s)
+
+
+def test_exponent_is_a_unary_expression():
+    x = E.indep().as_expr()
+    assert parse_expression("x^4^(1/2)") == x ** 2
+    assert parse_expression("x^(-8)^(1/3)") == x ** -2
+    assert parse_expression("x^2^-1") == x ** F(1, 2)
+    # a minus in the exponent binds like a leading one: -2^2 is -(2^2)
+    assert parse_expression("x^-2^2") == x ** -4
+    with pytest.raises(ParseError) as err:
+        parse_expression("x^2^(1/2)")  # 2^(1/2) is not rational
+    assert err.value.offset == 2
+
+
+def test_numbers_are_decimal_digits():
+    assert parse_expression("٣*x") == 3 * E.indep().as_expr()  # ARABIC-INDIC 3
+    for text in ("2²", "①"):  # SUPERSCRIPT TWO, CIRCLED ONE
+        with pytest.raises(ParseError):
+            parse_expression(text)
+    with pytest.raises(ParseError) as err:
+        parse_expression("x + $")
+    assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("text, offset", [("1 + ln(0)", 4), ("sqrt(-1)", 0), ("0^(-1)", 1),
+                                          ("x*totd(y^(12))", 2), ("2 - (1-1)^(-2)", 9)])
+def test_kernel_errors_are_parse_errors(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+
+
+def test_vector_field_coefficients_are_jet_free():
+    for text in ("y'*Dx", "Dx + y^(3)*Dy"):
+        with pytest.raises(ParseError):
+            parse_vector_field(text)
+
+
+_PIECES = ["x", "y", "y'", "y^(12)", "0", "1", "2", "²", "①", "٣", "é",
+           "ln(", "exp(", "sqrt(", "sin(", "totd(", "(", ")", "+", "-", "*", "/", ",", " ",
+           "Dx", "Dy"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+def test_input_errors_are_parse_errors(text):
+    # no ^ chains, fact or factprod: their exact values can be unbounded
+    for parse, ctx in ((parse_expression, Context()),
+                       (parse_vector_field, Context(auto_params=True))):
+        try:
+            parse(text, ctx)
+        except ParseError:
+            pass
