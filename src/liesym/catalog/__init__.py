@@ -93,9 +93,7 @@ class ConcreteRecord:
 # -- arithmetic over template formulas ----------------------------------------
 
 def eval_formula(text, env: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate an arithmetic template ('n+1', 'fact(n-1)', '7') exactly."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
+    """Evaluate a template ('n+1', 'fact(n-1)', '7') or a number exactly."""
     ctx = Context(params={k: Fraction(v) for k, v in env.items() if v is not None})
     e = parse_expression(str(text), ctx)
     return e.as_rational()
@@ -190,47 +188,39 @@ H_CHOICES: dict = {"identity": _h_identity, "square": _h_square, "one": _h_one}
 # -- instantiation -------------------------------------------------------------
 
 def instantiate(record: CatalogRecord, n: Optional[int] = None,
-                params: Optional[Mapping[str, object]] = None,
-                enforce_constraints: bool = True,
-                bound_overrides: Optional[Mapping[str, Fraction]] = None) -> ConcreteRecord:
+                params: Optional[Mapping[str, object]] = None) -> ConcreteRecord:
     """Ground a record at order n with concrete parameter values.
 
     ``params`` values may be Fractions/ints, strings of formulas in n, or
-    None to keep a parameter symbolic.  Raises ConstraintViolation naming
-    the violated constraint unless ``enforce_constraints`` is off.
+    None to keep a parameter symbolic.  A name in ``params`` that is a
+    bound replaces that bound's formula before later bounds and defaults
+    are evaluated, and is not reported as a parameter.  Raises
+    ConstraintViolation naming the violated constraint.
     """
     data = record.data
     n = n if n is not None else default_order(record)
     lo, hi = data.get("n_range", [1, None])
     if n < lo or (hi is not None and n > hi):
         raise ConstraintViolation(f"{record.label}: order n={n} outside range [{lo}, {hi}]")
+    overrides = dict(params or {})
     env: dict = {"n": Fraction(n)}
     for name, formula in data.get("bound", {}).items():
-        if bound_overrides and name in bound_overrides:
-            env[name] = Fraction(bound_overrides[name])
-        else:
-            env[name] = eval_formula(formula, env)
+        env[name] = eval_formula(overrides.pop(name, formula), env)
     # defaults, then user overrides
     values: dict = {}
     for p in data.get("parameters", []):
         name = p["name"]
         default = data.get("defaults", {}).get(name)
         values[name] = None if default is None else eval_formula(default, env)
-    if params:
-        for name, v in params.items():
-            if name not in values and name not in env:
-                raise CatalogError(f"{record.label}: unknown parameter {name!r}")
-            values[name] = None if v is None else (
-                eval_formula(v, env) if isinstance(v, str) else Fraction(v))
-    env.update({k: v for k, v in values.items()})
-    if enforce_constraints:
-        for p in data.get("parameters", []):
-            for excl in p.get("exclude", []):
-                if values.get(p["name"]) is not None:
-                    bad = eval_formula(excl, env)
-                    if values[p["name"]] == bad:
-                        raise ConstraintViolation(
-                            f"{record.label}: {p['name']} = {excl} excluded")
+    for name, v in overrides.items():
+        if name not in values:
+            raise CatalogError(f"{record.label}: unknown parameter {name!r}")
+        values[name] = None if v is None else eval_formula(v, env)
+    env.update(values)
+    for p in data.get("parameters", []):
+        for excl in p.get("exclude", []):
+            if values[p["name"]] is not None and values[p["name"]] == eval_formula(excl, env):
+                raise ConstraintViolation(f"{record.label}: {p['name']} = {excl} excluded")
     # select a guarded case, if any
     content = dict(data)
     case_note = ""
@@ -287,7 +277,7 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
         label=record.label,
         n=n,
         dimension=dimension or len(fields),
-        params={k: v for k, v in values.items()},
+        params=dict(values),
         fields=fields,
         equations=equations,
         invariants=invariants,
@@ -334,24 +324,17 @@ def _build_generators(specs: list, ctx: Context) -> list:
 
 # -- builders for root-dependent records ----------------------------------------
 
-def _default_roots(count: int, avoid_zero: bool = False) -> list:
-    out = []
-    k = 1
-    if not avoid_zero:
-        out.append(Fraction(0))
-    while len(out) < count:
-        out.append(Fraction(k))
-        if len(out) < count:
-            out.append(Fraction(-k))
-        k += 1
-    return out[:count]
+def _default_roots(count: int, avoid_zero: bool) -> list:
+    """The first `count` of 0 (unless `avoid_zero`), 1, -1, 2, -2, ..."""
+    roots = [Fraction(s * k) for k in range(1, count + 1) for s in (1, -1)]
+    return (roots if avoid_zero else [Fraction(0)] + roots)[:count]
 
 
 def _linear_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     """Generators Dx and eta_i(x)*Dy where the eta_i span the kernel of an
     order-(n-1) constant-coefficient operator; blocks u = that operator
     applied to y, and Du = its total derivative."""
-    spec = CharSpec(real_roots=tuple(_default_roots(n - 1)))
+    spec = CharSpec(real_roots=tuple(_default_roots(n - 1, avoid_zero=False)))
     fields = [VectorField(ONE, ZERO)]
     fields += [VectorField(ZERO, s) for s in fundamental_solutions(spec)]
     u = jet_or_dep(n - 1).as_expr() - linear_ode_from_spec(spec).rhs()

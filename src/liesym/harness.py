@@ -57,7 +57,6 @@ from .catalog import (
     H_CHOICES,
     CatalogRecord,
     default_order,
-    eval_formula,
     instantiate,
     load_catalog,
     secondary_order,
@@ -225,7 +224,7 @@ def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
                     ",".join(f"{k}={v}" for k, v in values.items())
                 params: dict = {}
                 yield "extra_symmetry", detail, params, partial(
-                    _extra_symmetry, rec, n, spec["field"], values, params, expect_zero)
+                    _discrimination, rec, n, values, spec["field"], params, expect_zero)
 
     # bound-parameter discrimination: the stated generator weight is the
     # only one admitting the equation
@@ -235,7 +234,7 @@ def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
             if formula is not None:
                 params = {}
                 yield "generator_probe", f"probe{i} {spec['param']}={formula}", params, \
-                    partial(_generator_probe, rec, n, spec["param"], formula, params,
+                    partial(_discrimination, rec, n, {spec["param"]: formula}, None, params,
                             expect_zero)
 
 
@@ -288,20 +287,15 @@ def _equivalence(ea, eb, positive, probe):
     return v.is_zero, [v.to_json()], ""
 
 
-def _extra_symmetry(rec, n, field, values, params, expect_zero, probe):
-    con_v = instantiate(rec, n=n, params=values, enforce_constraints=False)
+def _discrimination(rec, n, values, field, params, expect_zero, probe):
+    """Verdicts on the first equation of `rec` grounded at `values` under the
+    extra `field`, or under the record's own fields when `field` is None."""
+    con_v = instantiate(rec, n=n, params=values)
     params.update(con_v.params)
-    xi, eta = parse_vector_field(field, Context(params={"n": Fraction(n), **con_v.params}))
-    return _verdicts(check_equation_invariance, [VectorField(xi, eta)],
-                     con_v.equations[0].equation, probe, expect_zero)
-
-
-def _generator_probe(rec, n, param, formula, params, expect_zero, probe):
-    value = eval_formula(formula, {"n": Fraction(n)})
-    con_v = instantiate(rec, n=n, bound_overrides={param: value})
-    params.update(con_v.params)
-    return _verdicts(check_equation_invariance, con_v.fields,
-                     con_v.equations[0].equation, probe, expect_zero)
+    fields = con_v.fields if field is None else [VectorField(*parse_vector_field(
+        field, Context(params={"n": Fraction(n), **con_v.params})))]
+    return _verdicts(check_equation_invariance, fields, con_v.equations[0].equation,
+                     probe, expect_zero)
 
 
 def _worker(args):

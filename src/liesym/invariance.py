@@ -5,7 +5,9 @@ field X when the prolonged action of X on y^(n) - H vanishes after the
 substitution y^(n) -> H.  A jet-space function is a differential invariant
 when every prolonged generator annihilates it outright.  The number of
 independent invariants at order n is d_n = n + 2 - r_n where r_n is the
-generic rank of the m x (n+2) matrix of prolonged coefficients.
+generic rank of the m x (n+2) matrix of prolonged coefficients.  `bareiss`
+is the package's one fraction-free elimination: this rank, the Lie
+determinant and the Cramer solve run it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute, sum_of_products
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
@@ -182,31 +184,43 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
 
 
 def _integer_rank(rows: list) -> int:
-    """Exact rank of a matrix of rationals by fraction-free elimination
-    (Bareiss, Math. Comp. 1968) over the integers.  Each row is first
-    scaled by the lcm of its denominators, which keeps the rank.  Then every
-    entry below the pivot rows is a minor of the scaled matrix, so dividing
-    by the previous pivot is exact, also when a zero column is skipped.
-    Any nonzero pivot gives the same rank, so the first one is taken."""
+    """Exact rank of a matrix of rationals by `bareiss` over the integers.
+    Each row is first scaled by the lcm of its denominators, which keeps
+    the rank."""
     a = []
     for row in rows:
         scale = math.lcm(*[v.denominator for v in row])
         a.append([v.numerator * (scale // v.denominator) for v in row])
+    return bareiss(a, 1)[0]
+
+
+def bareiss(a: list, one) -> Tuple[int, int]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) of the rows `a`
+    in place, over the integers or `liedet`'s dense polynomials: any domain
+    with `*`, `-`, an exact `//`, a truth value and the unit `one`.  The
+    pivot is the first nonzero entry of a column; a column without one is
+    skipped.  Each entry right of and below a pivot is a minor of the
+    row-swapped matrix, so dividing by the previous pivot is exact, and a
+    square matrix ends with its determinant times the returned sign in the
+    last entry.  Returns (rank, sign of the row swaps)."""
     m, n = len(a), len(a[0]) if a else 0
     rank = col = 0
-    prev = 1
+    prev, sign, zero = one, 1, one - one
     while rank < m and col < n:
         piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             col += 1
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
         top = a[rank]
         pv = top[col]
-        for i in range(rank + 1, m):
-            f = a[i][col]
-            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+        for row in a[rank + 1:]:
+            f, row[col] = row[col], zero
+            row[col + 1:] = [(pv * x - f * y) // prev
+                             for x, y in zip(row[col + 1:], top[col + 1:])]
         prev = pv
         rank += 1
         col += 1
-    return rank
+    return rank, sign

@@ -2,9 +2,9 @@
 of an m-dimensional algebra at order m-2, and extraction of the singular
 invariant equations from its factors.
 
-The determinant is computed by fraction-free Bareiss elimination (Bareiss,
-Math. Comp. 1968) over a polynomial ring with exact multivariate division
-under graded-lex.  Its indeterminates are the powers that occur in the
+The determinant is computed by `invariance.bareiss`, the one fraction-free
+elimination, over a polynomial ring with exact multivariate division under
+graded-lex (`_Dense`).  Its indeterminates are the powers that occur in the
 entries: b^k with k a positive integer is the k-th power of the indeterminate
 b, and any other power b^e (a negative or fractional exponent, a compound or
 constant base) is an indeterminate of its own.  This is exact for every
@@ -13,7 +13,7 @@ divisions are exact in any polynomial ring, and substituting the powers back
 is a ring homomorphism, under which exponents of one base add up.  On
 entries in Q[atoms] the indeterminates are just the atoms.  Factor
 extraction covers rational content, monomials and perfect powers of a
-multi-term polynomial, which suffices for the catalog.  `determinant` and
+multi-term polynomial, which suffices for the catalog.  `eliminate` and
 `exact_quotient` also serve the Cramer solve of :mod:`liesym.linear_ode`.
 """
 
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .expr import (
     Expr,
     ExprError,
     ONE,
-    ZERO,
     _base_key,
     _extract_content,
     _make_term,
@@ -38,7 +38,7 @@ from .expr import (
     jet,
     max_jet_order,
 )
-from .invariance import OdeEquation, coefficient_matrix
+from .invariance import OdeEquation, bareiss, coefficient_matrix
 from .jet import VectorField
 from .numeric import _exact_root
 
@@ -128,9 +128,9 @@ def _poly_vars(exprs) -> list:
     return sorted(vars, key=lambda v: (_base_key(v[0]), v[1]))
 
 
-def _dense(e: Expr, vars: list) -> dict:
+def _dense(e: Expr, vars: list) -> _Dense:
     index = {v: i for i, v in enumerate(vars)}
-    out = {}
+    out = _Dense()
     for mono, coeff in e._terms:
         exps = [0] * len(vars)
         for b, ex in mono:
@@ -155,8 +155,8 @@ def _grlex_key(exps: tuple):
     return (sum(exps), exps)
 
 
-def _dense_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
+def _dense_mul(a: dict, b: dict) -> _Dense:
+    out = _Dense()
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
@@ -173,8 +173,8 @@ def _dense_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _dense_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _dense_sub(a: dict, b: dict) -> _Dense:
+    out = _Dense(a)
     for e, c in b.items():
         cur = out.get(e)
         if cur is None:
@@ -188,14 +188,14 @@ def _dense_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _dense_div_exact(p: dict, q: dict) -> dict:
+def _dense_div_exact(p: dict, q: dict) -> _Dense:
     """Exact division p / q in Q[vars]; raises ExprError if not exact."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
-        return {}
+        return _Dense()
     rem = dict(p)
-    quot: dict = {}
+    quot = _Dense()
     lq = max(q, key=_grlex_key)
     cq = q[lq]
     while rem:
@@ -209,6 +209,11 @@ def _dense_div_exact(p: dict, q: dict) -> dict:
     return quot
 
 
+class _Dense(dict):
+    """A polynomial as {exponent tuple: coefficient}, for `bareiss`."""
+    __mul__, __sub__, __floordiv__ = _dense_mul, _dense_sub, _dense_div_exact
+
+
 def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
     """p / q when q divides p in the polynomial ring over the powers of
     p and q (see the module docstring), else None."""
@@ -219,31 +224,19 @@ def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
         return None
 
 
-def determinant(matrix: list) -> Expr:
-    """Exact determinant of a square matrix of expressions (Bareiss)."""
-    m = len(matrix)
+def eliminate(matrix: list) -> tuple:
+    """(a, sign, vars): the rows `a` after `bareiss` of a matrix of expressions
+    as dense polynomials over the indeterminates `vars` of all its entries."""
     vars = _poly_vars(e for row in matrix for e in row)
     a = [[_dense(e, vars) for e in row] for row in matrix]
-    sign = 1
-    prev: dict = {tuple([0] * len(vars)): 1}
-    for k in range(m - 1):
-        if not a[k][k]:
-            pivot_row = next((i for i in range(k + 1, m) if a[i][k]), None)
-            if pivot_row is None:
-                return ZERO  # column k is zero from row k down
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                num = _dense_sub(_dense_mul(a[i][j], a[k][k]),
-                                 _dense_mul(a[i][k], a[k][j]))
-                a[i][j] = _dense_div_exact(num, prev)
-            a[i][k] = {}
-        prev = a[k][k]
-    det = a[m - 1][m - 1]
-    if sign < 0:
-        det = {e: -c for e, c in det.items()}
-    return _from_dense(det, vars)
+    return a, bareiss(a, _Dense({(0,) * len(vars): 1}))[1], vars
+
+
+def determinant(matrix: list) -> Expr:
+    """Exact determinant of a square matrix of expressions."""
+    a, sign, vars = eliminate(matrix)
+    det = _from_dense(a[-1][-1], vars)
+    return det if sign > 0 else -det
 
 
 # -- factor extraction --------------------------------------------------------
@@ -276,16 +269,12 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
     if rest_expr == ONE:
         return content, factors
     total_deg = max(sum(ex) for ex in dense)
-    found = False
     for k in range(min(total_deg, 8), 1, -1):
-        if total_deg % k:
-            continue
-        root = _dense_root(dense, k, vars)
+        root = None if total_deg % k else _dense_root(dense, k)
         if root is not None:
             factors.append((_from_dense(root, vars), k))
-            found = True
             break
-    if not found:
+    else:
         split = _split_quadratic_square(rest_expr)
         if split is not None:
             extra, parts = split
@@ -354,7 +343,7 @@ def _common_recognized_factor(a: Expr, b: Expr):
     return out
 
 
-def _dense_root(p: dict, k: int, vars: list):
+def _dense_root(p: dict, k: int):
     """Polynomial k-th root of p, or None.  p has positive leading coeff."""
     lead = max(p, key=_grlex_key)
     if any(x % k for x in lead):
@@ -367,7 +356,7 @@ def _dense_root(p: dict, k: int, vars: list):
     # divisor for the next-term update: k * b0^(k-1)
     div = {tuple(x * (k - 1) for x in b0_exp): k * c0 ** (k - 1)}
     for _ in range(400):
-        rem = _dense_sub(p, _dense_pow(root, k))
+        rem = _dense_sub(p, reduce(_dense_mul, [root] * k))
         if not rem:
             return root
         lr = max(rem, key=_grlex_key)
@@ -379,16 +368,3 @@ def _dense_root(p: dict, k: int, vars: list):
             return None
         root[exps] = root.get(exps, 0) + c
     return None
-
-
-def _dense_pow(p: dict, k: int) -> dict:
-    out = {tuple([0] * len(next(iter(p)))): 1} if p else {}
-    base = p
-    n = k
-    while n:
-        if n & 1:
-            out = _dense_mul(out, base)
-        n >>= 1
-        if n:
-            base = _dense_mul(base, base)
-    return out

@@ -4,7 +4,9 @@ variable coefficients from a prescribed solution set.
 For distinct roots a_1..a_n the equation y^(n) = sum A_i y^(i) has
 characteristic polynomial t^n - sum A_i t^i = prod (t - a_k), so the A_i are
 signed elementary symmetric functions.  Complex pairs a +- ib contribute the
-real solutions e^(ax)cos(bx), e^(ax)sin(bx).
+real solutions e^(ax)cos(bx), e^(ax)sin(bx).  Variable coefficients are
+recovered from a solution set by one fraction-free elimination and an exact
+back-substitution (`coeffs_from_solutions`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .expr import (
     transcendental,
 )
 from .jet import VectorField
-from .liedet import determinant, exact_quotient
+from .liedet import _Dense, _from_dense, eliminate, exact_quotient
 
 
 class DuplicateRoots(ExprError):
@@ -129,13 +131,15 @@ def _exp_of(arg: Expr) -> Expr:
 def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) -> List[Expr]:
     """Solve xi_k^(n) = sum_{i>=lowest_index} A_i(x) xi_k^(i) for the A_i.
 
-    Cramer's rule, A_i = det(M_i) / det(M), over the exact determinant of
-    :mod:`liesym.liedet`, where M holds the derivatives xi_k^(i) and M_i has
-    column i replaced by the xi_k^(n).  A_i is the polynomial quotient when
-    det(M) divides det(M_i), as it does for constant coefficients, and the
-    expression fraction otherwise.  Dependence is decided over the
-    determinant's indeterminates (atoms and calls such as exp(x), sin(x)),
-    so a dependence through an identity like sin^2 + cos^2 = 1 goes unseen.
+    Cramer's rule, A_i = det(M_i) / det(M), where M holds the derivatives
+    xi_k^(i) and M_i has column i replaced by b = (xi_k^(n)): one `bareiss`
+    elimination of [M | b] over dense polynomials (`liedet.eliminate`) gives
+    det(M), then an exact back-substitution every det(M_i).  A_i is
+    the polynomial quotient when det(M) divides det(M_i), as it does for
+    constant coefficients, and the expression fraction otherwise.
+    Dependence is decided over the indeterminates of the polynomials (atoms
+    and calls such as exp(x), sin(x)), so a dependence through an identity
+    like sin^2 + cos^2 = 1 goes unseen.
     Returns [A_lowest, ..., A_{order-1}].
     """
     if not 0 <= lowest_index < order:
@@ -143,15 +147,21 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
     m = order - lowest_index
     if len(xis) != m:
         raise ValueError(f"need exactly {m} solutions, got {len(xis)}")
-    ladders = [_derivative_ladder(f, order) for f in xis]
-    rows = [lad[lowest_index:order] for lad in ladders]
-    den = determinant(rows)
+    a, sign, vars = eliminate([_derivative_ladder(f, order)[lowest_index:] for f in xis])
+    det = a[-1][m - 1] if sign > 0 else _Dense() - a[-1][m - 1]
+    den = _from_dense(det, vars)
     if den.is_zero_expr():
         raise DependentSolutions("the prescribed solutions are linearly dependent")
+    # row i reads sum_j a[i][j] A_j = a[i][m]; in place, a[i][m] becomes
+    # det * A_i = det(M_i), a polynomial, so each division by a pivot is exact
+    for i in reversed(range(m)):
+        acc = det * a[i][m]
+        for j in range(i + 1, m):
+            acc = acc - a[i][j] * a[j][m]
+        a[i][m] = acc // a[i][i]
     out = []
-    for i in range(m):
-        num = determinant([row[:i] + [lad[order]] + row[i + 1:]
-                           for row, lad in zip(rows, ladders)])
+    for row in a:
+        num = _from_dense(row[m], vars)
         quot = exact_quotient(num, den)
         out.append(quot if quot is not None else num / den)
     return out

@@ -20,7 +20,8 @@ Grammar (whitespace insignificant):
 Vector fields use the same grammar extended with the terminals ``Dx`` and
 ``Dy`` and must be linear in them, with jet-free coefficients, e.g.
 ``x^2*Dx + r*x*y*Dy``.  Every input error, also a value the kernel rejects
-(``ln(0)``), is a :class:`ParseError` at the offending token's offset.
+(``ln(0)``) or an exact value past ``_MAX_BITS`` bits (``9^9^9``), is a
+:class:`ParseError` at the offending token's character offset.
 """
 
 from __future__ import annotations
@@ -50,12 +51,24 @@ _FUNCTIONS = ("exp", "ln", "arctan", "sin", "cos", "sqrt")
 
 class ParseError(ExprError):
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at character {offset})")
         self.offset = offset
 
 
 class UnknownIdentifierError(ParseError):
     pass
+
+
+# The size in bits of the largest number, power of a rational coefficient,
+# fact or factprod that the parser builds from input.  The catalog builds at
+# most 28 bits (the number 255150000); a value of the bound takes microseconds,
+# and its 2,467 digits stay below Python's int-to-str limit of 4,300.
+_MAX_BITS = 1 << 13
+
+
+def _check_bits(bits: float, pos: int) -> None:
+    if bits > _MAX_BITS:
+        raise ParseError(f"exact value of more than {_MAX_BITS} bits", pos)
 
 
 def _guard(pos: int, fn, *args):
@@ -172,7 +185,13 @@ class _Parser:
         if not self.at("^"):
             return base
         caret = self.next()
-        return _guard(caret.pos, base.pow, self._fold_rational(self.parse_unary))
+        r = self._fold_rational(self.parse_unary)
+        if len(base._terms) == 1:  # a constant or a monomial: its coefficient to the power r
+            c = base._terms[0][1]
+            m = max(abs(c.numerator), c.denominator)  # c^r has |r| * log2(m) bits
+            if m > 1:
+                _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), caret.pos)
+        return _guard(caret.pos, base.pow, r)
 
     def _fold_rational(self, parse) -> Fraction:
         """Run ``parse`` and fold its expression to an exact rational."""
@@ -201,6 +220,7 @@ class _Parser:
     def parse_primary(self) -> Expr:
         t = self.next()
         if t.kind == "num":
+            _check_bits(len(t.text) * math.log2(10), t.pos)
             return Expr.rational(int(t.text))
         if t.kind == "op" and t.text == "(":
             inner = self.parse_expr()
@@ -225,11 +245,12 @@ class _Parser:
             if name == "sqrt":
                 return _guard(t.pos, arg.pow, Fraction(1, 2))
             return _guard(t.pos, transcendental, name, arg)
-        if name == "fact":
-            return Expr.rational(math.factorial(self._int_arg(name)))
-        if name == "factprod":
+        if name in ("fact", "factprod"):
             k = self._int_arg(name)
-            return Expr.rational(math.prod(math.factorial(j) for j in range(1, k + 1)))
+            js = range(1, k + 1) if name == "factprod" else [k]
+            _check_bits(k, t.pos)  # k! has at least k bits for k > 3
+            _check_bits(sum(math.lgamma(j + 1) for j in js) / math.log(2), t.pos)
+            return Expr.rational(math.prod(math.factorial(j) for j in js))
         if name == "totd":
             return _guard(t.pos, total_derivative, self._call_arg())
         if name in self.ctx.functions:

@@ -3,7 +3,8 @@
 `coeffs_from_roots` is the real-root case of `char_spec_coeffs`, the
 symmetric-function route that `cramer_oracle` checks; `translation_symmetry`
 is the field d/dx that leaves every constant-coefficient equation invariant;
-`residual` is the defect of a candidate solution.
+`residual` is the defect of a candidate solution; `cramer_by_determinants`
+is an oracle for `coeffs_from_solutions` that takes m+1 whole determinants.
 """
 
 from fractions import Fraction
@@ -11,7 +12,14 @@ from typing import List, Sequence
 
 from liesym.expr import ONE, ZERO, Expr
 from liesym.jet import VectorField
-from liesym.linear_ode import CharSpec, LinearOde, _derivative_ladder, char_spec_coeffs
+from liesym.liedet import determinant, exact_quotient
+from liesym.linear_ode import (
+    CharSpec,
+    DependentSolutions,
+    LinearOde,
+    _derivative_ladder,
+    char_spec_coeffs,
+)
 
 
 def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
@@ -31,3 +39,21 @@ def residual(ode: LinearOde, solution: Expr) -> Expr:
     for i, c in enumerate(ode.coeffs):
         total = total - c * derivs[i]
     return total
+
+
+def cramer_by_determinants(xis: Sequence[Expr], order: int, lowest_index: int) -> List[Expr]:
+    """`coeffs_from_solutions` by Cramer's rule over separate determinants:
+    A_i = det(M_i) / det(M), with det(M) and each det(M_i) computed on its
+    own matrix."""
+    ladders = [_derivative_ladder(f, order) for f in xis]
+    rows = [lad[lowest_index:order] for lad in ladders]
+    den = determinant(rows)
+    if den.is_zero_expr():
+        raise DependentSolutions("the prescribed solutions are linearly dependent")
+    out = []
+    for i in range(len(rows)):
+        num = determinant([row[:i] + [lad[order]] + row[i + 1:]
+                           for row, lad in zip(rows, ladders)])
+        quot = exact_quotient(num, den)
+        out.append(quot if quot is not None else num / den)
+    return out

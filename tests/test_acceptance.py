@@ -228,7 +228,7 @@ def test_criterion_4_exceptional_parameter_discrimination():
         assert all(v.witness is not None for v in vs), "witness must be logged"
         rec27 = find_record(RECORDS, "(27,n+1)")
         ydy = VectorField(E.ZERO, Y)
-        good = instantiate(rec27, n=n, params={"K": 0}, enforce_constraints=False)
+        good = instantiate(rec27, n=n, params={"K": 0})
         vs = check_equation_invariance([ydy], good.equations[0].equation, STANDARD)
         assert all(v.is_zero for v in vs), ("(27)", n)
         bad = instantiate(rec27, n=n, params={"K": 1})

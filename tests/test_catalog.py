@@ -17,7 +17,8 @@ from liesym.catalog import (
     load_catalog,
     secondary_order,
 )
-from liesym.parse import Context, ParseError, parse_expression
+from liesym.jet import VectorField
+from liesym.parse import Context, ParseError, parse_expression, parse_vector_field
 
 RECORDS = load_catalog()
 
@@ -65,6 +66,15 @@ def test_power_family_record_grounds():
     rhs = con.equations[0].equation.rhs
     assert rhs == E.jet(4).as_expr() ** F(2, 3)
     assert con.params["alpha"] == 7
+
+
+def test_bound_override_replaces_its_formula():
+    rec = find_record(RECORDS, "(25,n+1)")
+    con = instantiate(rec, n=5, params={"r": 1})
+    want = VectorField(*parse_vector_field("x*Dx + (y + x)*Dy"))
+    assert con.fields[-1] == want
+    assert "r" not in con.params
+    assert instantiate(rec, n=5).fields[-1] != want  # r = n-1 by default
 
 
 def test_exponential_family_record_grounds():
@@ -139,9 +149,6 @@ def test_constraint_violations_are_named():
     rec = find_record(RECORDS, "(26,n+1)")
     with pytest.raises(ConstraintViolation):
         instantiate(rec, n=5, params={"K": 0})
-    # the harness may disable enforcement for discrimination checks
-    con = instantiate(rec, n=5, params={"K": 0}, enforce_constraints=False)
-    assert con.params["K"] == 0
 
 
 def test_n_range_enforced():

@@ -11,6 +11,7 @@ from liesym.catalog import default_order, instantiate, load_catalog
 from liesym.invariance import (
     OdeEquation,
     _integer_rank,
+    bareiss,
     check_differential_invariant,
     check_equation_invariance,
     coefficient_matrix,
@@ -27,6 +28,7 @@ from liesym.numeric import (
     sample_point,
     sample_rational,
 )
+from cramer_oracle import fraction_det
 from rank_oracle import rank_at_point, ref_fraction_rank
 
 X = E.indep().as_expr()
@@ -232,6 +234,22 @@ def test_rank_matches_fraction_elimination():
         before = [list(r) for r in rows]
         assert _integer_rank(rows) == ref_fraction_rank(rows)
         assert rows == before
+
+
+def test_bareiss_ends_square_matrices_with_the_signed_determinant():
+    # small entries make many matrices singular, some with a zero column
+    # that is skipped while a later one still has a pivot
+    rng = random.Random(19)
+    for _ in range(500):
+        size = rng.randint(1, 6)
+        rows = [[F(rng.choice((0, 0, 1, -1, 2, 3))) for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.3:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[-1 if size == 1 else 1])]
+        a = [[int(v) for v in r] for r in rows]
+        rank, sign = bareiss(a, 1)
+        assert rank == ref_fraction_rank(rows)
+        assert sign * a[-1][-1] == fraction_det(rows)
+        assert all(not a[i][j] for i in range(size) for j in range(i))  # zeros below
 
 
 def ref_rank_and_count(fields, order, probe, samples=5):

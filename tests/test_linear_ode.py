@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from liesym import expr as E
+from liesym import liedet
 from liesym.invariance import OdeEquation, check_equation_invariance
 from liesym.linear_ode import (
     CharSpec,
@@ -20,7 +21,12 @@ from liesym.linear_ode import (
 )
 from liesym.numeric import ProbeConfig, is_zero
 
-from linear_ode_helpers import coeffs_from_roots, residual, translation_symmetry
+from linear_ode_helpers import (
+    coeffs_from_roots,
+    cramer_by_determinants,
+    residual,
+    translation_symmetry,
+)
 from cramer_oracle import cramer_coeffs, fraction_det, vandermonde_det, vandermonde_matrix
 from sympy_oracle import to_sympy
 
@@ -185,9 +191,45 @@ def test_recovered_equation_certified_invariant():
     assert all(v.is_zero for v in vs)
 
 
+def _solution_sets():
+    """The (21,n+1) solution sets at n = 4..12, the criterion-6 cases and
+    exponential solution sets of criterion-5 style root sets."""
+    exp_x, sin_x, cos_x = (E.transcendental(f, X) for f in ("exp", "sin", "cos"))
+    cases = [([X ** j for j in range(2, n - 1)] + [exp_x], n, 2) for n in range(4, 13)]
+    cases += [([X ** 2, X ** 3], 4, 2), ([exp_x], 2, 1), ([sin_x, cos_x, X], 4, 1),
+              ([X ** 2, X ** 3, exp_x], 5, 2), ([sin_x, cos_x, exp_x], 4, 1)]
+    rng = random.Random(20240510)
+    for size in (2, 3, 4):
+        roots = _random_roots(rng, size)
+        cases.append((fundamental_solutions(CharSpec(real_roots=tuple(roots))), size, 0))
+    return cases
+
+
+def test_one_pass_solve_matches_determinant_oracle():
+    for xis, order, lowest in _solution_sets():
+        assert coeffs_from_solutions(xis, order, lowest) == \
+            cramer_by_determinants(xis, order, lowest), (order, lowest)
+
+
+def test_one_pass_solve_eliminates_once(monkeypatch):
+    calls = []
+    real = liedet.bareiss
+
+    def spy(a, one):
+        calls.append(len(a))
+        return real(a, one)
+
+    monkeypatch.setattr(liedet, "bareiss", spy)
+    xis = [X ** 2, X ** 3, X ** 4, E.transcendental("exp", X)]
+    coeffs_from_solutions(xis, 6, 2)
+    assert calls == [4]
+
+
 def test_dependent_solutions_detected():
     with pytest.raises(DependentSolutions):
         coeffs_from_solutions([X ** 2, 3 * X ** 2], 4, 2)
+    with pytest.raises(DependentSolutions):
+        cramer_by_determinants([X ** 2, 3 * X ** 2], 4, 2)
 
 
 def test_argument_validation():

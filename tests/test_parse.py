@@ -3,12 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from liesym import expr as E
 from liesym.expr import format_expr
 from liesym.parse import (
     Context,
+    _MAX_BITS,
     ParseError,
     UnknownIdentifierError,
     parse_expression,
@@ -65,6 +66,25 @@ def test_precedence():
 def test_factorials():
     assert parse_expression("fact(4)").as_rational() == 24
     assert parse_expression("factprod(3)").as_rational() == 12
+
+
+@pytest.mark.parametrize("text, offset", [("9^9^9", 1), ("fact(10^7)", 0), ("factprod(10^7)", 0),
+                                          ("3^2^20", 1), ("(3*x)^(2^20)", 5), ("2^(-10^400)", 1),
+                                          ("fact(10^400)", 0), ("1" * 2467, 0)])
+def test_exact_values_are_bounded(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+    assert str(_MAX_BITS) in str(err.value)
+
+
+def test_exact_values_up_to_the_bound_parse():
+    x = E.indep().as_expr()
+    assert parse_expression("2^2^13").as_rational() == 2 ** 8192
+    assert parse_expression("(1/2)^(-8192)").as_rational() == 2 ** 8192
+    assert parse_expression("x^(10^400)") == x ** (10 ** 400)  # only the exponent is large
+    assert parse_expression("1^(10^400)") == E.ONE
+    assert parse_expression("factprod(60)").as_rational() > 2 ** 4096
 
 
 def test_unknown_identifier_offset():
@@ -154,6 +174,13 @@ def test_numbers_are_decimal_digits():
     assert err.value.offset == 4
 
 
+def test_offsets_count_characters():
+    with pytest.raises(ParseError) as err:
+        parse_expression("é + $")  # $ is character 4, byte 5 of the UTF-8 text
+    assert err.value.offset == 4
+    assert "at character 4" in str(err.value)
+
+
 @pytest.mark.parametrize("text, offset", [("1 + ln(0)", 4), ("sqrt(-1)", 0), ("0^(-1)", 1),
                                           ("x*totd(y^(12))", 2), ("2 - (1-1)^(-2)", 9)])
 def test_kernel_errors_are_parse_errors(text, offset):
@@ -168,14 +195,17 @@ def test_vector_field_coefficients_are_jet_free():
             parse_vector_field(text)
 
 
-_PIECES = ["x", "y", "y'", "y^(12)", "0", "1", "2", "²", "①", "٣", "é",
-           "ln(", "exp(", "sqrt(", "sin(", "totd(", "(", ")", "+", "-", "*", "/", ",", " ",
-           "Dx", "Dy"]
+_PIECES = ["x", "y", "y'", "y^(12)", "0", "1", "2", "9", "²", "①", "٣", "é",
+           "ln(", "exp(", "sqrt(", "sin(", "totd(", "fact(", "factprod(", "(", ")",
+           "+", "-", "*", "/", "^", ",", " ", "Dx", "Dy"]
 
 
 @given(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+@example("9^9^9")
+@example("fact(99^9)")
+@example("factprod(9^9)")
+@example("2^-9^9")
 def test_input_errors_are_parse_errors(text):
-    # no ^ chains, fact or factprod: their exact values can be unbounded
     for parse, ctx in ((parse_expression, Context()),
                        (parse_vector_field, Context(auto_params=True))):
         try:
