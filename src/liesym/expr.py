@@ -57,6 +57,7 @@ keeping their order keeps every intermediate product of the left fold.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Union
@@ -797,12 +798,15 @@ def is_polynomial(e: Expr) -> bool:
 
 # -- printing ----------------------------------------------------------------
 
+def _decimal(n: int) -> str:
+    """``str(n)`` at any size: ``str`` of an int stops at 4,300 digits."""
+    return str(Decimal(n))
+
+
 def _format_exponent(e: Fraction) -> str:
     if e.denominator == 1 and e >= 0:
-        return str(e.numerator)
-    if e.denominator == 1:
-        return f"({e.numerator})"
-    return f"({e.numerator}/{e.denominator})"
+        return _decimal(e.numerator)
+    return f"({_format_coeff(e)})"
 
 
 def _format_base_pow(b, e: Fraction) -> str:
@@ -819,8 +823,8 @@ def _format_base_pow(b, e: Fraction) -> str:
 
 def _format_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
 
 
 def format_expr(e: Expr) -> str:

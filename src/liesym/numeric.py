@@ -8,9 +8,11 @@ zero iff its normal form is empty.  That holds whatever the relations
 between the radicals P_k^(c_k); nothing assumes them independent (the
 pitfall described by Caviness & Fateman, 1976).  A rational function is
 the split with no fractional factor: N is its numerator once every compound
-or atomic denominator is cleared (`clear_denominators`).  An expression
-that does not split (transcendental atoms, constant surds, mixed exponent
-classes, radicals inside a base) gets no exact answer.
+or atomic denominator is cleared (`clear_denominators`): the terms of one
+denominator signature share one product of missing powers, and a compound
+base keeps its cleared (N, D) in its flags for `power_split` and later terms.
+An expression that does not split (transcendental atoms, constant surds,
+mixed exponent classes, radicals inside a base) gets no exact answer.
 
 `probe_verdict` turns the exact tier's answer into the verdict.  Unless e
 is proved zero, it is probed at seeded random rational points with mpmath
@@ -54,6 +56,8 @@ from .expr import (
     ExprError,
     ONE,
     _format_base_pow,
+    _acc_add,
+    _expr_from_terms,
     _make_term,
     atom_name,
     expr_sum,
@@ -176,43 +180,52 @@ def clear_denominators(e: Expr):
     """(N, D) for a rational-fragment expression: e == N / prod(D), with N
     a polynomial (e times its nonzero denominators, fully expanded) and D a
     dict mapping each denominator base (atom or polynomial expression) to
-    its positive power."""
-    per_term = []
+    its positive power, in order of first appearance in the terms (the
+    factor order of `power_split`).  Terms with one denominator signature
+    share one numerator sum and one chain of missing powers, which leaves
+    the normal form N unchanged.  (N, D items) is kept in e's flags."""
+    hit = e._flags.get("clear")
+    if hit is not None:
+        return hit[0], dict(hit[1])
+    groups: dict = {}
     den_max: dict = {}
     for mono, coeff in e._terms:
-        t_num = Expr.rational(coeff)
-        t_den: dict = {}
+        num_mono, factors, t_den = [], [], {}
         for b, ex in mono:
             k = ex.numerator  # rational fragment: integer exponents only
             if isinstance(b, Atom):
                 if k >= 0:
-                    t_num = t_num * b.as_expr().pow(k)
+                    num_mono.append((b, k))
                 else:
                     t_den[b] = t_den.get(b, 0) - k
-            elif isinstance(b, Expr):
+            elif isinstance(b, Expr) and k < 0:
                 nb, db = clear_denominators(b)
-                if k >= 0:
-                    raise ExprError("unexpected expanded compound base")
-                for dkey, dpow in db.items():
-                    t_num = t_num * _key_expr(dkey).pow(dpow * (-k))
-                t_den[nb] = t_den.get(nb, 0) + (-k)
-            else:
-                raise ExprError("constant surd outside the rational fragment")
-        per_term.append((t_num, t_den))
+                factors += [_key_expr(dkey).pow(dpow * -k) for dkey, dpow in db.items()]
+                t_den[nb] = t_den.get(nb, 0) - k
+            else:  # a constant surd, or a sum that the normal form expands
+                raise ExprError(f"{_format_base_pow(b, ex)} is outside the rational fragment")
         for key, p in t_den.items():
             if den_max.get(key, 0) < p:
                 den_max[key] = p
-    # each term's numerator times its missing denominator powers, multiplied
+        acc = groups.setdefault(frozenset(t_den.items()), (t_den, {}))[1]
+        terms = ((tuple(num_mono), coeff),)
+        if factors:
+            terms = math.prod(factors, start=_expr_from_terms(dict(terms)))._terms
+        for m, c in terms:
+            _acc_add(acc, m, c)
+    # each group's numerator times its missing denominator powers, multiplied
     # left to right; the last factor is multiplied into the sum directly
     pairs = []
-    for t_num, t_den in per_term:
-        head, tail = t_num, ONE
+    for t_den, acc in groups.values():
+        head, tail = _expr_from_terms(acc), ONE
         for key, p in den_max.items():
             gap = p - t_den.get(key, 0)
             if gap:
                 head, tail = head * tail, _key_expr(key).pow(gap)
         pairs.append((head, tail))
-    return sum_of_products(pairs), den_max
+    num = sum_of_products(pairs)
+    e._flags["clear"] = (num, tuple(den_max.items()))
+    return num, den_max
 
 
 def _key_expr(key) -> Expr:

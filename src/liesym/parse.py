@@ -20,7 +20,8 @@ Grammar (whitespace insignificant):
 Vector fields use the same grammar extended with the terminals ``Dx`` and
 ``Dy`` and must be linear in them, with jet-free coefficients, e.g.
 ``x^2*Dx + r*x*y*Dy``.  Every input error, also a value the kernel rejects
-(``ln(0)``) or an exact value past ``_MAX_BITS`` bits (``9^9^9``), is a
+(``ln(0)``), an exact value past ``_MAX_BITS`` bits (``9^9^9``) or a power
+of a sum that expands into more than 512 terms (``(x+y+1)^40``), is a
 :class:`ParseError` at the offending token's character offset.
 """
 
@@ -186,11 +187,13 @@ class _Parser:
             return base
         caret = self.next()
         r = self._fold_rational(self.parse_unary)
-        if len(base._terms) == 1:  # a constant or a monomial: its coefficient to the power r
-            c = base._terms[0][1]
-            m = max(abs(c.numerator), c.denominator)  # c^r has |r| * log2(m) bits
-            if m > 1:
-                _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), caret.pos)
+        # a coefficient c to the power r has |r| * log2(c) bits
+        m = max((max(abs(c.numerator), c.denominator) for _, c in base._terms), default=1)
+        if m > 1:
+            _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), caret.pos)
+        t, k = len(base._terms), min(r.numerator, 512) if r.denominator == 1 else 0
+        if t > 1 and k > 1 and math.comb(t + k - 1, k) > 512:  # the terms of its expansion
+            raise ParseError("power of a sum with more than 512 terms", caret.pos)
         return _guard(caret.pos, base.pow, r)
 
     def _fold_rational(self, parse) -> Fraction:

@@ -192,6 +192,20 @@ def test_cli_prolong_folds_an_exponent_chain(capsys):
     assert capsys.readouterr().out == "eta[1] = -2*x*y'\n"
 
 
+def test_cli_prolong_prints_coefficients_past_the_int_to_str_limit(capsys):
+    import liesym.cli as cli
+
+    # the coefficient has 4,795 digits; str() of an int stops at 4,300
+    assert cli.main(["prolong", "2^8000*3^5000*x*Dx", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("eta[1] = -") and out.endswith("*y'\n")
+    digits = out[len("eta[1] = -"):-len("*y'\n")]
+    value = 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert value == 2 ** 8000 * 3 ** 5000
+
+
 def test_cli_catalog_list():
     proc = run_cli("catalog", "list")
     assert proc.returncode == 0

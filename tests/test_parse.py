@@ -70,7 +70,8 @@ def test_factorials():
 
 @pytest.mark.parametrize("text, offset", [("9^9^9", 1), ("fact(10^7)", 0), ("factprod(10^7)", 0),
                                           ("3^2^20", 1), ("(3*x)^(2^20)", 5), ("2^(-10^400)", 1),
-                                          ("fact(10^400)", 0), ("1" * 2467, 0)])
+                                          ("fact(10^400)", 0), ("1" * 2467, 0),
+                                          ("(2^8000*x + 1)^2", 14), ("(x/3^5000 - y)^(3/2)", 14)])
 def test_exact_values_are_bounded(text, offset):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
@@ -85,6 +86,26 @@ def test_exact_values_up_to_the_bound_parse():
     assert parse_expression("x^(10^400)") == x ** (10 ** 400)  # only the exponent is large
     assert parse_expression("1^(10^400)") == E.ONE
     assert parse_expression("factprod(60)").as_rational() > 2 ** 4096
+
+
+@pytest.mark.parametrize("text, offset", [("(x+y+1)^40", 7), ("(x+y+1)^80", 7), ("(x+1)^512", 5),
+                                          ("x*(y + y')^(10^400)", 10),
+                                          ("(x+y+y'+y''+1)^9", 14)])
+def test_powers_of_sums_are_bounded(text, offset):
+    # a sum of t terms to the power k expands into up to C(t+k-1, k) terms
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+    assert "512 terms" in str(err.value)
+
+
+def test_powers_of_sums_up_to_the_bound_parse():
+    assert len(parse_expression("(x+y+1)^30").terms) == 496
+    assert len(parse_expression("(x+1)^511").terms) == 512
+    assert len(parse_expression("(x+y+y'+y''+1)^8").terms) == 495
+    # only positive integer powers expand
+    for text in ("(x+y+1)^(-80)", "(x+y+1)^(81/2)"):
+        assert len(parse_expression(text).terms) == 1
 
 
 def test_unknown_identifier_offset():

@@ -15,10 +15,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from liesym import expr as E
+from liesym import expr as E, numeric
 from liesym.catalog import instantiate, load_catalog
 from liesym.expr import Atom, Expr, _base_key, _expr_from_terms, _make_term, _term_product, \
-    diff, is_rational_fragment, substitute
+    diff, is_rational_fragment, substitute, walk_bases
 from liesym.jet import VectorField, apply_prolonged, prolong, total_derivative
 from liesym.numeric import clear_denominators
 
@@ -164,6 +164,22 @@ def _random_rational(rng, order):
     return num * den ** F(-1) + inner * J(order) ** F(-1) + Y ** F(-3)
 
 
+def _shared_denominators(rng):
+    """Many terms over few denominator signatures: one compound denominator
+    and its negation, a compound base nested in another, and atoms under
+    negative powers."""
+    atoms = [X, Y, J(1), J(2)]
+    den = _random_poly(rng, atoms[:2], 3) + 1
+    nested = (1 + Y * (X - J(1) * (1 + X ** 2) ** F(-1)) ** F(-1)) ** F(-1)
+    e = (_random_poly(rng, atoms, 12) * den ** F(-1)
+         + _random_poly(rng, atoms, 8) * (-den) ** F(-2)
+         + _random_poly(rng, atoms, 6) * nested * J(2) ** F(-1)
+         + _random_poly(rng, atoms, 6) * (X * J(1)) ** F(-2))
+    signatures = {frozenset((b, x) for b, x in mono if x < 0) for mono, _ in e.terms}
+    assert len(e.terms) > 2 * len(signatures)
+    return e
+
+
 def _random_field(rng):
     return VectorField(_random_poly(rng, [X, Y], 3), _random_poly(rng, [X, Y], 3))
 
@@ -285,11 +301,24 @@ def test_substitute_matches_fold(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_clear_denominators_matches_fold(seed):
-    e = _random_rational(random.Random(300 + seed), 2)
-    assert is_rational_fragment(e)
+    for e in (_random_rational(random.Random(300 + seed), 2),
+              _shared_denominators(random.Random(400 + seed))):
+        assert is_rational_fragment(e)
+        num, den = clear_denominators(e)
+        want_num, want_den = ref_num_den(e)
+        assert num._key == want_num._key
+        assert list(den.items()) == list(want_den.items())  # the order power_split reads
+
+
+def test_cleared_denominators_are_not_shared_mutably():
+    e = _shared_denominators(random.Random(5))
     num, den = clear_denominators(e)
-    want_num, want_den = ref_num_den(e)
-    assert num._key == want_num._key and den == want_den
+    want = list(den.items())
+    den.clear()
+    den[E.indep()] = 7
+    again_num, again = clear_denominators(e)
+    assert again_num is num and list(again.items()) == want
+    assert again is not den
 
 
 def test_large_residuals_of_7_6_match_fold(seven_six):
@@ -310,6 +339,30 @@ def test_large_residuals_of_7_6_match_fold(seven_six):
 
 
 # -- regression: no intermediate sums on polynomial input ------------------------
+
+def test_each_compound_base_is_cleared_once(seven_six, monkeypatch):
+    X5 = seven_six.fields[4]
+    phi5 = next(p for o, p in seven_six.invariants if o == 5)
+    low = apply_prolonged(prolong(X5, 5), phi5)
+    assert len(low.terms) == 119
+    compound = [b for b, _ in walk_bases(low) if isinstance(b, Expr)]
+    for b in [low] + compound:
+        b._flags.pop("clear", None)
+    calls, cleared = [], {}
+    real = numeric.clear_denominators
+
+    def spy(e):
+        calls.append(e)
+        if "clear" not in e._flags:
+            cleared[id(e)] = cleared.get(id(e), 0) + 1
+        return real(e)
+
+    monkeypatch.setattr(numeric, "clear_denominators", spy)
+    assert spy(low)[0]._key == ref_num_den(low)[0]._key
+    assert spy(low)[0]._key == ref_num_den(low)[0]._key
+    assert set(cleared.values()) == {1}
+    assert len(cleared) == 1 + len({id(b) for b in compound}) < len(calls)
+
 
 def test_no_add_calls_on_polynomial_input(monkeypatch):
     rng = random.Random(7)
