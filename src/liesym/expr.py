@@ -757,7 +757,9 @@ def leaf_atoms(e: Expr) -> set:
 
 
 def max_jet_order(e: Expr):
-    """Highest jet order present; 0 if only y appears, None if no y at all."""
+    """Highest jet order present, cached on e; 0 if only y appears, None if no y."""
+    if "top" in e._flags:
+        return e._flags["top"]
     best = None
     for b, _ in walk_bases(e):
         if isinstance(b, Atom):
@@ -765,6 +767,7 @@ def max_jet_order(e: Expr):
                 best = b.order if best is None else max(best, b.order)
             elif b.kind == "dep" and best is None:
                 best = 0
+    e._flags["top"] = best
     return best
 
 

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute, sum_of_products
+from .expr import (ONE, Expr, is_polynomial, jet, leaf_atoms, max_jet_order, substitute,
+                   sum_of_products)
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -149,22 +150,22 @@ def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:
 
 def rank_and_count(fields: Sequence[VectorField], order: int,
                    probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
-    """Generic rank over 5 exact rational sample points.
+    """Generic rank: the maximum exact rank over 5 seeded rational points.
 
-    The matrix is evaluated exactly (`eval_exact`) at seeded points, one
-    rational per atom in atom-key order; a point where it raises _BadPoint
-    or ZeroDivisionError is skipped, at most 5 * MAX_RETRIES points are
-    tried.  The rank at each point is exact (`_integer_rank`) and the
-    maximum over samples is reported; d_n = order + 2 - rank.
+    A point holds one rational per atom, in atom-key order.  The matrix is
+    evaluated there exactly (`eval_exact`) and its rank taken (`_integer_rank`);
+    a point where that raises _BadPoint or ZeroDivisionError is skipped, and
+    at most 5 * MAX_RETRIES points are tried.  Once the rank reaches its bound
+    min(m, order + 2) on polynomial entries, which no point can make fail, the
+    remaining points are drawn but not evaluated.  d_n = order + 2 - rank.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     matrix = coefficient_matrix(fields, order)
-    atoms = set()
-    for row in matrix:
-        for entry in row:
-            atoms |= leaf_atoms(entry)
-    atoms = sorted(atoms, key=lambda a: a._key)
+    atoms = sorted(set().union(*(leaf_atoms(e) for row in matrix for e in row)),
+                   key=lambda a: a._key)
+    full = min(len(matrix), order + 2)
+    polynomial = all(is_polynomial(e) for row in matrix for e in row)
     rng = random.Random(probe.seed)
     best = 0
     points = []
@@ -172,11 +173,12 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     while len(points) < 5 and tried < 5 * MAX_RETRIES:
         tried += 1
         point = sample_point(rng, atoms)
-        try:
-            best = max(best, _integer_rank([[eval_exact(e, point) for e in row]
-                                            for row in matrix]))
-        except (_BadPoint, ZeroDivisionError):
-            continue
+        if best < full or not polynomial:
+            try:
+                best = max(best, _integer_rank([[eval_exact(e, point) for e in row]
+                                                for row in matrix]))
+            except (_BadPoint, ZeroDivisionError):
+                continue
         points.append(tuple((a, point[a]) for a in atoms))
     if len(points) < 5:
         raise SamplingExhausted("could not find admissible rank sample points")

@@ -3,8 +3,8 @@ of an m-dimensional algebra at order m-2, and extraction of the singular
 invariant equations from its factors.
 
 The determinant is computed by `invariance.bareiss`, the one fraction-free
-elimination, over a polynomial ring with exact multivariate division under
-graded-lex (`_Dense`).  Its indeterminates are the powers that occur in the
+elimination, over a polynomial ring with an in-place exact division under
+lex order (`_Dense`).  Its indeterminates are the powers that occur in the
 entries: b^k with k a positive integer is the k-th power of the indeterminate
 b, and any other power b^e (a negative or fractional exponent, a compound or
 constant base) is an indeterminate of its own.  This is exact for every
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -159,53 +160,50 @@ def _dense_mul(a: dict, b: dict) -> _Dense:
     out = _Dense()
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            cur = out.get(key)
-            c = ca * cb
-            if cur is None:
-                out[key] = c
+            key = tuple(map(add, ea, eb))
+            cur = out.get(key, 0) + ca * cb
+            if cur:
+                out[key] = cur
             else:
-                cur = cur + c
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+                del out[key]
     return out
 
 
 def _dense_sub(a: dict, b: dict) -> _Dense:
     out = _Dense(a)
     for e, c in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = -c
+        cur = out.get(e, 0) - c
+        if cur:
+            out[e] = cur
         else:
-            cur = cur - c
-            if cur:
-                out[e] = cur
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
 def _dense_div_exact(p: dict, q: dict) -> _Dense:
-    """Exact division p / q in Q[vars]; raises ExprError if not exact."""
+    """Exact division p / q in Q[vars]; raises ExprError if not exact.  Each
+    step subtracts (quotient of the leading terms) * q from the remainder in
+    place.  Leading terms are taken in lex order, the order of the exponent
+    tuples: an exact quotient is the same under every monomial order."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return _Dense()
     rem = dict(p)
     quot = _Dense()
-    lq = max(q, key=_grlex_key)
+    lq = max(q)
     cq = q[lq]
     while rem:
-        lr = max(rem, key=_grlex_key)
-        exps = tuple(a - b for a, b in zip(lr, lq))
-        if any(x < 0 for x in exps):
+        lr = max(rem)
+        exps = tuple(map(sub, lr, lq))
+        if min(exps, default=0) < 0:
             raise ExprError("inexact polynomial division")
-        c = _normal(Fraction(rem[lr], cq))
-        quot[exps] = quot.get(exps, 0) + c
-        rem = _dense_sub(rem, _dense_mul({exps: c}, q))
+        c = quot[exps] = _normal(Fraction(rem[lr], cq))
+        for e, v in q.items():
+            key = tuple(map(add, exps, e))
+            cur = rem.get(key, 0) - c * v
+            if cur:
+                rem[key] = cur
+            else:
+                del rem[key]
     return quot
 
 

@@ -36,6 +36,7 @@ from typing import NamedTuple, Optional
 from .expr import (
     Expr,
     ExprError,
+    _extract_content,
     dep,
     diff,
     indep,
@@ -70,6 +71,21 @@ _MAX_BITS = 1 << 13
 def _check_bits(bits: float, pos: int) -> None:
     if bits > _MAX_BITS:
         raise ParseError(f"exact value of more than {_MAX_BITS} bits", pos)
+
+
+def _check_power(base: Expr, r: Fraction, pos: int) -> None:
+    """Bound the exact values that ``base^r`` builds: a coefficient c to the
+    power r has |r| * log2(c) bits.  A sum under a negative or fractional
+    power is split as content * body by `Expr.pow`, which keeps the body's
+    integer coefficients and takes only the content to the power r."""
+    coeffs = [c for _, c in base._terms]
+    if len(coeffs) > 1 and (r < 0 or r.denominator != 1):
+        content, body = _extract_content(base)
+        _check_bits(max(abs(c) for _, c in body._terms).bit_length(), pos)
+        coeffs = [content]
+    m = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=1)
+    if m > 1:
+        _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), pos)
 
 
 def _guard(pos: int, fn, *args):
@@ -172,6 +188,7 @@ class _Parser:
             elif rhs.is_zero_expr():
                 raise ParseError("division by zero", op.pos)
             else:
+                _check_power(rhs, Fraction(-1), op.pos)
                 node = node / rhs
         return node
 
@@ -187,10 +204,7 @@ class _Parser:
             return base
         caret = self.next()
         r = self._fold_rational(self.parse_unary)
-        # a coefficient c to the power r has |r| * log2(c) bits
-        m = max((max(abs(c.numerator), c.denominator) for _, c in base._terms), default=1)
-        if m > 1:
-            _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), caret.pos)
+        _check_power(base, r, caret.pos)
         t, k = len(base._terms), min(r.numerator, 512) if r.denominator == 1 else 0
         if t > 1 and k > 1 and math.comb(t + k - 1, k) > 512:  # the terms of its expansion
             raise ParseError("power of a sum with more than 512 terms", caret.pos)
@@ -246,6 +260,7 @@ class _Parser:
         if name in _FUNCTIONS:
             arg = self._call_arg()
             if name == "sqrt":
+                _check_power(arg, Fraction(1, 2), t.pos)
                 return _guard(t.pos, arg.pow, Fraction(1, 2))
             return _guard(t.pos, transcendental, name, arg)
         if name in ("fact", "factprod"):

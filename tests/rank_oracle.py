@@ -5,11 +5,17 @@ on the first nonzero pivot; `rank_at_point` evaluates a matrix of
 expressions exactly at a rational point and takes that rank.
 `ref_numeric_rank` eliminates mpmath values with partial pivoting and a
 pivot tolerance, for matrices that have no exact value.
+`ref_rank_and_count` is `rank_and_count`'s sampling loop as it was before it
+stopped evaluating at a rank bound: every point is evaluated.
 """
+
+import random
 
 import mpmath
 
-from liesym.numeric import eval_exact
+from liesym.expr import leaf_atoms
+from liesym.invariance import RankReport, coefficient_matrix
+from liesym.numeric import MAX_RETRIES, _BadPoint, eval_exact, sample_rational
 
 
 def ref_fraction_rank(rows):
@@ -61,3 +67,22 @@ def ref_numeric_rank(rows, digits):
         r += 1
         col += 1
     return rank
+
+
+def ref_rank_and_count(fields, order, probe, samples=5):
+    """The maximum rank over `samples` admissible points, each one evaluated."""
+    matrix = coefficient_matrix(fields, order)
+    atoms = sorted(set().union(*(leaf_atoms(e) for row in matrix for e in row)),
+                   key=lambda a: a._key)
+    rng = random.Random(probe.seed)
+    best, points, tried = 0, [], 0
+    while len(points) < samples and tried < samples * MAX_RETRIES:
+        tried += 1
+        point = {a: sample_rational(rng) for a in atoms}
+        try:
+            r = rank_at_point(matrix, point)
+        except (_BadPoint, ZeroDivisionError):
+            continue
+        points.append(tuple((a, point[a]) for a in atoms))
+        best = max(best, r)
+    return RankReport(order, best, order + 2 - best, tuple(points))

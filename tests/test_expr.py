@@ -2,6 +2,7 @@
 substitution."""
 
 import operator
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -138,6 +139,30 @@ def test_cache_transparency():
     E._DIFF_CACHE.clear()
     without_cache = diff(big, E.jet(2))
     assert with_cache == without_cache
+
+
+def _walk_jet_order(e):
+    """max_jet_order by a walk of its own, with no cache."""
+    orders = [0 if b.kind == "dep" else b.order for b, _ in E.walk_bases(e)
+              if isinstance(b, E.Atom) and b.kind in ("dep", "jet")]
+    return max(orders, default=None)
+
+
+def test_max_jet_order_is_cached_and_survives_pickle():
+    exprs = [E.ONE, X + 1, X * Y, J(2) - J(5) ** 2,
+             E.transcendental("exp", J(3)) * (X + J(1)) ** F(-1, 2),
+             (1 + E.transcendental("ln", 1 + Y ** 2)) ** F(1, 3)]
+    for rec in load_catalog():
+        con = instantiate(rec)
+        exprs += [ce.equation.rhs for ce in con.equations] + [phi for _, phi in con.invariants]
+    for e in exprs:
+        want = _walk_jet_order(e)
+        unwalked = pickle.loads(pickle.dumps(e))
+        assert E.max_jet_order(e) == want
+        assert e._flags["top"] == want  # None, for no y, is kept too
+        assert E.max_jet_order(e) == want
+        assert E.max_jet_order(unwalked) == want
+        assert E.max_jet_order(pickle.loads(pickle.dumps(e))) == want
 
 
 def test_structural_sharing_is_safe():

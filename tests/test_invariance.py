@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from liesym import expr as E
+from liesym import invariance
 from liesym.catalog import default_order, instantiate, load_catalog
+from liesym.harness import _planned_orders
 from liesym.invariance import (
     OdeEquation,
     _integer_rank,
@@ -17,19 +19,19 @@ from liesym.invariance import (
     coefficient_matrix,
     rank_and_count,
 )
-from liesym.jet import VectorField
+from liesym.jet import MAX_JET_ORDER, VectorField
 from liesym.numeric import (
-    MAX_RETRIES,
+    DEFAULT_PROBE,
     ExactEvalError,
     ProbeConfig,
     ZeroStatus,
     _BadPoint,
+    derive_seed,
     eval_exact,
     sample_point,
-    sample_rational,
 )
 from cramer_oracle import fraction_det
-from rank_oracle import rank_at_point, ref_fraction_rank
+from rank_oracle import rank_at_point, ref_fraction_rank, ref_rank_and_count
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -252,30 +254,50 @@ def test_bareiss_ends_square_matrices_with_the_signed_determinant():
         assert all(not a[i][j] for i in range(size) for j in range(i))  # zeros below
 
 
-def ref_rank_and_count(fields, order, probe, samples=5):
-    """rank_and_count's sampling loop, written out over the Fraction oracle."""
-    matrix = coefficient_matrix(fields, order)
-    atoms = sorted(set().union(*(E.leaf_atoms(e) for row in matrix for e in row)),
-                   key=lambda a: a._key)
-    rng = random.Random(probe.seed)
-    best, points, tried = 0, [], 0
-    while len(points) < samples and tried < samples * MAX_RETRIES:
-        tried += 1
-        point = {a: sample_rational(rng) for a in atoms}
-        try:
-            r = rank_at_point(matrix, point)
-        except (_BadPoint, ZeroDivisionError):
-            continue
-        points.append(tuple((a, point[a]) for a in atoms))
-        best = max(best, r)
-    return best, tuple(points)
-
-
 def test_rank_sampling_matches_the_reference_loop():
     for seed in (1, 77, 20240101):
         probe = replace(PR, seed=seed)
-        rep = rank_and_count(gens55(), 4, probe)
-        assert (rep.rank_rn, rep.sample_points) == ref_rank_and_count(gens55(), 4, probe)
+        assert rank_and_count(gens55(), 4, probe) == ref_rank_and_count(gens55(), 4, probe)
+
+
+def _count_integer_ranks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(invariance, "_integer_rank",
+                        lambda rows: calls.append(1) or _integer_rank(rows))
+    return calls
+
+
+def test_rank_shortcut_matches_the_reference_loop_on_the_catalog(monkeypatch):
+    # every `rank` row of a default report: the seed and the orders it plans
+    calls = _count_integer_ranks(monkeypatch)
+    rows = 0
+    for rec in load_catalog():
+        for n in _planned_orders(rec, None):
+            con = instantiate(rec, n=n)
+            if not con.fundamental_check:
+                continue
+            for order in (con.dimension - 1, con.dimension):
+                if order > MAX_JET_ORDER:
+                    continue
+                probe = replace(DEFAULT_PROBE, seed=derive_seed(
+                    DEFAULT_PROBE.seed, rec.label, n, "rank", f"d@{order}"))
+                rep = rank_and_count(con.fields, order, probe)
+                assert rep == ref_rank_and_count(con.fields, order, probe), (rec.label, n, order)
+                assert len(rep.sample_points) == 5
+                rows += 1
+    # each of these polynomial matrices reaches its bound at the first point
+    assert rows == len(calls) == 70
+
+
+def test_rank_of_a_non_polynomial_matrix_evaluates_every_point(monkeypatch):
+    calls = _count_integer_ranks(monkeypatch)
+    fields = [DX, DY, VectorField(X, -Y), VectorField(X.pow(-1), Y), VectorField(E.ZERO, X.pow(-1))]
+    for order in (2, 3, 4):
+        calls.clear()
+        rep = rank_and_count(fields, order, PR)
+        assert rep == ref_rank_and_count(fields, order, PR)
+        assert rep.rank_rn == min(5, order + 2)
+        assert len(calls) == 5
 
 
 def test_rank_refuses_radical_generators():

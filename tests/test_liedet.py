@@ -3,12 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liesym import expr as E
 from liesym.catalog import default_order, instantiate, load_catalog, secondary_order
 from liesym.invariance import coefficient_matrix
 from liesym.jet import VectorField
 from liesym.liedet import (
+    _dense_div_exact,
+    _dense_mul,
     determinant,
     exact_quotient,
     factor_polynomial,
@@ -17,6 +20,7 @@ from liesym.liedet import (
 )
 from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
+from dense_oracle import ref_dense_div_exact, ref_dense_mul
 from rank_oracle import rank_at_point
 from sympy_oracle import to_sympy
 
@@ -294,3 +298,36 @@ def test_singular_equation_is_invariant_and_rank_drops():
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError):
         lie_determinant([DX])
+
+
+_COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
+
+
+@st.composite
+def _dense_pairs(draw):
+    """(a, b) dense polynomials in up to 3 variables, b nonzero."""
+    nvars = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    a = draw(st.dictionaries(exps, _COEFFS, max_size=4))
+    b = draw(st.dictionaries(exps, _COEFFS, min_size=1, max_size=4))
+    return a, b
+
+
+@given(_dense_pairs())
+def test_dense_division_matches_the_copying_grlex_division(pair):
+    a, b = pair
+    a = {e: c.numerator if c.denominator == 1 else c for e, c in a.items()}
+    p = _dense_mul(a, b)
+    assert p == ref_dense_mul(a, b)
+    quot = _dense_div_exact(p, b)
+    assert quot == a == ref_dense_div_exact(p, b)
+    assert all(type(c) is int or c.denominator > 1 for c in quot.values())
+    assert p == ref_dense_mul(a, b)  # the dividend is left as it was
+    with pytest.raises(ZeroDivisionError):
+        _dense_div_exact(p, {})
+    if any(map(any, b)):  # b is not a constant, so it divides no p + constant
+        const = (0,) * len(next(iter(b)))
+        inexact = {e: c for e, c in {**p, const: p.get(const, 0) + 1}.items() if c}
+        for div in (_dense_div_exact, ref_dense_div_exact):
+            with pytest.raises(E.ExprError):
+                div(inexact, b)

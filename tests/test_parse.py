@@ -71,7 +71,13 @@ def test_factorials():
 @pytest.mark.parametrize("text, offset", [("9^9^9", 1), ("fact(10^7)", 0), ("factprod(10^7)", 0),
                                           ("3^2^20", 1), ("(3*x)^(2^20)", 5), ("2^(-10^400)", 1),
                                           ("fact(10^400)", 0), ("1" * 2467, 0),
-                                          ("(2^8000*x + 1)^2", 14), ("(x/3^5000 - y)^(3/2)", 14)])
+                                          ("(2^8000*x + 1)^2", 14), ("(x/3^5000 - y)^(3/2)", 14),
+                                          # a sum's content, the lcm of its denominators
+                                          ("(x/7^2900 + y/11^2360)^(-1)", 22),
+                                          ("x/(x/7^2900 + y/11^2360)", 1),
+                                          ("sqrt(x/7^2900 + y/11^2360 + 1/13^2000)", 0),
+                                          # a coefficient of the sum's integer body
+                                          ("(2^8000*x/3 + y/3^5000)^(-1)", 23)])
 def test_exact_values_are_bounded(text, offset):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
@@ -86,6 +92,9 @@ def test_exact_values_up_to_the_bound_parse():
     assert parse_expression("x^(10^400)") == x ** (10 ** 400)  # only the exponent is large
     assert parse_expression("1^(10^400)") == E.ONE
     assert parse_expression("factprod(60)").as_rational() > 2 ** 4096
+    # a sum under a negative or fractional power keeps its body as a base
+    assert parse_expression("(2^8000*x + 1)^(-2)") == (2 ** 8000 * x + 1) ** -2
+    assert parse_expression("sqrt(x/7^2900 + y/11^2360)").terms[0][1] == F(1, 7 ** 1450 * 11 ** 1180)
 
 
 @pytest.mark.parametrize("text, offset", [("(x+y+1)^40", 7), ("(x+y+1)^80", 7), ("(x+1)^512", 5),
