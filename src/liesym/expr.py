@@ -52,6 +52,12 @@ transcendental atom whose argument holds one, or a compound base that holds
 one.  Only compound and prime bases re-expand when exponents merge, so
 keeping their order keeps every intermediate product of the left fold.
 ``-`` adds the negated terms of its right operand with no negated copy.
+The multiply-accumulate path keeps its cost per call low: a term product
+merges a base present in both monomials by identity before it compares
+keys, `_mul_into` adds its pieces into the accumulator inline, an empty
+accumulator is the shared `ZERO`, and `diff` skips coordinate atoms other
+than the variable.  `_mono_key` keeps the keys of recent monomials in a
+memo (`_MONO_KEYS`), cleared whenever it reaches 1,024 entries.
 """
 
 from __future__ import annotations
@@ -367,15 +373,24 @@ def _acc_add(acc: dict, mono, coeff):
 
 
 def _mul_into(acc: dict, a: Expr, b: Expr) -> None:
-    """Add the term products of a*b into the accumulator."""
+    """Add the term products of a*b into the accumulator (`_acc_add` inline)."""
     for m1, c1 in a._terms:
         for m2, c2 in b._terms:
             piece = _term_product(m1, c1, m2, c2)
-            if isinstance(piece, Expr):
+            if type(piece) is not tuple:
                 for mono, c in piece._terms:
                     _acc_add(acc, mono, c)
+                continue
+            mono, c = piece
+            cur = acc.get(mono)
+            if cur is None:
+                acc[mono] = c
             else:
-                _acc_add(acc, piece[0], piece[1])
+                cur += c
+                if cur:
+                    acc[mono] = cur if type(cur) is int else _normal(cur)
+                else:
+                    del acc[mono]
 
 
 def expr_sum(exprs) -> Expr:
@@ -397,6 +412,8 @@ def sum_of_products(pairs) -> Expr:
 
 
 def _expr_from_terms(acc: Mapping) -> Expr:
+    if not acc:
+        return ZERO
     if len(acc) == 1:
         (m, c), = acc.items()
         if not c:
@@ -409,12 +426,21 @@ def _expr_from_terms(acc: Mapping) -> Expr:
     return Expr(terms, key)
 
 
+_MONO_KEYS: dict = {}
+
+
 def _mono_key(mono) -> tuple:
-    return tuple([(b._key if type(b) is Atom else _base_key(b), (e.numerator, e.denominator))
-                  for b, e in mono])
+    key = _MONO_KEYS.get(mono)
+    if key is None:
+        if len(_MONO_KEYS) >= 1024:
+            _MONO_KEYS.clear()
+        key = _MONO_KEYS[mono] = tuple([
+            (b._key if type(b) is Atom else _base_key(b), (e.numerator, e.denominator))
+            for b, e in mono])
+    return key
 
 
-ZERO = _expr_from_terms({})
+ZERO = Expr((), ())
 ONE = _expr_from_terms({(): 1})
 
 
@@ -439,23 +465,25 @@ def _term_product(m1, c1, m2, c2):
     while i < n1 and j < n2:
         b1, e1 = m1[i]
         b2, e2 = m2[j]
-        k1 = b1._key if type(b1) is Atom else _base_key(b1)
-        k2 = b2._key if type(b2) is Atom else _base_key(b2)
-        if k1 < k2:
-            out.append(m1[i])
-            i += 1
-        elif k2 < k1:
-            out.append(m2[j])
-            j += 1
-        else:
-            tot = _normal(e1 + e2)
-            if tot:
-                out.append((b1, tot))
-                if isinstance(b1, Expr) and type(tot) is int and tot > 0 \
-                        or isinstance(b1, int) and tot >= 1:
-                    needs_rework = True
-            i += 1
-            j += 1
+        if b1 is not b2:
+            k1 = b1._key if type(b1) is Atom else _base_key(b1)
+            k2 = b2._key if type(b2) is Atom else _base_key(b2)
+            if k1 < k2:
+                out.append(m1[i])
+                i += 1
+                continue
+            if k2 < k1:
+                out.append(m2[j])
+                j += 1
+                continue
+        tot = _normal(e1 + e2)
+        if tot:
+            out.append((b1, tot))
+            if isinstance(b1, Expr) and type(tot) is int and tot > 0 \
+                    or isinstance(b1, int) and tot >= 1:
+                needs_rework = True
+        i += 1
+        j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])
     if needs_rework:
@@ -627,7 +655,9 @@ def diff(e: Expr, a: Atom) -> Expr:
     acc: dict = {}
     for mono, coeff in e._terms:
         for i, (b, ex) in enumerate(mono):
-            if type(b) is Atom and b._key == a._key:
+            if type(b) is Atom and b.kind != "transc":
+                if b._key != a._key:
+                    continue  # another coordinate: a zero derivative
                 # power rule: the base keeps its place, so the monomial
                 # stays sorted and needs no rebuild
                 c = coeff * ex
@@ -648,7 +678,7 @@ def diff(e: Expr, a: Atom) -> Expr:
 
 
 def _diff_base(b, a: Atom) -> Expr:
-    """d b / d a for a base other than `a` itself (`diff` takes that one)."""
+    """d b / d a for a base other than `a` (`diff` takes the coordinate atoms)."""
     if isinstance(b, Atom):
         if b.kind == "transc":
             inner = diff(b.arg, a)

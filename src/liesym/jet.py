@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (ONE, Expr, ExprError, dep, diff, indep, jet, max_jet_order,
+from .expr import (ONE, Expr, ExprError, diff, indep, jet, jet_or_dep, max_jet_order,
                    sum_of_products)
 
 # The one jet-order ceiling: prolongation, total derivatives, the parser
 # and the harness's check plan all stop here.
 MAX_JET_ORDER = 12
+
+# The coordinates x, y, y', ..., y^(MAX_JET_ORDER), built once.
+_COORDS = (indep(),) + tuple(jet_or_dep(k) for k in range(MAX_JET_ORDER + 1))
 
 
 class MaxOrderExceeded(ExprError):
@@ -59,9 +62,8 @@ def total_derivative(e: Expr) -> Expr:
         raise MaxOrderExceeded(
             f"expression already contains jet order {top} >= limit {MAX_JET_ORDER}")
     limit = top if top is not None else 0
-    return sum_of_products(
-        [(ONE, diff(e, indep())), (jet(1).as_expr(), diff(e, dep()))]
-        + [(jet(k + 1).as_expr(), diff(e, jet(k))) for k in range(1, limit + 1)])
+    return sum_of_products([(ONE, diff(e, _COORDS[0]))] + [
+        (_COORDS[i + 1].as_expr(), diff(e, _COORDS[i])) for i in range(1, limit + 2)])
 
 
 # VectorField -> [D_x(xi), [eta[1], eta[2], ...]], like expr's _DIFF_CACHE.
@@ -80,7 +82,7 @@ def prolong(X: VectorField, k: int) -> ProlongedField:
     dxi, coeffs = entry
     for j in range(len(coeffs) + 1, k + 1):
         prev = coeffs[-1] if coeffs else X.eta
-        coeffs.append(total_derivative(prev) - jet(j).as_expr() * dxi)
+        coeffs.append(total_derivative(prev) - _COORDS[j + 1].as_expr() * dxi)
     return ProlongedField(X, k, tuple(coeffs[:k]))
 
 
@@ -90,9 +92,8 @@ def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
     if top is not None and top > PX.order:
         raise OrderMismatch(
             f"expression has jet order {top} but the field is prolonged to {PX.order}")
-    return sum_of_products(
-        [(PX.base.xi, diff(e, indep())), (PX.base.eta, diff(e, dep()))]
-        + [(coeff, diff(e, jet(j))) for j, coeff in enumerate(PX.coeffs, start=1)])
+    return sum_of_products([(c, diff(e, a)) for c, a in
+                            zip((PX.base.xi, PX.base.eta) + PX.coeffs, _COORDS)])
 
 
 def characteristic(X: VectorField) -> Expr:

@@ -22,11 +22,14 @@ Vector fields use the same grammar extended with the terminals ``Dx`` and
 ``x^2*Dx + r*x*y*Dy``.  Every input error, also a value the kernel rejects
 (``ln(0)``), an exact value past ``_MAX_BITS`` bits (``9^9^9``) or a power
 of a sum that expands into more than 512 terms (``(x+y+1)^40``), is a
-:class:`ParseError` at the offending token's character offset.
+:class:`ParseError` at the offending token's character offset.  The bound
+holds for every coefficient of a product too (``2^8000*2^8000`` is an error
+at its ``*``).  The tokens of the last 1,024 texts parsed are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -61,7 +64,7 @@ class UnknownIdentifierError(ParseError):
     pass
 
 
-# The size in bits of the largest number, power of a rational coefficient,
+# The size in bits of the largest number, coefficient of a power or product,
 # fact or factprod that the parser builds from input.  The catalog builds at
 # most 28 bits (the number 255150000); a value of the bound takes microseconds,
 # and its 2,467 digits stay below Python's int-to-str limit of 4,300.
@@ -129,18 +132,20 @@ _TOKEN_RE = re.compile(r"(\d+)|([^\W\d]\w*)|('+)|([-+*/^(),])|(\S)")
 _KINDS = (None, "num", "ident", "prime", "op")
 
 
-def _tokenize(text: str) -> list:
+@functools.lru_cache(maxsize=1024)
+def _tokenize(text: str) -> tuple:
+    """The tokens of ``text``, kept: templates are parsed again per order."""
     out = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastindex == len(_KINDS):
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         out.append(_Token(_KINDS[m.lastindex], m.group(), m.start()))
     out.append(_Token("end", "", len(text)))
-    return out
+    return tuple(out)
 
 
 class _Parser:
-    def __init__(self, tokens: list, context: Context, allow_fields: bool):
+    def __init__(self, tokens: tuple, context: Context, allow_fields: bool):
         self.toks = tokens
         self.pos = 0
         self.ctx = context
@@ -148,12 +153,12 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[self.pos]  # never past the end token
 
     def at(self, ops: str) -> bool:
         """Whether the next token is one of the operators ``ops``."""
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "op" and t.text in ops
 
     def next(self) -> _Token:
@@ -190,6 +195,7 @@ class _Parser:
             else:
                 _check_power(rhs, Fraction(-1), op.pos)
                 node = node / rhs
+            _check_power(node, 1, op.pos)  # the coefficients of the product
         return node
 
     def parse_unary(self) -> Expr:
@@ -292,7 +298,7 @@ class _Parser:
             order = len(nxt.text)
             self._check_jet(order, nxt.pos)
             return jet(order).as_expr()
-        if self.at("^") and self.peek(1).text == "(":
+        if self.at("^") and self.toks[self.pos + 1].text == "(":
             caret = self.next()
             self.expect_op("(")
             pos = self.peek().pos

@@ -12,6 +12,13 @@ generic route written out: every term sorted by monomial key, the product
 rule through `_make_term` and `_mul_into` for every base, the substitution
 as a left fold over every base (`test_sums.ref_substitute`), and
 subtraction as the sum with the negation.
+
+The multiply-accumulate path has five more: the identity merge of a base
+present in both monomials, the inline accumulation of `_mul_into`, the
+shared `ZERO` for an empty accumulator, the skip of coordinate atoms in
+`diff`, and the bounded memo of monomial keys.  Their references are
+`test_sums.ref_term_product`, an `_acc_add` fold, `product_rule_diff` and
+the key comprehension without the memo.
 """
 
 import pickle
@@ -259,3 +266,109 @@ def test_sub_matches_sum_with_negation(a, b):
         assert got._key == ref._key and got._hash == ref._hash
         assert got.terms == ref.terms
         _assert_normal_exponents(got)
+
+
+# -- the multiply-accumulate path --------------------------------------------------
+#
+# `_term_product` merges a base present in both monomials by identity before
+# it compares keys; `_mul_into` adds its (mono, coeff) pieces inline;
+# `_expr_from_terms` returns the shared `ZERO` for an empty accumulator;
+# `diff` skips coordinate atoms other than the variable; `_mono_key` keeps
+# the keys of recent monomials in a memo that is cleared when full.
+# A twin of the compound base, equal but built apart, must merge like the
+# shared one.
+
+_TWIN = renormalized(_COMPOUND)
+_twin_factors = st.one_of(_subst_factors, st.sampled_from(_COMPOUND_EXPONENTS).map(
+    lambda r: E._make_term(1, {_TWIN: r})))
+
+
+@st.composite
+def _twin_terms(draw):
+    out = Expr.rational(draw(st.fractions(-4, 4, max_denominator=3)))
+    for f in draw(st.lists(_twin_factors, max_size=4)):
+        out = out * f
+    return out
+
+
+_twin_exprs = st.lists(_twin_terms(), min_size=1, max_size=4).map(E.expr_sum)
+
+
+def _same(got, ref):
+    got = got if isinstance(got, Expr) else E._expr_from_terms({got[0]: got[1]})
+    ref = ref if isinstance(ref, Expr) else E._expr_from_terms({ref[0]: ref[1]})
+    assert got._key == ref._key and got._hash == ref._hash and got.terms == ref.terms
+
+
+@given(_twin_exprs, _twin_exprs)
+def test_identity_merge_matches_reference_product(a, b):
+    assert _TWIN is not _COMPOUND and _TWIN == _COMPOUND
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            _same(E._term_product(m1, c1, m2, c2), ref_term_product(m1, c1, m2, c2))
+
+
+def _fold_mul_into(acc, a, b):
+    """`_mul_into` as it was: one `_acc_add` per piece."""
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            piece = E._term_product(m1, c1, m2, c2)
+            pieces = piece.terms if isinstance(piece, Expr) else [piece]
+            for mono, c in pieces:
+                E._acc_add(acc, mono, c)
+
+
+@given(_twin_exprs, _twin_exprs, _twin_exprs)
+def test_inline_accumulation_matches_acc_add_fold(start, a, b):
+    # the accumulator starts with terms the products extend, cancel, or
+    # bring to the integer 1 (a Fraction sum that must become an int)
+    ab = (a * b).terms
+    for begin in (dict(start.terms), {m: -c for m, c in ab}, {m: 1 - c for m, c in ab}, {}):
+        got, ref = dict(begin), dict(begin)
+        E._mul_into(got, a, b)
+        _fold_mul_into(ref, a, b)
+        assert got == ref
+        assert [type(c) for c in got.values()] == [type(ref[m]) for m in got]
+
+
+@given(_twin_exprs)
+def test_empty_accumulator_is_the_shared_zero(e):
+    assert E._expr_from_terms({}) is E.ZERO
+    assert e - e is E.ZERO and e * 0 is E.ZERO and E.expr_sum([e, -e]) is E.ZERO
+    assert E.sum_of_products([(e, E.ONE), (-e, E.ONE)]) is E.ZERO
+    assert diff(Expr.rational(3), E.indep()) is E.ZERO
+
+
+@given(st.lists(_twin_terms(), min_size=1, max_size=4).map(E.expr_sum),
+       st.sampled_from(_ATOMS))
+def test_diff_skip_of_other_coordinates_matches_product_rule(e, a):
+    # the terms also hold transcendental atoms, which are not skipped
+    got = diff(e, a)
+    ref = product_rule_diff(e, a)
+    assert got._key == ref._key and got._hash == ref._hash
+    assert got.terms == ref.terms
+
+
+def _uncached_key(mono):
+    return tuple([(E._base_key(b), (e.numerator, e.denominator)) for b, e in mono])
+
+
+@given(_twin_exprs, st.booleans())
+def test_memoized_monomial_keys_match_uncached(e, clear):
+    if clear:
+        E._MONO_KEYS.clear()
+    for mono, _ in e.terms:
+        assert E._mono_key(mono) == _uncached_key(mono)
+        assert E._mono_key(mono) is E._mono_key(mono)
+
+
+def test_monomial_key_memo_is_bounded():
+    x = E.indep()
+    monos = [((x, k),) for k in range(1, 2500)]
+    for mono in monos:
+        E._mono_key(mono)
+        assert len(E._MONO_KEYS) <= 1024
+    # cleared once it reached the bound: the latest monomials are kept
+    assert monos[-1] in E._MONO_KEYS and monos[0] not in E._MONO_KEYS
+    for mono in monos[:10] + monos[-10:]:
+        assert E._mono_key(mono) == _uncached_key(mono)

@@ -195,11 +195,16 @@ def test_cli_prolong_folds_an_exponent_chain(capsys):
 def test_cli_prolong_prints_coefficients_past_the_int_to_str_limit(capsys):
     import liesym.cli as cli
 
-    # the coefficient has 4,795 digits; str() of an int stops at 4,300
-    assert cli.main(["prolong", "2^8000*3^5000*x*Dx", "1"]) == 0
+    # the coefficient 2^8000 * 3^5000 has 4,795 digits; str() of an int stops
+    # at 4,300.  The parser bounds each exact value it builds, products too,
+    # so the factor 3^5000 comes from differentiating x^(3^5000).
+    assert cli.main(["prolong", "2^8000*3^5000*x*Dx", "1"]) == 2
+    capsys.readouterr()
+    assert cli.main(["prolong", "2^8000*x^(3^5000)*Dx", "1"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("eta[1] = -") and out.endswith("*y'\n")
-    digits = out[len("eta[1] = -"):-len("*y'\n")]
+    tail = f"*x^{3 ** 5000 - 1}*y'\n"
+    assert out.startswith("eta[1] = -") and out.endswith(tail)
+    digits = out[len("eta[1] = -"):-len(tail)]
     value = 0
     for i in range(0, len(digits), 1000):
         value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
@@ -452,7 +457,9 @@ def test_pool_jobs_are_submitted_longest_first(inline_pool, monkeypatch):
 
 
 def test_instantiate_runs_once_per_record_and_order(monkeypatch):
+    import liesym.expr as expr
     import liesym.harness as harness
+    import liesym.parse as parse
 
     real = harness.instantiate
     calls = []
@@ -461,8 +468,20 @@ def test_instantiate_runs_once_per_record_and_order(monkeypatch):
         calls.append(rec.label)
         return real(rec, *args, **kwargs)
 
+    tokenize, texts = parse._tokenize, set()
+
+    def spy_tokenize(text):
+        texts.add(text)
+        return tokenize(text)
+
+    tokenize.cache_clear()
     monkeypatch.setattr(harness, "instantiate", spy)
+    monkeypatch.setattr(parse, "_tokenize", spy_tokenize)
     report = run_verification()
     variants = [r for r in report.results if r.check in ("extra_symmetry", "generator_probe")]
     assert len(calls) == len({(r.record, r.n) for r in report.results}) + len(variants)
     assert len(calls) == 77
+    # the kernel's memos stay small: the monomial keys within their bound,
+    # the tokens one entry per distinct text
+    assert len(expr._MONO_KEYS) <= 1024
+    assert 0 < tokenize.cache_info().currsize <= len(texts)

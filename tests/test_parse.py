@@ -10,6 +10,7 @@ from liesym.expr import format_expr
 from liesym.parse import (
     Context,
     _MAX_BITS,
+    _tokenize,
     ParseError,
     UnknownIdentifierError,
     parse_expression,
@@ -77,7 +78,11 @@ def test_factorials():
                                           ("x/(x/7^2900 + y/11^2360)", 1),
                                           ("sqrt(x/7^2900 + y/11^2360 + 1/13^2000)", 0),
                                           # a coefficient of the sum's integer body
-                                          ("(2^8000*x/3 + y/3^5000)^(-1)", 23)])
+                                          ("(2^8000*x/3 + y/3^5000)^(-1)", 23),
+                                          # a coefficient of a product
+                                          ("2^8000*2^8000*x", 6),
+                                          ("(2^8000*x+1)*(2^8000*y+1)", 12),
+                                          ("2^8000/2^(-8000)", 6)])
 def test_exact_values_are_bounded(text, offset):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
@@ -95,6 +100,9 @@ def test_exact_values_up_to_the_bound_parse():
     # a sum under a negative or fractional power keeps its body as a base
     assert parse_expression("(2^8000*x + 1)^(-2)") == (2 ** 8000 * x + 1) ** -2
     assert parse_expression("sqrt(x/7^2900 + y/11^2360)").terms[0][1] == F(1, 7 ** 1450 * 11 ** 1180)
+    # a product is bounded by its own coefficients, not by its factors
+    assert parse_expression("2^4096*2^4096").as_rational() == 2 ** 8192
+    assert parse_expression("2^8000*x/2^8000*2^8000") == 2 ** 8000 * x
 
 
 @pytest.mark.parametrize("text, offset", [("(x+y+1)^40", 7), ("(x+y+1)^80", 7), ("(x+1)^512", 5),
@@ -242,3 +250,48 @@ def test_input_errors_are_parse_errors(text):
             parse(text, ctx)
         except ParseError:
             pass
+
+
+# -- the token cache ---------------------------------------------------------------
+#
+# `_tokenize` keeps the tokens of each text, so a template parsed again under
+# another context reads the same tuple of tokens.
+
+def test_cached_template_follows_each_context():
+    text = "y^(n) + n*x"
+    x = E.indep().as_expr()
+    for n in (3, 4, 3):
+        e = parse_expression(text, Context(params={"n": F(n)}))
+        assert e == E.jet(n).as_expr() + n * x
+    assert _tokenize(text) is _tokenize(text)
+
+
+@pytest.mark.parametrize("text, error, offset", [("x + nope", UnknownIdentifierError, 4),
+                                                 ("x/(y - y)", ParseError, 1),
+                                                 ("2^8000*2^8000", ParseError, 6),
+                                                 ("x + $", ParseError, 4)])
+def test_cached_text_keeps_error_offsets(text, error, offset):
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
+
+def test_series_on_cached_tokens():
+    ctx = Context(params={"n": F(5)}, functions={"H": E.expr_sum})
+    text = "H(y, series(k, 2, n-1, y^(k)*y'^(-k)))"
+    y1 = E.jet(1).as_expr()
+    expected = E.dep().as_expr() + sum((E.jet(k).as_expr() * y1 ** -k for k in (2, 3, 4)), E.ZERO)
+    assert parse_expression(text, ctx) == expected == parse_expression(text, ctx)
+    ctx3 = Context(params={"n": F(3)}, functions={"H": E.expr_sum})
+    assert parse_expression(text, ctx3) == E.dep().as_expr() + E.jet(2).as_expr() * y1 ** -2
+
+
+def test_cached_tokens_are_never_changed():
+    text = "H(y, series(k, 1, 3, y^(k))) + x*y'"
+    ctx = Context(functions={"H": E.expr_sum})
+    fresh = _tokenize.__wrapped__(text)
+    for _ in range(2):
+        parse_expression(text, ctx)
+        tokens = _tokenize(text)
+        assert type(tokens) is tuple and tokens == fresh
