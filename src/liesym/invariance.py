@@ -193,24 +193,27 @@ def _integer_rank(rows: list) -> int:
     for row in rows:
         scale = math.lcm(*[v.denominator for v in row])
         a.append([v.numerator * (scale // v.denominator) for v in row])
-    return bareiss(a, 1)[0]
+    return bareiss(a, 1, True)[0]
 
 
-def bareiss(a: list, one) -> Tuple[int, int]:
+def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 1968) of the rows `a`
     in place, over the integers or `liedet`'s dense polynomials: any domain
     with `*`, `-`, an exact `//`, a truth value and the unit `one`.  The
     pivot is the first nonzero entry of a column; a column without one is
-    skipped.  Each entry right of and below a pivot is a minor of the
-    row-swapped matrix, so dividing by the previous pivot is exact, and a
-    square matrix ends with its determinant times the returned sign in the
-    last entry.  Returns (rank, sign of the row swaps)."""
+    skipped when `skip` (the rank), else it stops the elimination with sign
+    0.  Each entry right of and below a pivot is a minor of the row-swapped
+    matrix, so dividing by the previous pivot is exact, and a square matrix
+    ends with its determinant times the returned sign in the last entry.
+    Returns (rank, sign of the row swaps)."""
     m, n = len(a), len(a[0]) if a else 0
     rank = col = 0
     prev, sign, zero = one, 1, one - one
     while rank < m and col < n:
         piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
+            if not skip:
+                return rank, 0
             col += 1
             continue
         if piv != rank:

@@ -224,17 +224,19 @@ def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
 
 def eliminate(matrix: list) -> tuple:
     """(a, sign, vars): the rows `a` after `bareiss` of a matrix of expressions
-    as dense polynomials over the indeterminates `vars` of all its entries."""
+    as dense polynomials over the indeterminates `vars` of all its entries;
+    sign 0 when a column without a pivot stopped it."""
     vars = _poly_vars(e for row in matrix for e in row)
     a = [[_dense(e, vars) for e in row] for row in matrix]
-    return a, bareiss(a, _Dense({(0,) * len(vars): 1}))[1], vars
+    return a, bareiss(a, _Dense({(0,) * len(vars): 1}), False)[1], vars
 
 
 def determinant(matrix: list) -> Expr:
-    """Exact determinant of a square matrix of expressions."""
+    """Exact determinant of a square matrix of expressions: 0 at once when
+    the elimination meets a column without a pivot."""
     a, sign, vars = eliminate(matrix)
-    det = _from_dense(a[-1][-1], vars)
-    return det if sign > 0 else -det
+    det = _from_dense(a[-1][-1] if sign else _Dense(), vars)
+    return det if sign >= 0 else -det
 
 
 # -- factor extraction --------------------------------------------------------

@@ -148,7 +148,7 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
     if len(xis) != m:
         raise ValueError(f"need exactly {m} solutions, got {len(xis)}")
     a, sign, vars = eliminate([_derivative_ladder(f, order)[lowest_index:] for f in xis])
-    det = a[-1][m - 1] if sign > 0 else _Dense() - a[-1][m - 1]
+    det = _Dense() if not sign else a[-1][m - 1] if sign > 0 else _Dense() - a[-1][m - 1]
     den = _from_dense(det, vars)
     if den.is_zero_expr():
         raise DependentSolutions("the prescribed solutions are linearly dependent")

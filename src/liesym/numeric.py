@@ -19,7 +19,11 @@ is proved zero, it is probed at seeded random rational points with mpmath
 at the configured precision, and the first point where
 |value| >= 10^-(digits-20) is the witness of ExactNonzero or
 ProbablyNonzero.  The threshold keeps twenty orders of magnitude between
-roundoff and an honest nonzero value.
+roundoff and an honest nonzero value.  So the tiers run in this order: the
+split, the first probe point, then, only when the split gave no answer and
+that point is no witness, the lifted step (`decide_lifted`), which can only
+prove zero, and last the remaining points.  The guard keeps the lifted step
+off nonzero expressions, which the first point nearly always witnesses.
 
 A probe does not walk the expression tree: each expression is lowered once
 per precision into a straight-line program over raw mpmath values, kept in
@@ -525,8 +529,10 @@ def _int_root(n: int, q: int):
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
             positive=frozenset()) -> ZeroVerdict:
     """Certify whether an expression is identically zero: the exact tier's
-    answer, completed by probing (`probe_verdict`).  Atoms in ``positive``
-    are sampled on the positive axis (branch restrictions).
+    answer, completed by probing (`probe_verdict`), with the lifted step
+    after the first point when the split gives no answer.  Atoms in
+    ``positive`` are sampled on the positive axis (branch restrictions) and
+    taken as positive by the lifted step.
     """
     return probe_verdict(e, decide_exactly(e), probe, positive)
 
@@ -542,6 +548,48 @@ def decide_exactly(e: Expr) -> Optional[bool]:
     return None if split is None else split[0].is_zero_expr()
 
 
+def decide_lifted(e: Expr, positive) -> Optional[bool]:
+    """The lifted exact step: True when e is proved zero, else None.
+
+    First a compound base Q/D under a fractional power c, whose denominator
+    D (`clear_denominators`) is a monomial in ``positive`` atoms, becomes
+    Q^c * D^(-c), exact as D > 0.  Then each transcendental atom t, constant
+    surd and base b under a fractional power is lifted to a fresh
+    indeterminate: t to T_t, and b^(k + r/q) to b^k * T_b^r, with q the lcm
+    of b's exponent denominators.  The lifted sum is zero exactly when the
+    coefficient of each monomial in the T's is, so none is built: the terms
+    are grouped by their transcendental and surd factors and the fractional
+    parts of their exponents, and each group, without those factors, goes to
+    `decide_exactly`.  All groups zero prove e zero; a nonzero group proves
+    nothing, as lifted terms may be dependent (Caviness & Fateman 1976), so
+    it gives None.
+    """
+    cleared = {}
+    for b, ex in (item for mono, _c in e._terms for item in mono):
+        if type(ex) is not int and isinstance(b, Expr) and is_rational_fragment(b):
+            num, den = clear_denominators(b)
+            if den and all(type(a) is Atom and a in positive for a in den):
+                cleared[b] = num, den
+    if cleared:
+        e = expr_sum(math.prod([cleared[b][0].pow(ex) * _make_term(
+                                    1, {a: -p * ex for a, p in cleared[b][1].items()})
+                                if b in cleared else _make_term(1, {b: ex})
+                                for b, ex in mono], start=Expr.rational(coeff))
+                     for mono, coeff in e._terms)
+    groups: dict = {}
+    for mono, coeff in e._terms:
+        lifted, items = [], {}
+        for b, ex in mono:
+            if type(b) is int or type(b) is Atom and b.kind == "transc":
+                lifted.append((b, ex))
+                continue
+            if type(ex) is not int:
+                lifted.append((b, ex - math.floor(ex)))
+            items[b] = ex
+        groups.setdefault(tuple(lifted), []).append(_make_term(coeff, items))
+    return all(decide_exactly(expr_sum(g)) for g in groups.values()) or None
+
+
 def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
                   positive) -> ZeroVerdict:
     """The verdict on e, given the exact tier's answer `zero`.
@@ -550,8 +598,11 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     `probe.points` seeded admissible points at `probe.digits` digits, atoms
     in ``positive`` on the positive axis.  The first point where
     |e| >= 10^-(digits-20) is the witness: of ExactNonzero when `zero` is
-    False, of ProbablyNonzero when it is None.  Without such a point the
-    verdict is ProbablyZero, or ExactNonzero without a witness.
+    False, of ProbablyNonzero when it is None.  When `zero` is None and the
+    first point is no witness, the lifted step (`decide_lifted`) runs once:
+    a proof of zero is ExactZero, and otherwise the probe goes on from the
+    second point of the same stream.  Without a witness the verdict is
+    ProbablyZero, or ExactNonzero without a witness.
     """
     if zero:
         return ZeroVerdict(ZeroStatus.EXACT_ZERO)
@@ -559,7 +610,7 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     rng = random.Random(probe.seed)
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
-    for _ in range(probe.points):
+    for i in range(probe.points):
         point, value = _probe_once(e, atoms, rng, probe, positive)
         with mpmath.workdps(probe.digits + 15):
             if abs(value) >= threshold:
@@ -568,6 +619,8 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
                 status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
                 return ZeroVerdict(status, probe.points, probe.digits, witness,
                                    mpmath.nstr(abs(value), 6))
+        if not i and zero is None and decide_lifted(e, positive):
+            return ZeroVerdict(ZeroStatus.EXACT_ZERO)
     status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
     return ZeroVerdict(status, probe.points, probe.digits)
 

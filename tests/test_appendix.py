@@ -15,11 +15,11 @@ from liesym.numeric import (
     ZeroStatus,
     eval_mp,
     is_zero,
-    probe_verdict,
     sample_point,
 )
 
 from invdiff_helpers import functional_rank
+from probe_oracle import ref_probe_verdict
 
 RECORDS = load_catalog()
 PR = ProbeConfig(points=20, digits=50, seed=42)
@@ -78,15 +78,16 @@ def test_hyperbolic_branch_domains_are_disjoint():
 def test_affine_algebra_residual_tier_and_finite_differences():
     # the shear-generator residual of the fifth-order invariant, which holds
     # radicals, is proved zero through its power-product split; the probe
-    # tier on its own agrees, and a directional finite difference at one
-    # probe point agrees with the symbolic evaluation
+    # tier on its own (the oracle without the lifted step) agrees, and a
+    # directional finite difference at one probe point agrees with the
+    # symbolic evaluation
     con = rec("(6,6)")
     phi1 = con.invariants[0][1]
     X4 = con.fields[3]  # y * d/dx
     residual = apply_prolonged(prolong(X4, 5), phi1)
     assert not E.is_rational_fragment(residual)
     assert is_zero(residual, PR).status == ZeroStatus.EXACT_ZERO
-    probed = probe_verdict(residual, None, PR, frozenset())
+    probed = ref_probe_verdict(residual, None, PR, frozenset())
     assert probed.status == ZeroStatus.PROBABLY_ZERO
     assert probed.points_tested == 20 and probed.precision_digits == 50
 

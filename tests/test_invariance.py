@@ -248,10 +248,16 @@ def test_bareiss_ends_square_matrices_with_the_signed_determinant():
         if rng.random() < 0.3:
             rows[-1] = [x + y for x, y in zip(rows[0], rows[-1 if size == 1 else 1])]
         a = [[int(v) for v in r] for r in rows]
-        rank, sign = bareiss(a, 1)
+        rank, sign = bareiss(a, 1, True)
         assert rank == ref_fraction_rank(rows)
         assert sign * a[-1][-1] == fraction_det(rows)
         assert all(not a[i][j] for i in range(size) for j in range(i))  # zeros below
+        # without the skip, a column without a pivot stops it with sign 0,
+        # exactly on the singular matrices
+        a = [[int(v) for v in r] for r in rows]
+        _rank, sign = bareiss(a, 1, False)
+        assert (sign == 0) == (fraction_det(rows) == 0)
+        assert sign * a[-1][-1] == fraction_det(rows)
 
 
 def test_rank_sampling_matches_the_reference_loop():

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from liesym import expr as E
 from liesym.catalog import default_order, instantiate, load_catalog, secondary_order
-from liesym.invariance import coefficient_matrix
+from liesym.invariance import _integer_rank, bareiss, coefficient_matrix
 from liesym.jet import VectorField
 from liesym.liedet import (
     _dense_div_exact,
     _dense_mul,
     determinant,
+    eliminate,
     exact_quotient,
     factor_polynomial,
     lie_determinant,
@@ -198,6 +199,38 @@ def test_bareiss_matches_cofactor_expansion_off_polynomials(case):
     assert res.determinant == determinant(matrix)
     assert is_zero(res.determinant - cofactor_determinant(matrix), PR).is_zero
     assert (res.reassembled() - res.determinant).is_zero_expr()
+
+
+def _catalog_lie_matrices():
+    """The coefficient matrix at order m-2 of every catalog record with m >= 2
+    fields, at default and secondary order."""
+    out = []
+    for rec in load_catalog():
+        for n in (default_order(rec), secondary_order(rec)):
+            if n is not None:
+                fields = instantiate(rec, n=n).fields
+                if len(fields) >= 2:
+                    out.append((rec.label, n, coefficient_matrix(fields, len(fields) - 2)))
+    return out
+
+
+def test_singular_catalog_matrices_stop_at_the_first_column_without_a_pivot():
+    # 7 of the 63 catalog Lie matrices are singular: the elimination stops at
+    # its first column without a pivot, with sign 0, and the determinant is 0,
+    # as the cofactor expansion says; the rank still skips such a column
+    mats = _catalog_lie_matrices()
+    assert len(mats) == 63
+    singular = [(label, n, m) for label, n, m in mats if cofactor_determinant(m).is_zero_expr()]
+    assert [(label, n) for label, n, _m in singular] == [
+        ("(11,3)", 4), ("(21,n+1)", 4), ("(21,n+1)", 7), ("(10,2)", 3), ("(10,2)", 6),
+        ("(20,2)", 3), ("(20,2)", 6)]
+    for label, n, matrix in singular:
+        _a, sign, _vars = eliminate(matrix)
+        assert sign == 0, (label, n)
+        assert determinant(matrix) == E.ZERO, (label, n)
+    assert bareiss([[0, 1], [0, 2]], 1, False) == (0, 0)
+    assert bareiss([[0, 1], [0, 2]], 1, True) == (1, 1)
+    assert _integer_rank([[F(0), F(1)], [F(0), F(0)]]) == 1
 
 
 def test_perfect_powers_with_large_coefficients():

@@ -1,0 +1,184 @@
+"""The lifted exact step of the zero test (`numeric.decide_lifted`): the
+residuals it proves, its soundness against the probe oracle, the
+first-point guard, and that it builds no atom."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liesym import expr as E
+from liesym import numeric
+from liesym.catalog import default_order, find_record, instantiate, load_catalog
+from liesym.invdiff import apply_D
+from liesym.jet import apply_prolonged, prolong, total_derivative
+from liesym.numeric import ProbeConfig, ZeroStatus, decide_exactly, decide_lifted, is_zero
+
+from probe_oracle import ref_probe_verdict
+from sympy_oracle import to_sympy
+
+RECORDS = load_catalog()
+PR = ProbeConfig(points=20, digits=50, seed=20240101)
+X = E.indep().as_expr()
+
+
+def J(k):
+    return E.jet(k).as_expr()
+
+
+def _con(label, n=None):
+    rec = find_record(RECORDS, label)
+    return instantiate(rec, n=default_order(rec) if n is None else n)
+
+
+def _residuals(fields, f, weighted):
+    k = E.max_jet_order(f) or 0
+    for X_ in fields:
+        r = apply_prolonged(prolong(X_, k), f)
+        yield r - f * total_derivative(X_.xi) if weighted else r
+
+
+def _equation_residuals(fields, eq):
+    for X_ in fields:
+        applied = apply_prolonged(prolong(X_, eq.order), eq.defect())
+        yield E.substitute(applied, {E.jet(eq.order): eq.rhs})
+
+
+def _undecided_rows():
+    """(row, residual, positive) for every residual of the rows that the
+    default-seed report held as ProbablyZero before the lifted step, and of
+    the `(28,n)` projective equation at the family orders 6..11: those that
+    `decide_exactly` leaves undecided."""
+    one_three = _con("(1,3)")
+    phi1 = one_three.invariants[0][1]
+    rows = [("(1,3) phi1", r, frozenset()) for r in _residuals(one_three.fields, phi1, False)]
+    rows += [("(1,3) lambda", r, frozenset())
+             for r in _residuals(one_three.fields, one_three.lam, True)]
+    rows += [("(1,3) D(phi)", r, frozenset())
+             for r in _residuals(one_three.fields, apply_D(one_three.lam, phi1), False)]
+    for n in range(6, 12):
+        con = _con("(28,n)", n)
+        rows += [(f"(28,n) eq1@{n}", r, frozenset())
+                 for r in _equation_residuals(con.fields, con.equations[0].variants["identity"])]
+    for label in ("(6,6)", "(8,8)", "(28,6)"):
+        rows += [(f"{label} pair1", ea - eb, pos) for ea, eb, pos in _con(label).equivalences]
+    return [row for row in rows if decide_exactly(row[1]) is None]
+
+
+def test_undecided_residuals_are_proved_and_vanish_under_sympy():
+    # each is proved zero by the lifted step alone; sympy brings each to 0
+    # independently, with the record's positive atoms declared positive:
+    # valid power rules, then one fraction, then cancellation
+    sympy = pytest.importorskip("sympy")
+    rows = _undecided_rows()
+    assert sorted({label for label, _r, _p in rows}) == sorted(
+        ["(1,3) phi1", "(1,3) lambda", "(1,3) D(phi)", "(6,6) pair1", "(8,8) pair1",
+         "(28,6) pair1"] + [f"(28,n) eq1@{n}" for n in range(6, 12)])
+    for label, residual, positive in rows:
+        assert decide_lifted(residual, positive), label
+        assert is_zero(residual, PR, positive).status == ZeroStatus.EXACT_ZERO, label
+        s = to_sympy(sympy, residual).subs({
+            sympy.Symbol(E.atom_name(a)): sympy.Symbol(E.atom_name(a), positive=True)
+            for a in positive})
+        s = sympy.together(sympy.powsimp(sympy.expand_power_base(s)))
+        assert sympy.cancel(s) == 0, label
+
+
+def test_projective_equation_was_only_probable_before():
+    # the check that forces the 5n-9 coefficient of (28,n): the probe tier on
+    # its own (the oracle) gives a probable zero at 20 points, the zero test
+    # a proof
+    con = _con("(28,n)", 6)
+    residual = [r for r in _equation_residuals(con.fields, con.equations[0].variants["identity"])
+                if decide_exactly(r) is None][0]
+    probed = ref_probe_verdict(residual, None, PR, frozenset())
+    assert probed.status == ZeroStatus.PROBABLY_ZERO and probed.points_tested == 20
+    assert is_zero(residual, PR) == numeric.ZeroVerdict(ZeroStatus.EXACT_ZERO)
+
+
+B = 1 + J(1) ** 2
+K = (3 * J(2) * J(4) - 4 * J(3) ** 2) / J(3) ** 2  # Q/D, D a monomial in y'''
+CLASSES = [F(-5, 2), F(-3, 2), F(-1, 2), F(1, 2), F(-2, 3), F(1, 3), F(-2), F(-1)]
+FACTORS = [E.ONE, E.transcendental("exp", X), E.transcendental("arctan", J(1)) ** 2,
+           E.transcendental("exp", X) * E.transcendental("arctan", J(1))]
+ATOMS = [X, J(1), J(2), J(3)]
+
+
+@st.composite
+def lifted_targets(draw):
+    """(target, c, positive): pairs A*P^r*t - (A*P)*P^(r-1)*t, which vanish but
+    not term by term, with mixed exponent classes r and transcendental
+    factors t; the base K/D pairs K^r with (K*D)^r * D^(-r), which needs D > 0.
+    Optionally a perturbation c*y'*B^r*t, zero or not."""
+    target = E.ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        A = E.Expr.rational(F(draw(st.integers(-9, 9)) or 1, draw(st.integers(1, 4))))
+        for a in ATOMS:
+            A = A * a ** draw(st.integers(0, 2))
+        r = draw(st.sampled_from(CLASSES))
+        t = draw(st.sampled_from(FACTORS))
+        if draw(st.booleans()):
+            target = target + (A * B ** r - (A * B) * B ** (r - 1)) * t
+        else:
+            D = J(3) ** 2
+            target = target + (A * K ** r - A * (K * D) ** r * D ** -r) * t
+    c = draw(st.sampled_from([F(-2), 0, F(1, 3), 0, F(5, 2), 0]))
+    target = target + c * J(1) * B ** draw(st.sampled_from(CLASSES)) * draw(st.sampled_from(FACTORS))
+    return target, c, frozenset([E.jet(3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lifted_targets())
+def test_lifted_zero_has_no_probe_witness(case):
+    # soundness: whenever the lifted step says zero, the probe oracle finds
+    # no witness at 20 points; a target it proves is ExactZero, and any other
+    # verdict is the oracle's, byte for byte
+    target, c, positive = case
+    lifted = decide_lifted(target, positive)
+    assert lifted in (True, None)
+    if decide_exactly(target) is not None:
+        return
+    oracle = ref_probe_verdict(target, None, PR, positive)
+    if lifted:
+        assert oracle.status == ZeroStatus.PROBABLY_ZERO
+    if c == 0:
+        assert lifted
+    verdict = is_zero(target, PR, positive)
+    if verdict.status == ZeroStatus.EXACT_ZERO:
+        assert lifted
+    else:
+        assert verdict.to_json() == oracle.to_json()
+
+
+def test_dependent_lifts_leave_the_probe_verdict_unchanged():
+    # exp(x)*exp(-x) - 1 and sin^2 + cos^2 - 1 vanish, but their lifted
+    # terms are dependent: the lifted step gives None, never False, and the
+    # probe goes on from the second point to the oracle's verdict
+    sin, cos = E.transcendental("sin", X), E.transcendental("cos", X)
+    for e in (E.transcendental("exp", X) * E.transcendental("exp", -X) - 1,
+              sin ** 2 + cos ** 2 - 1):
+        assert decide_exactly(e) is None and decide_lifted(e, frozenset()) is None
+        verdict = is_zero(e, PR)
+        assert verdict.status == ZeroStatus.PROBABLY_ZERO
+        assert verdict == ref_probe_verdict(e, None, PR, frozenset())
+
+
+def test_first_point_witness_skips_the_lifted_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "decide_lifted", lambda e, positive: calls.append(e))
+    e = E.transcendental("exp", X) * J(1) - J(2) ** F(1, 2) + J(2) ** F(1, 3)
+    assert is_zero(e, PR) == ref_probe_verdict(e, None, PR, frozenset())
+    assert is_zero(e, PR).status == ZeroStatus.PROBABLY_NONZERO
+    assert calls == []
+
+
+def test_lifted_step_builds_no_atom():
+    # the fresh indeterminates are never built: the step reads the
+    # coefficient of each of their monomials as a group of terms
+    e = (E.transcendental("exp", X) * B ** F(-3, 2) - E.transcendental("exp", X) * B * B ** F(-5, 2)
+         + B ** F(-1, 3) - B * B ** F(-4, 3))
+    assert decide_exactly(e) is None
+    size = len(E._ATOM_CACHE)
+    for _ in range(3):
+        assert decide_lifted(e, frozenset())
+    assert len(E._ATOM_CACHE) == size

@@ -26,9 +26,9 @@ from liesym.numeric import (
     eval_mp,
     is_zero,
     power_split,
-    probe_verdict,
     sample_point,
 )
+from probe_oracle import ref_probe_verdict
 from sympy_oracle import to_sympy
 
 X = E.indep().as_expr()
@@ -130,7 +130,7 @@ def test_exact_tier_decides_a_split_sum(A, B, Q, c, cancel):
     e = A * P ** c + B * P ** (c + 1)
     zero = decide_exactly(e)
     assert zero == (A + B * P).is_zero_expr()
-    assert probe_verdict(e, None, PR, frozenset()).is_zero == zero
+    assert ref_probe_verdict(e, None, PR, frozenset()).is_zero == zero
 
 
 def test_split_merges_a_base_and_its_negation():
@@ -238,6 +238,24 @@ def test_split_verdicts_agree_with_the_residual_zero_test():
     assert with_radicals >= 100 and nonzero_with_radicals >= 37 and rejected >= 60
 
 
+def test_lifted_step_never_runs_on_the_perturbed_checks(monkeypatch):
+    # the first-point guard: every perturbed residual that the exact tier
+    # leaves undecided has its witness at the first probe point, so the
+    # lifted step runs on none of them; on the unperturbed checks it does run
+    import liesym.numeric as numeric
+
+    real, calls = numeric.decide_lifted, []
+
+    def spy(e, positive):
+        calls.append(perturbed)
+        return real(e, positive)
+
+    monkeypatch.setattr(numeric, "decide_lifted", spy)
+    for label, fields, f, weighted, perturbed in _default_checks():
+        relative_invariant_verdicts(fields, f, _weight if weighted else None, PR)
+    assert True not in calls and len(calls) >= 3
+
+
 def test_negatives_residual_with_radicals_is_exact_nonzero():
     # the negatives workload's perturbed lambda*(1 + c*x) of (8,8): under the
     # eighth field the residual holds radicals, D_X is proved nonzero, and
@@ -252,7 +270,7 @@ def test_negatives_residual_with_radicals_is_exact_nonzero():
     verdict, = relative_invariant_verdicts([X_], f, _weight, PR)
     assert verdict.status == ZeroStatus.EXACT_NONZERO
     assert verdict.witness is not None and verdict.magnitude is not None
-    probed = probe_verdict(residual, None, PR, frozenset())
+    probed = ref_probe_verdict(residual, None, PR, frozenset())
     assert probed.status == ZeroStatus.PROBABLY_NONZERO
     assert (verdict.witness, verdict.magnitude) == (probed.witness, probed.magnitude)
 
@@ -269,11 +287,11 @@ def test_upgraded_residuals_vanish_under_sympy(label, check, field):
     f = con.lam if weighted else con.invariants[int(check[3:]) - 1][1]
     X_ = con.fields[field]
     residual = _residual(X_, f, weighted)
-    # the residual holds radicals: the probe tier alone gives a probable
-    # zero, the splits of the residual and of the target prove it, and
-    # sympy confirms it independently
+    # the residual holds radicals: the probe tier alone (the oracle without
+    # the lifted step) gives a probable zero, the splits of the residual and
+    # of the target prove it, and sympy confirms it independently
     assert not E.is_rational_fragment(residual)
-    assert probe_verdict(residual, None, PR, frozenset()).status == ZeroStatus.PROBABLY_ZERO
+    assert ref_probe_verdict(residual, None, PR, frozenset()).status == ZeroStatus.PROBABLY_ZERO
     assert is_zero(residual, PR).status == ZeroStatus.EXACT_ZERO
     verdict, = relative_invariant_verdicts([X_], f, _weight if weighted else None, PR)
     assert verdict.status == ZeroStatus.EXACT_ZERO
