@@ -39,11 +39,8 @@ route's (the same terms, key and hash, and an ``int`` wherever the normal
 form requires one).  An atom is immutable, so its one-term expression is
 built once and shared (:meth:`Atom.as_expr`).  A one-term accumulator is
 keyed with no sort.  A term product with an empty monomial is the other
-monomial with the product coefficient.  :func:`diff` applies the
-power rule in place to a base that is the differentiation atom: lowering an
-exponent, or dropping the base at exponent 1, keeps the bases in order, so
-the monomial needs no rebuild.  :func:`substitute` passes through what its
-bindings do not touch: a term with no touched base goes into the
+monomial with the product coefficient.  :func:`substitute` passes through
+what its bindings do not touch: a term with no touched base goes into the
 accumulator as it is, and any other term starts from its untouched atoms and
 the untouched bases before its first touched one (still sorted), then
 multiplies in the rest in order, a touched base substituted and an
@@ -54,10 +51,19 @@ keeping their order keeps every intermediate product of the left fold.
 ``-`` adds the negated terms of its right operand with no negated copy.
 The multiply-accumulate path keeps its cost per call low: a term product
 merges a base present in both monomials by identity before it compares
-keys, `_mul_into` adds its pieces into the accumulator inline, an empty
-accumulator is the shared `ZERO`, and `diff` skips coordinate atoms other
-than the variable.  `_mono_key` keeps the keys of recent monomials in a
-memo (`_MONO_KEYS`), cleared whenever it reaches 1,024 entries.
+keys, `_mul_into` adds its pieces into the accumulator inline, and an
+empty accumulator is the shared `ZERO`.  `_mono_key` keeps the keys of recent
+monomials in a memo (`_MONO_KEYS`), cleared whenever it reaches 1,024
+entries.
+
+One routine applies every derivation: `_derive(e, values)` sends each atom
+in `values` to its value and every other atom to 0 (:func:`diff`, and the
+total derivative and prolonged fields of :mod:`liesym.jet`).  A derivation
+is fixed by those values, so it runs term by term: c * prod b_i^e_i adds
+c*e_i * m_i * D(b_i) into one accumulator, where m_i lowers b_i by one, or
+drops it at exponent 1, and keeps the bases in order (the power rule in
+place: no rebuild).  D(atom) is its value, D(fn(u)) is fn'(u) * D(u), a
+prime surd gives 0, and D of a compound base is computed once per call.
 """
 
 from __future__ import annotations
@@ -208,7 +214,9 @@ _ZERO_RAT = Fraction(0)
 
 
 class Expr:
-    """A normalized symbolic expression.  Immutable and hashable."""
+    """A normalized symbolic expression.  Immutable and hashable.  Unpickling
+    rebuilds it from its terms, so it hashes by the loading process's seed
+    for strings, not by the seed of the process that pickled it."""
 
     __slots__ = ("_terms", "_key", "_hash", "_flags")
 
@@ -218,6 +226,9 @@ class Expr:
         self._key = key
         self._hash = hash(key)
         self._flags: dict = {}
+
+    def __reduce__(self):
+        return _expr_from_terms, (dict(self._terms),)
 
     # -- construction -----------------------------------------------------
 
@@ -300,7 +311,7 @@ class Expr:
         if not self._terms or not other._terms:
             return ZERO
         acc: dict = {}
-        _mul_into(acc, self, other)
+        _mul_into(acc, self._terms, other._terms)
         return _expr_from_terms(acc)
 
     __rmul__ = __mul__
@@ -372,10 +383,11 @@ def _acc_add(acc: dict, mono, coeff):
             del acc[mono]
 
 
-def _mul_into(acc: dict, a: Expr, b: Expr) -> None:
-    """Add the term products of a*b into the accumulator (`_acc_add` inline)."""
-    for m1, c1 in a._terms:
-        for m2, c2 in b._terms:
+def _mul_into(acc: dict, terms1, terms2) -> None:
+    """Add the products of two term sequences into the accumulator
+    (`_acc_add` inline)."""
+    for m1, c1 in terms1:
+        for m2, c2 in terms2:
             piece = _term_product(m1, c1, m2, c2)
             if type(piece) is not tuple:
                 for mono, c in piece._terms:
@@ -407,7 +419,7 @@ def sum_of_products(pairs) -> Expr:
     term by term into one accumulator; no intermediate sum is built."""
     acc: dict = {}
     for a, b in pairs:
-        _mul_into(acc, a, b)
+        _mul_into(acc, a._terms, b._terms)
     return _expr_from_terms(acc)
 
 
@@ -642,53 +654,50 @@ _D_TRANSC: dict = {
 
 # -- differentiation ---------------------------------------------------------
 
-_DIFF_CACHE: dict = {}
-
-
 def diff(e: Expr, a: Atom) -> Expr:
     """Exact partial derivative, all other atoms held fixed."""
     if a.kind == "transc":
         raise ValueError("cannot differentiate with respect to a transcendental atom")
-    hit = _DIFF_CACHE.get((e, a))
-    if hit is not None:
-        return hit
-    acc: dict = {}
-    for mono, coeff in e._terms:
-        for i, (b, ex) in enumerate(mono):
-            if type(b) is Atom and b.kind != "transc":
-                if b._key != a._key:
-                    continue  # another coordinate: a zero derivative
-                # power rule: the base keeps its place, so the monomial
-                # stays sorted and needs no rebuild
+    return _derive(e, {_interned(a.kind, a.order, a.name, a.fn, a.arg): ONE})
+
+
+def _derive(e: Expr, values: Mapping[Atom, Expr]) -> Expr:
+    """The derivation that sends each atom in `values` to its value and every
+    other atom to 0, applied term by term (see the module docstring)."""
+    memo: dict = {}  # compound or transcendental base -> its derivative
+
+    def derive(e: Expr) -> Expr:
+        acc: dict = {}
+        for mono, coeff in e._terms:
+            for i, (b, ex) in enumerate(mono):
+                if type(b) is Atom and b.kind != "transc":
+                    db = values.get(b)
+                    if db is None:
+                        continue  # another coordinate: a zero derivative
+                elif type(b) is int:
+                    continue  # a prime surd is a constant
+                else:
+                    db = memo.get(b)
+                    if db is None:
+                        if type(b) is Expr:
+                            db = derive(b)
+                        else:  # fn(u): fn'(u) * D(u)
+                            db = derive(b.arg)
+                            if db._terms:
+                                db = _D_TRANSC[b.fn](b) * db
+                        memo[b] = db
+                if not db._terms:
+                    continue
+                # power rule: the base keeps its place, so the monomial stays
+                # sorted and needs no rebuild
                 c = coeff * ex
                 if type(c) is not int:
                     c = _normal(c)
                 lowered = () if ex == 1 else ((b, ex - 1),)
-                _acc_add(acc, mono[:i] + lowered + mono[i + 1:], c)
-                continue
-            db = _diff_base(b, a)
-            if db.is_zero_expr():
-                continue
-            rest = dict(mono)
-            rest[b] = ex - 1
-            _mul_into(acc, _make_term(coeff * ex, rest), db)
-    out = _expr_from_terms(acc)
-    _DIFF_CACHE[(e, a)] = out
-    return out
+                _mul_into(acc, ((mono[:i] + lowered + mono[i + 1:], c),), db._terms)
+        return _expr_from_terms(acc)
 
-
-def _diff_base(b, a: Atom) -> Expr:
-    """d b / d a for a base other than `a` (`diff` takes the coordinate atoms)."""
-    if isinstance(b, Atom):
-        if b.kind == "transc":
-            inner = diff(b.arg, a)
-            if inner.is_zero_expr():
-                return ZERO
-            return _D_TRANSC[b.fn](b) * inner
-        return ZERO
-    if isinstance(b, Expr):
-        return diff(b, a)
-    return ZERO
+    return derive(e)
 
 
 # -- substitution ------------------------------------------------------------
@@ -716,7 +725,7 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
         head = _expr_from_terms({tuple(kept): coeff})
         for piece in rest[:-1]:
             head = head * piece
-        _mul_into(acc, head, rest[-1])
+        _mul_into(acc, head._terms, rest[-1]._terms)
     return _expr_from_terms(acc)
 
 
@@ -730,8 +739,8 @@ def _touched(b, bound) -> bool:
 
 
 def _atom_keys(e: Expr) -> frozenset:
-    """The keys of every atom in e, cached on e.  Keys, not atoms: the cache
-    pickles with e, and `substitute` matches its bindings by key."""
+    """The keys of every atom in e, cached on e: `substitute` matches its
+    bindings by key."""
     keys = e._flags.get("atom_keys")
     if keys is None:
         keys = e._flags["atom_keys"] = frozenset(

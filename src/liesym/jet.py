@@ -2,8 +2,12 @@
 
 A point vector field xi(x,y)*Dx + eta(x,y)*Dy is prolonged to order k by the
 recursion eta[j] = D_x(eta[j-1]) - y^(j) * D_x(xi) with eta[0] = eta, where
-D_x = d/dx + y'*d/dy + sum_k y^(k+1)*d/dy^(k) is the total derivative.  The
-coefficient eta[j] involves jets of order at most j.
+D_x is the total derivative.  The coefficient eta[j] involves jets of order
+at most j.
+
+D_x and pr(X) are derivations, fixed by their values on the coordinates
+(D_x: x -> 1, y^(k) -> y^(k+1); pr(X): x -> xi, y -> eta, y^(k) -> eta[k]),
+so `expr._derive` applies each in one pass, not once per coordinate.
 
 Prolongation is memoized by field value: each field keeps D_x(xi) and the
 coefficients built so far, and a higher order extends that list, so a field
@@ -14,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (ONE, Expr, ExprError, diff, indep, jet, jet_or_dep, max_jet_order,
-                   sum_of_products)
+from .expr import ONE, Expr, ExprError, _derive, indep, jet, jet_or_dep, max_jet_order
 
 # The one jet-order ceiling: prolongation, total derivatives, the parser
 # and the harness's check plan all stop here.
@@ -23,6 +26,9 @@ MAX_JET_ORDER = 12
 
 # The coordinates x, y, y', ..., y^(MAX_JET_ORDER), built once.
 _COORDS = (indep(),) + tuple(jet_or_dep(k) for k in range(MAX_JET_ORDER + 1))
+
+# D_x on the coordinates: x -> 1 and y^(k) -> y^(k+1) below the ceiling.
+_DX_VALUES = dict(zip(_COORDS[:-1], (ONE,) + tuple(a.as_expr() for a in _COORDS[2:])))
 
 
 class MaxOrderExceeded(ExprError):
@@ -61,12 +67,10 @@ def total_derivative(e: Expr) -> Expr:
     if top is not None and top >= MAX_JET_ORDER:
         raise MaxOrderExceeded(
             f"expression already contains jet order {top} >= limit {MAX_JET_ORDER}")
-    limit = top if top is not None else 0
-    return sum_of_products([(ONE, diff(e, _COORDS[0]))] + [
-        (_COORDS[i + 1].as_expr(), diff(e, _COORDS[i])) for i in range(1, limit + 2)])
+    return _derive(e, _DX_VALUES)
 
 
-# VectorField -> [D_x(xi), [eta[1], eta[2], ...]], like expr's _DIFF_CACHE.
+# VectorField -> [D_x(xi), [eta[1], eta[2], ...]].
 _PROLONG_CACHE: dict = {}
 
 
@@ -92,8 +96,7 @@ def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
     if top is not None and top > PX.order:
         raise OrderMismatch(
             f"expression has jet order {top} but the field is prolonged to {PX.order}")
-    return sum_of_products([(c, diff(e, a)) for c, a in
-                            zip((PX.base.xi, PX.base.eta) + PX.coeffs, _COORDS)])
+    return _derive(e, dict(zip(_COORDS, (PX.base.xi, PX.base.eta) + PX.coeffs)))
 
 
 def characteristic(X: VectorField) -> Expr:

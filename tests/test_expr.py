@@ -2,9 +2,13 @@
 substitution."""
 
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -133,12 +137,19 @@ def test_normalization_idempotent():
         assert renormalized(e) == e
 
 
-def test_cache_transparency():
+def test_derive_keeps_no_state_between_calls():
+    # one compound base and one transcendental call under three derivations:
+    # a derivative kept from one call would be wrong in the next
     big = 9 * J(2) ** 2 * J(5) - 45 * J(2) * J(3) * J(4) + 40 * J(3) ** 3
-    with_cache = diff(big, E.jet(2))
-    E._DIFF_CACHE.clear()
-    without_cache = diff(big, E.jet(2))
-    assert with_cache == without_cache
+    base = (1 + J(2) ** 2) ** F(-1, 2) * E.transcendental("arctan", X * J(2))
+    calls = [(big + base, {E.jet(2): E.ONE}),
+             (big * base, {E.jet(2): X, E.indep(): J(3)}),
+             (base, {E.indep(): E.ONE, E.jet(2): J(3)})]
+    forward = [E._derive(e, values)._key for e, values in calls]
+    backward = [E._derive(e, values)._key for e, values in reversed(calls)]
+    assert forward == backward[::-1]
+    assert forward[0] == diff(big + base, E.jet(2))._key
+    assert len(set(forward)) == 3
 
 
 def _walk_jet_order(e):
@@ -163,6 +174,36 @@ def test_max_jet_order_is_cached_and_survives_pickle():
         assert E.max_jet_order(e) == want
         assert E.max_jet_order(unwalked) == want
         assert E.max_jet_order(pickle.loads(pickle.dumps(e))) == want
+
+
+_PICKLE_ACROSS_SEEDS = """
+import pickle, sys
+from liesym.expr import Expr, max_jet_order
+from liesym.parse import parse_expression
+e = parse_expression("(1 + y^2)^(-1/2) + x")
+if sys.argv[1] == "dump":
+    max_jet_order(e)  # a flag, which must not travel
+    sys.stdout.buffer.write(pickle.dumps(e))
+else:
+    f = pickle.loads(sys.stdin.buffer.read())
+    base, = [b for m, _ in f.terms for b, _ in m if isinstance(b, Expr)]
+    fresh = parse_expression("1 + y^2")
+    print(e == f, hash(e) == hash(f), len({e, f}), hash(base) == hash(fresh), f._flags)
+"""
+
+
+def test_unpickled_expression_hashes_by_the_loading_process():
+    # string hashes are seeded per process, so a hash pickled under one seed
+    # would not match the fresh copy under another
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(seed, mode, data=None):
+        return subprocess.run([sys.executable, "-c", _PICKLE_ACROSS_SEEDS, mode], input=data,
+                              env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                              check=True, timeout=60).stdout
+
+    assert run("2", "load", run("1", "dump")).decode().split() == ["True"] * 2 + ["1", "True", "{}"]
 
 
 def test_structural_sharing_is_safe():

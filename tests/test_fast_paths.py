@@ -33,6 +33,7 @@ from liesym import expr as E
 from liesym.expr import Expr, diff, substitute
 from liesym.numeric import eval_mp, is_zero, power_split
 
+from derivation_oracle import ref_diff_base
 from expr_helpers import renormalized
 from test_expr import _assert_normal_exponents
 from test_sums import ref_substitute, ref_term_product
@@ -62,12 +63,12 @@ def product_rule_diff(e: Expr, a: E.Atom) -> Expr:
     acc: dict = {}
     for mono, coeff in e.terms:
         for b, ex in mono:
-            db = E.ONE if b == a else E._diff_base(b, a)
+            db = E.ONE if b == a else ref_diff_base(b, a)
             if db.is_zero_expr():
                 continue
             rest = dict(mono)
             rest[b] = ex - 1
-            E._mul_into(acc, E._make_term(coeff * ex, rest), db)
+            E._mul_into(acc, E._make_term(coeff * ex, rest).terms, db.terms)
     return sorted_from_terms(acc)
 
 
@@ -325,7 +326,7 @@ def test_inline_accumulation_matches_acc_add_fold(start, a, b):
     ab = (a * b).terms
     for begin in (dict(start.terms), {m: -c for m, c in ab}, {m: 1 - c for m, c in ab}, {}):
         got, ref = dict(begin), dict(begin)
-        E._mul_into(got, a, b)
+        E._mul_into(got, a.terms, b.terms)
         _fold_mul_into(ref, a, b)
         assert got == ref
         assert [type(c) for c in got.values()] == [type(ref[m]) for m in got]
