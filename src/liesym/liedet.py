@@ -37,6 +37,7 @@ from .expr import (
     expr_sum,
     is_polynomial,
     jet,
+    leaf_atoms,
     max_jet_order,
 )
 from .invariance import OdeEquation, bareiss, coefficient_matrix
@@ -49,8 +50,8 @@ class SingularEquation:
     """One vanishing factor of a Lie determinant.
 
     kind is "ode" when the factor is solved for its top jet, "parameter"
-    when the factor involves no jet coordinates (a degeneracy condition on
-    the family parameters), and "implicit" otherwise.
+    when every atom of the factor is a family parameter (a degeneracy
+    condition on the parameters), and "implicit" otherwise.
     """
 
     factor: Expr
@@ -94,8 +95,9 @@ def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
     out = []
     for f, mult in result.factors:
         top = max_jet_order(f)
-        if top is None or top == 0:
-            kind = "parameter" if top is None else "implicit"
+        if not top:
+            params = all(a.kind == "param" for a in leaf_atoms(f))
+            kind = "parameter" if params else "implicit"
             out.append(SingularEquation(f, mult, kind, order=top))
             continue
         a = diff(f, jet(top))

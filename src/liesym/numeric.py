@@ -25,11 +25,10 @@ that point is no witness, the lifted step (`decide_lifted`), which can only
 prove zero, and last the remaining points.  The guard keeps the lifted step
 off nonzero expressions, which the first point nearly always witnesses.
 
-A probe does not walk the expression tree: each expression is lowered once
-per precision into a straight-line program over raw mpmath values, kept in
-the expression's flags, and every probe point runs that program.  Each
-value, rejected point and magnitude string is bit-identical to evaluating
-the tree with mpf objects at the same precision.
+A probe point is evaluated by one walk over the expression tree with raw
+mpmath values, each base and each power of a base computed once per point.
+Each value, rejected point and magnitude string is bit-identical to
+evaluating the tree with mpf objects at the same precision.
 
 The sampling policy is fixed, not configured: every coordinate of a probe
 point is a rational sign*num/den with den in [10^3, 10^6] and magnitude
@@ -319,21 +318,13 @@ def power_split(e: Expr):
 
 # -- numeric evaluation -------------------------------------------------------
 #
-# The program of ``e`` at ``digits`` lives in ``e._flags[("mp", digits)]``.
-# Its registers hold, in dependency order, the leaf atoms, prime-integer
-# bases, each transcendental atom after its argument and each compound base
-# after the bases inside it; every distinct (base, exponent) pair has a
-# register of its own.  A sum step multiplies each row's coefficient by its
-# factor registers left to right and adds the rows in term order.  Each raw
-# call is the one the mpf operators make at the same precision and rounding
-# (round to nearest), which is what keeps the results bit-identical.
+# Each raw call is the one the mpf operators make at the same precision and
+# rounding (round to nearest), which is what keeps the results bit-identical
+# to evaluating the tree with mpf objects.
 
 _TINY_EXP = -10  # admissibility threshold 10^-10 for denominators/arguments
 
 _RND = libmp.round_nearest
-
-# step opcodes: (op, destination register, source register or rows, operand)
-_SUM, _POW, _NEG_POW, _FRAC_POW, _LN, _FN = range(6)
 
 _MPF_FN = {"exp": libmp.mpf_exp, "ln": libmp.mpf_log, "arctan": libmp.mpf_atan,
            "sin": libmp.mpf_sin, "cos": libmp.mpf_cos}
@@ -343,126 +334,69 @@ def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
     """Evaluate at a rational point with mpmath at `digits` working digits.
 
     Raises _BadPoint when the point is inadmissible (near-singular
-    denominator, non-positive fractional-power base, bad ln argument).
+    denominator, non-positive fractional-power base, bad ln argument), and
+    ExprError when the walk reaches an atom that `point` does not bind.
     """
-    program = e._flags.get(("mp", digits))
-    if program is None:
-        program = e._flags[("mp", digits)] = _Lowering(digits).program(e)
-    return mpmath.mp.make_mpf(_run(program, point))
+    prec = libmp.dps_to_prec(digits + 15)
+    tiny = libmp.mpf_pow_int(libmp.from_int(10), _TINY_EXP, prec, _RND)
+    mul, add, lt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_lt
+    memo: dict = {}  # base -> value, (base, exponent) -> value
+
+    def node(e):
+        total = libmp.fzero
+        for mono, coeff in e._terms:
+            v = _mpf_rational(coeff.numerator, coeff.denominator, prec)
+            for b, ex in mono:
+                v = mul(v, base(b) if ex == 1 else power(b, ex), prec, _RND)
+            total = add(total, v, prec, _RND)
+        return total
+
+    def base(b):
+        bv = memo.get(b)
+        if bv is not None:
+            return bv
+        if isinstance(b, Atom):
+            if b.kind == "transc":
+                arg = base(b.arg)
+                if b.fn == "ln" and lt(arg, tiny):
+                    raise _BadPoint
+                bv = _MPF_FN[b.fn](arg, prec, _RND)
+            else:
+                val = point.get(b)
+                if val is None:
+                    raise ExprError(f"no value supplied for {atom_name(b)}")
+                bv = _mpf_rational(val.numerator, val.denominator, prec)
+        elif isinstance(b, int):
+            bv = libmp.mpf_pos(libmp.from_int(b), prec, _RND)
+        else:
+            bv = node(b)
+        memo[b] = bv
+        return bv
+
+    def power(b, ex):
+        pv = memo.get((b, ex))
+        if pv is not None:
+            return pv
+        bv = base(b)
+        if ex.denominator == 1:
+            if ex < 0 and lt(libmp.mpf_abs(bv, prec, _RND), tiny):
+                raise _BadPoint
+            pv = libmp.mpf_pow_int(bv, ex.numerator, prec, _RND)
+        else:
+            if lt(bv, tiny):
+                raise _BadPoint
+            pv = libmp.mpf_pow(bv, _mpf_rational(ex.numerator, ex.denominator, prec),
+                               prec, _RND)
+        memo[(b, ex)] = pv
+        return pv
+
+    return mpmath.mp.make_mpf(node(e))
 
 
 def _mpf_rational(p: int, q: int, prec: int):
     """Raw value of ``mpf(p) / q`` at ``prec`` bits."""
     return libmp.mpf_div(libmp.mpf_pos(libmp.from_int(p), prec, _RND),
                          libmp.from_int(q), prec, _RND)
-
-
-class _Lowering:
-    """Builds the straight-line program of one expression at one precision."""
-
-    def __init__(self, digits: int):
-        self.prec = libmp.dps_to_prec(digits + 15)
-        self.tiny = libmp.mpf_pow_int(libmp.from_int(10), _TINY_EXP, self.prec, _RND)
-        self.regs: list = []      # initial register file; constants filled in
-        self.atoms: list = []     # (atom, register) loaded from the point
-        self.steps: list = []
-        self.slots: dict = {}     # base or node -> register
-        self.powers: dict = {}    # (register, exponent) -> register
-
-    def program(self, e: Expr) -> tuple:
-        out = self._node(e)
-        return (self.prec, self.tiny, tuple(self.atoms), self.regs,
-                tuple(self.steps), out)
-
-    def _new(self, value=None) -> int:
-        self.regs.append(value)
-        return len(self.regs) - 1
-
-    def _node(self, e: Expr) -> int:
-        reg = self.slots.get(e)
-        if reg is not None:
-            return reg
-        rows = []
-        for mono, coeff in e._terms:
-            factors = tuple(self._power(self._base(b), ex) for b, ex in mono)
-            rows.append((_mpf_rational(coeff.numerator, coeff.denominator,
-                                       self.prec), factors))
-        reg = self.slots[e] = self._new()
-        self.steps.append((_SUM, reg, tuple(rows), None))
-        return reg
-
-    def _base(self, b) -> int:
-        reg = self.slots.get(b)
-        if reg is not None:
-            return reg
-        if isinstance(b, Atom):
-            if b.kind == "transc":
-                arg = self._node(b.arg)
-                reg = self._new()
-                op = _LN if b.fn == "ln" else _FN
-                self.steps.append((op, reg, arg, _MPF_FN[b.fn]))
-            else:
-                reg = self._new()
-                self.atoms.append((b, reg))
-        elif isinstance(b, int):
-            reg = self._new(libmp.mpf_pos(libmp.from_int(b), self.prec, _RND))
-        else:
-            reg = self._node(b)
-        self.slots[b] = reg
-        return reg
-
-    def _power(self, base: int, ex: Fraction) -> int:
-        if ex == 1:
-            return base
-        reg = self.powers.get((base, ex))
-        if reg is not None:
-            return reg
-        if ex.denominator == 1:
-            op, operand = (_NEG_POW if ex < 0 else _POW), ex.numerator
-        else:
-            op = _FRAC_POW
-            operand = _mpf_rational(ex.numerator, ex.denominator, self.prec)
-        reg = self.powers[(base, ex)] = self._new()
-        self.steps.append((op, reg, base, operand))
-        return reg
-
-
-def _run(program, point):
-    """Raw value of a lowered program at a rational point."""
-    prec, tiny, atoms, regs, steps, out = program
-    mul, add, lt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_lt
-    regs = regs[:]
-    for atom, reg in atoms:
-        val = point.get(atom)
-        if val is None:
-            raise ExprError(f"no value supplied for {atom_name(atom)}")
-        regs[reg] = _mpf_rational(val.numerator, val.denominator, prec)
-    for op, dst, src, operand in steps:
-        if op == _SUM:
-            total = libmp.fzero
-            for coeff, factors in src:
-                v = coeff
-                for f in factors:
-                    v = mul(v, regs[f], prec, _RND)
-                total = add(total, v, prec, _RND)
-            regs[dst] = total
-            continue
-        bv = regs[src]
-        if op == _POW:
-            regs[dst] = libmp.mpf_pow_int(bv, operand, prec, _RND)
-        elif op == _NEG_POW:
-            if lt(libmp.mpf_abs(bv, prec, _RND), tiny):
-                raise _BadPoint
-            regs[dst] = libmp.mpf_pow_int(bv, operand, prec, _RND)
-        elif op == _FRAC_POW:
-            if lt(bv, tiny):
-                raise _BadPoint
-            regs[dst] = libmp.mpf_pow(bv, operand, prec, _RND)
-        else:
-            if op == _LN and lt(bv, tiny):
-                raise _BadPoint
-            regs[dst] = operand(bv, prec, _RND)
-    return regs[out]
 
 
 # -- exact rational evaluation ------------------------------------------------

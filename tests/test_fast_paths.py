@@ -157,7 +157,7 @@ def test_atom_expression_is_shared():
     key = E._base_key(shared)
     assert E.is_rational_fragment(shared)
     # mixed use: products, a compound base, derivatives, substitution,
-    # the exact tier, and the numeric program cached on the shared object
+    # the exact tier, and the probe evaluator on the shared object
     compound = (1 + shared * Y) ** F(-1, 2)
     assert diff(compound, E.indep()) == F(-1, 2) * Y * (1 + X * Y) ** F(-3, 2)
     assert substitute(shared * Y, {E.dep(): shared}) == X ** 2

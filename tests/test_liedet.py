@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liesym import expr as E
-from liesym.catalog import default_order, instantiate, load_catalog, secondary_order
+from liesym.catalog import default_order, find_record, instantiate, load_catalog, secondary_order
 from liesym.invariance import _integer_rank, bareiss, coefficient_matrix
 from liesym.jet import VectorField
 from liesym.liedet import (
@@ -92,6 +92,23 @@ def test_scaling_family_determinant_symbolic_weight():
     assert "parameter" in kinds and any(
         s.equation is not None and s.equation.order == 4
         for s in singular_equations(res))
+
+
+def test_parameter_kind_needs_every_atom_a_parameter():
+    # a factor without y or jets is a parameter condition only when it holds
+    # nothing but parameters; x^(1/2), x and exp(x) are implicit
+    al = E.param("alpha").as_expr()
+    for coeff, want in [(X ** F(1, 2), [("implicit", X ** F(1, 2))]),
+                        ((al - 2) * E.transcendental("exp", X),
+                         [("parameter", al - 2), ("implicit", E.transcendental("exp", X))]),
+                        (E.transcendental("exp", al) * X,
+                         [("implicit", X), ("parameter", E.transcendental("exp", al))])]:
+        res = lie_determinant([VectorField(E.ZERO, coeff), DX])
+        assert [(s.kind, s.factor) for s in singular_equations(res)] == want
+    # the x factor of the (2,3) Lie determinant at its default order
+    rec = find_record(load_catalog(), "(2,3)")
+    eqs = singular_equations(lie_determinant(instantiate(rec).fields))
+    assert [s.kind for s in eqs if s.factor == X] == ["implicit"]
 
 
 def test_inhomogeneous_scaling_constant_determinant():

@@ -158,7 +158,7 @@ def test_probe_config_refuses_a_probe_that_tests_nothing(kwargs):
         == ZeroStatus.PROBABLY_NONZERO
 
 
-# -- the lowered evaluator ----------------------------------------------------
+# -- the probe evaluator ------------------------------------------------------
 
 _ORACLE_ATOMS = (E.indep(), E.dep(), E.jet(1), E.jet(2))
 _FNS = ("exp", "ln", "arctan", "sin", "cos")
@@ -212,7 +212,8 @@ def _random_pair(rng, sp, syms, pool, depth):
 
 def _tree_walk(e, point, digits):
     """Reference evaluator: the walk over the expression tree with mpf
-    objects that the lowered program must reproduce bit for bit."""
+    objects that `eval_mp`, on raw mpmath values, must reproduce bit for
+    bit."""
     def node(e):
         total = mpmath.mpf(0)
         for mono, coeff in e.terms:
@@ -247,7 +248,7 @@ def _tree_walk(e, point, digits):
         return node(e)
 
 
-def test_lowered_evaluator_matches_tree_walk_and_sympy_oracle():
+def test_eval_mp_matches_tree_walk_and_sympy_oracle():
     sp = pytest.importorskip("sympy")
     syms = sp.symbols("x y y1 y2")
     rng = random.Random(20261018)
@@ -317,9 +318,11 @@ def test_bad_point_raised_exactly_when_a_base_or_ln_argument_is_inadmissible():
             assert eval_mp(e, point, 50)._mpf_ == _tree_walk(e, point, 50)._mpf_
 
 
-def test_program_memo_is_per_precision():
+def test_eval_mp_is_right_at_each_precision_and_caches_nothing():
     e = (1 + X ** 2) ** F(1, 2) * E.transcendental("exp", X) - E.Expr.rational(2) ** F(1, 2)
     point = {E.indep(): F(7, 3)}
+    flags = {b: dict(b._flags) for b, _ in E.walk_bases(e) if isinstance(b, E.Expr)}
+    flags[e] = dict(e._flags)
     low = eval_mp(e, point, 30)
     high = eval_mp(e, point, 80)
     with mpmath.workdps(120):
@@ -328,6 +331,25 @@ def test_program_memo_is_per_precision():
         assert abs(low - want) < mpmath.mpf(10) ** -30
         assert abs(high - want) < mpmath.mpf(10) ** -80
         assert abs(eval_mp(e, point, 30) - low) == 0
+    # the evaluator leaves no entry behind, on e or on a base inside it
+    assert all(ex._flags == before for ex, before in flags.items())
+
+
+def test_missing_atom_is_named_inside_compound_bases_and_arguments():
+    y1 = E.jet(1)
+    point = {E.indep(): F(2), E.dep(): F(3)}
+    in_base = X + (1 + Y * J(1) ** 2) ** F(-1, 2)
+    in_arg = X * E.transcendental("exp", 1 + J(1))
+    assert y1 not in dict(m for mono, _ in in_base.terms for m in mono)
+    assert y1 not in dict(m for mono, _ in in_arg.terms for m in mono)
+    for e in (in_base, in_arg):
+        with pytest.raises(E.ExprError, match="no value supplied for y'$"):
+            eval_mp(e, point, 50)
+    with pytest.raises(E.ExprError, match="no value supplied for y'$"):
+        eval_exact(X + (1 + Y * J(1) ** 2) ** -1, point)
+    # exp(1 + y') has no exact value whatever y' is, so that refusal comes first
+    with pytest.raises(ExactEvalError, match=r"^exp\(1 \+ y'\) has no exact value"):
+        eval_exact(in_arg, point)
 
 
 def test_probe_verdict_golden():
