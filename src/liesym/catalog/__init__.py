@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence
 
-from ..expr import (Expr, ExprError, ONE, ZERO, dep, expr_sum, indep, jet_or_dep, leaf_atoms,
-                    sum_of_products, transcendental)
+from ..expr import (Expr, ExprError, ONE, ZERO, _touched, dep, expr_sum, indep, jet_or_dep,
+                    leaf_atoms, param, substitute, sum_of_products, transcendental, walk_bases)
 from ..invariance import OdeEquation
 from ..jet import VectorField, total_derivative
 from ..linear_ode import (
@@ -30,7 +31,7 @@ from ..linear_ode import (
     linear_ode_from_spec,
     prop1_symmetries,
 )
-from ..parse import Context, parse_expression, parse_vector_field
+from ..parse import Context, _check_power, parse_expression, parse_vector_field
 
 
 class CatalogError(ExprError):
@@ -56,8 +57,8 @@ class CatalogRecord:
 @dataclass
 class ConcreteEquation:
     """One canonical equation under every H choice: `variants` maps each
-    name of `H_CHOICES` to its equation when H occurs, and holds only
-    `"identity"` otherwise."""
+    name of `H_CHOICES` to its equation when the rhs calls H, and holds
+    only `"identity"` otherwise."""
 
     variants: dict  # {h: OdeEquation}
 
@@ -185,6 +186,33 @@ def _h_one(args: list) -> Expr:
 H_CHOICES: dict = {"identity": _h_identity, "square": _h_square, "one": _h_one}
 
 
+def _h_slot(calls: list, args: list) -> Expr:
+    """The H slot of an equation's one parse: a placeholder atom per call."""
+    atom = param(f"\x00H{len(calls)}")
+    calls.append((atom, args))
+    return atom.as_expr()
+
+
+def _h_values(rhs: Expr, calls: list, choice) -> dict:
+    """The value of each placeholder under one H choice; calls come innermost
+    first, so a nested call's value is known before its caller's."""
+    values: dict = {}
+    for atom, args in calls:
+        _check_h_powers(args, values)
+        values[atom] = choice([substitute(a, values) for a in args])
+    _check_h_powers([rhs], values)
+    return values
+
+
+def _check_h_powers(exprs: list, values: dict) -> None:
+    """Apply the parser's bounds to each power of a base holding a placeholder,
+    at its value and inner bases first, as each choice's parse did (offset 0)."""
+    bound = {a._key for a in values}
+    for b, ex in reversed([p for e in exprs for p in walk_bases(e)] if bound else []):
+        if ex != 1 and _touched(b, bound):
+            _check_power(substitute(b if type(b) is Expr else b.as_expr(), values), ex, 0)
+
+
 # -- instantiation -------------------------------------------------------------
 
 def instantiate(record: CatalogRecord, n: Optional[int] = None,
@@ -254,12 +282,12 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
     equations = []
     for eq in content.get("equations", []):
         order = int(eval_formula(eq.get("order", data.get("order", "n")), env))
-        variants = {}
-        for h in H_CHOICES if "H(" in eq["rhs"].replace(" ", "") else ("identity",):
-            ectx = Context(params=dict(ctx.params), macros=dict(ctx.macros),
-                           functions={"H": H_CHOICES[h]})
-            variants[h] = OdeEquation(order, parse_expression(eq["rhs"], ectx))
-        equations.append(ConcreteEquation(variants))
+        calls: list = []
+        rhs = parse_expression(eq["rhs"], Context(params=ctx.params, macros=ctx.macros,
+                                                  functions={"H": partial(_h_slot, calls)}))
+        variants = {h: substitute(rhs, _h_values(rhs, calls, choice))
+                    for h, choice in H_CHOICES.items()} if calls else {"identity": rhs}
+        equations.append(ConcreteEquation({h: OdeEquation(order, e) for h, e in variants.items()}))
     lam = None
     if content.get("lambda"):
         lam = parse_expression(content["lambda"], ctx)

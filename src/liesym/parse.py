@@ -24,12 +24,12 @@ Vector fields use the same grammar extended with the terminals ``Dx`` and
 of a sum that expands into more than 512 terms (``(x+y+1)^40``), is a
 :class:`ParseError` at the offending token's character offset.  The bound
 holds for every coefficient of a product too (``2^8000*2^8000`` is an error
-at its ``*``).  The tokens of the last 1,024 texts parsed are kept.
+at its ``*``).  Parses are kept, up to 1,024, by text, flags and the binding
+of each name the text reads, unless the text calls a function slot or raises.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -77,10 +77,10 @@ def _check_bits(bits: float, pos: int) -> None:
 
 
 def _check_power(base: Expr, r: Fraction, pos: int) -> None:
-    """Bound the exact values that ``base^r`` builds: a coefficient c to the
-    power r has |r| * log2(c) bits.  A sum under a negative or fractional
-    power is split as content * body by `Expr.pow`, which keeps the body's
-    integer coefficients and takes only the content to the power r."""
+    """Bound what ``base^r`` builds: c^r has |r| * log2(c) bits, a sum of t
+    terms to an integer power k has C(t+k-1, k) terms, and a sum under a
+    negative or fractional power is split as content * body by `Expr.pow`,
+    which keeps the body and takes only the content to the power r."""
     coeffs = [c for _, c in base._terms]
     if len(coeffs) > 1 and (r < 0 or r.denominator != 1):
         content, body = _extract_content(base)
@@ -89,6 +89,9 @@ def _check_power(base: Expr, r: Fraction, pos: int) -> None:
     m = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=1)
     if m > 1:
         _check_bits(min(abs(r), _MAX_BITS + 1) * math.log2(m), pos)
+    t, k = len(base._terms), min(r.numerator, 512) if r.denominator == 1 else 0
+    if t > 1 and k > 1 and math.comb(t + k - 1, k) > 512:
+        raise ParseError("power of a sum with more than 512 terms", pos)
 
 
 def _guard(pos: int, fn, *args):
@@ -132,20 +135,19 @@ _TOKEN_RE = re.compile(r"(\d+)|([^\W\d]\w*)|('+)|([-+*/^(),])|(\S)")
 _KINDS = (None, "num", "ident", "prime", "op")
 
 
-@functools.lru_cache(maxsize=1024)
-def _tokenize(text: str) -> tuple:
-    """The tokens of ``text``, kept: templates are parsed again per order."""
+def _tokenize(text: str) -> list:
     out = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastindex == len(_KINDS):
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        out.append(_Token(_KINDS[m.lastindex], m.group(), m.start()))
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        out.append(tuple.__new__(_Token, (_KINDS[m.lastindex], m.group(), m.start())))
     out.append(_Token("end", "", len(text)))
-    return tuple(out)
+    return out
 
 
 class _Parser:
-    def __init__(self, tokens: tuple, context: Context, allow_fields: bool):
+    def __init__(self, tokens: list, context: Context, allow_fields: bool):
         self.toks = tokens
         self.pos = 0
         self.ctx = context
@@ -211,9 +213,6 @@ class _Parser:
         caret = self.next()
         r = self._fold_rational(self.parse_unary)
         _check_power(base, r, caret.pos)
-        t, k = len(base._terms), min(r.numerator, 512) if r.denominator == 1 else 0
-        if t > 1 and k > 1 and math.comb(t + k - 1, k) > 512:  # the terms of its expansion
-            raise ParseError("power of a sum with more than 512 terms", caret.pos)
         return _guard(caret.pos, base.pow, r)
 
     def _fold_rational(self, parse) -> Fraction:
@@ -367,32 +366,19 @@ class _Parser:
         return out
 
 
-def _parse(text: str, context: Optional[Context], allow_fields: bool) -> Expr:
-    """Parse all of ``text``; input left after the expression is an error."""
-    p = _Parser(_tokenize(text), context or Context(), allow_fields)
-    e = p.parse_expr()
-    t = p.next()
-    if t.kind != "end":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
-    return e
-
-
-def parse_expression(text: str, context: Optional[Context] = None) -> Expr:
-    """Parse ``text`` to a normalized expression."""
-    return _parse(text, context, allow_fields=False)
-
-
 _DX = param("\x00Dx")
 _DY = param("\x00Dy")
 
 
-def parse_vector_field(text: str, context: Optional[Context] = None):
-    """Parse a point vector field written with ``Dx``/``Dy`` terminals.
-
-    Returns the pair (xi, eta) of coefficient expressions; the input must be
-    linear in Dx and Dy with coefficients free of them and of jets.
-    """
-    e = _parse(text, context, allow_fields=True)
+def _parse(text: str, ctx: Context, allow_fields: bool):
+    """Parse all of ``text`` afresh; with ``allow_fields``, split the field."""
+    p = _Parser(_tokenize(text), ctx, allow_fields)
+    e = p.parse_expr()
+    t = p.next()
+    if t.kind != "end":
+        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
+    if not allow_fields:
+        return e
     xi = diff(e, _DX)
     eta = diff(e, _DY)
     residual = e - xi * _DX.as_expr() - eta * _DY.as_expr()
@@ -402,3 +388,39 @@ def parse_vector_field(text: str, context: Optional[Context] = None):
     if max(max_jet_order(xi) or 0, max_jet_order(eta) or 0) > 0:
         raise ParseError("vector field coefficients must not contain jets", 0)
     return xi, eta
+
+
+_MEMO: dict = {}
+_ABSENT = object()
+_IDENT_RE = re.compile(r"[^\W\d]\w*")  # the ident tokens of a text
+
+
+def _memoized(text: str, context: Optional[Context], allow_fields: bool):
+    """``_parse``, kept by the text, the flags and the macro and parameter
+    binding of each identifier the text names."""
+    ctx = context or Context()
+    names = dict.fromkeys(_IDENT_RE.findall(text))
+    if not ctx.functions.keys().isdisjoint(names):
+        return _parse(text, ctx, allow_fields)  # a slot may record its calls
+    key = (text, allow_fields, ctx.auto_params, tuple([
+        (ctx.macros.get(nm, _ABSENT), ctx.params.get(nm, _ABSENT)) for nm in names]))
+    out = _MEMO.get(key)
+    if out is None:
+        if len(_MEMO) >= 1024:
+            _MEMO.clear()
+        out = _MEMO[key] = _parse(text, ctx, allow_fields)
+    return out
+
+
+def parse_expression(text: str, context: Optional[Context] = None) -> Expr:
+    """Parse ``text`` to a normalized expression."""
+    return _memoized(text, context, False)
+
+
+def parse_vector_field(text: str, context: Optional[Context] = None):
+    """Parse a point vector field written with ``Dx``/``Dy`` terminals.
+
+    Returns the pair (xi, eta) of coefficient expressions; the input must be
+    linear in Dx and Dy with coefficients free of them and of jets.
+    """
+    return _memoized(text, context, True)

@@ -20,6 +20,8 @@ from liesym.catalog import (
 from liesym.jet import VectorField
 from liesym.parse import Context, ParseError, parse_expression, parse_vector_field
 
+from grounding_oracle import per_choice_variants
+
 RECORDS = load_catalog()
 
 EXPECTED_LABELS = {
@@ -192,6 +194,61 @@ def test_one_instantiation_holds_every_h_variant():
             assert set(ce.variants) == want, rec.label
             assert ce.uses_H == uses_h and ce.equation is ce.variants["identity"]
             assert len({eq.order for eq in ce.variants.values()}) == 1
+
+
+def _groundings():
+    """Every record at its default and secondary orders, every open-range
+    family at lo..lo+5, and the records whose cases select on a parameter."""
+    for rec in RECORDS:
+        lo, hi = rec.data.get("n_range", [1, None])
+        orders = {default_order(rec), secondary_order(rec)}
+        if hi is None:
+            orders |= set(range(lo, lo + 6))
+        for n in sorted(filter(None, orders)):
+            yield rec, n, None
+    rec = find_record(RECORDS, "(24,n)")
+    yield rec, 5, {"alpha": 4}  # alpha = n-1
+    yield rec, 5, {"alpha": 3}  # alpha = n-2
+
+
+def test_h_variants_match_one_parse_per_choice():
+    cases = selected = builders = 0
+    for rec, n, params in _groundings():
+        con, want = per_choice_variants(rec, n, params)
+        assert len(con.equations) == len(want), rec.label
+        for ce, oracle in zip(con.equations, want):
+            assert ce.variants.keys() == oracle.keys(), (rec.label, n)
+            for h, eq in ce.variants.items():
+                assert eq.order == oracle[h].order, (rec.label, n, h)
+                assert eq.rhs._key == oracle[h].rhs._key, (rec.label, n, h)
+                assert eq.rhs.terms == oracle[h].rhs.terms, (rec.label, n, h)
+        cases += 1
+        selected += bool(con.case_note)
+        builders += bool(rec.data.get("builder"))
+    assert selected >= 2 and builders >= 4 * 6 and cases > 100
+
+
+def _with_rhs(label, rhs):
+    rec = find_record(RECORDS, label)
+    data = copy.deepcopy(rec.data)
+    data["equations"] = [{"rhs": rhs}]
+    return dataclasses.replace(rec, data=data)
+
+
+@pytest.mark.parametrize("rhs", ["H(H(y) + x)", "y*H(y')^2 + exp(H(x))^3",
+                                 "(1 + H(y, y'))^(-1/2) + H(x)*H(y)", "H(y, H(x)^2)^3"])
+def test_nested_and_nonlinear_h_match_one_parse_per_choice(rhs):
+    con, want = per_choice_variants(_with_rhs("(22,2)", rhs), 4)
+    for h, eq in con.equations[0].variants.items():
+        assert eq.rhs._key == want[0][h].rhs._key, h
+
+
+@pytest.mark.parametrize("rhs", ["H(x + y + 1)^40", "H(x + 1)^1000000", "H(H(x + 1)^1000)",
+                                 "(1 + H(x/3^3000))^(-5)", "exp((1 + H(x/3^3000))^(-5))"])
+def test_h_variants_keep_the_parser_bounds(rhs):
+    # each was a ParseError when every H choice was parsed on its own
+    with pytest.raises(ParseError):
+        instantiate(_with_rhs("(22,2)", rhs), n=4)
 
 
 def test_equivalences_resolve_positive_names_through_the_parser():

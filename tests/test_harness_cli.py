@@ -457,31 +457,57 @@ def test_pool_jobs_are_submitted_longest_first(inline_pool, monkeypatch):
 
 
 def test_instantiate_runs_once_per_record_and_order(monkeypatch):
+    import re
+
     import liesym.expr as expr
     import liesym.harness as harness
     import liesym.parse as parse
 
-    real = harness.instantiate
-    calls = []
+    real, tokenize = harness.instantiate, parse._tokenize
+    calls, inside = [], []  # calls: (record, overridden values, texts parsed afresh)
 
     def spy(rec, *args, **kwargs):
-        calls.append(rec.label)
-        return real(rec, *args, **kwargs)
+        missed = []
+        calls.append((rec, kwargs.get("params"), missed))
+        inside.append(missed)
+        try:
+            return real(rec, *args, **kwargs)
+        finally:
+            inside.pop()
 
-    tokenize, texts = parse._tokenize, set()
-
-    def spy_tokenize(text):
-        texts.add(text)
+    def spy_tokenize(text):  # a parse memo miss, or a text calling a function slot
+        if inside:
+            inside[-1].append(text)
         return tokenize(text)
 
-    tokenize.cache_clear()
     monkeypatch.setattr(harness, "instantiate", spy)
     monkeypatch.setattr(parse, "_tokenize", spy_tokenize)
+    parse._MEMO.clear()  # a default run keeps about 300 parses: no clear within it
     report = run_verification()
     variants = [r for r in report.results if r.check in ("extra_symmetry", "generator_probe")]
     assert len(calls) == len({(r.record, r.n) for r in report.results}) + len(variants)
     assert len(calls) == 77
-    # the kernel's memos stay small: the monomial keys within their bound,
-    # the tokens one entry per distinct text
+    # grounding a record again at overridden values parses only the override
+    # formulas and the templates that read an overridden name
+    regrounds = [c for c in calls if c[1]]
+    assert len(regrounds) == len(variants) == 12
+    for rec, values, missed in regrounds:
+        reading = {t for t in _template_texts(rec.data)
+                   if set(re.findall(r"[^\W\d]\w*", t)) & values.keys()}
+        assert reading and set(missed) <= reading | set(values.values()), (rec.label, missed)
+        assert len(missed) <= len(reading) + len(values)
+    # the kernel's memos stay within their bound
     assert len(expr._MONO_KEYS) <= 1024
-    assert 0 < tokenize.cache_info().currsize <= len(texts)
+    assert 0 < len(parse._MEMO) <= 1024
+
+
+def _template_texts(data):
+    """Every string in a record's JSON data."""
+    if isinstance(data, str):
+        yield data
+    elif isinstance(data, dict):
+        for v in data.values():
+            yield from _template_texts(v)
+    elif isinstance(data, list):
+        for v in data:
+            yield from _template_texts(v)

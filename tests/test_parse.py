@@ -7,10 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from liesym import expr as E
 from liesym.expr import format_expr
+from liesym.jet import VectorField, prolong, total_derivative
 from liesym.parse import (
     Context,
     _MAX_BITS,
-    _tokenize,
+    _MEMO,
+    _parse,
     ParseError,
     UnknownIdentifierError,
     parse_expression,
@@ -252,10 +254,11 @@ def test_input_errors_are_parse_errors(text):
             pass
 
 
-# -- the token cache ---------------------------------------------------------------
+# -- the parse memo ----------------------------------------------------------------
 #
-# `_tokenize` keeps the tokens of each text, so a template parsed again under
-# another context reads the same tuple of tokens.
+# A parse is kept by its text, its flags and the binding of each name the text
+# reads, so a template parsed again under the same bindings of those names is
+# the kept expression, and under other bindings is parsed afresh.
 
 def test_cached_template_follows_each_context():
     text = "y^(n) + n*x"
@@ -263,7 +266,22 @@ def test_cached_template_follows_each_context():
     for n in (3, 4, 3):
         e = parse_expression(text, Context(params={"n": F(n)}))
         assert e == E.jet(n).as_expr() + n * x
-    assert _tokenize(text) is _tokenize(text)
+    kept = parse_expression(text, Context(params={"n": F(3)}))
+    # bindings of names the text does not read share the entry
+    assert parse_expression(text, Context(params={"n": 3, "k": F(1)}, macros={"u": x})) is kept
+    # a macro, a symbolic parameter, auto_params and allow_fields each follow
+    y = E.dep().as_expr()
+    assert parse_expression("u + n", Context(params={"n": F(2)}, macros={"u": x})) == x + 2
+    assert parse_expression("u + n", Context(params={"n": F(2)}, macros={"u": y})) == y + 2
+    assert parse_expression("u + n", Context(params={"n": None}, macros={"n": x, "u": y})) == x + y
+    assert parse_expression("u + n", Context(params={"u": None, "n": None})) == \
+        E.param("u").as_expr() + E.param("n").as_expr()
+    assert parse_expression("a*x", Context(auto_params=True)) == E.param("a").as_expr() * x
+    with pytest.raises(UnknownIdentifierError):
+        parse_expression("a*x")
+    assert parse_vector_field("x*Dx") == (x, E.ZERO)
+    with pytest.raises(UnknownIdentifierError):
+        parse_expression("x*Dx")
 
 
 @pytest.mark.parametrize("text, error, offset", [("x + nope", UnknownIdentifierError, 4),
@@ -287,11 +305,95 @@ def test_series_on_cached_tokens():
     assert parse_expression(text, ctx3) == E.dep().as_expr() + E.jet(2).as_expr() * y1 ** -2
 
 
-def test_cached_tokens_are_never_changed():
+def test_memoized_results_are_never_changed():
+    text = "y^2/(1 + x) + ln(y)*exp(x)"
+    fresh = _parse(text, Context(), False)
+    kept = parse_expression(text)
+    key, terms = kept._key, kept.terms
+    field = parse_vector_field("x^2*Dx + x*y*Dy")
+    for _ in range(2):  # the kept results in use downstream
+        prolong(VectorField(kept, kept), 3)
+        prolong(VectorField(*field), 3)
+        E.diff(kept, E.dep())
+        E.substitute(kept, {E.indep(): E.ONE})
+        total_derivative(kept * kept)
+    assert parse_expression(text) is kept and parse_vector_field("x^2*Dx + x*y*Dy") is field
+    assert kept._key == key == fresh._key and kept.terms == terms == fresh.terms
+    assert field == _parse("x^2*Dx + x*y*Dy", Context(), True)
+
+
+def test_function_slot_text_is_parsed_each_time():
+    calls = []
+
+    def h(args):
+        calls.append(args)
+        return E.expr_sum(args)
+
+    ctx = Context(functions={"H": h})
     text = "H(y, series(k, 1, 3, y^(k))) + x*y'"
-    ctx = Context(functions={"H": E.expr_sum})
-    fresh = _tokenize.__wrapped__(text)
+    assert parse_expression(text, ctx) == parse_expression(text, ctx)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert not any(key[0] == text for key in _MEMO)
+
+
+@pytest.mark.parametrize("text, parse, offset", [("x + nope", parse_expression, 4),
+                                                 ("2^8000*2^8000", parse_expression, 6),
+                                                 ("x*Dx*Dy", parse_vector_field, 0),
+                                                 ("y'*Dx", parse_vector_field, 0)])
+def test_failing_text_is_never_memoized(text, parse, offset):
     for _ in range(2):
-        parse_expression(text, ctx)
-        tokens = _tokenize(text)
-        assert type(tokens) is tuple and tokens == fresh
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert not any(key[0] == text for key in _MEMO)
+
+
+def test_parse_memo_is_bounded():
+    texts = [f"x + {k}" for k in range(2500)]
+    for text in texts:
+        parse_expression(text)
+        assert len(_MEMO) <= 1024
+    # cleared once it reached the bound: the latest parses are kept
+    kept = {key[0] for key in _MEMO}
+    assert texts[-1] in kept and texts[0] not in kept
+    assert parse_expression(texts[0]) == E.indep().as_expr()
+
+
+def _outcome(parse):
+    """A parse's result, or its error's type, offset and message."""
+    try:
+        return parse()
+    except ParseError as exc:
+        return type(exc), exc.offset, str(exc)
+
+
+_NAMES = ("a", "b", "u", "n")
+_VALUES = st.sampled_from([None, F(0), F(1), F(2), F(-1, 2)])
+_MACROS = st.sampled_from([E.indep().as_expr(), E.jet(1).as_expr(), E.dep().as_expr() + 1])
+
+
+@st.composite
+def _contexts(draw):
+    return Context(params=draw(st.dictionaries(st.sampled_from(_NAMES), _VALUES)),
+                   macros=draw(st.dictionaries(st.sampled_from(_NAMES), _MACROS)),
+                   functions=draw(st.sampled_from([{}, {"H": E.expr_sum}])),
+                   auto_params=draw(st.booleans()))
+
+
+_LEAVES = st.sampled_from(["x", "y", "y'", "2", "1/3", "a", "b", "u", "n", "c", "H(x, a)"])
+_TEXTS = st.recursive(_LEAVES, lambda t: st.one_of(
+    st.tuples(t, st.sampled_from(["+", "-", "*", "/", "^"]), t).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+    t.map(lambda a: f"exp({a})"),
+    st.tuples(t, t).map(lambda p: f"({p[0]})*Dx + ({p[1]})*Dy")), max_leaves=6)
+
+
+@given(_TEXTS, _contexts(), _contexts(), st.booleans())
+def test_memoized_parse_matches_a_fresh_parse(text, ctx1, ctx2, allow_fields):
+    """The same text under two contexts, memoized: each equals a fresh parse,
+    whether the contexts differ in names the text reads or only in others."""
+    parse = parse_vector_field if allow_fields else parse_expression
+    if allow_fields:
+        text = f"({text})*Dx + x*Dy"
+    for ctx in (ctx1, ctx2, ctx1):
+        assert _outcome(lambda: parse(text, ctx)) == \
+            _outcome(lambda: _parse(text, ctx, allow_fields))
