@@ -88,14 +88,14 @@ class ConcreteRecord:
     fundamental_check: bool
     extra_symmetries: list  # raw dicts, grounded lazily by the harness
     generator_probes: list  # raw dicts for bound-parameter discrimination
-    case_note: str = ""
+    case_note: str
 
 
 # -- arithmetic over template formulas ----------------------------------------
 
 def eval_formula(text, env: Mapping[str, Fraction]) -> Fraction:
     """Evaluate a template ('n+1', 'fact(n-1)', '7') or a number exactly."""
-    ctx = Context(params={k: Fraction(v) for k, v in env.items() if v is not None})
+    ctx = Context(params={k: v for k, v in env.items() if v is not None})
     e = parse_expression(str(text), ctx)
     return e.as_rational()
 

@@ -108,8 +108,7 @@ class Atom:
 
     __slots__ = ("kind", "order", "name", "fn", "arg", "_key", "_expr")
 
-    def __init__(self, kind: str, order: int = 0, name: str = "",
-                 fn: str = "", arg: "Expr | None" = None):
+    def __init__(self, kind: str, order: int, name: str, fn: str, arg: "Expr | None"):
         self.kind = kind
         self.order = order
         self.name = name

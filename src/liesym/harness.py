@@ -1,8 +1,7 @@
-"""Batch verification over the catalog: one check table and one runner,
-assembling a deterministic machine-readable report.
+"""Batch verification over the catalog: one runner that runs each check as
+it plans it, assembling a deterministic machine-readable report.
 
-The table is `plan_checks`, which yields each check of a record at an order
-n as (check, detail, params, thunk).  Check kinds, in plan order:
+`run_record_checks` runs the checks of a record at an order n in this order:
 
 * ``instantiate`` -- the sole, failed row when the record cannot be grounded;
 * ``worker``     -- the sole, failed row of a record whose worker process
@@ -23,10 +22,12 @@ n as (check, detail, params, thunk).  Check kinds, in plan order:
                     discrimination (a field or weight is admitted exactly at
                     the stated parameter value).
 
-The runner, `run_record_checks`, gives each check one seed,
-``derive_seed(seed, record, n, check, detail)``: the thunk probes with it and
+Each check runs through one local `run`, which gives it one seed,
+``derive_seed(seed, record, n, check, detail)``: the check probes with it and
 the report shows it.  A check that raises any exception is a failed check,
-reported once, whose sole verdict is ``"<ExceptionType>: <message>"``.
+reported once, whose sole verdict is ``"<ExceptionType>: <message>"``.  A row
+planned from an earlier one reads what `run` returns: the `singular` rows are
+the solved singular equations the `lie_det` check gives back.
 
 `run_verification` takes the records longest first by a static cost key,
 `_job_cost` (the size of the record's JSON template times its number of
@@ -49,7 +50,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import partial
 from fractions import Fraction
 from typing import List, Optional
 
@@ -144,18 +144,78 @@ def _params_json(params: dict) -> dict:
 def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
                       n_override: Optional[int] = None,
                       param_overrides: Optional[dict] = None) -> List[CheckResult]:
-    """Run every planned check of `rec`, one seed and one row per check."""
+    """Run every check of `rec` as it is planned, one seed and one row per
+    check, in the plan order of the module docstring."""
     out: List[CheckResult] = []
+
+    def run(check, detail, params, fn, *args) -> list:
+        """Append the row of fn(*args, probe at the check's seed) -> (passed,
+        verdicts, note, *extra), with `params` read after the call; return the
+        extra results, none when fn raises."""
+        seed = derive_seed(probe.seed, rec.label, n, check, detail)
+        t0 = time.time()
+        try:
+            passed, verdicts, note, *extra = fn(*args, replace(probe, seed=seed))
+        except Exception as exc:  # a raising check is a failed check
+            passed, verdicts, note, extra = False, [f"{type(exc).__name__}: {exc}"], "", []
+        out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
+                               passed, verdicts, int((time.time() - t0) * 1000), note))
+        return extra
+
     for n in _planned_orders(rec, n_override):
-        for check, detail, params, thunk in plan_checks(rec, n, param_overrides):
-            seed = derive_seed(probe.seed, rec.label, n, check, detail)
-            t0 = time.time()
-            try:
-                passed, verdicts, note = thunk(replace(probe, seed=seed))
-            except Exception as exc:  # a raising check is a failed check
-                passed, verdicts, note = False, [f"{type(exc).__name__}: {exc}"], ""
-            out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
-                                   passed, verdicts, int((time.time() - t0) * 1000), note))
+        try:
+            con = instantiate(rec, n=n, params=param_overrides)
+        except Exception as exc:
+            run("instantiate", "", {}, _reraise, exc)
+            continue
+
+        # equations, under every H choice when an arbitrary function occurs
+        for h in H_CHOICES:
+            for i, ce in enumerate(con.equations, 1):
+                if h in ce.variants:
+                    eq = ce.variants[h]
+                    run("equation", f"eq{i}@{eq.order}" + (f" H={h}" if ce.uses_H else ""),
+                        con.params, _verdicts, check_equation_invariance, con.fields, eq)
+        for i, (order, phi) in enumerate(con.invariants, 1):
+            run("invariant", f"phi{i}@{order}", con.params, _verdicts,
+                check_differential_invariant, con.fields, phi)
+        if con.lam is not None:
+            run("lambda", "", con.params, _verdicts, verify_lambda, con.fields, con.lam)
+            if con.invariants and con.invariants[0][0] < MAX_JET_ORDER:
+                run("closure", f"D(phi)@{con.invariants[0][0] + 1}", con.params, _closure, con)
+        if con.lie_det_expected is not None or con.singular_factors:
+            for eq in run("lie_det", "", con.params, _lie_det, con):
+                run("singular", f"singular@{eq.order}", con.params, _verdicts,
+                    check_equation_invariance, con.fields, eq)
+        if con.fundamental_check:
+            for order, want_d in ((con.dimension - 1, 1), (con.dimension, 2)):
+                if order <= MAX_JET_ORDER:
+                    run("rank", f"d@{order}", con.params, _rank_count, con.fields, order, want_d)
+        for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
+            run("equivalence", f"pair{i}", con.params, _equivalence, ea, eb, pos)
+
+        # exceptional-parameter discrimination: an extra field is admitted
+        # exactly at the stated parameter value
+        for i, spec in enumerate(con.extra_symmetries, 1):
+            for values, expect_zero in ((spec.get("zero_at"), True),
+                                        (spec.get("nonzero_at"), False)):
+                if values:
+                    detail = f"extra{i} {spec['field']} @ " + \
+                        ",".join(f"{k}={v}" for k, v in values.items())
+                    params: dict = {}
+                    run("extra_symmetry", detail, params, _discrimination,
+                        rec, n, values, spec["field"], params, expect_zero)
+
+        # bound-parameter discrimination: the stated generator weight is the
+        # only one admitting the equation
+        for i, spec in enumerate(con.generator_probes, 1):
+            for formula, expect_zero in ((spec.get("zero_at"), True),
+                                         (spec.get("nonzero_at"), False)):
+                if formula is not None:
+                    params = {}
+                    run("generator_probe", f"probe{i} {spec['param']}={formula}", params,
+                        _discrimination, rec, n, {spec["param"]: formula}, None, params,
+                        expect_zero)
     return out
 
 
@@ -164,78 +224,6 @@ def _planned_orders(rec: CatalogRecord, n_override: Optional[int]) -> List[int]:
     if n_override is not None:
         return [n_override]
     return [o for o in (default_order(rec), secondary_order(rec)) if o is not None]
-
-
-def plan_checks(rec: CatalogRecord, n: int, param_overrides: Optional[dict]):
-    """Yield (check, detail, params, thunk) for every check of `rec` at order n.
-
-    A thunk maps the check's ProbeConfig to (passed, verdicts, note).  Run
-    each thunk before taking the next entry: the `singular` checks come from
-    the `lie_det` thunk's result, and a thunk that instantiates its own
-    variant of the record fills in `params`."""
-    try:
-        con = instantiate(rec, n=n, params=param_overrides)
-    except Exception as exc:
-        yield "instantiate", "", {}, partial(_reraise, exc)
-        return
-
-    # equations, under every H choice when an arbitrary function occurs
-    for h in H_CHOICES:
-        for i, ce in enumerate(con.equations, 1):
-            if h in ce.variants:
-                eq = ce.variants[h]
-                detail = f"eq{i}@{eq.order}" + (f" H={h}" if ce.uses_H else "")
-                yield "equation", detail, con.params, partial(
-                    _verdicts, check_equation_invariance, con.fields, eq)
-
-    for i, (order, phi) in enumerate(con.invariants, 1):
-        yield "invariant", f"phi{i}@{order}", con.params, partial(
-            _verdicts, check_differential_invariant, con.fields, phi)
-
-    if con.lam is not None:
-        yield "lambda", "", con.params, partial(_verdicts, verify_lambda, con.fields, con.lam)
-        if con.invariants and con.invariants[0][0] < MAX_JET_ORDER:
-            detail = f"D(phi)@{con.invariants[0][0] + 1}"
-            yield "closure", detail, con.params, partial(_closure, con)
-
-    if con.lie_det_expected is not None or con.singular_factors:
-        singular: list = []
-        yield "lie_det", "", con.params, partial(_lie_det, con, singular)
-        for eq in singular:
-            yield "singular", f"singular@{eq.order}", con.params, partial(
-                _verdicts, check_equation_invariance, con.fields, eq)
-
-    if con.fundamental_check:
-        for order, want_d in ((con.dimension - 1, 1), (con.dimension, 2)):
-            if order <= MAX_JET_ORDER:
-                yield "rank", f"d@{order}", con.params, partial(
-                    _rank_count, con.fields, order, want_d)
-
-    for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
-        yield "equivalence", f"pair{i}", con.params, partial(_equivalence, ea, eb, pos)
-
-    # exceptional-parameter discrimination: an extra field is admitted
-    # exactly at the stated parameter value
-    for i, spec in enumerate(con.extra_symmetries, 1):
-        for values, expect_zero in ((spec.get("zero_at"), True),
-                                    (spec.get("nonzero_at"), False)):
-            if values:
-                detail = f"extra{i} {spec['field']} @ " + \
-                    ",".join(f"{k}={v}" for k, v in values.items())
-                params: dict = {}
-                yield "extra_symmetry", detail, params, partial(
-                    _discrimination, rec, n, values, spec["field"], params, expect_zero)
-
-    # bound-parameter discrimination: the stated generator weight is the
-    # only one admitting the equation
-    for i, spec in enumerate(con.generator_probes, 1):
-        for formula, expect_zero in ((spec.get("zero_at"), True),
-                                     (spec.get("nonzero_at"), False)):
-            if formula is not None:
-                params = {}
-                yield "generator_probe", f"probe{i} {spec['param']}={formula}", params, \
-                    partial(_discrimination, rec, n, {spec["param"]: formula}, None, params,
-                            expect_zero)
 
 
 def _reraise(exc, probe):
@@ -255,9 +243,9 @@ def _closure(con, probe):
     return _verdicts(check_differential_invariant, con.fields, dphi, probe)
 
 
-def _lie_det(con, singular: list, probe):
+def _lie_det(con, probe):
     """Determinant against the stored form, factors and singular factors;
-    collects the solved singular equations below the top order in `singular`."""
+    gives back the solved singular equations below the top order."""
     res = lie_determinant(con.fields)
     notes, problems = [], []
     if con.lie_det_expected is not None:
@@ -272,9 +260,9 @@ def _lie_det(con, singular: list, probe):
     problems += [f"expected singular factor missing: {want}" for want in con.singular_factors
                  if not any(is_zero(want - f, probe).is_zero or is_zero(want + f, probe).is_zero
                             for f, _m in res.factors)]
-    singular.extend(s.equation for s in singular_equations(res)
-                    if s.equation is not None and s.equation.order < MAX_JET_ORDER)
-    return not problems, [], "; ".join(notes + problems)
+    return (not problems, [], "; ".join(notes + problems),
+            *(s.equation for s in singular_equations(res)
+              if s.equation is not None and s.equation.order < MAX_JET_ORDER))
 
 
 def _rank_count(fields, order, want_d, probe):

@@ -57,7 +57,7 @@ class SingularEquation:
     factor: Expr
     multiplicity: int
     kind: str
-    order: Optional[int] = None
+    order: int
     equation: Optional[OdeEquation] = None
 
 
@@ -67,7 +67,7 @@ class LieDeterminantResult:
     determinant: Expr
     factors: tuple
     constant_prefactor: Expr
-    non_polynomial: bool = False  # some entry lies outside Q[atoms]
+    non_polynomial: bool  # some entry lies outside Q[atoms]
 
     def reassembled(self) -> Expr:
         out = self.constant_prefactor

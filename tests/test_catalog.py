@@ -12,13 +12,20 @@ from liesym.catalog import (
     ConstraintViolation,
     check_condition,
     default_order,
+    eval_formula,
     find_record,
     instantiate,
     load_catalog,
     secondary_order,
 )
 from liesym.jet import VectorField
-from liesym.parse import Context, ParseError, parse_expression, parse_vector_field
+from liesym.parse import (
+    Context,
+    ParseError,
+    UnknownIdentifierError,
+    parse_expression,
+    parse_vector_field,
+)
 
 from grounding_oracle import per_choice_variants
 
@@ -127,6 +134,13 @@ def test_case_selection_on_special_weights():
     con = instantiate(rec, n=5, params={"alpha": 3})  # alpha = n-2
     assert con.invariants[0][1] == E.jet(3).as_expr()
     assert con.lam == E.jet(4).as_expr() ** -1
+
+
+def test_formula_reads_bound_values_and_rejects_symbolic_names():
+    env = {"n": F(5), "alpha": None}
+    assert eval_formula("fact(n-1)/(n+1)", env) == 4
+    with pytest.raises(UnknownIdentifierError):  # CLI exit 2, not an internal error
+        eval_formula("alpha + 1", env)
 
 
 def test_malformed_case_condition_raises():

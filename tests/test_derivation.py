@@ -91,7 +91,7 @@ def test_apply_prolonged_matches_coordinate_sum(X_, e):
 
 def test_diff_contracts():
     # an atom equal by key but built apart is the interned one
-    twin = E.Atom("param", name="a")
+    twin = E.Atom("param", 0, "a", "", None)
     A = E.param("a").as_expr()
     assert twin is not E.param("a") and diff(A ** 3 + X, twin) == 3 * A ** 2
     # a transcendental atom is no coordinate

@@ -122,7 +122,7 @@ def test_power_rule_route_examples():
     (mono, c), = diff(F(3, 2) * X ** F(2, 3), x).terms
     assert mono == ((x, F(-1, 3)),) and type(c) is int and c == 1
     # an atom equal to the interned one but built apart takes the same route
-    twin = E.Atom("jet", order=1)
+    twin = E.Atom("jet", 1, "", "", None)
     assert twin is not y1 and diff(J(1) ** 3, twin) == 3 * J(1) ** 2
 
 

@@ -278,6 +278,31 @@ def test_raising_check_is_one_failed_row(monkeypatch):
     assert all(r.passed for r in report.results if r.check not in ("equation", "singular"))
 
 
+def test_raising_lie_det_check_plans_no_singular_rows(monkeypatch):
+    import liesym.harness as harness
+
+    def rows(report, checks):
+        return [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
+                for r in report.results if r.check in checks]
+
+    probe = ProbeConfig(points=6, seed=42)
+    before = run_verification(filter_glob="(5,5)", probe=probe)
+    assert rows(before, {"singular"})
+
+    def boom(fields):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(harness, "lie_determinant", boom)
+    after = run_verification(filter_glob="(5,5)", probe=probe)
+    lie_det, = rows(after, {"lie_det"})
+    want, = rows(before, {"lie_det"})
+    assert not lie_det["pass"] and lie_det["verdicts"] == ["ZeroDivisionError: division by zero"]
+    assert lie_det["instantiation"] == want["instantiation"]
+    assert not rows(after, {"singular"})
+    others = {r.check for r in before.results} - {"lie_det", "singular"}
+    assert rows(after, others) == rows(before, others)
+
+
 def test_check_keys_are_unique():
     report = run_verification(filter_glob="(16,6)", probe=ProbeConfig(points=6, seed=42))
     keys = [(r.record, r.n, r.check, r.detail) for r in report.results]
