@@ -8,7 +8,8 @@ arbitrary-function slots, `series(k, lo, hi, tmpl)` for variable-length
 argument lists, `fact`/`factprod` for factorial coefficients and `totd` for
 total derivatives.  Four record families with root-dependent generator sets
 (solution chains and their logarithmic/first-order variants) are assembled
-by builders on top of :mod:`liesym.linear_ode`.
+by builders on top of :mod:`liesym.linear_ode`: each takes the order n and
+returns the fields and the blocks that the record's templates may name.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
         blocks[name] = parse_expression(tmpl, ctx)
         ctx.macros[name] = blocks[name]
     if builder:
-        fields, extra_blocks = _BUILDERS[builder](content, n, env, ctx)
+        fields, extra_blocks = _BUILDERS[builder](n)
+        ctx.macros.update(extra_blocks)
         blocks.update(extra_blocks)
     else:
         fields = _build_generators(content.get("generators", []), ctx)
@@ -358,7 +360,7 @@ def _default_roots(count: int, avoid_zero: bool) -> list:
     return (roots if avoid_zero else [Fraction(0)] + roots)[:count]
 
 
-def _linear_chain_builder(content: dict, n: int, env: dict, ctx: Context):
+def _linear_chain_builder(n: int):
     """Generators Dx and eta_i(x)*Dy where the eta_i span the kernel of an
     order-(n-1) constant-coefficient operator; blocks u = that operator
     applied to y, and Du = its total derivative."""
@@ -367,11 +369,10 @@ def _linear_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     fields += [VectorField(ZERO, s) for s in fundamental_solutions(spec)]
     u = jet_or_dep(n - 1).as_expr() - linear_ode_from_spec(spec).rhs()
     blocks = {"u": u, "Du": total_derivative(u)}
-    ctx.macros.update(blocks)
     return fields, blocks
 
 
-def _log_chain_builder(content: dict, n: int, env: dict, ctx: Context):
+def _log_chain_builder(n: int):
     """Generators Dx, y*Dy and eta_i(x)*Dy with the eta_i spanning the kernel
     of an order-(n-2) operator; blocks u, Du, D2u_low (second total
     derivative with the top jet removed)."""
@@ -382,14 +383,13 @@ def _log_chain_builder(content: dict, n: int, env: dict, ctx: Context):
     du = total_derivative(u)
     d2u_low = total_derivative(du) - jet_or_dep(n).as_expr()
     blocks = {"u": u, "Du": du, "D2u_low": d2u_low}
-    ctx.macros.update(blocks)
     return fields, blocks
 
 
-def _prop1_builder(content: dict, n: int, env: dict, ctx: Context):
+def _prop1_builder(n: int):
     """Solution-chain algebra at dimension n+1: Dy, y*Dy, x*Dy and the
     prescribed solutions; the equation is reconstructed from the solutions
-    and exposed through the block `rhs`."""
+    and exposed through the block `lin_rhs`."""
     x = indep().as_expr()
     xis = [x ** j for j in range(2, n - 1)] + [transcendental("exp", x)]
     coeffs = coeffs_from_solutions(xis, n, 2)
@@ -397,11 +397,10 @@ def _prop1_builder(content: dict, n: int, env: dict, ctx: Context):
     rhs = sum_of_products((c, jet_or_dep(i).as_expr())
                           for i, c in enumerate(coeffs, start=2))
     blocks = {"lin_rhs": rhs}
-    ctx.macros.update(blocks)
     return fields, blocks
 
 
-def _char_roots_builder(content: dict, n: int, env: dict, ctx: Context):
+def _char_roots_builder(n: int):
     """Fundamental-solution algebra at dimension n+2 for a constant
     coefficient equation built from a mixed real/complex root set."""
     if n >= 2:
@@ -415,7 +414,6 @@ def _char_roots_builder(content: dict, n: int, env: dict, ctx: Context):
     fields.append(VectorField(ZERO, dep().as_expr()))
     fields.append(VectorField(ONE, ZERO))
     blocks = {"lin_rhs": ode.rhs()}
-    ctx.macros.update(blocks)
     return fields, blocks
 
 

@@ -27,7 +27,10 @@ Each check runs through one local `run`, which gives it one seed,
 the report shows it.  A check that raises any exception is a failed check,
 reported once, whose sole verdict is ``"<ExceptionType>: <message>"``.  A row
 planned from an earlier one reads what `run` returns: the `singular` rows are
-the solved singular equations the `lie_det` check gives back.
+the solved singular equations the `lie_det` check gives back.  An
+``extra_symmetry`` or ``generator_probe`` row reports the parameters of the
+variant it grounds before it runs; a variant that cannot be grounded gives
+one failed row with no parameters, as a record that cannot be grounded does.
 
 `run_verification` takes the records longest first by a static cost key,
 `_job_cost` (the size of the record's JSON template times its number of
@@ -150,8 +153,8 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
 
     def run(check, detail, params, fn, *args) -> list:
         """Append the row of fn(*args, probe at the check's seed) -> (passed,
-        verdicts, note, *extra), with `params` read after the call; return the
-        extra results, none when fn raises."""
+        verdicts, note, *extra) under `params`; return the extra results, none
+        when fn raises."""
         seed = derive_seed(probe.seed, rec.label, n, check, detail)
         t0 = time.time()
         try:
@@ -175,18 +178,18 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
                 if h in ce.variants:
                     eq = ce.variants[h]
                     run("equation", f"eq{i}@{eq.order}" + (f" H={h}" if ce.uses_H else ""),
-                        con.params, _verdicts, check_equation_invariance, con.fields, eq)
+                        con.params, _verdicts, check_equation_invariance, con.fields, eq, True)
         for i, (order, phi) in enumerate(con.invariants, 1):
             run("invariant", f"phi{i}@{order}", con.params, _verdicts,
-                check_differential_invariant, con.fields, phi)
+                check_differential_invariant, con.fields, phi, True)
         if con.lam is not None:
-            run("lambda", "", con.params, _verdicts, verify_lambda, con.fields, con.lam)
+            run("lambda", "", con.params, _verdicts, verify_lambda, con.fields, con.lam, True)
             if con.invariants and con.invariants[0][0] < MAX_JET_ORDER:
                 run("closure", f"D(phi)@{con.invariants[0][0] + 1}", con.params, _closure, con)
         if con.lie_det_expected is not None or con.singular_factors:
             for eq in run("lie_det", "", con.params, _lie_det, con):
                 run("singular", f"singular@{eq.order}", con.params, _verdicts,
-                    check_equation_invariance, con.fields, eq)
+                    check_equation_invariance, con.fields, eq, True)
         if con.fundamental_check:
             for order, want_d in ((con.dimension - 1, 1), (con.dimension, 2)):
                 if order <= MAX_JET_ORDER:
@@ -194,28 +197,27 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
         for i, (ea, eb, pos) in enumerate(con.equivalences, 1):
             run("equivalence", f"pair{i}", con.params, _equivalence, ea, eb, pos)
 
-        # exceptional-parameter discrimination: an extra field is admitted
+        # exceptional-parameter discrimination: an extra field, or the
+        # record's own fields at a generator weight, admit the first equation
         # exactly at the stated parameter value
-        for i, spec in enumerate(con.extra_symmetries, 1):
-            for values, expect_zero in ((spec.get("zero_at"), True),
-                                        (spec.get("nonzero_at"), False)):
-                if values:
-                    detail = f"extra{i} {spec['field']} @ " + \
-                        ",".join(f"{k}={v}" for k, v in values.items())
-                    params: dict = {}
-                    run("extra_symmetry", detail, params, _discrimination,
-                        rec, n, values, spec["field"], params, expect_zero)
-
-        # bound-parameter discrimination: the stated generator weight is the
-        # only one admitting the equation
-        for i, spec in enumerate(con.generator_probes, 1):
-            for formula, expect_zero in ((spec.get("zero_at"), True),
-                                         (spec.get("nonzero_at"), False)):
-                if formula is not None:
-                    params = {}
-                    run("generator_probe", f"probe{i} {spec['param']}={formula}", params,
-                        _discrimination, rec, n, {spec["param"]: formula}, None, params,
-                        expect_zero)
+        for i, spec in [*enumerate(con.extra_symmetries, 1), *enumerate(con.generator_probes, 1)]:
+            field = spec.get("field")  # None for a generator probe
+            for side, expect_zero in (("zero_at", True), ("nonzero_at", False)):
+                if spec.get(side) is None:
+                    continue
+                if field:
+                    check, values = "extra_symmetry", spec[side]
+                    detail = f"extra{i} {field} @ " + ",".join(
+                        f"{k}={v}" for k, v in values.items())
+                else:
+                    check, values = "generator_probe", {spec["param"]: spec[side]}
+                    detail = f"probe{i} {spec['param']}={spec[side]}"
+                try:
+                    con_v = instantiate(rec, n=n, params=values)
+                except Exception as exc:
+                    run(check, detail, {}, _reraise, exc)
+                    continue
+                run(check, detail, con_v.params, _discrimination, con_v, field, expect_zero)
     return out
 
 
@@ -230,7 +232,7 @@ def _reraise(exc, probe):
     raise exc
 
 
-def _verdicts(check, fields, target, probe, expect_zero=True):
+def _verdicts(check, fields, target, expect_zero, probe):
     """check(fields, target, probe) passes when every verdict is zero, or,
     with expect_zero off, when some verdict is not."""
     verdicts = check(fields, target, probe)
@@ -240,7 +242,7 @@ def _verdicts(check, fields, target, probe, expect_zero=True):
 
 def _closure(con, probe):
     dphi = apply_D(con.lam, con.invariants[0][1])
-    return _verdicts(check_differential_invariant, con.fields, dphi, probe)
+    return _verdicts(check_differential_invariant, con.fields, dphi, True, probe)
 
 
 def _lie_det(con, probe):
@@ -275,15 +277,13 @@ def _equivalence(ea, eb, positive, probe):
     return v.is_zero, [v.to_json()], ""
 
 
-def _discrimination(rec, n, values, field, params, expect_zero, probe):
-    """Verdicts on the first equation of `rec` grounded at `values` under the
-    extra `field`, or under the record's own fields when `field` is None."""
-    con_v = instantiate(rec, n=n, params=values)
-    params.update(con_v.params)
+def _discrimination(con_v, field, expect_zero, probe):
+    """Verdicts on the first equation of the grounded variant `con_v` under
+    the extra `field`, or under its own fields when `field` is None."""
     fields = con_v.fields if field is None else [VectorField(*parse_vector_field(
-        field, Context(params={"n": Fraction(n), **con_v.params})))]
+        field, Context(params={"n": Fraction(con_v.n), **con_v.params})))]
     return _verdicts(check_equation_invariance, fields, con_v.equations[0].equation,
-                     probe, expect_zero)
+                     expect_zero, probe)
 
 
 def _worker(args):

@@ -5,7 +5,8 @@ field X when the prolonged action of X on y^(n) - H vanishes after the
 substitution y^(n) -> H.  A jet-space function is a differential invariant
 when every prolonged generator annihilates it outright.  The number of
 independent invariants at order n is d_n = n + 2 - r_n where r_n is the
-generic rank of the m x (n+2) matrix of prolonged coefficients.  `bareiss`
+generic rank of the m x (n+2) matrix of prolonged coefficients, taken
+exactly at seeded points until it reaches its bound min(m, n+2).  `bareiss`
 is the package's one fraction-free elimination: this rank, the Lie
 determinant and the Cramer solve run it.
 """
@@ -17,23 +18,19 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .expr import (ONE, Expr, is_polynomial, jet, leaf_atoms, max_jet_order, substitute,
-                   sum_of_products)
+from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute, sum_of_products
 from .jet import VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
-    MAX_RETRIES,
     ProbeConfig,
-    SamplingExhausted,
     ZeroStatus,
     ZeroVerdict,
-    _BadPoint,
+    _probe_once,
     decide_exactly,
     eval_exact,
     is_zero,
     power_split,
     probe_verdict,
-    sample_point,
 )
 
 
@@ -61,14 +58,14 @@ class RankReport:
     order: int
     rank_rn: int
     count_dn: int
-    sample_points: tuple
+    samples: int
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
             "rank": self.rank_rn,
             "count": self.count_dn,
-            "samples": len(self.sample_points),
+            "samples": self.samples,
         }
 
 
@@ -150,14 +147,13 @@ def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:
 
 def rank_and_count(fields: Sequence[VectorField], order: int,
                    probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
-    """Generic rank: the maximum exact rank over 5 seeded rational points.
+    """Generic rank: the maximum exact rank over at most 5 seeded points.
 
     A point holds one rational per atom, in atom-key order.  The matrix is
     evaluated there exactly (`eval_exact`) and its rank taken (`_integer_rank`);
-    a point where that raises _BadPoint or ZeroDivisionError is skipped, and
-    at most 5 * MAX_RETRIES points are tried.  Once the rank reaches its bound
-    min(m, order + 2) on polynomial entries, which no point can make fail, the
-    remaining points are drawn but not evaluated.  d_n = order + 2 - rank.
+    `numeric._probe_once` resamples a point with a zero denominator.  Points
+    are evaluated until the rank reaches its bound min(m, order + 2), or 5
+    of them have been; the report counts them.  d_n = order + 2 - rank.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -165,24 +161,14 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     atoms = sorted(set().union(*(leaf_atoms(e) for row in matrix for e in row)),
                    key=lambda a: a._key)
     full = min(len(matrix), order + 2)
-    polynomial = all(is_polynomial(e) for row in matrix for e in row)
     rng = random.Random(probe.seed)
-    best = 0
-    points = []
-    tried = 0
-    while len(points) < 5 and tried < 5 * MAX_RETRIES:
-        tried += 1
-        point = sample_point(rng, atoms)
-        if best < full or not polynomial:
-            try:
-                best = max(best, _integer_rank([[eval_exact(e, point) for e in row]
-                                                for row in matrix]))
-            except (_BadPoint, ZeroDivisionError):
-                continue
-        points.append(tuple((a, point[a]) for a in atoms))
-    if len(points) < 5:
-        raise SamplingExhausted("could not find admissible rank sample points")
-    return RankReport(order, best, order + 2 - best, tuple(points))
+    best = samples = 0
+    while best < full and samples < 5:
+        _point, rank = _probe_once(rng, atoms, frozenset(), lambda p: _integer_rank(
+            [[eval_exact(e, p) for e in row] for row in matrix]))
+        best = max(best, rank)
+        samples += 1
+    return RankReport(order, best, order + 2 - best, samples)
 
 
 def _integer_rank(rows: list) -> int:

@@ -33,11 +33,13 @@ evaluating the tree with mpf objects at the same precision.
 The sampling policy is fixed, not configured: every coordinate of a probe
 point is a rational sign*num/den with den in [10^3, 10^6] and magnitude
 num/den in [1/4, 4], so that high-degree expressions stay well conditioned
-(DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH).  Points that land within 10^-10 of
-a pole, a branch point or a non-positive fractional-power base are
-resampled, at most MAX_RETRIES = 100 times, after which SamplingExhausted
-signals an identically singular expression.  A ProbeConfig sets only the
-point count, the precision and the seed.
+(DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH).  `_probe_once` is the package's
+one admissible-point loop, for the probe and for `invariance.rank_and_count`:
+a point where the evaluation raises _BadPoint (within 10^-10 of a pole, a
+branch point or a non-positive fractional-power base, or an exact zero
+denominator) is resampled, at most MAX_RETRIES = 100 times, after which
+SamplingExhausted signals an identically singular expression.  A
+ProbeConfig sets only the point count, the precision and the seed.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(sign * num, den)
 
 
-def sample_point(rng: random.Random, atoms, positive=frozenset()) -> dict:
+def sample_point(rng: random.Random, atoms, positive) -> dict:
     """One rational per atom, in atom-key order.  Atoms in ``positive`` get
     |t|."""
     out = {}
@@ -532,7 +534,8 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     `probe.points` seeded admissible points at `probe.digits` digits, atoms
     in ``positive`` on the positive axis.  The first point where
     |e| >= 10^-(digits-20) is the witness: of ExactNonzero when `zero` is
-    False, of ProbablyNonzero when it is None.  When `zero` is None and the
+    False, of ProbablyNonzero when it is None, and the verdict counts the
+    points evaluated up to it.  When `zero` is None and the
     first point is no witness, the lifted step (`decide_lifted`) runs once:
     a proof of zero is ExactZero, and otherwise the probe goes on from the
     second point of the same stream.  Without a witness the verdict is
@@ -545,13 +548,14 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
     for i in range(probe.points):
-        point, value = _probe_once(e, atoms, rng, probe, positive)
+        point, value = _probe_once(rng, atoms, positive,
+                                   lambda p: eval_mp(e, p, probe.digits))
         with mpmath.workdps(probe.digits + 15):
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}
                 status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
-                return ZeroVerdict(status, probe.points, probe.digits, witness,
+                return ZeroVerdict(status, i + 1, probe.digits, witness,
                                    mpmath.nstr(abs(value), 6))
         if not i and zero is None and decide_lifted(e, positive):
             return ZeroVerdict(ZeroStatus.EXACT_ZERO)
@@ -559,14 +563,16 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     return ZeroVerdict(status, probe.points, probe.digits)
 
 
-def _probe_once(e: Expr, atoms, rng: random.Random, probe: ProbeConfig, positive):
+def _probe_once(rng: random.Random, atoms, positive, evaluate):
+    """(point, evaluate(point)) at the first of at most MAX_RETRIES points
+    drawn by `sample_point` where `evaluate` raises no _BadPoint; raises
+    SamplingExhausted when every one of them does."""
     for _ in range(MAX_RETRIES):
         point = sample_point(rng, atoms, positive)
         try:
-            return point, eval_mp(e, point, probe.digits)
+            return point, evaluate(point)
         except _BadPoint:
             continue
     raise SamplingExhausted(
-        f"no admissible probe point found in {MAX_RETRIES} attempts; "
+        f"no admissible point found in {MAX_RETRIES} attempts; "
         "the expression appears identically singular")
-

@@ -61,7 +61,7 @@ def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE) -
     best = found = 0
     with mpmath.workdps(probe.digits + 15):
         for _ in range(4 * MAX_RETRIES):
-            point = sample_point(rng, atoms)
+            point = sample_point(rng, atoms, frozenset())
             try:
                 rows = [[eval_mp(e, point, probe.digits) for e in row] for row in jac]
             except _BadPoint:

@@ -8,28 +8,29 @@ import random
 import mpmath
 
 from liesym.expr import atom_name, leaf_atoms
-from liesym.numeric import ZeroStatus, ZeroVerdict, _probe_once
+from liesym.numeric import ZeroStatus, ZeroVerdict, _probe_once, eval_mp
 
 
 def ref_probe_verdict(e, zero, probe, positive):
     """True is ExactZero; otherwise the first of `probe.points` seeded points
     where |e| >= 10^-(digits-20) is the witness, of ExactNonzero when `zero`
-    is False and of ProbablyNonzero when it is None; without one the verdict
-    is ProbablyZero, or ExactNonzero without a witness."""
+    is False and of ProbablyNonzero when it is None, counting the points
+    evaluated up to it; without one the verdict is ProbablyZero, or
+    ExactNonzero without a witness."""
     if zero:
         return ZeroVerdict(ZeroStatus.EXACT_ZERO)
     proved = zero is False
     rng = random.Random(probe.seed)
     atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
-    for _ in range(probe.points):
-        point, value = _probe_once(e, atoms, rng, probe, positive)
+    for i in range(probe.points):
+        point, value = _probe_once(rng, atoms, positive, lambda p: eval_mp(e, p, probe.digits))
         with mpmath.workdps(probe.digits + 15):
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}
                 status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
-                return ZeroVerdict(status, probe.points, probe.digits, witness,
+                return ZeroVerdict(status, i + 1, probe.digits, witness,
                                    mpmath.nstr(abs(value), 6))
     status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
     return ZeroVerdict(status, probe.points, probe.digits)

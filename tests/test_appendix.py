@@ -99,7 +99,7 @@ def test_affine_algebra_residual_tier_and_finite_differences():
     with mpmath.workdps(digits + 15):
         h = mpmath.mpf(10) ** -20
         for _ in range(200):
-            point = sample_point(rng, jets)
+            point = sample_point(rng, jets, frozenset())
             try:
                 direction = [eval_mp(c, point, digits)
                              for c in coefficient_row(X4, 5)]

@@ -16,6 +16,12 @@ def _strip_timing(report_json):
     return report_json
 
 
+def _rows(report, checks):
+    """The rows of `report` for `checks`, without `elapsed_ms`."""
+    return [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
+            for r in report.results if r.check in checks]
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "liesym.cli", *args],
                           capture_output=True, text=True, timeout=600)
@@ -281,26 +287,51 @@ def test_raising_check_is_one_failed_row(monkeypatch):
 def test_raising_lie_det_check_plans_no_singular_rows(monkeypatch):
     import liesym.harness as harness
 
-    def rows(report, checks):
-        return [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
-                for r in report.results if r.check in checks]
-
     probe = ProbeConfig(points=6, seed=42)
     before = run_verification(filter_glob="(5,5)", probe=probe)
-    assert rows(before, {"singular"})
+    assert _rows(before, {"singular"})
 
     def boom(fields):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setattr(harness, "lie_determinant", boom)
     after = run_verification(filter_glob="(5,5)", probe=probe)
-    lie_det, = rows(after, {"lie_det"})
-    want, = rows(before, {"lie_det"})
+    lie_det, = _rows(after, {"lie_det"})
+    want, = _rows(before, {"lie_det"})
     assert not lie_det["pass"] and lie_det["verdicts"] == ["ZeroDivisionError: division by zero"]
     assert lie_det["instantiation"] == want["instantiation"]
-    assert not rows(after, {"singular"})
+    assert not _rows(after, {"singular"})
     others = {r.check for r in before.results} - {"lie_det", "singular"}
-    assert rows(after, others) == rows(before, others)
+    assert _rows(after, others) == _rows(before, others)
+
+
+def test_a_variant_that_cannot_be_grounded_is_one_failed_row(monkeypatch):
+    import liesym.harness as harness
+    from liesym.catalog import ConstraintViolation
+    from liesym.numeric import derive_seed
+
+    variant_checks = {"extra_symmetry", "generator_probe"}
+    probe = ProbeConfig(points=6, seed=42)
+    before = run_verification(filter_glob="(2[56],n+1)", probe=probe)
+    real = harness.instantiate
+
+    def refuse_variants(rec, n=None, params=None):
+        if params:
+            raise ConstraintViolation("variant refused")
+        return real(rec, n=n, params=params)
+
+    monkeypatch.setattr(harness, "instantiate", refuse_variants)
+    after = run_verification(filter_glob="(2[56],n+1)", probe=probe)
+    variants = [r for r in after.results if r.check in variant_checks]
+    assert {r.check for r in variants} == variant_checks
+    assert [(r.record, r.n, r.check, r.detail) for r in variants] == \
+        [(r.record, r.n, r.check, r.detail) for r in before.results if r.check in variant_checks]
+    for r in variants:
+        assert not r.passed and r.params == {}
+        assert r.verdicts == ["ConstraintViolation: variant refused"]
+        assert r.seed == derive_seed(42, r.record, r.n, r.check, r.detail)
+    others = {r.check for r in before.results} - variant_checks
+    assert _rows(after, others) == _rows(before, others)
 
 
 def test_check_keys_are_unique():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from liesym import expr as E
-from liesym import invariance
+from liesym import invariance, numeric
 from liesym.catalog import default_order, instantiate, load_catalog
 from liesym.harness import _planned_orders
 from liesym.invariance import (
@@ -22,12 +22,15 @@ from liesym.invariance import (
 from liesym.jet import MAX_JET_ORDER, VectorField
 from liesym.numeric import (
     DEFAULT_PROBE,
+    MAX_RETRIES,
     ExactEvalError,
     ProbeConfig,
+    SamplingExhausted,
     ZeroStatus,
     _BadPoint,
     derive_seed,
     eval_exact,
+    probe_verdict,
     sample_point,
 )
 from cramer_oracle import fraction_det
@@ -221,7 +224,7 @@ def _catalog_rank_matrices():
             matrix = coefficient_matrix(con.fields, order)
             atoms = set().union(*(E.leaf_atoms(e) for row in matrix for e in row))
             for _ in range(2):
-                point = sample_point(rng, atoms)
+                point = sample_point(rng, atoms, frozenset())
                 try:
                     yield [[eval_exact(e, point) for e in row] for row in matrix]
                 except (_BadPoint, ZeroDivisionError):
@@ -260,10 +263,17 @@ def test_bareiss_ends_square_matrices_with_the_signed_determinant():
         assert sign * a[-1][-1] == fraction_det(rows)
 
 
+def _rank_and_count_pair(rep):
+    return rep.rank_rn, rep.count_dn
+
+
 def test_rank_sampling_matches_the_reference_loop():
     for seed in (1, 77, 20240101):
         probe = replace(PR, seed=seed)
-        assert rank_and_count(gens55(), 4, probe) == ref_rank_and_count(gens55(), 4, probe)
+        rep = rank_and_count(gens55(), 4, probe)
+        assert _rank_and_count_pair(rep) == _rank_and_count_pair(
+            ref_rank_and_count(gens55(), 4, probe))
+        assert rep.samples == 1
 
 
 def _count_integer_ranks(monkeypatch):
@@ -288,22 +298,56 @@ def test_rank_shortcut_matches_the_reference_loop_on_the_catalog(monkeypatch):
                 probe = replace(DEFAULT_PROBE, seed=derive_seed(
                     DEFAULT_PROBE.seed, rec.label, n, "rank", f"d@{order}"))
                 rep = rank_and_count(con.fields, order, probe)
-                assert rep == ref_rank_and_count(con.fields, order, probe), (rec.label, n, order)
-                assert len(rep.sample_points) == 5
+                ref = ref_rank_and_count(con.fields, order, probe)
+                assert _rank_and_count_pair(rep) == _rank_and_count_pair(ref), \
+                    (rec.label, n, order)
+                assert rep.samples == 1
                 rows += 1
     # each of these polynomial matrices reaches its bound at the first point
     assert rows == len(calls) == 70
 
 
-def test_rank_of_a_non_polynomial_matrix_evaluates_every_point(monkeypatch):
+def test_a_full_rank_rational_matrix_is_evaluated_once(monkeypatch):
     calls = _count_integer_ranks(monkeypatch)
     fields = [DX, DY, VectorField(X, -Y), VectorField(X.pow(-1), Y), VectorField(E.ZERO, X.pow(-1))]
     for order in (2, 3, 4):
         calls.clear()
         rep = rank_and_count(fields, order, PR)
-        assert rep == ref_rank_and_count(fields, order, PR)
+        assert _rank_and_count_pair(rep) == _rank_and_count_pair(
+            ref_rank_and_count(fields, order, PR))
         assert rep.rank_rn == min(5, order + 2)
-        assert len(calls) == 5
+        assert rep.samples == len(calls) == 1
+
+
+def test_a_rank_deficient_matrix_evaluates_five_points(monkeypatch):
+    calls = _count_integer_ranks(monkeypatch)
+    # xi(x)*Dx fields leave the eta column zero: rank order + 1 of order + 2
+    fields = [DX, VectorField(X, E.ZERO), VectorField(X.pow(-1), E.ZERO)]
+    for order in (0, 1):
+        calls.clear()
+        rep = rank_and_count(fields, order, PR)
+        ref = ref_rank_and_count(fields, order, PR)
+        assert _rank_and_count_pair(rep) == _rank_and_count_pair(ref) == (order + 1, 1)
+        assert rep.samples == ref.samples == len(calls) == 5
+
+
+def test_the_admissible_point_loop_gives_up_after_max_retries_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(numeric, "sample_point",
+                        lambda *args: draws.append(1) or sample_point(*args))
+    # a negative base under a square root rejects every probe point
+    with pytest.raises(SamplingExhausted, match=f"in {MAX_RETRIES} attempts"):
+        probe_verdict((-(1 + J(1) ** 2)) ** F(1, 2), None, PR, frozenset())
+    assert len(draws) == MAX_RETRIES
+    draws.clear()
+
+    def zero_denominator(e, point):  # rejects every rank point
+        raise _BadPoint
+
+    monkeypatch.setattr(invariance, "eval_exact", zero_denominator)
+    with pytest.raises(SamplingExhausted, match=f"in {MAX_RETRIES} attempts"):
+        rank_and_count(gens55(), 4, PR)
+    assert len(draws) == MAX_RETRIES
 
 
 def test_rank_refuses_radical_generators():

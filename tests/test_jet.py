@@ -230,7 +230,7 @@ def test_prolonged_action_matches_finite_differences():
     symbolic = apply_prolonged(pf, e)
     rng = random.Random(5)
     atoms = [E.indep(), E.dep(), E.jet(1), E.jet(2), E.jet(3)]
-    point = sample_point(rng, atoms)
+    point = sample_point(rng, atoms, frozenset())
     digits = 60
     with mpmath.workdps(digits + 15):
         h = mpmath.mpf(10) ** -20

@@ -82,7 +82,7 @@ def test_probing_soundness_of_exact_zeros():
     hits = 0
     with mpmath.workdps(65):
         while hits < 5:
-            point = sample_point(rng, atoms)
+            point = sample_point(rng, atoms, frozenset())
             try:
                 v = eval_mp(e, point, 50)
             except _BadPoint:
@@ -95,7 +95,7 @@ def test_sample_points_are_bounded_rationals():
     rng = random.Random(1)
     atoms = [E.indep(), E.jet(1)]
     for _ in range(50):
-        pt = sample_point(rng, atoms)
+        pt = sample_point(rng, atoms, frozenset())
         for v in pt.values():
             assert abs(v.numerator) <= 4 * 10 ** 6 and 0 < v.denominator <= 10 ** 6
             assert F(1, 4) <= abs(v) <= 4
@@ -260,7 +260,7 @@ def test_eval_mp_matches_tree_walk_and_sympy_oracle():
             t, st = _random_pair(rng, sp, syms, pool, 3)
             e, se = e + t, se + st
         for _ in range(2):
-            point = sample_point(rng, _ORACLE_ATOMS)
+            point = sample_point(rng, _ORACLE_ATOMS, frozenset())
             try:
                 v = eval_mp(e, point, 50)
             except _BadPoint:
@@ -354,10 +354,11 @@ def test_missing_atom_is_named_inside_compound_bases_and_arguments():
 
 def test_probe_verdict_golden():
     # recorded from the tree-walking evaluator this one replaced; any drift in
-    # values, sampled points or magnitude strings shows here
+    # values, sampled points or magnitude strings shows here; the witness is
+    # the first point, and `points` counts the points evaluated up to it
     u = (2 * J(1) * J(3) - 3 * J(2) ** 2) ** F(1, 2) - J(2)
     assert is_zero(u, PR).to_json() == {
-        "status": "ProbablyNonzero", "points": 10, "digits": 50,
+        "status": "ProbablyNonzero", "points": 1, "digits": 50,
         "witness": {"y'": "-194452/81415", "y''": "-108279/97750",
                     "y'''": "-216113/186655"},
         "magnitude": "2.46771"}

@@ -82,7 +82,7 @@ def test_split_reproduces_the_target(target):
     atoms = sorted(E.leaf_atoms(target), key=lambda a: a._key)
     admissible = 0
     for _ in range(400):
-        point = sample_point(rng, atoms)
+        point = sample_point(rng, atoms, frozenset())
         try:
             want = eval_mp(target, point, PR.digits)
         except _BadPoint:
