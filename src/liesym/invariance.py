@@ -125,19 +125,12 @@ def _log_derivative_numerator(PX, w, N: Expr, factors) -> Expr:
     """D_X of `relative_invariant_verdicts` for f = N * prod P_k^(c_k)."""
     bases = [P for P, _c in factors]
     log_terms = sum_of_products(
-        [(c * apply_prolonged(PX, P), _product(bases[:k] + bases[k + 1:]))
+        [(c * apply_prolonged(PX, P), math.prod(bases[:k] + bases[k + 1:], start=ONE))
          for k, (P, c) in enumerate(factors)])
     head = apply_prolonged(PX, N)
     if w is not None:
         head = head - w * N
-    return sum_of_products([(head, _product(bases)), (N, log_terms)])
-
-
-def _product(exprs) -> Expr:
-    out = ONE
-    for e in exprs:
-        out = out * e
-    return out
+    return sum_of_products([(head, math.prod(bases, start=ONE)), (N, log_terms)])
 
 
 def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:

@@ -12,13 +12,16 @@ matrix: the determinant is an integer polynomial in the entries, Bareiss
 divisions are exact in any polynomial ring, and substituting the powers back
 is a ring homomorphism, under which exponents of one base add up.  On
 entries in Q[atoms] the indeterminates are just the atoms.  Factor
-extraction covers rational content, monomials and perfect powers of a
-multi-term polynomial, which suffices for the catalog.  `eliminate` and
-`exact_quotient` also serve the Cramer solve of :mod:`liesym.linear_ode`.
+extraction takes the rational content and the monomial factors, then the
+content in the top jet (the factors common to its coefficients) and a
+perfect-power root of the rest, which suffices for the catalog.
+`eliminate` and `exact_quotient` also serve the Cramer solve of
+:mod:`liesym.linear_ode`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,7 +45,6 @@ from .expr import (
 )
 from .invariance import OdeEquation, bareiss, coefficient_matrix
 from .jet import VectorField
-from .numeric import _exact_root
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,7 @@ class LieDeterminantResult:
     non_polynomial: bool  # some entry lies outside Q[atoms]
 
     def reassembled(self) -> Expr:
-        out = self.constant_prefactor
-        for f, mult in self.factors:
-            out = out * f.pow(mult)
-        return out
+        return math.prod((f.pow(m) for f, m in self.factors), start=self.constant_prefactor)
 
 
 def lie_determinant(fields: Sequence[VectorField]) -> LieDeterminantResult:
@@ -246,9 +245,12 @@ def determinant(matrix: list) -> Expr:
 def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
     """(prefactor, [(factor, multiplicity), ...]) with factors content-free.
 
-    Handles rational content, monomial factors, and a remaining perfect
-    power of a multi-term polynomial.  The remaining factor is returned with
-    multiplicity 1 when no power structure is found.
+    After the rational content (signed so that the leading term is
+    positive) and the monomial factors, one rule: the factors common to
+    every coefficient of the rest as a polynomial in its top jet, each
+    coefficient factored by this function, are divided out; what is left
+    is the k-th power of its root, for the least k >= 2 that has one, with
+    the root factored again, or a factor of multiplicity 1.
     """
     if e.is_zero_expr():
         return Fraction(0), []
@@ -267,106 +269,59 @@ def factor_polynomial(e: Expr) -> Tuple[Fraction, list]:
         for (b, u), mn in zip(vars, mins):
             if mn:
                 factors.append((_make_term(1, {b: u}), mn))
-    rest_expr = _from_dense(dense, vars)
-    if rest_expr == ONE:
+    rest = _from_dense(dense, vars)
+    if rest == ONE:
         return content, factors
-    total_deg = max(sum(ex) for ex in dense)
-    for k in range(min(total_deg, 8), 1, -1):
-        root = None if total_deg % k else _dense_root(dense, k)
+    # content in the top jet v: the coefficients of the powers of v are free
+    # of v, so factoring them recursively ends
+    top = max_jet_order(rest)
+    if top and (jet(top), 1) in vars:
+        i = vars.index((jet(top), 1))
+        coeffs: dict = {}
+        for ex, c in dense.items():
+            coeffs.setdefault(ex[i], {})[ex[:i] + (0,) + ex[i + 1:]] = c
+        common = None
+        for coeff in coeffs.values():
+            parts = dict(factor_polynomial(_from_dense(coeff, vars))[1])
+            common = parts if common is None else {
+                g: min(m, parts[g]) for g, m in common.items() if g in parts}
+        if common:
+            factors.extend(common.items())
+            divisor = math.prod((g.pow(m) for g, m in common.items()), start=ONE)
+            rest = exact_quotient(rest, divisor)
+            dense = _dense(rest, vars)
+    total_deg = max(map(sum, dense))
+    lead = dense[max(dense, key=_grlex_key)]
+    monic = {ex: _normal(Fraction(c, lead)) for ex, c in dense.items()}
+    for k in range(2, total_deg + 1):
+        root = None if total_deg % k else _dense_root(monic, k)
         if root is not None:
-            factors.append((_from_dense(root, vars), k))
+            # p = lc(p) * root^k: the root's primitive part, factored again
+            factors.extend((g, m * k) for g, m in factor_polynomial(_from_dense(root, vars))[1])
             break
     else:
-        split = _split_quadratic_square(rest_expr)
-        if split is not None:
-            extra, parts = split
-            content *= extra
-            factors.extend(parts)
-        else:
-            factors.append((rest_expr, 1))
+        factors.append((rest, 1))
     factors.sort(key=lambda t: t[0]._key)
     return content, factors
 
 
-def _split_quadratic_square(f: Expr):
-    """Detect f = cofactor * (linear in its top jet)^2 via the discriminant.
-
-    Writing f = a*v^2 + b*v + c in the top jet v, a repeated linear factor
-    forces b^2 - 4*a*c = 0; the factor is then the primitive-in-v part of
-    2*a*v + b, with the common v-free cofactor of (2a, b) removed by
-    matching their recognized factorizations.
-    """
-    top = max_jet_order(f)
-    if top is None or top < 1:
-        return None
-    v = jet(top)
-    a2 = diff(diff(f, v), v)  # = 2a
-    if a2.is_zero_expr():
-        return None
-    b = diff(f, v) - a2 * v.as_expr()
-    c = f - a2 * v.as_expr() ** 2 * Expr.rational(Fraction(1, 2)) - b * v.as_expr()
-    disc = b * b - 2 * a2 * c
-    if not disc.is_zero_expr():
-        return None
-    common = _common_recognized_factor(a2, b) if not b.is_zero_expr() else None
-    lin = a2 * v.as_expr() + b
-    if common is not None and common != ONE:
-        lin = exact_quotient(lin, common)
-        if lin is None:
-            return None
-    _lin_content, lin_parts = factor_polynomial(lin)
-    root = ONE
-    for g, m in lin_parts:
-        root = root * g.pow(m)
-    cof_expr = exact_quotient(f, root * root)
-    if cof_expr is None:
-        return None
-    out = [(root, 2)]
-    extra = Fraction(1)
-    if cof_expr != ONE:
-        cof_content, cof_factors = factor_polynomial(cof_expr)
-        extra = cof_content
-        out.extend(cof_factors)
-    return extra, out
-
-
-def _common_recognized_factor(a: Expr, b: Expr):
-    """Product of the common recognized factors of two polynomials (content
-    ignored); None when either side resists factorization."""
-    fa = dict()
-    for g, m in factor_polynomial(a)[1]:
-        fa[g] = fa.get(g, 0) + m
-    out = ONE
-    for g, m in factor_polynomial(b)[1]:
-        have = fa.get(g, 0)
-        k = min(have, m)
-        if k:
-            out = out * g.pow(k)
-    return out
-
-
 def _dense_root(p: dict, k: int):
-    """Polynomial k-th root of p, or None.  p has positive leading coeff."""
+    """The monic k-th root of a monic polynomial p, or None.  Each step adds
+    the term that cancels the leading term of p - root^k, so that leading
+    term falls in grlex order and the loop ends."""
     lead = max(p, key=_grlex_key)
     if any(x % k for x in lead):
         return None
-    c0 = _exact_root(p[lead], k)
-    if c0 is None:
-        return None
-    b0_exp = tuple(x // k for x in lead)
-    root = {b0_exp: c0}
-    # divisor for the next-term update: k * b0^(k-1)
-    div = {tuple(x * (k - 1) for x in b0_exp): k * c0 ** (k - 1)}
-    for _ in range(400):
+    b0 = tuple(x // k for x in lead)
+    root = {b0: 1}
+    # the leading term of k * root^(k-1)
+    div = tuple(x * (k - 1) for x in b0)
+    while True:
         rem = _dense_sub(p, reduce(_dense_mul, [root] * k))
         if not rem:
             return root
         lr = max(rem, key=_grlex_key)
-        exps = tuple(a - b for a, b in zip(lr, next(iter(div))))
-        if any(x < 0 for x in exps):
+        exps = tuple(map(sub, lr, div))
+        if min(exps) < 0 or _grlex_key(exps) >= _grlex_key(b0):
             return None
-        c = _normal(Fraction(rem[lr], next(iter(div.values()))))
-        if _grlex_key(exps) >= _grlex_key(max(root, key=_grlex_key)):
-            return None
-        root[exps] = root.get(exps, 0) + c
-    return None
+        root[exps] = _normal(Fraction(rem[lr], k))

@@ -428,38 +428,6 @@ def eval_exact(e: Expr, point: Mapping[Atom, Fraction]) -> Fraction:
     return total
 
 
-def _exact_root(v: Fraction, q: int):
-    if v < 0:
-        if q % 2 == 0:
-            return None
-        r = _exact_root(-v, q)
-        return None if r is None else -r
-    if v == 0:
-        return Fraction(0)
-    num = _int_root(v.numerator, q)
-    den = _int_root(v.denominator, q)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_root(n: int, q: int):
-    """The exact q-th root of n >= 0, or None when n is no perfect q-th power."""
-    if q == 2:
-        r = math.isqrt(n)
-    elif n < 2:
-        r = n
-    else:
-        # integer Newton iteration from above converges to floor(n^(1/q))
-        r = 1 << -(-n.bit_length() // q)
-        while True:
-            s = ((q - 1) * r + n // r ** (q - 1)) // q
-            if s >= r:
-                break
-            r = s
-    return r if r ** q == n else None
-
-
 # -- the zero test ------------------------------------------------------------
 
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,

@@ -87,6 +87,15 @@ def test_cli_liedet_catalog_label():
     assert "(y''')^2" in proc.stdout
 
 
+def test_cli_liedet_prints_the_top_jet_content(capsys):
+    import liesym.cli as cli
+
+    assert cli.main(["liedet", "(3,3)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "factor: (1 + x^2 + y^2)^2" in lines
+    assert "factor: (1 + y'^2)^1" in lines
+
+
 def test_cli_liedet_explicit_fields():
     proc = run_cli("liedet", "Dx; Dy")
     assert proc.returncode == 0

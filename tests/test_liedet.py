@@ -251,12 +251,45 @@ def test_singular_catalog_matrices_stop_at_the_first_column_without_a_pivot():
 
 
 def test_perfect_powers_with_large_coefficients():
-    # integer roots are taken exactly, not through a float
+    # roots of the monic polynomial are taken in exact rationals, not floats
     big = 10 ** 200 * J(1) + 1
     assert factor_polynomial(big ** 2) == (1, [(big, 2)])
     cube = (3 ** 40 + 1) * J(1) + 1
     assert factor_polynomial(cube ** 3) == (1, [(cube, 3)])
     assert factor_polynomial(F(1, 3 ** 60) * cube ** 3) == (F(1, 3 ** 60), [(cube, 3)])
+
+
+def test_perfect_powers_are_reduced_fully():
+    # every exponent k >= 2 that divides the degree is tried, least first,
+    # with no cap, and the root is factored again
+    base = 1 + J(1)
+    for k in (9, 10, 11):
+        assert factor_polynomial(base ** k) == (1, [(base, k)])
+
+
+def test_top_jet_content_splits_the_3_3_determinant():
+    # the stored closed form -(1 + x^2 + y^2)^2*(1 + y'^2): the coefficients
+    # of 1 and y'^2 share the square of 1 + x^2 + y^2
+    fields = instantiate(find_record(load_catalog(), "(3,3)"), n=4).fields
+    assert factor_polynomial(lie_determinant(fields).determinant) == (
+        -1, [(1 + X ** 2 + Y ** 2, 2), (1 + J(1) ** 2, 1)])
+
+
+def test_factor_multiplicities_sympy_oracle():
+    # every irreducible factor of a returned (g, k) has multiplicity exactly k
+    # in the determinant, over the catalog Lie determinants in Q[atoms]
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for label, n, matrix in _catalog_lie_matrices():
+        det = determinant(matrix)
+        if det.is_zero_expr() or not E.is_polynomial(det):
+            continue
+        want = dict(sympy.factor_list(to_sympy(sympy, det))[1])
+        for g, k in factor_polynomial(det)[1]:
+            for h, _m in sympy.factor_list(to_sympy(sympy, g))[1]:
+                assert want.get(h, want.get(-h)) == k, (label, n, g)
+        checked += 1
+    assert checked == 50
 
 
 def _catalog_lie_det_instantiations():

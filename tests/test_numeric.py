@@ -14,7 +14,6 @@ from liesym.numeric import (
     SamplingExhausted,
     ZeroStatus,
     _BadPoint,
-    _int_root,
     clear_denominators,
     eval_exact,
     eval_mp,
@@ -118,15 +117,6 @@ def test_eval_exact_fractional_perfect_powers():
             eval_exact(e, {E.indep(): F(1), E.jet(1): value, E.jet(2): value})
     with pytest.raises(ExactEvalError, match=r"^exp\(x\) has no exact value"):
         eval_exact(E.transcendental("exp", X), {E.indep(): F(1)})
-
-
-def test_int_root_is_exact_for_huge_and_near_float_limit_powers():
-    assert _int_root(10 ** 400, 2) == 10 ** 200
-    assert _int_root((3 ** 40 + 1) ** 2, 2) == 3 ** 40 + 1
-    assert _int_root((3 ** 40 + 1) ** 2 + 1, 2) is None
-    assert _int_root((7 ** 30 + 2) ** 3, 3) == 7 ** 30 + 2
-    assert _int_root((7 ** 30 + 2) ** 3 - 1, 3) is None
-    assert [_int_root(n, 5) for n in (0, 1, 2, 32)] == [0, 1, None, 2]
 
 
 def test_clear_denominators_returns_polynomial():
