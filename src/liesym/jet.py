@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ONE, Expr, ExprError, _derive, indep, jet, jet_or_dep, max_jet_order
+from .expr import ONE, Expr, ExprError, _derive, indep, jet_or_dep, max_jet_order
 
 # The one jet-order ceiling: prolongation, total derivatives, the parser
 # and the harness's check plan all stop here.
@@ -58,6 +58,7 @@ class ProlongedField:
     base: VectorField
     order: int
     coeffs: tuple  # (eta[1], ..., eta[order])
+    dxi: Expr  # D_x(xi), the multiplier of the lambda PDE
 
 
 def total_derivative(e: Expr) -> Expr:
@@ -87,7 +88,7 @@ def prolong(X: VectorField, k: int) -> ProlongedField:
     for j in range(len(coeffs) + 1, k + 1):
         prev = coeffs[-1] if coeffs else X.eta
         coeffs.append(total_derivative(prev) - _COORDS[j + 1].as_expr() * dxi)
-    return ProlongedField(X, k, tuple(coeffs[:k]))
+    return ProlongedField(X, k, tuple(coeffs[:k]), dxi)
 
 
 def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
@@ -97,11 +98,6 @@ def apply_prolonged(PX: ProlongedField, e: Expr) -> Expr:
         raise OrderMismatch(
             f"expression has jet order {top} but the field is prolonged to {PX.order}")
     return _derive(e, dict(zip(_COORDS, (PX.base.xi, PX.base.eta) + PX.coeffs)))
-
-
-def characteristic(X: VectorField) -> Expr:
-    """w = eta - xi*y', the generator of the evolutionary form."""
-    return X.eta - X.xi * jet(1).as_expr()
 
 
 def coefficient_row(X: VectorField, order: int) -> list:

@@ -89,14 +89,18 @@ def lie_determinant(fields: Sequence[VectorField]) -> LieDeterminantResult:
 
 
 def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
-    """Classify each non-constant factor; solve for the top jet when the
-    factor is linear in it, otherwise keep it implicit."""
+    """Classify each factor; solve for the top jet when the factor is linear
+    in it, otherwise keep it implicit.  A product of `exp` calls, or a factor
+    constant where defined (each derivative zero, as of cos(x)^2 + sin(x)^2),
+    vanishes nowhere and is left out."""
     out = []
     for f, mult in result.factors:
+        if len(f.terms) == 1 and all(getattr(b, "fn", "") == "exp" for b, _e in f.terms[0][0]) \
+                or all(diff(f, a).is_zero_expr() for a in leaf_atoms(f)):
+            continue
         top = max_jet_order(f)
         if not top:
-            params = all(a.kind == "param" for a in leaf_atoms(f))
-            kind = "parameter" if params else "implicit"
+            kind = "parameter" if all(a.kind == "param" for a in leaf_atoms(f)) else "implicit"
             out.append(SingularEquation(f, mult, kind, order=top))
             continue
         a = diff(f, jet(top))

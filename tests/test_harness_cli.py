@@ -87,6 +87,18 @@ def test_cli_liedet_catalog_label():
     assert "(y''')^2" in proc.stdout
 
 
+def test_cli_liedet_prints_no_locus_that_is_empty():
+    # 288*exp(-2*x)*exp(-x)*exp(x)*exp(2*x) is the constant 288
+    proc = run_cli("liedet", "(22,n)", "--n", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert "determinant: 288*exp(" in proc.stdout
+    assert "singular" not in proc.stdout
+    proc = run_cli("liedet", "(23,n+2)", "--n", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "singular locus" not in proc.stdout
+    assert "singular equation (order 3): y^(3) = y - y' + y''" in proc.stdout
+
+
 def test_cli_liedet_prints_the_top_jet_content(capsys):
     import liesym.cli as cli
 

@@ -14,7 +14,6 @@ from liesym.jet import (
     VectorField,
     _PROLONG_CACHE,
     apply_prolonged,
-    characteristic,
     coefficient_row,
     prolong,
     total_derivative,
@@ -31,6 +30,11 @@ def J(k):
 
 DX = VectorField(E.ONE, E.ZERO)
 DY = VectorField(E.ZERO, E.ONE)
+
+
+def characteristic(X_: VectorField) -> Expr:
+    """w = eta - xi*y', the generator of the evolutionary form."""
+    return X_.eta - X_.xi * J(1)
 
 
 def test_total_derivative_basics():

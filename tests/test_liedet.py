@@ -96,19 +96,37 @@ def test_scaling_family_determinant_symbolic_weight():
 
 def test_parameter_kind_needs_every_atom_a_parameter():
     # a factor without y or jets is a parameter condition only when it holds
-    # nothing but parameters; x^(1/2), x and exp(x) are implicit
+    # nothing but parameters; x^(1/2), x and sin(x) are implicit
     al = E.param("alpha").as_expr()
     for coeff, want in [(X ** F(1, 2), [("implicit", X ** F(1, 2))]),
-                        ((al - 2) * E.transcendental("exp", X),
-                         [("parameter", al - 2), ("implicit", E.transcendental("exp", X))]),
-                        (E.transcendental("exp", al) * X,
-                         [("implicit", X), ("parameter", E.transcendental("exp", al))])]:
+                        ((al - 2) * E.transcendental("sin", X),
+                         [("parameter", al - 2), ("implicit", E.transcendental("sin", X))]),
+                        (E.transcendental("arctan", al) * X,
+                         [("implicit", X), ("parameter", E.transcendental("arctan", al))])]:
         res = lie_determinant([VectorField(E.ZERO, coeff), DX])
         assert [(s.kind, s.factor) for s in singular_equations(res)] == want
     # the x factor of the (2,3) Lie determinant at its default order
     rec = find_record(load_catalog(), "(2,3)")
     eqs = singular_equations(lie_determinant(instantiate(rec).fields))
     assert [s.kind for s in eqs if s.factor == X] == ["implicit"]
+
+
+def test_factors_that_vanish_nowhere_are_no_singular_locus():
+    # exp(...) monomials and the constant cos(x)^2 + sin(x)^2 are factors of
+    # the determinant with an empty zero set; exp(x) + y and sin(x) are not
+    ex, c, s = (E.transcendental(fn, X) for fn in ("exp", "cos", "sin"))
+    al = E.param("alpha").as_expr()
+    for coeff in (ex, ex ** 2 * E.transcendental("exp", al), c * c + s * s):
+        res = lie_determinant([VectorField(E.ZERO, coeff), DX])
+        assert res.factors and singular_equations(res) == []
+    res = lie_determinant([VectorField(E.ZERO, (ex + Y) * s), DX])
+    assert sorted(str(e.factor) for e in singular_equations(res)) == ["sin(x)", "y + exp(x)"]
+    # the catalog records whose determinants hold such factors
+    for label, n in (("(22,n)", 6), ("(23,n)", None), ("(23,n+2)", 3), ("(23,n+2)", 6)):
+        rec = find_record(load_catalog(), label)
+        con = instantiate(rec) if n is None else instantiate(rec, n=n)
+        res = lie_determinant(con.fields)
+        assert all(e.kind == "ode" for e in singular_equations(res)), label
 
 
 def test_inhomogeneous_scaling_constant_determinant():
