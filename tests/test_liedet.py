@@ -1,5 +1,6 @@
 """Lie determinants: exact values, factor extraction, singular equations."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -236,17 +237,45 @@ def test_bareiss_matches_cofactor_expansion_off_polynomials(case):
     assert (res.reassembled() - res.determinant).is_zero_expr()
 
 
-def _catalog_lie_matrices():
-    """The coefficient matrix at order m-2 of every catalog record with m >= 2
-    fields, at default and secondary order."""
+def _catalog_lie_fields():
+    """(label, n, fields) of every catalog record with m >= 2 fields, at
+    default and secondary order."""
     out = []
     for rec in load_catalog():
         for n in (default_order(rec), secondary_order(rec)):
             if n is not None:
                 fields = instantiate(rec, n=n).fields
                 if len(fields) >= 2:
-                    out.append((rec.label, n, coefficient_matrix(fields, len(fields) - 2)))
+                    out.append((rec.label, n, fields))
     return out
+
+
+def _catalog_lie_matrices():
+    """The coefficient matrix at order m-2 of each of `_catalog_lie_fields`."""
+    return [(label, n, coefficient_matrix(fields, len(fields) - 2))
+            for label, n, fields in _catalog_lie_fields()]
+
+
+# sha256 of every output below over the 63 catalog Lie matrices; a change of
+# monomial order, such as the order of the indeterminates, moves the sign of
+# the content or the order of the factors, and so this digest
+LIE_OUTPUTS_SHA256 = "976d932afe42709eb19e5e0728345967040ff24a6b72abda0a851343beec2281"
+
+
+def test_catalog_lie_outputs_are_pinned():
+    # the determinant, the constant prefactor, the factors and the singular
+    # equations (kind, factor, rhs) of every catalog Lie matrix, as strings
+    lines = []
+    for label, n, fields in _catalog_lie_fields():
+        res = lie_determinant(fields)
+        lines.append(" | ".join([
+            label, str(n), str(res.determinant), str(res.constant_prefactor),
+            "; ".join(f"{f}^{m}" for f, m in res.factors),
+            "; ".join(f"{s.kind}:{s.factor}:{s.equation.rhs if s.equation else ''}"
+                      for s in singular_equations(res))]))
+    assert len(lines) == 63
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LIE_OUTPUTS_SHA256
 
 
 def test_singular_catalog_matrices_stop_at_the_first_column_without_a_pivot():
