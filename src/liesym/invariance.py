@@ -10,11 +10,10 @@ exactly at seeded points until it reaches its bound min(m, n+2).  `bareiss`
 is the package's one fraction-free elimination: this rank, the Lie
 determinant and the Cramer solve run it.
 
-Invariants and lambdas are decided over packed Laurent monomials: prod
-s_i^(e_i) is the int sum_i e_i << W*i (a balanced radix), so a product is one
-int addition.  Slots 0, 1, 2, ... are x, y, y', ...; other atoms, and opaque
-powers that are not integer powers of an atom, take the next slot on first
-sight.  An empty D_X is zero; another is unpacked for `decide_exactly`.
+Invariants and lambdas are decided over the packed monomials of
+:mod:`liesym.poly`, in its ring of first-sight slots (`poly.shared`): a
+product of monomials is one int addition.  An empty D_X is zero; another is
+unpacked for `decide_exactly`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .expr import Atom, Expr, _make_term, expr_sum, jet, leaf_atoms, max_jet_order, substitute
+from .expr import Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import _COORDS, VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -39,6 +38,7 @@ from .numeric import (
     power_split,
     probe_verdict,
 )
+from .poly import WIDTH, mac, packed, shared, width
 
 
 @dataclass(frozen=True)
@@ -126,55 +126,6 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
     return verdicts
 
 
-# No exponent in [-2^(W-1), 2^(W-1)) carries into the next slot.  A monomial of
-# D_X is one of N or dN/da, one of each P_k or dP_k/da and one of a field
-# coefficient or w, so its exponents are at most the sum of their largest
-# |exponent|s; W is _W, or that sum's bit length plus one when it is larger.
-_W = 16
-_SLOTS = {a: i for i, a in enumerate(_COORDS)}  # slot key -> index, in index order
-
-
-def _packed(e: Expr, W: int):
-    """(den*e as {monomial: int}, den, largest |exponent|), den the lcm of
-    e's denominators; kept in e's flags (a field coefficient packs once)."""
-    hit = e._flags.get(("packed", W))
-    if hit is None:
-        den, poly, top = math.lcm(*[c.denominator for _m, c in e._terms]), {}, 0
-        for mono, c in e._terms:
-            m = 0
-            for b, ex in mono:
-                if type(b) is not Atom or type(ex) is not int:
-                    b, ex = (b, ex), 1  # an opaque slot
-                m += ex << W * _SLOTS.setdefault(b, len(_SLOTS))
-                top = max(top, abs(ex))
-            poly[m] = c.numerator * (den // c.denominator)
-        hit = e._flags[("packed", W)] = poly, den, top
-    return hit
-
-
-def _mac(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """acc += scale * a * b."""
-    for m1, c1 in a.items():
-        c1 *= scale
-        for m2, c2 in b.items():
-            acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
-    return acc
-
-
-def _unpack(poly: dict, W: int) -> Expr:
-    """The expression of a packed polynomial (a ring homomorphism)."""
-    keys, terms = list(_SLOTS), []
-    for m, c in poly.items():
-        items, s = {}, 0
-        while m:
-            d = ((m + (1 << W - 1)) & ((1 << W) - 1)) - (1 << W - 1)
-            b, ex = (keys[s], 1) if type(keys[s]) is Atom else keys[s]
-            items[b] = items.get(b, 0) + ex * d
-            m, s = (m - d) >> W, s + 1
-        terms.append(_make_term(c, items))
-    return expr_sum(terms)
-
-
 def _decide_log_derivatives(split, prolonged, ws) -> list:
     """decide_exactly(D_X) per field and w (None for 0) for the target's
     split (N, ((P_k, c_k), ...)): D_X = sum_a X(a)*G_a - w*H, with G_a and
@@ -185,31 +136,33 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
     parts = [N] + [P for P, _c in factors]
     rows = [(PX.base.xi, PX.base.eta, *PX.coeffs, *([] if w is None else [w]))
             for PX, w in zip(prolonged, ws)]
-    bound = sum(_packed(p, _W)[2] for p in parts) + max(
-        [_packed(v, _W)[2] for row in rows for v in row], default=0)
-    W = _W if bound < 1 << _W - 1 else bound.bit_length() + 1
-    polys = [_packed(p, W)[0] for p in parts]
+    # a monomial of D_X is one of N or dN/da, one of each P_k or dP_k/da and
+    # one of a field coefficient or w: its degree bounds every exponent
+    bound = sum(packed(p, WIDTH)[2] for p in parts) + max(
+        [packed(v, WIDTH)[2] for row in rows for v in row], default=0)
+    ring = shared(width(bound))
+    polys = [packed(p, ring.W)[0] for p in parts]
     L = math.lcm(*[c.denominator for _P, c in factors])
     weights = [L] + [(L * c).numerator for _P, c in factors]
-    G: dict = {}  # slot of a -> G_a, and -1 -> -H
+    G: dict = {}  # slot of a coordinate a -> G_a, and -1 -> -H
     for j, (p, poly, weight) in enumerate(zip(parts, polys, weights)):
-        cofactor = reduce(lambda acc, q: _mac({}, acc, q, 1), polys[:j] + polys[j + 1:], {0: 1})
+        cofactor = reduce(lambda acc, q: mac({}, acc, q, 1), polys[:j] + polys[j + 1:], {0: 1})
         if not j and ws.count(None) < len(ws):
-            G[-1] = _mac({}, poly, cofactor, -L)
+            G[-1] = mac({}, poly, cofactor, -L)
         for (mono, _c), (m, k) in zip(p._terms, poly.items()):
             for a, ex in mono:  # N and P_k are polynomials over the atoms
-                s = _SLOTS[a]
+                s = ring.index[(a, 1)]  # a coordinate's slot is its place in a row
                 if s < len(_COORDS):
-                    _mac(G.setdefault(s, {}), {m - (1 << W * s): k * ex}, cofactor, weight)
+                    mac(G.setdefault(s, {}), {m - (1 << ring.W * s): k * ex}, cofactor, weight)
     zeros = []
     for row, w in zip(rows, ws):
-        packed = [_packed(v, W) for v in row]
-        scale = math.lcm(*[den for _p, den, _t in packed])
+        scaled = [packed(v, ring.W) for v in row]
+        scale = math.lcm(*[den for _p, den, _d in scaled])
         acc: dict = {}
         for s, g in G.items():
             if s >= 0 or w is not None:
-                _mac(acc, packed[s][0], g, scale // packed[s][1])
-        zeros.append(not any(acc.values()) or decide_exactly(_unpack(acc, W)))
+                mac(acc, scaled[s][0], g, scale // scaled[s][1])
+        zeros.append(not any(acc.values()) or decide_exactly(ring.unpack(acc)))
     return zeros
 
 
@@ -257,7 +210,7 @@ def _integer_rank(rows: list) -> int:
 
 def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 1968) of the rows `a`
-    in place, over the integers or `liedet`'s dense polynomials: any domain
+    in place, over the integers or the polynomials of `poly.Poly`: any domain
     with `*`, `-`, an exact `//`, a truth value and the unit `one`.  The
     pivot is the first nonzero entry of a column; a column without one is
     skipped when `skip` (the rank), else it stops the elimination with sign

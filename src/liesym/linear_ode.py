@@ -11,6 +11,7 @@ back-substitution (`coeffs_from_solutions`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -28,7 +29,7 @@ from .expr import (
     transcendental,
 )
 from .jet import VectorField
-from .liedet import _Dense, _from_dense, eliminate, exact_quotient
+from .liedet import eliminate, exact_quotient
 
 
 class DuplicateRoots(ExprError):
@@ -82,25 +83,15 @@ def _derivative_ladder(f: Expr, order: int) -> list:
 
 
 def char_spec_coeffs(spec: CharSpec) -> List[Fraction]:
-    """Real coefficients for a root set with complex pairs: multiply the
-    real linear factors and the rational quadratics t^2 - 2a t + (a^2+b^2)."""
-    poly = [Fraction(1)]
-
-    def mul(factor: list):
-        nonlocal poly
-        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
-        for i, c in enumerate(poly):
-            for j, d in enumerate(factor):
-                out[i + j] += c * d
-        poly = out
-
-    for r in spec.real_roots:
-        mul([Fraction(1), -Fraction(r)])
-    for a, b in spec.complex_pairs:
-        a, b = Fraction(a), Fraction(b)
-        mul([Fraction(1), -2 * a, a * a + b * b])
-    n = spec.order
-    return [-poly[n - i] for i in range(n)]
+    """Real coefficients for a root set with complex pairs: the product of
+    the real linear factors and the rational quadratics t^2 - 2a t +
+    (a^2+b^2), expanded in the atom x for t."""
+    t = indep().as_expr()
+    factors = [t - Fraction(r) for r in spec.real_roots] + [
+        t * t - 2 * Fraction(a) * t + Fraction(a) ** 2 + Fraction(b) ** 2
+        for a, b in spec.complex_pairs]
+    coeffs = {sum(ex for _b, ex in mono): c for mono, c in math.prod(factors, start=ONE).terms}
+    return [-Fraction(coeffs.get(i, 0)) for i in range(spec.order)]
 
 
 def linear_ode_from_spec(spec: CharSpec) -> LinearOde:
@@ -114,16 +105,12 @@ def fundamental_solutions(spec: CharSpec) -> List[Expr]:
     x = indep().as_expr()
     out = []
     for r in spec.real_roots:
-        out.append(_exp_of(Fraction(r) * x))
+        out.append(transcendental("exp", Fraction(r) * x))
     for a, b in spec.complex_pairs:
-        ax, bx = Fraction(a) * x, Fraction(b) * x
-        out.append(_exp_of(ax) * transcendental("cos", bx))
-        out.append(_exp_of(ax) * transcendental("sin", bx))
+        ex, bx = transcendental("exp", Fraction(a) * x), Fraction(b) * x
+        out.append(ex * transcendental("cos", bx))
+        out.append(ex * transcendental("sin", bx))
     return out
-
-
-def _exp_of(arg: Expr) -> Expr:
-    return transcendental("exp", arg)
 
 
 # -- coefficient recovery from prescribed solutions ---------------------------
@@ -133,10 +120,11 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
 
     Cramer's rule, A_i = det(M_i) / det(M), where M holds the derivatives
     xi_k^(i) and M_i has column i replaced by b = (xi_k^(n)): one `bareiss`
-    elimination of [M | b] over dense polynomials (`liedet.eliminate`) gives
-    det(M), then an exact back-substitution every det(M_i).  A_i is
-    the polynomial quotient when det(M) divides det(M_i), as it does for
-    constant coefficients, and the expression fraction otherwise.
+    elimination of [M | b] over the polynomial ring of :mod:`liesym.poly`
+    (`liedet.eliminate`) gives det(M), then an exact back-substitution every
+    det(M_i).  A_i is the polynomial quotient when det(M) divides det(M_i),
+    as it does for constant coefficients, and the expression fraction
+    otherwise.
     Dependence is decided over the indeterminates of the polynomials (atoms
     and calls such as exp(x), sin(x)), so a dependence through an identity
     like sin^2 + cos^2 = 1 goes unseen.
@@ -147,10 +135,10 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
     m = order - lowest_index
     if len(xis) != m:
         raise ValueError(f"need exactly {m} solutions, got {len(xis)}")
-    a, sign, vars = eliminate([_derivative_ladder(f, order)[lowest_index:] for f in xis])
-    det = _Dense() if not sign else a[-1][m - 1] if sign > 0 else _Dense() - a[-1][m - 1]
-    den = _from_dense(det, vars)
-    if den.is_zero_expr():
+    a, sign, ring = eliminate([_derivative_ladder(f, order)[lowest_index:] for f in xis])
+    det = a[-1][m - 1] if sign > 0 else ring.poly(()) - a[-1][m - 1]
+    den = ring.unpack(det)
+    if not sign or den.is_zero_expr():
         raise DependentSolutions("the prescribed solutions are linearly dependent")
     # row i reads sum_j a[i][j] A_j = a[i][m]; in place, a[i][m] becomes
     # det * A_i = det(M_i), a polynomial, so each division by a pivot is exact
@@ -161,7 +149,7 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
         a[i][m] = acc // a[i][i]
     out = []
     for row in a:
-        num = _from_dense(row[m], vars)
+        num = ring.unpack(row[m])
         quot = exact_quotient(num, den)
         out.append(quot if quot is not None else num / den)
     return out

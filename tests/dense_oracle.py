@@ -1,7 +1,7 @@
-"""The exact division of `liedet`'s dense polynomials as it was before it
-worked in place: each step takes the graded-lex leading term and builds the
-remainder anew as rem - c*x^e*q.  An oracle for `liedet._dense_div_exact`,
-whose quotient must be the same.
+"""Polynomials as {exponent tuple: coefficient}, multiplied and divided the
+plain way: each step of the exact division takes the graded-lex leading term
+and builds the remainder anew as rem - c*x^e*q.  An oracle for the packed
+product, exact division and k-th root of `liesym.poly.Poly`.
 """
 
 from fractions import Fraction

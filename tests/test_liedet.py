@@ -1,6 +1,7 @@
 """Lie determinants: exact values, factor extraction, singular equations."""
 
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,6 @@ from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invariance import _integer_rank, bareiss, coefficient_matrix
 from liesym.jet import VectorField
 from liesym.liedet import (
-    _dense_div_exact,
-    _dense_mul,
     determinant,
     eliminate,
     exact_quotient,
@@ -22,6 +21,7 @@ from liesym.liedet import (
 )
 from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
+from liesym.poly import WIDTH, Ring
 from dense_oracle import ref_dense_div_exact, ref_dense_mul
 from rank_oracle import rank_at_point
 from sympy_oracle import to_sympy
@@ -174,6 +174,19 @@ def test_factor_reassembly_identity():
     assert (res.reassembled() - res.determinant).is_zero_expr()
 
 
+def test_factors_are_sorted_by_key_on_every_path():
+    # a monomial (no factor left after the monomial part), a top-jet content,
+    # a perfect power and an irreducible rest, each with opaque slots
+    al = E.param("alpha").as_expr()
+    half = (1 + X ** 2) ** F(1, 2)
+    for e in (-3 * J(2) ** 3 * X * half * al ** 2, (1 + Y ** 2) * (J(1) + X) * half,
+              (J(1) + Y) ** 4 * X ** F(1, 3), 2 * J(1) + Y * al + half):
+        content, factors = factor_polynomial(e)
+        assert [f._key for f, _m in factors] == sorted(f._key for f, _m in factors), e
+        assert (math.prod((f.pow(m) for f, m in factors), start=E.Expr.rational(content)) - e
+                ).is_zero_expr(), e
+
+
 def test_non_polynomial_entries_fallback():
     half = VectorField(X ** F(5, 2), E.ZERO)
     res = lie_determinant([DX, DY, half])
@@ -203,6 +216,17 @@ def cofactor_determinant(matrix):
         return memo[(k, cols)]
 
     return minor(0, tuple(range(m)))
+
+
+@pytest.mark.parametrize("e", [(1 << WIDTH - 1) - 2, (1 << WIDTH - 1) - 1, 1 << WIDTH - 1,
+                               (1 << WIDTH) - 1, 1 << WIDTH, (1 << WIDTH) + 1, (1 << WIDTH) + 2])
+def test_slot_width_guard_on_the_lie_path(e):
+    # the Bareiss products of this matrix double its exponents, past 2^W:
+    # the ring is widened for them, and the determinant is the cofactor one
+    matrix = [[X ** e, Y, E.ONE], [Y, X ** e, X], [E.ONE, X, Y ** e + X]]
+    assert determinant(matrix) == cofactor_determinant(matrix)
+    assert exact_quotient(determinant(matrix) * X ** e, X ** e) == determinant(matrix)
+    assert factor_polynomial(X ** e * (1 + Y) ** 2) == (1, [(1 + Y, 2), (X, e)])
 
 
 def _non_polynomial_generator_sets():
@@ -433,31 +457,81 @@ def test_degenerate_input_rejected():
 _COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
 
 
+def _packing(nvars, graded):
+    """(pack, unpack) between {exponent tuple: coefficient} and the ring over
+    nvars slots with the first exponent in the highest slot."""
+    ring = Ring({(i, 1): nvars - 1 - i for i in reversed(range(nvars))}, WIDTH, graded)
+
+    def pack(d):
+        return ring.poly({sum(k * ring.unit((i, 1)) for i, k in enumerate(exps)): c
+                          for exps, c in d.items()})
+
+    def unpack(p):
+        return {tuple(reversed(ring.exponents(m))): c for m, c in p.items()}
+
+    return pack, unpack
+
+
 @st.composite
 def _dense_pairs(draw):
-    """(a, b) dense polynomials in up to 3 variables, b nonzero."""
+    """(a, b) polynomials as {exponent tuple: coefficient} in up to 3
+    variables, b nonzero."""
     nvars = draw(st.integers(0, 3))
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     a = draw(st.dictionaries(exps, _COEFFS, max_size=4))
     b = draw(st.dictionaries(exps, _COEFFS, min_size=1, max_size=4))
-    return a, b
+    return nvars, a, b
 
 
 @given(_dense_pairs())
 def test_dense_division_matches_the_copying_grlex_division(pair):
-    a, b = pair
+    nvars, a, b = pair
+    pack, unpack = _packing(nvars, True)
     a = {e: c.numerator if c.denominator == 1 else c for e, c in a.items()}
-    p = _dense_mul(a, b)
-    assert p == ref_dense_mul(a, b)
-    quot = _dense_div_exact(p, b)
-    assert quot == a == ref_dense_div_exact(p, b)
+    p = pack(a) * pack(b)
+    assert unpack(p) == ref_dense_mul(a, b)
+    quot = p // pack(b)
+    assert unpack(quot) == a == ref_dense_div_exact(ref_dense_mul(a, b), b)
     assert all(type(c) is int or c.denominator > 1 for c in quot.values())
-    assert p == ref_dense_mul(a, b)  # the dividend is left as it was
+    assert unpack(p) == ref_dense_mul(a, b)  # the dividend is left as it was
     with pytest.raises(ZeroDivisionError):
-        _dense_div_exact(p, {})
+        p // pack({})
     if any(map(any, b)):  # b is not a constant, so it divides no p + constant
-        const = (0,) * len(next(iter(b)))
-        inexact = {e: c for e, c in {**p, const: p.get(const, 0) + 1}.items() if c}
-        for div in (_dense_div_exact, ref_dense_div_exact):
-            with pytest.raises(E.ExprError):
-                div(inexact, b)
+        const = (0,) * nvars
+        inexact = {e: c for e, c in {**unpack(p), const: unpack(p).get(const, 0) + 1}.items() if c}
+        with pytest.raises(E.ExprError):
+            pack(inexact) // pack(b)
+        with pytest.raises(E.ExprError):
+            ref_dense_div_exact(inexact, b)
+
+
+@given(_dense_pairs(), st.integers(2, 4))
+def test_ring_root_matches_the_oracle_power(pair, k):
+    # a monic r (its graded-lex leading coefficient 1): the ring's k-th root
+    # of r^k is r, and a non-constant r^k plus 1 has no k-th root
+    nvars, r, _b = pair
+    if not r:
+        return
+    pack, unpack = _packing(nvars, True)
+    r = {e: c.numerator if c.denominator == 1 else c for e, c in r.items()}
+    r[max(r, key=lambda e: (sum(e), e))] = 1
+    power = r
+    for _ in range(k - 1):
+        power = ref_dense_mul(power, r)
+    assert unpack(pack(power).root(k)) == r
+    if any(map(any, r)):
+        const = (0,) * nvars
+        shifted = {e: c for e, c in {**power, const: power.get(const, 0) + 1}.items() if c}
+        assert pack(shifted).root(k) is None
+
+
+@given(st.integers(1, 4), st.data())
+def test_max_packed_key_is_the_leading_term(nvars, data):
+    # with every exponent below 2^(W-1), int order is lex order with the
+    # first exponent most significant, and graded lex with the degree slot
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, (1 << WIDTH - 1) - 1)] * nvars),
+                              min_size=1, max_size=6, unique=True))
+    for graded, key in ((False, None), (True, lambda e: (sum(e), e))):
+        pack, unpack = _packing(nvars, graded)
+        packed = pack({e: 1 for e in exps})
+        assert unpack({max(packed): 1}) == {max(exps, key=key): 1}

@@ -12,6 +12,7 @@ from liesym.linear_ode import (
     CharSpec,
     DependentSolutions,
     DuplicateRoots,
+    LinearOde,
     coeffs_from_solutions,
     fundamental_solutions,
     homogeneity_symmetry,
@@ -20,6 +21,7 @@ from liesym.linear_ode import (
     solution_symmetries,
 )
 from liesym.numeric import ProbeConfig, is_zero
+from liesym.poly import WIDTH
 
 from linear_ode_helpers import (
     coeffs_from_roots,
@@ -209,6 +211,18 @@ def test_one_pass_solve_matches_determinant_oracle():
     for xis, order, lowest in _solution_sets():
         assert coeffs_from_solutions(xis, order, lowest) == \
             cramer_by_determinants(xis, order, lowest), (order, lowest)
+
+
+@pytest.mark.parametrize("e", [(1 << WIDTH - 1) - 2, (1 << WIDTH - 1) - 1, 1 << WIDTH - 1,
+                               (1 << WIDTH) - 1, 1 << WIDTH, (1 << WIDTH) + 1, (1 << WIDTH) + 2])
+def test_slot_width_guard_on_the_cramer_solve(e):
+    # exponents about 2^(W-1) that the elimination and the back-substitution
+    # double: the one-pass solve is the determinant oracle's, and it solves
+    xis = [X ** e, X ** (e + 1), X ** (e + 3)]
+    got = coeffs_from_solutions(xis, 4, 1)
+    assert got == cramer_by_determinants(xis, 4, 1)
+    ode = LinearOde(4, (E.ZERO,) + tuple(got))
+    assert all(residual(ode, f).is_zero_expr() for f in xis)
 
 
 def test_one_pass_solve_eliminates_once(monkeypatch):

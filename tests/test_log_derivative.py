@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym import expr as E
-from liesym import invariance
+from liesym import invariance, poly
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
-from liesym.invariance import _W, _decide_log_derivatives, check_differential_invariant
+from liesym.invariance import _decide_log_derivatives, check_differential_invariant
 from liesym.invdiff import apply_D, verify_lambda
 from liesym.jet import VectorField, prolong, total_derivative
 from liesym.numeric import ZeroStatus, decide_exactly, power_split
+from liesym.poly import WIDTH
 from log_derivative_oracle import log_derivative_numerator
 
 X = E.indep().as_expr()
@@ -95,8 +96,8 @@ def test_opaque_slots_merge_when_unpacked(monkeypatch):
     # tier proves it zero, as it does the oracle's
     B = 1 + X ** 2
     unpacked = []
-    real = invariance._unpack
-    monkeypatch.setattr(invariance, "_unpack", lambda *a: unpacked.append(real(*a)) or unpacked[-1])
+    real = poly.Ring.unpack
+    monkeypatch.setattr(poly.Ring, "unpack", lambda *a: unpacked.append(real(*a)) or unpacked[-1])
     got, want = _decisions([VectorField(B ** F(1, 2), E.ZERO)], B ** F(1, 2), [X * B ** F(-1, 2)])
     assert got == want == [True]
     assert len(unpacked) == 1 and not unpacked[0].is_zero_expr()
@@ -131,8 +132,8 @@ def test_packed_decision_is_the_oracle_decision_on_the_catalog():
     assert decided >= 600 and nonzero >= 130
 
 
-@pytest.mark.parametrize("e", [(1 << _W - 1) - 2, (1 << _W - 1) - 1, 1 << _W - 1,
-                               (1 << _W) - 1, 1 << _W, (1 << _W) + 1, (1 << _W) + 2])
+@pytest.mark.parametrize("e", [(1 << WIDTH - 1) - 2, (1 << WIDTH - 1) - 1, 1 << WIDTH - 1,
+                               (1 << WIDTH) - 1, 1 << WIDTH, (1 << WIDTH) + 1, (1 << WIDTH) + 2])
 def test_slot_width_guard_at_the_bound(e):
     # x holds slot 0 and y slot 1, so at width W the monomials x^(2^W) and y
     # are the same int: without the guard, D_X = x^(e-1) - y of the field
@@ -143,7 +144,8 @@ def test_slot_width_guard_at_the_bound(e):
     for fields, f in (([dx], X ** e - e * X * Y), ([dy], Y), ([dx, dy], X ** e * Y)):
         got, want = _decisions(fields, f, [None] * len(fields))
         assert got == want == [False] * len(fields)
-    # a field coefficient with a negative power: the bound counts |exponent|
+    # a field coefficient with a negative power of x: an opaque slot, whose
+    # products with powers of x merge only when D_X is unpacked
     lowered = VectorField(X ** (1 - e), E.ZERO)
     for w in (None, total_derivative(lowered.xi)):
         got, want = _decisions([lowered], X ** e * Y, [w])
