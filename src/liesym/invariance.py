@@ -13,7 +13,11 @@ determinant and the Cramer solve run it.
 Invariants and lambdas are decided over the packed monomials of
 :mod:`liesym.poly`, in its ring of first-sight slots (`poly.shared`): a
 product of monomials is one int addition.  An empty D_X is zero; another is
-unpacked for `decide_exactly`.
+unpacked for `decide_exactly`, and when that proves it nonzero the witness
+is probed on D_X times the split's nowhere-zero factor, so no residual is
+built.  A target that does not split whole is decided class by class of
+its exponents' fractional parts, and only a verdict that no class decides
+builds the residual.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .expr import Expr, jet, leaf_atoms, max_jet_order, substitute
+from .expr import ONE, Expr, _expr_from_terms, jet, leaf_atoms, max_jet_order, substitute
 from .jet import _COORDS, VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -35,8 +40,8 @@ from .numeric import (
     decide_exactly,
     eval_exact,
     is_zero,
+    nonzero_verdict,
     power_split,
-    probe_verdict,
 )
 from .poly import WIDTH, mac, packed, shared, width
 
@@ -106,32 +111,67 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
         D_X = (X(N) - w*N) * prod_k P_k + N * sum_k c_k*X(P_k)*prod_{i!=k} P_i,
     and that factor is nowhere zero where f is defined.  So the exact tier's
     answer on D_X settles the verdict whatever the c_k: zero without
-    building the residual, nonzero with the residual's probe witness
-    (`probe_verdict`).  Without a split the residual goes to `is_zero`.
+    building the residual, and nonzero with the witness of that product
+    (`nonzero_verdict`, at points where f is defined), which is the
+    residual.  When f does not split whole, its terms are grouped by the
+    fractional parts of their exponents and each class f_j is split
+    (`_class_splits`); the residual is linear in f, so it is the sum of the
+    classes' products.  Every class zero proves it zero; exactly one class
+    nonzero and the others zero proves it nonzero, and that class's product
+    is the residual.  Otherwise (two nonzero classes may cancel, as lifted
+    terms may be dependent), and when a class does not split or D_X gets no
+    exact answer, the residual is built and goes to `is_zero`.
     """
     split = power_split(f)
     prolonged = [prolong(X, max_jet_order(f) or 0) for X in fields]
     ws = [multiplier(X) if multiplier else None for X in fields]
-    zeros = [None] * len(fields) if split is None else _decide_log_derivatives(split, prolonged, ws)
+    splits = [split] if split is not None else _class_splits(f)
+    decided = [_decide_log_derivatives(s, prolonged, ws) for s in splits]
     verdicts = []
-    for PX, w, zero in zip(prolonged, ws, zeros):
-        if zero:
+    for PX, w, *classes in zip(prolonged, ws, *decided):
+        zeros = [zero for zero, _E in classes]
+        if classes and all(zeros):
             verdicts.append(ZeroVerdict(ZeroStatus.EXACT_ZERO))
-            continue
-        residual = apply_prolonged(PX, f)
-        if w is not None:
-            residual = residual - f * w
-        verdicts.append(is_zero(residual, probe) if zero is None else
-                        probe_verdict(residual, zero, probe, frozenset()))
+        elif zeros.count(False) == 1 and None not in zeros:
+            verdicts.append(nonzero_verdict(classes[zeros.index(False)][1], f, probe))
+        else:
+            residual = apply_prolonged(PX, f)
+            if w is not None:
+                residual = residual - f * w
+            verdicts.append(is_zero(residual, probe))
     return verdicts
 
 
+def _class_splits(f: Expr) -> list:
+    """The split of each class of f's terms, a class per key of the bases
+    under fractional exponents and the fractional parts of those exponents;
+    [] when f has one class or a class does not split.  The terms of one
+    class hold the same such bases, with exponents that differ by integers,
+    so a class fails to split only on a transcendental atom, a constant surd
+    or a radical inside a base."""
+    classes: dict = {}
+    for mono, c in f._terms:
+        key = tuple([(b, ex - math.floor(ex)) for b, ex in mono if type(ex) is not int])
+        classes.setdefault(key, {})[mono] = c
+    if len(classes) < 2:
+        return []
+    splits = []
+    for terms in classes.values():
+        split = power_split(_expr_from_terms(terms))
+        if split is None:
+            return []
+        splits.append(split)
+    return splits
+
+
 def _decide_log_derivatives(split, prolonged, ws) -> list:
-    """decide_exactly(D_X) per field and w (None for 0) for the target's
+    """(decide_exactly(D_X), E) per field and w (None for 0) for the target's
     split (N, ((P_k, c_k), ...)): D_X = sum_a X(a)*G_a - w*H, with G_a and
     H = N * prod P_k the numerators of df/da and f, built once.  N, each P_k,
     the c_k (with dN/da and H) and each field's coefficients and w are
-    scaled by the lcm of their denominators: D_X by a nonzero rational."""
+    scaled by the lcm of their denominators: D_X by a nonzero rational S.
+    When D_X is proved nonzero, E = prod P_k^(c_k - 1) * D_X / S is the
+    residual pr(X)(f) - w*f; else E is None."""
     N, factors = split
     parts = [N] + [P for P, _c in factors]
     rows = [(PX.base.xi, PX.base.eta, *PX.coeffs, *([] if w is None else [w]))
@@ -141,7 +181,7 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
     bound = sum(packed(p, WIDTH)[2] for p in parts) + max(
         [packed(v, WIDTH)[2] for row in rows for v in row], default=0)
     ring = shared(width(bound))
-    polys = [packed(p, ring.W)[0] for p in parts]
+    polys, dens = zip(*[packed(p, ring.W)[:2] for p in parts])
     L = math.lcm(*[c.denominator for _P, c in factors])
     weights = [L] + [(L * c).numerator for _P, c in factors]
     G: dict = {}  # slot of a coordinate a -> G_a, and -1 -> -H
@@ -154,7 +194,7 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
                 s = ring.index[(a, 1)]  # a coordinate's slot is its place in a row
                 if s < len(_COORDS):
                     mac(G.setdefault(s, {}), {m - (1 << ring.W * s): k * ex}, cofactor, weight)
-    zeros = []
+    decided, front = [], None
     for row, w in zip(rows, ws):
         scaled = [packed(v, ring.W) for v in row]
         scale = math.lcm(*[den for _p, den, _d in scaled])
@@ -162,8 +202,18 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
         for s, g in G.items():
             if s >= 0 or w is not None:
                 mac(acc, scaled[s][0], g, scale // scaled[s][1])
-        zeros.append(not any(acc.values()) or decide_exactly(ring.unpack(acc)))
-    return zeros
+        if not any(acc.values()):
+            decided.append((True, None))
+            continue
+        D = ring.unpack(acc)
+        zero = decide_exactly(D)
+        if zero is not False:
+            decided.append((zero, None))
+            continue
+        if front is None:
+            front = math.prod([P.pow(c - 1) for P, c in factors], start=ONE)
+        decided.append((False, D * (front * Fraction(1, scale * L * math.prod(dens)))))
+    return decided
 
 
 def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:

@@ -24,6 +24,9 @@ split, the first probe point, then, only when the split gave no answer and
 that point is no witness, the lifted step (`decide_lifted`), which can only
 prove zero, and last the remaining points.  The guard keeps the lifted step
 off nonzero expressions, which the first point nearly always witnesses.
+`nonzero_verdict` searches the same way for the witness of an expression
+proved nonzero elsewhere, at points where a second expression (the target
+it was derived from) is defined too.
 
 A probe point is evaluated by one walk over the expression tree with raw
 mpmath values, each base and each power of a base computed once per point.
@@ -511,23 +514,41 @@ def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
     """
     if zero:
         return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    proved = zero is False
+    return _probe(leaf_atoms(e), lambda p: eval_mp(e, p, probe.digits),
+                  None if zero is False else lambda: decide_lifted(e, positive),
+                  probe, positive)
+
+
+def nonzero_verdict(e: Expr, domain: Expr, probe: ProbeConfig) -> ZeroVerdict:
+    """ExactNonzero for e, proved nonzero, with the witness `probe_verdict`
+    would search for: the points are drawn over the atoms of e and of
+    `domain`, and a point where `domain` cannot be evaluated is inadmissible
+    as well, so the witness lies where `domain` is defined."""
+    def evaluate(p):
+        eval_mp(domain, p, probe.digits)
+        return eval_mp(e, p, probe.digits)
+
+    return _probe(leaf_atoms(e) | leaf_atoms(domain), evaluate, None, probe, frozenset())
+
+
+def _probe(atoms, evaluate, lifted, probe: ProbeConfig, positive) -> ZeroVerdict:
+    """The probe loop of `probe_verdict`, with the value at a point given by
+    `evaluate` and the lifted step by `lifted` (None when proved nonzero)."""
     rng = random.Random(probe.seed)
-    atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
+    atoms = sorted(atoms, key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
     for i in range(probe.points):
-        point, value = _probe_once(rng, atoms, positive,
-                                   lambda p: eval_mp(e, p, probe.digits))
+        point, value = _probe_once(rng, atoms, positive, evaluate)
         with mpmath.workdps(probe.digits + 15):
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}
-                status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
+                status = ZeroStatus.PROBABLY_NONZERO if lifted else ZeroStatus.EXACT_NONZERO
                 return ZeroVerdict(status, i + 1, probe.digits, witness,
                                    mpmath.nstr(abs(value), 6))
-        if not i and zero is None and decide_lifted(e, positive):
+        if not i and lifted and lifted():
             return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
+    status = ZeroStatus.PROBABLY_ZERO if lifted else ZeroStatus.EXACT_NONZERO
     return ZeroVerdict(status, probe.points, probe.digits)
 
 

@@ -2,6 +2,7 @@
 expression-kernel oracle, the slot-width guard, and the (7,6) rows that it
 decides without the expression kernel."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -26,12 +27,18 @@ def J(k):
 
 
 def _decisions(fields, f, ws):
-    """(packed decisions, decide_exactly of each oracle D_X) for f's split."""
+    """(packed decisions, decide_exactly of each oracle D_X) for f's split.
+    Where the packed decision is False it comes with the residual, which is
+    the oracle's D_X times prod P_k^(c_k - 1); elsewhere with None."""
     split = power_split(f)
     top = E.max_jet_order(f)
     PXs = [prolong(X_, top or 0) for X_ in fields]
-    want = [decide_exactly(log_derivative_numerator(PX, w, *split)) for PX, w in zip(PXs, ws)]
-    return _decide_log_derivatives(split, PXs, ws), want
+    oracle = [log_derivative_numerator(PX, w, *split) for PX, w in zip(PXs, ws)]
+    got = _decide_log_derivatives(split, PXs, ws)
+    front = math.prod([P ** (c - 1) for P, c in split[1]], start=E.ONE)
+    for (zero, residual), D in zip(got, oracle):
+        assert residual == (front * D if zero is False else None)
+    return [zero for zero, _residual in got], [decide_exactly(D) for D in oracle]
 
 
 # field coefficients: an exp atom, fractional powers of a compound base, of an
