@@ -15,9 +15,9 @@ Invariants and lambdas are decided over the packed monomials of
 product of monomials is one int addition.  An empty D_X is zero; another is
 unpacked for `decide_exactly`, and when that proves it nonzero the witness
 is probed on D_X times the split's nowhere-zero factor, so no residual is
-built.  A target that does not split whole is decided class by class of
-its exponents' fractional parts, and only a verdict that no class decides
-builds the residual.
+built.  A target that does not split whole is decided class by class, in
+the classes of the zero test (`numeric.classes`), and only a verdict that
+no class decides builds the residual.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .expr import ONE, Expr, _expr_from_terms, jet, leaf_atoms, max_jet_order, substitute
+from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import _COORDS, VectorField, apply_prolonged, coefficient_row, prolong
 from .numeric import (
     DEFAULT_PROBE,
@@ -37,6 +37,7 @@ from .numeric import (
     ZeroStatus,
     ZeroVerdict,
     _probe_once,
+    classes,
     decide_exactly,
     eval_exact,
     is_zero,
@@ -113,14 +114,14 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
     answer on D_X settles the verdict whatever the c_k: zero without
     building the residual, and nonzero with the witness of that product
     (`nonzero_verdict`, at points where f is defined), which is the
-    residual.  When f does not split whole, its terms are grouped by the
-    fractional parts of their exponents and each class f_j is split
-    (`_class_splits`); the residual is linear in f, so it is the sum of the
-    classes' products.  Every class zero proves it zero; exactly one class
-    nonzero and the others zero proves it nonzero, and that class's product
-    is the residual.  Otherwise (two nonzero classes may cancel, as lifted
-    terms may be dependent), and when a class does not split or D_X gets no
-    exact answer, the residual is built and goes to `is_zero`.
+    residual.  When f does not split whole, its terms are grouped into the
+    zero test's `classes` and each class f_j is split (`_class_splits`); the
+    residual is linear in f, so it is the sum of the classes' products.
+    Every class zero proves it zero; exactly one class nonzero and the
+    others zero proves it nonzero, and that class's product is the
+    residual.  Otherwise (two nonzero classes may cancel, as lifted terms
+    may be dependent), and when a class does not split or D_X gets no exact
+    answer, the residual is built and goes to `is_zero`.
     """
     split = power_split(f)
     prolonged = [prolong(X, max_jet_order(f) or 0) for X in fields]
@@ -143,21 +144,12 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
 
 
 def _class_splits(f: Expr) -> list:
-    """The split of each class of f's terms, a class per key of the bases
-    under fractional exponents and the fractional parts of those exponents;
-    [] when f has one class or a class does not split.  The terms of one
-    class hold the same such bases, with exponents that differ by integers,
-    so a class fails to split only on a transcendental atom, a constant surd
-    or a radical inside a base."""
-    classes: dict = {}
-    for mono, c in f._terms:
-        key = tuple([(b, ex - math.floor(ex)) for b, ex in mono if type(ex) is not int])
-        classes.setdefault(key, {})[mono] = c
-    if len(classes) < 2:
-        return []
+    """The split of each of f's `classes`; [] when a class leaves out a
+    transcendental atom or a constant surd, or does not split.  f does not
+    split whole, so a single class, f itself, gives [] too."""
     splits = []
-    for terms in classes.values():
-        split = power_split(_expr_from_terms(terms))
+    for group, lifted in classes(f, frozenset()):
+        split = None if lifted else power_split(group)
         if split is None:
             return []
         splits.append(split)
@@ -206,7 +198,7 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
             decided.append((True, None))
             continue
         D = ring.unpack(acc)
-        zero = decide_exactly(D)
+        zero = decide_exactly(D, frozenset())
         if zero is not False:
             decided.append((zero, None))
             continue

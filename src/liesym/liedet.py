@@ -10,7 +10,7 @@ ring, and substituting the powers back is a ring homomorphism.  Factor
 extraction takes the rational content and the monomial factors, then the
 content in the top jet (the factors common to its coefficients) and a
 perfect-power root of the rest, which suffices for the catalog.  `eliminate`
-and `exact_quotient` also serve the Cramer solve of :mod:`liesym.linear_ode`.
+also serves the Cramer solve of :mod:`liesym.linear_ode`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .expr import (
     Expr,
-    ExprError,
     ONE,
     ZERO,
     _extract_content,
@@ -104,16 +103,6 @@ def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
         out.append(SingularEquation(f, mult, "ode", order=top,
                                     equation=OdeEquation(top, rhs)))
     return out
-
-
-def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
-    """p / q when q divides p in the polynomial ring over the powers of
-    p and q (see :mod:`liesym.poly`), else None."""
-    ring = Ring.of([p, q], 1)
-    try:
-        return ring.unpack(ring.pack(p) // ring.pack(q))
-    except ExprError:
-        return None
 
 
 def eliminate(matrix: list) -> tuple:

@@ -29,7 +29,7 @@ from .expr import (
     transcendental,
 )
 from .jet import VectorField
-from .liedet import eliminate, exact_quotient
+from .liedet import eliminate
 
 
 class DuplicateRoots(ExprError):
@@ -122,9 +122,9 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
     xi_k^(i) and M_i has column i replaced by b = (xi_k^(n)): one `bareiss`
     elimination of [M | b] over the polynomial ring of :mod:`liesym.poly`
     (`liedet.eliminate`) gives det(M), then an exact back-substitution every
-    det(M_i).  A_i is the polynomial quotient when det(M) divides det(M_i),
-    as it does for constant coefficients, and the expression fraction
-    otherwise.
+    det(M_i).  A_i is the polynomial quotient when det(M) divides det(M_i)
+    in that ring, as it does for constant coefficients, and the expression
+    fraction otherwise.
     Dependence is decided over the indeterminates of the polynomials (atoms
     and calls such as exp(x), sin(x)), so a dependence through an identity
     like sin^2 + cos^2 = 1 goes unseen.
@@ -149,9 +149,10 @@ def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) ->
         a[i][m] = acc // a[i][i]
     out = []
     for row in a:
-        num = ring.unpack(row[m])
-        quot = exact_quotient(num, den)
-        out.append(quot if quot is not None else num / den)
+        try:
+            out.append(ring.unpack(row[m] // det))
+        except ExprError:
+            out.append(ring.unpack(row[m]) / den)
     return out
 
 

@@ -11,19 +11,18 @@ the split with no fractional factor: N is its numerator once every compound
 or atomic denominator is cleared (`clear_denominators`): the terms of one
 denominator signature share one product of missing powers, and a compound
 base keeps its cleared (N, D) in its flags for `power_split` and later terms.
-An expression that does not split (transcendental atoms, constant surds,
-mixed exponent classes, radicals inside a base) gets no exact answer.
+When e does not split whole (transcendental atoms, constant surds, mixed
+exponent classes), the tier lifts those factors to fresh indeterminates and
+splits the coefficient of each of their monomials, a class of e's terms
+(`classes`): every class split with N empty proves e zero, and anything
+else gives no exact answer, since lifted terms may be dependent.
 
-`probe_verdict` turns the exact tier's answer into the verdict.  Unless e
-is proved zero, it is probed at seeded random rational points with mpmath
-at the configured precision, and the first point where
-|value| >= 10^-(digits-20) is the witness of ExactNonzero or
-ProbablyNonzero.  The threshold keeps twenty orders of magnitude between
-roundoff and an honest nonzero value.  So the tiers run in this order: the
-split, the first probe point, then, only when the split gave no answer and
-that point is no witness, the lifted step (`decide_lifted`), which can only
-prove zero, and last the remaining points.  The guard keeps the lifted step
-off nonzero expressions, which the first point nearly always witnesses.
+`is_zero` runs the exact tier and then the probe, which only searches for
+a witness.  Unless e is proved zero, it is probed at seeded random rational
+points with mpmath at the configured precision, and the first point where
+|value| >= 10^-(digits-20) is the witness of ExactNonzero (e proved
+nonzero) or ProbablyNonzero (no exact answer).  The threshold keeps twenty
+orders of magnitude between roundoff and an honest nonzero value.
 `nonzero_verdict` searches the same way for the witness of an expression
 proved nonzero elsewhere, at points where a second expression (the target
 it was derived from) is defined too.
@@ -435,28 +434,43 @@ def eval_exact(e: Expr, point: Mapping[Atom, Fraction]) -> Fraction:
 
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
             positive=frozenset()) -> ZeroVerdict:
-    """Certify whether an expression is identically zero: the exact tier's
-    answer, completed by probing (`probe_verdict`), with the lifted step
-    after the first point when the split gives no answer.  Atoms in
-    ``positive`` are sampled on the positive axis (branch restrictions) and
-    taken as positive by the lifted step.
+    """Certify whether an expression is identically zero.
+
+    A proof of zero by the exact tier (`decide_exactly`, which takes the
+    atoms in ``positive`` as positive) is ExactZero, without probing.
+    Otherwise e is probed at `probe.points` seeded admissible points at
+    `probe.digits` digits, atoms in ``positive`` on the positive axis.  The
+    first point where |e| >= 10^-(digits-20) is the witness: of ExactNonzero
+    when the exact tier proved e nonzero, of ProbablyNonzero when it gave no
+    answer, and the verdict counts the points evaluated up to it.  Without a
+    witness the verdict is ProbablyZero, or ExactNonzero without a witness.
     """
-    return probe_verdict(e, decide_exactly(e), probe, positive)
+    zero = decide_exactly(e, positive)
+    if zero:
+        return ZeroVerdict(ZeroStatus.EXACT_ZERO)
+    return _probe(leaf_atoms(e), lambda p: eval_mp(e, p, probe.digits), zero, probe, positive)
 
 
-def decide_exactly(e: Expr) -> Optional[bool]:
-    """The exact tier: whether e is identically zero, or None when e does
-    not split.  For e == N * prod P_k^(c_k) (`power_split`) the product is
+def decide_exactly(e: Expr, positive) -> Optional[bool]:
+    """The exact tier: whether e is identically zero, or None when it is
+    not decided.  For e == N * prod P_k^(c_k) (`power_split`) the product is
     nonzero wherever e is defined, so e is zero iff the polynomial N is,
-    that is iff N's normal form is empty."""
+    that is iff N's normal form is empty.  When e does not split whole, it
+    is zero when each of its `classes` splits with N empty; a class not
+    proved zero proves nothing, as lifted terms may be dependent (Caviness &
+    Fateman 1976), so it gives None."""
     if e.is_zero_expr():
         return True
     split = power_split(e)
-    return None if split is None else split[0].is_zero_expr()
+    if split is not None:
+        return split[0].is_zero_expr()
+    return all((split := power_split(group)) is not None and split[0].is_zero_expr()
+               for group, _lifted in classes(e, positive)) or None
 
 
-def decide_lifted(e: Expr, positive) -> Optional[bool]:
-    """The lifted exact step: True when e is proved zero, else None.
+def classes(e: Expr, positive) -> list:
+    """[(group, lifted), ...]: e's terms in classes, each with the factors
+    the class leaves out.
 
     First a compound base Q/D under a fractional power c, whose denominator
     D (`clear_denominators`) is a monomial in ``positive`` atoms, becomes
@@ -464,12 +478,11 @@ def decide_lifted(e: Expr, positive) -> Optional[bool]:
     surd and base b under a fractional power is lifted to a fresh
     indeterminate: t to T_t, and b^(k + r/q) to b^k * T_b^r, with q the lcm
     of b's exponent denominators.  The lifted sum is zero exactly when the
-    coefficient of each monomial in the T's is, so none is built: the terms
-    are grouped by their transcendental and surd factors and the fractional
-    parts of their exponents, and each group, without those factors, goes to
-    `decide_exactly`.  All groups zero prove e zero; a nonzero group proves
-    nothing, as lifted terms may be dependent (Caviness & Fateman 1976), so
-    it gives None.
+    coefficient of each monomial in the T's is, so none is built: a class
+    holds the terms with the same transcendental and surd factors and the
+    same fractional parts of their exponents.  `group` is the sum of its
+    terms without those transcendental and surd factors, which `lifted`
+    lists as (base, exponent) pairs.
     """
     cleared = {}
     for b, ex in (item for mono, _c in e._terms for item in mono):
@@ -485,55 +498,36 @@ def decide_lifted(e: Expr, positive) -> Optional[bool]:
                      for mono, coeff in e._terms)
     groups: dict = {}
     for mono, coeff in e._terms:
-        lifted, items = [], {}
+        lifted, parts, kept = [], [], []
         for b, ex in mono:
             if type(b) is int or type(b) is Atom and b.kind == "transc":
                 lifted.append((b, ex))
                 continue
             if type(ex) is not int:
-                lifted.append((b, ex - math.floor(ex)))
-            items[b] = ex
-        groups.setdefault(tuple(lifted), []).append(_make_term(coeff, items))
-    return all(decide_exactly(expr_sum(g)) for g in groups.values()) or None
-
-
-def probe_verdict(e: Expr, zero: Optional[bool], probe: ProbeConfig,
-                  positive) -> ZeroVerdict:
-    """The verdict on e, given the exact tier's answer `zero`.
-
-    True is ExactZero, without probing.  Otherwise e is probed at
-    `probe.points` seeded admissible points at `probe.digits` digits, atoms
-    in ``positive`` on the positive axis.  The first point where
-    |e| >= 10^-(digits-20) is the witness: of ExactNonzero when `zero` is
-    False, of ProbablyNonzero when it is None, and the verdict counts the
-    points evaluated up to it.  When `zero` is None and the
-    first point is no witness, the lifted step (`decide_lifted`) runs once:
-    a proof of zero is ExactZero, and otherwise the probe goes on from the
-    second point of the same stream.  Without a witness the verdict is
-    ProbablyZero, or ExactNonzero without a witness.
-    """
-    if zero:
-        return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    return _probe(leaf_atoms(e), lambda p: eval_mp(e, p, probe.digits),
-                  None if zero is False else lambda: decide_lifted(e, positive),
-                  probe, positive)
+                parts.append((b, ex - math.floor(ex)))
+            kept.append((b, ex))
+        # the lifted factors are the same across a class: its kept monomials differ
+        groups.setdefault((tuple(lifted), tuple(parts)), {})[tuple(kept)] = coeff
+    return [(_expr_from_terms(terms), lifted) for (lifted, _parts), terms in groups.items()]
 
 
 def nonzero_verdict(e: Expr, domain: Expr, probe: ProbeConfig) -> ZeroVerdict:
-    """ExactNonzero for e, proved nonzero, with the witness `probe_verdict`
-    would search for: the points are drawn over the atoms of e and of
-    `domain`, and a point where `domain` cannot be evaluated is inadmissible
-    as well, so the witness lies where `domain` is defined."""
+    """ExactNonzero for e, proved nonzero, with the witness `is_zero` would
+    search for: the points are drawn over the atoms of e and of `domain`,
+    and a point where `domain` cannot be evaluated is inadmissible as well,
+    so the witness lies where `domain` is defined."""
     def evaluate(p):
         eval_mp(domain, p, probe.digits)
         return eval_mp(e, p, probe.digits)
 
-    return _probe(leaf_atoms(e) | leaf_atoms(domain), evaluate, None, probe, frozenset())
+    return _probe(leaf_atoms(e) | leaf_atoms(domain), evaluate, False, probe, frozenset())
 
 
-def _probe(atoms, evaluate, lifted, probe: ProbeConfig, positive) -> ZeroVerdict:
-    """The probe loop of `probe_verdict`, with the value at a point given by
-    `evaluate` and the lifted step by `lifted` (None when proved nonzero)."""
+def _probe(atoms, evaluate, zero, probe: ProbeConfig, positive) -> ZeroVerdict:
+    """The probe loop of `is_zero`, with the value at a point given by
+    `evaluate`; the exact tier's answer `zero` (False or None) only picks
+    the status."""
+    proved = zero is False
     rng = random.Random(probe.seed)
     atoms = sorted(atoms, key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
@@ -543,12 +537,10 @@ def _probe(atoms, evaluate, lifted, probe: ProbeConfig, positive) -> ZeroVerdict
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}
-                status = ZeroStatus.PROBABLY_NONZERO if lifted else ZeroStatus.EXACT_NONZERO
+                status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
                 return ZeroVerdict(status, i + 1, probe.digits, witness,
                                    mpmath.nstr(abs(value), 6))
-        if not i and lifted and lifted():
-            return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    status = ZeroStatus.PROBABLY_ZERO if lifted else ZeroStatus.EXACT_NONZERO
+    status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
     return ZeroVerdict(status, probe.points, probe.digits)
 
 

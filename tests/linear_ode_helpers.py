@@ -4,15 +4,16 @@
 symmetric-function route that `cramer_oracle` checks; `translation_symmetry`
 is the field d/dx that leaves every constant-coefficient equation invariant;
 `residual` is the defect of a candidate solution; `cramer_by_determinants`
-is an oracle for `coeffs_from_solutions` that takes m+1 whole determinants.
+is an oracle for `coeffs_from_solutions` that takes m+1 whole determinants,
+each quotient by `exact_quotient` in a ring of its own.
 """
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from liesym.expr import ONE, ZERO, Expr
+from liesym.expr import ONE, ZERO, Expr, ExprError
 from liesym.jet import VectorField
-from liesym.liedet import determinant, exact_quotient
+from liesym.liedet import determinant
 from liesym.linear_ode import (
     CharSpec,
     DependentSolutions,
@@ -20,6 +21,7 @@ from liesym.linear_ode import (
     _derivative_ladder,
     char_spec_coeffs,
 )
+from liesym.poly import Ring
 
 
 def coeffs_from_roots(roots: Sequence[Fraction]) -> List[Fraction]:
@@ -57,3 +59,13 @@ def cramer_by_determinants(xis: Sequence[Expr], order: int, lowest_index: int) -
         quot = exact_quotient(num, den)
         out.append(quot if quot is not None else num / den)
     return out
+
+
+def exact_quotient(p: Expr, q: Expr) -> Optional[Expr]:
+    """p / q when q divides p in the polynomial ring over the powers of
+    p and q (see :mod:`liesym.poly`), else None."""
+    ring = Ring.of([p, q], 1)
+    try:
+        return ring.unpack(ring.pack(p) // ring.pack(q))
+    except ExprError:
+        return None

@@ -1,6 +1,7 @@
-"""The probe tier on its own: `numeric.probe_verdict` as it was before the
-lifted exact step ran after its first point.  An oracle for what probing
-alone says about an expression, independent of `numeric.decide_lifted`.
+"""The probe tier on its own: the verdict that probing alone gives, given
+the exact tier's answer `zero`.  An oracle for what probing says about an
+expression, independent of the lifted classes of `numeric.decide_exactly`
+and of the probe loop of `numeric.is_zero`.
 """
 
 import random

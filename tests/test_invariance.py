@@ -30,7 +30,7 @@ from liesym.numeric import (
     _BadPoint,
     derive_seed,
     eval_exact,
-    probe_verdict,
+    is_zero,
     sample_point,
 )
 from cramer_oracle import fraction_det
@@ -337,7 +337,7 @@ def test_the_admissible_point_loop_gives_up_after_max_retries_draws(monkeypatch)
                         lambda *args: draws.append(1) or sample_point(*args))
     # a negative base under a square root rejects every probe point
     with pytest.raises(SamplingExhausted, match=f"in {MAX_RETRIES} attempts"):
-        probe_verdict((-(1 + J(1) ** 2)) ** F(1, 2), None, PR, frozenset())
+        is_zero((-(1 + J(1) ** 2)) ** F(1, 2), PR)
     assert len(draws) == MAX_RETRIES
     draws.clear()
 

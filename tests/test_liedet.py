@@ -14,7 +14,6 @@ from liesym.jet import VectorField
 from liesym.liedet import (
     determinant,
     eliminate,
-    exact_quotient,
     factor_polynomial,
     lie_determinant,
     singular_equations,
@@ -23,6 +22,7 @@ from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
 from liesym.poly import WIDTH, Ring
 from dense_oracle import ref_dense_div_exact, ref_dense_mul
+from linear_ode_helpers import exact_quotient
 from rank_oracle import rank_at_point
 from sympy_oracle import to_sympy
 

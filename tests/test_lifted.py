@@ -1,6 +1,7 @@
-"""The lifted exact step of the zero test (`numeric.decide_lifted`): the
-residuals it proves, its soundness against the probe oracle, the
-first-point guard, and that it builds no atom."""
+"""The lifted classes of the exact tier (`numeric.decide_exactly` on a
+target that does not split whole): the residuals they prove before any probe
+point, their soundness against the probe oracle, and that they build no
+atom."""
 
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from liesym import numeric
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invdiff import apply_D
 from liesym.jet import apply_prolonged, prolong, total_derivative
-from liesym.numeric import ProbeConfig, ZeroStatus, decide_exactly, decide_lifted, is_zero
+from liesym.numeric import ProbeConfig, ZeroStatus, decide_exactly, is_zero, power_split
 
 from probe_oracle import ref_probe_verdict
 from sympy_oracle import to_sympy
@@ -48,7 +49,7 @@ def _undecided_rows():
     """(row, residual, positive) for every residual of the rows that the
     default-seed report held as ProbablyZero before the lifted step, and of
     the `(28,n)` projective equation at the family orders 6..11: those that
-    `decide_exactly` leaves undecided."""
+    do not split whole."""
     one_three = _con("(1,3)")
     phi1 = one_three.invariants[0][1]
     rows = [("(1,3) phi1", r, frozenset()) for r in _residuals(one_three.fields, phi1, False)]
@@ -62,20 +63,21 @@ def _undecided_rows():
                  for r in _equation_residuals(con.fields, con.equations[0].variants["identity"])]
     for label in ("(6,6)", "(8,8)", "(28,6)"):
         rows += [(f"{label} pair1", ea - eb, pos) for ea, eb, pos in _con(label).equivalences]
-    return [row for row in rows if decide_exactly(row[1]) is None]
+    rows = [row for row in rows if power_split(row[1]) is None]
+    assert sorted({label for label, _r, _p in rows}) == sorted(
+        ["(1,3) phi1", "(1,3) lambda", "(1,3) D(phi)", "(6,6) pair1", "(8,8) pair1",
+         "(28,6) pair1"] + [f"(28,n) eq1@{n}" for n in range(6, 12)])
+    return rows
 
 
 def test_undecided_residuals_are_proved_and_vanish_under_sympy():
-    # each is proved zero by the lifted step alone; sympy brings each to 0
+    # each is proved zero by the lifted classes alone; sympy brings each to 0
     # independently, with the record's positive atoms declared positive:
     # valid power rules, then one fraction, then cancellation
     sympy = pytest.importorskip("sympy")
     rows = _undecided_rows()
-    assert sorted({label for label, _r, _p in rows}) == sorted(
-        ["(1,3) phi1", "(1,3) lambda", "(1,3) D(phi)", "(6,6) pair1", "(8,8) pair1",
-         "(28,6) pair1"] + [f"(28,n) eq1@{n}" for n in range(6, 12)])
     for label, residual, positive in rows:
-        assert decide_lifted(residual, positive), label
+        assert decide_exactly(residual, positive), label
         assert is_zero(residual, PR, positive).status == ZeroStatus.EXACT_ZERO, label
         s = to_sympy(sympy, residual).subs({
             sympy.Symbol(E.atom_name(a)): sympy.Symbol(E.atom_name(a), positive=True)
@@ -90,7 +92,7 @@ def test_projective_equation_was_only_probable_before():
     # a proof
     con = _con("(28,n)", 6)
     residual = [r for r in _equation_residuals(con.fields, con.equations[0].variants["identity"])
-                if decide_exactly(r) is None][0]
+                if power_split(r) is None][0]
     probed = ref_probe_verdict(residual, None, PR, frozenset())
     assert probed.status == ZeroStatus.PROBABLY_ZERO and probed.points_tested == 20
     assert is_zero(residual, PR) == numeric.ZeroVerdict(ZeroStatus.EXACT_ZERO)
@@ -130,14 +132,14 @@ def lifted_targets(draw):
 @settings(max_examples=40, deadline=None)
 @given(lifted_targets())
 def test_lifted_zero_has_no_probe_witness(case):
-    # soundness: whenever the lifted step says zero, the probe oracle finds
-    # no witness at 20 points; a target it proves is ExactZero, and any other
-    # verdict is the oracle's, byte for byte
+    # soundness: whenever the lifted classes say zero, the probe oracle finds
+    # no witness at 20 points; a target they prove is ExactZero, and any
+    # other verdict is the oracle's, byte for byte
     target, c, positive = case
-    lifted = decide_lifted(target, positive)
-    assert lifted in (True, None)
-    if decide_exactly(target) is not None:
+    if power_split(target) is not None:
         return
+    lifted = decide_exactly(target, positive)
+    assert lifted in (True, None)
     oracle = ref_probe_verdict(target, None, PR, positive)
     if lifted:
         assert oracle.status == ZeroStatus.PROBABLY_ZERO
@@ -150,35 +152,59 @@ def test_lifted_zero_has_no_probe_witness(case):
         assert verdict.to_json() == oracle.to_json()
 
 
+def _count_eval_mp(monkeypatch) -> list:
+    calls = []
+    real = numeric.eval_mp
+
+    def spy(e, point, digits):
+        calls.append(e)
+        return real(e, point, digits)
+
+    monkeypatch.setattr(numeric, "eval_mp", spy)
+    return calls
+
+
+def test_undecided_residuals_are_proved_before_any_probe_point(monkeypatch):
+    # the lifted classes are a branch of the exact tier, so a residual they
+    # prove is ExactZero without one probe point evaluated
+    rows = _undecided_rows()
+    calls = _count_eval_mp(monkeypatch)
+    for label, residual, positive in rows:
+        assert is_zero(residual, PR, positive) == numeric.ZeroVerdict(ZeroStatus.EXACT_ZERO), label
+    assert calls == []
+    # a zero with dependent lifts is still probed, to the oracle's verdict
+    e = E.transcendental("exp", X) * E.transcendental("exp", -X) - 1
+    verdict = is_zero(e, PR)
+    assert verdict.to_json() == ref_probe_verdict(e, None, PR, frozenset()).to_json()
+    assert verdict.status == ZeroStatus.PROBABLY_ZERO and len(calls) == PR.points
+
+
 def test_dependent_lifts_leave_the_probe_verdict_unchanged():
     # exp(x)*exp(-x) - 1 and sin^2 + cos^2 - 1 vanish, but their lifted
-    # terms are dependent: the lifted step gives None, never False, and the
-    # probe goes on from the second point to the oracle's verdict
+    # terms are dependent: the exact tier gives None, never False, and the
+    # probe gives the oracle's verdict; so does a nonzero target whose
+    # classes do not split, with the witness at the first point
     sin, cos = E.transcendental("sin", X), E.transcendental("cos", X)
     for e in (E.transcendental("exp", X) * E.transcendental("exp", -X) - 1,
               sin ** 2 + cos ** 2 - 1):
-        assert decide_exactly(e) is None and decide_lifted(e, frozenset()) is None
+        assert power_split(e) is None and decide_exactly(e, frozenset()) is None
         verdict = is_zero(e, PR)
         assert verdict.status == ZeroStatus.PROBABLY_ZERO
         assert verdict == ref_probe_verdict(e, None, PR, frozenset())
-
-
-def test_first_point_witness_skips_the_lifted_step(monkeypatch):
-    calls = []
-    monkeypatch.setattr(numeric, "decide_lifted", lambda e, positive: calls.append(e))
     e = E.transcendental("exp", X) * J(1) - J(2) ** F(1, 2) + J(2) ** F(1, 3)
-    assert is_zero(e, PR) == ref_probe_verdict(e, None, PR, frozenset())
-    assert is_zero(e, PR).status == ZeroStatus.PROBABLY_NONZERO
-    assert calls == []
+    assert decide_exactly(e, frozenset()) is None
+    verdict = is_zero(e, PR)
+    assert verdict == ref_probe_verdict(e, None, PR, frozenset())
+    assert verdict.status == ZeroStatus.PROBABLY_NONZERO and verdict.points_tested == 1
 
 
 def test_lifted_step_builds_no_atom():
-    # the fresh indeterminates are never built: the step reads the
-    # coefficient of each of their monomials as a group of terms
+    # the fresh indeterminates are never built: the exact tier reads the
+    # coefficient of each of their monomials as a class of terms
     e = (E.transcendental("exp", X) * B ** F(-3, 2) - E.transcendental("exp", X) * B * B ** F(-5, 2)
          + B ** F(-1, 3) - B * B ** F(-4, 3))
-    assert decide_exactly(e) is None
+    assert power_split(e) is None
     size = len(E._ATOM_CACHE)
     for _ in range(3):
-        assert decide_lifted(e, frozenset())
+        assert decide_exactly(e, frozenset())
     assert len(E._ATOM_CACHE) == size

@@ -38,7 +38,7 @@ def _decisions(fields, f, ws):
     front = math.prod([P ** (c - 1) for P, c in split[1]], start=E.ONE)
     for (zero, residual), D in zip(got, oracle):
         assert residual == (front * D if zero is False else None)
-    return [zero for zero, _residual in got], [decide_exactly(D) for D in oracle]
+    return [zero for zero, _residual in got], [decide_exactly(D, frozenset()) for D in oracle]
 
 
 # field coefficients: an exp atom, fractional powers of a compound base, of an

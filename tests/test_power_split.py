@@ -133,7 +133,7 @@ def test_exact_tier_decides_a_split_sum(A, B, Q, c, cancel):
     if cancel:
         A = -B * P
     e = A * P ** c + B * P ** (c + 1)
-    zero = decide_exactly(e)
+    zero = decide_exactly(e, frozenset())
     assert zero == (A + B * P).is_zero_expr()
     assert ref_probe_verdict(e, None, PR, frozenset()).is_zero == zero
 
@@ -280,24 +280,6 @@ def test_split_verdicts_agree_with_the_residual_zero_test():
     assert by_class >= 110 and nonzero_by_class >= 50
 
 
-def test_lifted_step_never_runs_on_the_perturbed_checks(monkeypatch):
-    # the first-point guard: every perturbed residual that the exact tier
-    # leaves undecided has its witness at the first probe point, so the
-    # lifted step runs on none of them; on the unperturbed checks it does run
-    import liesym.numeric as numeric
-
-    real, calls = numeric.decide_lifted, []
-
-    def spy(e, positive):
-        calls.append(perturbed)
-        return real(e, positive)
-
-    monkeypatch.setattr(numeric, "decide_lifted", spy)
-    for label, fields, f, weighted, perturbed in _default_checks():
-        relative_invariant_verdicts(fields, f, _weight if weighted else None, PR)
-    assert True not in calls and len(calls) >= 3
-
-
 def test_negatives_residual_with_radicals_is_exact_nonzero():
     # the negatives workload's perturbed lambda*(1 + c*x) of (8,8): under the
     # eighth field the residual holds radicals, D_X is proved nonzero, and
@@ -308,7 +290,8 @@ def test_negatives_residual_with_radicals_is_exact_nonzero():
     residual = _residual(X_, f, True)
     assert not E.is_rational_fragment(residual)
     PX = prolong(X_, E.max_jet_order(f))
-    assert decide_exactly(log_derivative_numerator(PX, _weight(X_), *power_split(f))) is False
+    assert decide_exactly(log_derivative_numerator(PX, _weight(X_), *power_split(f)),
+                          frozenset()) is False
     verdict, = relative_invariant_verdicts([X_], f, _weight, PR)
     assert verdict.status == ZeroStatus.EXACT_NONZERO
     assert verdict.witness is not None and verdict.magnitude is not None
