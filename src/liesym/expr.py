@@ -784,14 +784,14 @@ def walk_bases(e: Expr):
                     stack.append(b.arg)
 
 
-def leaf_atoms(e: Expr) -> set:
+def leaf_atoms(e: Expr) -> frozenset:
     """Sampleable coordinates: indep/dep/jet/param atoms, looking through
-    compound bases and transcendental arguments."""
-    out = set()
-    for b, _ in walk_bases(e):
-        if isinstance(b, Atom) and b.kind != "transc":
-            out.add(b)
-    return out
+    compound bases and transcendental arguments; cached on e."""
+    atoms = e._flags.get("leaf")
+    if atoms is None:
+        atoms = e._flags["leaf"] = frozenset(
+            [b for b, _ in walk_bases(e) if type(b) is Atom and b.kind != "transc"])
+    return atoms
 
 
 def max_jet_order(e: Expr):

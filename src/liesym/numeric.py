@@ -30,7 +30,11 @@ it was derived from) is defined too.
 A probe point is evaluated by one walk over the expression tree with raw
 mpmath values, each base and each power of a base computed once per point.
 Each value, rejected point and magnitude string is bit-identical to
-evaluating the tree with mpf objects at the same precision.
+evaluating the tree with mpf objects at the same precision.  The walker of
+a point (`_walker`) also has a domain walk, which rejects the points the
+value walk rejects while computing only the values its tests read; the
+witness search of `nonzero_verdict` checks the target's domain with it and
+evaluates the witness expression over the same memo.
 
 The sampling policy is fixed, not configured: every coordinate of a probe
 point is a rational sign*num/den with den in [10^3, 10^6] and magnitude
@@ -341,10 +345,26 @@ def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
     denominator, non-positive fractional-power base, bad ln argument), and
     ExprError when the walk reaches an atom that `point` does not bind.
     """
+    value, _domain = _walker(point, digits)
+    return mpmath.mp.make_mpf(value(e))
+
+
+def _walker(point: Mapping[Atom, Fraction], digits: int):
+    """(value, domain): two walks over expressions at one point, sharing one
+    memo of base and power values.
+
+    `value(e)` is e's raw value, as `eval_mp` returns it.  `domain(e)` raises
+    _BadPoint exactly when `value(e)` would, and computes only what the
+    admissibility tests read: the value of a base under a negative or
+    fractional power and of an ln argument.  It visits the other bases once,
+    recursing into compound bases and call arguments, and never sums terms or
+    converts coefficients.
+    """
     prec = libmp.dps_to_prec(digits + 15)
     tiny = libmp.mpf_pow_int(libmp.from_int(10), _TINY_EXP, prec, _RND)
     mul, add, lt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_lt
     memo: dict = {}  # base -> value, (base, exponent) -> value
+    checked = set()  # bases whose domain is checked without their value
 
     def node(e):
         total = libmp.fzero
@@ -377,24 +397,46 @@ def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
         memo[b] = bv
         return bv
 
-    def power(b, ex):
-        pv = memo.get((b, ex))
-        if pv is not None:
-            return pv
+    def admissible(b, ex):
+        """b's value, once the test that b^ex reads of it passes."""
         bv = base(b)
         if ex.denominator == 1:
             if ex < 0 and lt(libmp.mpf_abs(bv, prec, _RND), tiny):
                 raise _BadPoint
+        elif lt(bv, tiny):
+            raise _BadPoint
+        return bv
+
+    def power(b, ex):
+        pv = memo.get((b, ex))
+        if pv is not None:
+            return pv
+        bv = admissible(b, ex)
+        if ex.denominator == 1:
             pv = libmp.mpf_pow_int(bv, ex.numerator, prec, _RND)
         else:
-            if lt(bv, tiny):
-                raise _BadPoint
             pv = libmp.mpf_pow(bv, _mpf_rational(ex.numerator, ex.denominator, prec),
                                prec, _RND)
         memo[(b, ex)] = pv
         return pv
 
-    return mpmath.mp.make_mpf(node(e))
+    def domain(e):
+        for mono, _coeff in e._terms:
+            for b, ex in mono:
+                if ex < 0 or ex.denominator != 1:
+                    admissible(b, ex)
+                elif b in memo or b in checked or isinstance(b, int):
+                    continue
+                elif isinstance(b, Expr):
+                    domain(b)
+                elif b.kind == "transc":
+                    if b.fn != "ln":
+                        domain(b.arg)
+                    elif lt(base(b.arg), tiny):
+                        raise _BadPoint
+                checked.add(b)
+
+    return node, domain
 
 
 def _mpf_rational(p: int, q: int, prec: int):
@@ -485,11 +527,12 @@ def classes(e: Expr, positive) -> list:
     lists as (base, exponent) pairs.
     """
     cleared = {}
-    for b, ex in (item for mono, _c in e._terms for item in mono):
-        if type(ex) is not int and isinstance(b, Expr) and is_rational_fragment(b):
-            num, den = clear_denominators(b)
-            if den and all(type(a) is Atom and a in positive for a in den):
-                cleared[b] = num, den
+    if positive:  # with none, no denominator is a monomial in positive atoms
+        for b, ex in (item for mono, _c in e._terms for item in mono):
+            if type(ex) is not int and isinstance(b, Expr) and is_rational_fragment(b):
+                num, den = clear_denominators(b)
+                if den and all(type(a) is Atom and a in positive for a in den):
+                    cleared[b] = num, den
     if cleared:
         e = expr_sum(math.prod([cleared[b][0].pow(ex) * _make_term(
                                     1, {a: -p * ex for a, p in cleared[b][1].items()})
@@ -515,10 +558,13 @@ def nonzero_verdict(e: Expr, domain: Expr, probe: ProbeConfig) -> ZeroVerdict:
     """ExactNonzero for e, proved nonzero, with the witness `is_zero` would
     search for: the points are drawn over the atoms of e and of `domain`,
     and a point where `domain` cannot be evaluated is inadmissible as well,
-    so the witness lies where `domain` is defined."""
+    so the witness lies where `domain` is defined.  At each point the domain
+    walk checks `domain` without its value, and e is evaluated in the same
+    walker, so the bases the two share are computed once."""
     def evaluate(p):
-        eval_mp(domain, p, probe.digits)
-        return eval_mp(e, p, probe.digits)
+        value, check = _walker(p, probe.digits)
+        check(domain)
+        return mpmath.mp.make_mpf(value(e))
 
     return _probe(leaf_atoms(e) | leaf_atoms(domain), evaluate, False, probe, frozenset())
 

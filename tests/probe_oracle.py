@@ -1,7 +1,9 @@
 """The probe tier on its own: the verdict that probing alone gives, given
 the exact tier's answer `zero`.  An oracle for what probing says about an
 expression, independent of the lifted classes of `numeric.decide_exactly`
-and of the probe loop of `numeric.is_zero`.
+and of the probe loop of `numeric.is_zero`; and the witness search of
+`numeric.nonzero_verdict` with a full evaluation of the domain at each
+point, independent of its shared walker.
 """
 
 import random
@@ -20,12 +22,28 @@ def ref_probe_verdict(e, zero, probe, positive):
     ExactNonzero without a witness."""
     if zero:
         return ZeroVerdict(ZeroStatus.EXACT_ZERO)
-    proved = zero is False
+    return _ref_search(leaf_atoms(e), lambda p: eval_mp(e, p, probe.digits),
+                       zero is False, probe, positive)
+
+
+def ref_nonzero_verdict(e, domain, probe):
+    """ExactNonzero for e, proved nonzero, searched for as `ref_probe_verdict`
+    does, over the atoms of e and `domain`, by two walks per point, each with
+    its own memo: `domain` is evaluated in full (a point where it raises
+    _BadPoint is inadmissible), then e."""
+    def evaluate(p):
+        eval_mp(domain, p, probe.digits)
+        return eval_mp(e, p, probe.digits)
+
+    return _ref_search(leaf_atoms(e) | leaf_atoms(domain), evaluate, True, probe, frozenset())
+
+
+def _ref_search(atoms, evaluate, proved, probe, positive):
     rng = random.Random(probe.seed)
-    atoms = sorted(leaf_atoms(e), key=lambda a: a._key)
+    atoms = sorted(atoms, key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
     for i in range(probe.points):
-        point, value = _probe_once(rng, atoms, positive, lambda p: eval_mp(e, p, probe.digits))
+        point, value = _probe_once(rng, atoms, positive, evaluate)
         with mpmath.workdps(probe.digits + 15):
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"

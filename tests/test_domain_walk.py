@@ -1,0 +1,140 @@
+"""The domain walk of `numeric._walker` rejects a point exactly when
+`eval_mp` does: over the stored targets of the catalog and over built
+expressions with poles, radicals, logarithms and nested calls."""
+
+import functools
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from liesym import expr as E
+from liesym.catalog import default_order, instantiate, load_catalog
+from liesym.invdiff import apply_D
+from liesym.numeric import _BadPoint, _walker, eval_mp, sample_point
+
+XA, YA, PA = E.indep(), E.dep(), E.jet(1)
+X, Y, P1 = XA.as_expr(), YA.as_expr(), PA.as_expr()
+DIGITS = 50
+TINY = F(1, 10 ** 11)  # below the 10^-10 admissibility threshold
+# coordinates that put bases on poles, radicands below zero and ln
+# arguments below 10^-10, next to ordinary values
+VALUES = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), TINY]
+
+
+def _rejected(run, e) -> bool:
+    try:
+        run(e)
+    except _BadPoint:
+        return True
+    return False
+
+
+def _agrees(e, point) -> bool:
+    """Whether `point` is rejected, after asserting that the domain walk and
+    `eval_mp` reject it alike."""
+    _value, domain = _walker(point, DIGITS)
+    rejected = _rejected(domain, e)
+    assert rejected == _rejected(lambda t: eval_mp(t, point, DIGITS), e)
+    return rejected
+
+
+@functools.cache
+def _stored_targets() -> list:
+    """Every stored invariant, lambda and closure D(phi1) of the default
+    instantiations."""
+    out = []
+    for rec in sorted(load_catalog(), key=lambda r: r.label):
+        con = instantiate(rec, n=default_order(rec))
+        out += [phi for _order, phi in con.invariants]
+        if con.lam is not None:
+            out.append(con.lam)
+            if con.invariants:
+                out.append(apply_D(con.lam, con.invariants[0][1]))
+    return out
+
+
+def test_stored_targets_reject_the_points_eval_mp_rejects():
+    # sampled points are mostly admissible; points over VALUES mostly hit
+    # a pole, a negative radicand or a vanishing jet coordinate
+    rng = random.Random(3)
+    seen = set()
+    for target in _stored_targets():
+        atoms = sorted(E.leaf_atoms(target), key=lambda a: a._key)
+        for _ in range(3):
+            seen.add(_agrees(target, sample_point(rng, atoms, frozenset())))
+            seen.add(_agrees(target, {a: rng.choice(VALUES) for a in atoms}))
+    assert len(_stored_targets()) >= 100 and seen == {True, False}
+
+
+LN_X = E.transcendental("ln", X)
+# a compound base under a positive power, which the normal form expands but
+# a monomial built directly may hold
+SQUARED = E._expr_from_terms({((1 + (X - Y) ** -1, 2),): 1})
+
+
+@pytest.mark.parametrize("e,point,rejected", [
+    ((X - Y) ** -1, {XA: F(1), YA: F(1)}, True),
+    ((X - Y) ** -1, {XA: F(2), YA: F(1)}, False),
+    ((X - 2) ** F(1, 2), {XA: F(1)}, True),
+    ((X - 2) ** F(1, 2), {XA: F(3)}, False),
+    (LN_X * Y, {XA: TINY, YA: F(1)}, True),
+    (LN_X ** 2 + Y, {XA: TINY, YA: F(1)}, True),
+    (LN_X ** -1, {XA: F(1)}, True),
+    (E.transcendental("exp", LN_X) + 1, {XA: TINY}, True),
+    (E.transcendental("sin", (X - Y) ** -1) * X, {XA: F(1), YA: F(1)}, True),
+    (E.transcendental("sin", (X - Y) ** -1) * X, {XA: F(1), YA: F(3)}, False),
+    ((2 + (X - Y) ** -1) ** F(1, 2), {XA: F(1), YA: F(1)}, True),
+    ((2 + (X - Y) ** -1) ** F(1, 2), {XA: F(1), YA: F(5, 4)}, True),
+    ((2 + (X - Y) ** -1) ** F(1, 2), {XA: F(2), YA: F(1)}, False),
+    (E.transcendental("arctan", 1 + P1 ** F(-1, 2)) ** 3, {PA: F(-1)}, True),
+    (E.transcendental("arctan", 1 + P1 ** F(-1, 2)) ** 3, {PA: F(4)}, False),
+    (SQUARED, {XA: F(1), YA: F(1)}, True),
+    (SQUARED, {XA: F(2), YA: F(1)}, False),
+], ids=["pole", "off-pole", "negative-radicand", "positive-radicand", "ln-tiny",
+        "ln-tiny-squared", "ln-at-one-inverted", "ln-inside-exp", "pole-inside-sin",
+        "sin-off-pole", "pole-under-root", "negative-radicand-of-sum", "root-of-sum",
+        "radical-inside-cubed-call", "cubed-call", "pole-inside-squared-sum",
+        "squared-sum"])
+def test_explicit_points(e, point, rejected):
+    assert _agrees(e, point) == rejected
+
+
+_ATOMS = [XA, YA, PA]
+_FNS = ["ln", "exp", "sin", "cos", "arctan"]
+_EXPONENTS = [F(-2), F(-1), F(2), F(1, 2), F(-1, 2), F(1, 3), F(-3, 2)]
+
+
+def _build(tree):
+    kind = tree[0]
+    if kind == "atom":
+        return _ATOMS[tree[1]].as_expr()
+    if kind == "const":
+        return E.Expr.rational(tree[1])
+    if kind == "call":
+        return E.transcendental(tree[1], _build(tree[2]))
+    if kind == "pow":
+        return _build(tree[2]) ** tree[1]
+    a, b = _build(tree[1]), _build(tree[2])
+    return a + b if kind == "add" else a * b
+
+
+_TREES = st.recursive(
+    st.one_of(st.tuples(st.just("atom"), st.integers(0, len(_ATOMS) - 1)),
+              st.tuples(st.just("const"), st.sampled_from([F(1), F(-2), F(1, 3)]))),
+    lambda inner: st.one_of(
+        st.tuples(st.just("call"), st.sampled_from(_FNS), inner),
+        st.tuples(st.just("pow"), st.sampled_from(_EXPONENTS), inner),
+        st.tuples(st.sampled_from(["add", "mul"]), inner, inner)),
+    max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(_TREES, st.lists(st.sampled_from(VALUES), min_size=3, max_size=3))
+def test_built_expressions_reject_the_points_eval_mp_rejects(tree, values):
+    try:
+        e = _build(tree)
+    except (E.ExprError, ZeroDivisionError, ValueError):
+        assume(False)  # a constant outside the domain, such as ln(0)
+    _agrees(e, dict(zip(_ATOMS, values)))

@@ -176,6 +176,20 @@ def test_max_jet_order_is_cached_and_survives_pickle():
         assert E.max_jet_order(pickle.loads(pickle.dumps(e))) == want
 
 
+def test_leaf_atoms_is_cached_and_equals_a_fresh_scan():
+    al = E.param("alpha").as_expr()
+    exprs = [E.ONE, X + al, E.transcendental("sin", al * J(2)) * (X + J(1)) ** F(-1, 2),
+             (1 + E.transcendental("ln", 1 + Y ** 2)) ** F(1, 3)]
+    for rec in load_catalog():
+        con = instantiate(rec)
+        exprs += [phi for _, phi in con.invariants] + [c for f in con.fields for c in (f.xi, f.eta)]
+    for e in exprs:
+        atoms = E.leaf_atoms(e)
+        assert type(atoms) is frozenset and E.leaf_atoms(e) is atoms
+        assert atoms == {b for b, _ in E.walk_bases(e) if type(b) is E.Atom and b.kind != "transc"}
+    assert E.leaf_atoms(exprs[2]) == {E.param("alpha"), E.jet(2), E.indep(), E.jet(1)}
+
+
 _PICKLE_ACROSS_SEEDS = """
 import pickle, sys
 from liesym.expr import Expr, max_jet_order

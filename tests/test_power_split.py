@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym import expr as E
+from liesym import invariance
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invariance import (
     _class_splits,
@@ -28,12 +29,13 @@ from liesym.numeric import (
     decide_exactly,
     eval_mp,
     is_zero,
+    nonzero_verdict,
     power_split,
     sample_point,
     sample_rational,
 )
 from log_derivative_oracle import log_derivative_numerator
-from probe_oracle import ref_probe_verdict
+from probe_oracle import ref_nonzero_verdict, ref_probe_verdict
 from sympy_oracle import to_sympy
 
 X = E.indep().as_expr()
@@ -278,6 +280,32 @@ def test_split_verdicts_agree_with_the_residual_zero_test():
             rejected += 1
     assert with_radicals >= 100 and nonzero_with_radicals >= 37 and rejected >= 60
     assert by_class >= 110 and nonzero_by_class >= 50
+
+
+def test_witness_search_equals_the_two_walk_oracle(monkeypatch):
+    # every witness search of the perturbed checks, which checks the target's
+    # domain and evaluates E in one walker per point, gives the verdict of
+    # two separate full evaluations, field for field, at three probe seeds
+    searches = []
+
+    def spy(e, domain, probe):
+        searches.append((e, domain))
+        return nonzero_verdict(e, domain, probe)
+
+    monkeypatch.setattr(invariance, "nonzero_verdict", spy)
+    for _label, fields, f, weighted, perturbed in _default_checks():
+        if perturbed:
+            relative_invariant_verdicts(fields, f, _weight if weighted else None, PR)
+    assert len(searches) >= 150
+    witnessed = 0
+    for seed in (PR.seed, 1234, 2027):
+        probe = ProbeConfig(points=PR.points, digits=PR.digits, seed=seed)
+        for e, domain in searches:
+            verdict = nonzero_verdict(e, domain, probe)
+            assert verdict == ref_nonzero_verdict(e, domain, probe)
+            assert verdict.status == ZeroStatus.EXACT_NONZERO
+            witnessed += verdict.witness is not None
+    assert witnessed == 3 * len(searches)
 
 
 def test_negatives_residual_with_radicals_is_exact_nonzero():
