@@ -12,7 +12,10 @@ determinant and the Cramer solve run it.
 
 Invariants and lambdas are decided over the packed monomials of
 :mod:`liesym.poly`, in its ring of first-sight slots (`poly.shared`): a
-product of monomials is one int addition.  An empty D_X is zero; another is
+product of monomials is one int addition.  The target's split hands over
+its numerator N already packed in that ring, and the derivatives of N and
+of the P_k are read from the packed exponents, so no part of D_X is built
+as an expression.  An empty D_X is zero; another is
 unpacked for `decide_exactly`, and when that proves it nonzero the witness
 is probed on D_X times the split's nowhere-zero factor, so no residual is
 built.  A target that does not split whole is decided class by class, in
@@ -44,7 +47,7 @@ from .numeric import (
     nonzero_verdict,
     power_split,
 )
-from .poly import WIDTH, mac, packed, shared, width
+from .poly import WIDTH, integral, mac, packed, shared, width
 
 
 @dataclass(frozen=True)
@@ -159,33 +162,39 @@ def _class_splits(f: Expr) -> list:
 def _decide_log_derivatives(split, prolonged, ws) -> list:
     """(decide_exactly(D_X), E) per field and w (None for 0) for the target's
     split (N, ((P_k, c_k), ...)): D_X = sum_a X(a)*G_a - w*H, with G_a and
-    H = N * prod P_k the numerators of df/da and f, built once.  N, each P_k,
-    the c_k (with dN/da and H) and each field's coefficients and w are
-    scaled by the lcm of their denominators: D_X by a nonzero rational S.
-    When D_X is proved nonzero, E = prod P_k^(c_k - 1) * D_X / S is the
-    residual pr(X)(f) - w*f; else E is None."""
+    H = N * prod P_k the numerators of df/da and f, built once.  N comes
+    packed from the split, and dN/da and dP_k/da are read from the packed
+    exponents.  N, each P_k, the c_k (with dN/da and H) and each field's
+    coefficients and w are scaled by the lcm of their denominators: D_X by
+    a nonzero rational S.  When D_X is proved nonzero,
+    E = prod P_k^(c_k - 1) * D_X / S is the residual pr(X)(f) - w*f; else E
+    is None."""
     N, factors = split
-    parts = [N] + [P for P, _c in factors]
     rows = [(PX.base.xi, PX.base.eta, *PX.coeffs, *([] if w is None else [w]))
             for PX, w in zip(prolonged, ws)]
     # a monomial of D_X is one of N or dN/da, one of each P_k or dP_k/da and
     # one of a field coefficient or w: its degree bounds every exponent
-    bound = sum(packed(p, WIDTH)[2] for p in parts) + max(
+    bound = N.ring.total_degree(N) + sum(packed(P, WIDTH)[2] for P, _c in factors) + max(
         [packed(v, WIDTH)[2] for row in rows for v in row], default=0)
     ring = shared(width(bound))
-    polys, dens = zip(*[packed(p, ring.W)[:2] for p in parts])
+    polys, dens = zip(integral(ring.repack(N)), *[packed(P, ring.W)[:2] for P, _c in factors])
     L = math.lcm(*[c.denominator for _P, c in factors])
     weights = [L] + [(L * c).numerator for _P, c in factors]
+    W, mask = ring.W, (1 << ring.W) - 1
     G: dict = {}  # slot of a coordinate a -> G_a, and -1 -> -H
-    for j, (p, poly, weight) in enumerate(zip(parts, polys, weights)):
+    for j, (poly, weight) in enumerate(zip(polys, weights)):
         cofactor = reduce(lambda acc, q: mac({}, acc, q, 1), polys[:j] + polys[j + 1:], {0: 1})
         if not j and ws.count(None) < len(ws):
             G[-1] = mac({}, poly, cofactor, -L)
-        for (mono, _c), (m, k) in zip(p._terms, poly.items()):
-            for a, ex in mono:  # N and P_k are polynomials over the atoms
-                s = ring.index[(a, 1)]  # a coordinate's slot is its place in a row
-                if s < len(_COORDS):
-                    mac(G.setdefault(s, {}), {m - (1 << ring.W * s): k * ex}, cofactor, weight)
+        for m, k in poly.items():
+            # N and the P_k are polynomials over the atoms; a coordinate's
+            # slot is its place in a row
+            r, s = m, 0
+            while r and s < len(_COORDS):
+                ex = r & mask
+                if ex:
+                    mac(G.setdefault(s, {}), {m - (1 << W * s): k * ex}, cofactor, weight)
+                r, s = r >> W, s + 1
     decided, front = [], None
     for row, w in zip(rows, ws):
         scaled = [packed(v, ring.W) for v in row]

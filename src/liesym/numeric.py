@@ -4,18 +4,22 @@ The exact tier, `decide_exactly`, writes an expression e as
 N * prod P_k^(c_k) (`power_split`), with N and every P_k polynomials in the
 atoms and each c_k rational.  The product vanishes nowhere where e is
 defined, so e is identically zero exactly when N is, and a polynomial is
-zero iff its normal form is empty.  That holds whatever the relations
-between the radicals P_k^(c_k); nothing assumes them independent (the
-pitfall described by Caviness & Fateman, 1976).  A rational function is
-the split with no fractional factor: N is its numerator once every compound
-or atomic denominator is cleared (`clear_denominators`): the terms of one
-denominator signature share one product of missing powers, and a compound
-base keeps its cleared (N, D) in its flags for `power_split` and later terms.
-When e does not split whole (transcendental atoms, constant surds, mixed
-exponent classes), the tier lifts those factors to fresh indeterminates and
-splits the coefficient of each of their monomials, a class of e's terms
-(`classes`): every class split with N empty proves e zero, and anything
-else gives no exact answer, since lifted terms may be dependent.
+zero iff it has no term.  That holds whatever the relations between the
+radicals P_k^(c_k); nothing assumes them independent (the pitfall
+described by Caviness & Fateman, 1976).  A rational function is the split
+with no fractional factor: N is its numerator once every compound or
+atomic denominator is cleared (`clear_denominators`).  N is never built as
+an expression: it is a packed polynomial of `poly.shared`, each monomial
+one int, so the terms of one denominator signature are summed in one dict
+and multiplied by their missing powers with int additions.  A compound
+base is a denominator key and a factor P_k, so it keeps its cleared (N, D)
+in its flags with N as an expression too, for `power_split` and later
+terms.  When e does not split whole (transcendental atoms, constant surds,
+mixed exponent classes), the tier lifts those factors to fresh
+indeterminates and splits the coefficient of each of their monomials, a
+class of e's terms (`classes`): every class split with N empty proves e
+zero, and anything else gives no exact answer, since lifted terms may be
+dependent.
 
 `is_zero` runs the exact tier and then the probe, which only searches for
 a witness.  Unless e is proved zero, it is probed at seeded random rational
@@ -56,6 +60,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional
 
 import mpmath
@@ -65,19 +70,18 @@ from .expr import (
     Atom,
     Expr,
     ExprError,
-    ONE,
     _format_base_pow,
     _acc_add,
     _expr_from_terms,
     _make_term,
+    _normal,
     atom_name,
     expr_sum,
     is_polynomial,
     is_rational_fragment,
     leaf_atoms,
-    sum_of_products,
-    walk_bases,
 )
+from .poly import Poly, Ring, degree, mac, shared, width
 
 
 class SamplingExhausted(ExprError):
@@ -189,54 +193,113 @@ def sample_point(rng: random.Random, atoms, positive) -> dict:
 
 def clear_denominators(e: Expr):
     """(N, D) for a rational-fragment expression: e == N / prod(D), with N
-    a polynomial (e times its nonzero denominators, fully expanded) and D a
-    dict mapping each denominator base (atom or polynomial expression) to
-    its positive power, in order of first appearance in the terms (the
-    factor order of `power_split`).  Terms with one denominator signature
-    share one numerator sum and one chain of missing powers, which leaves
-    the normal form N unchanged.  (N, D items) is kept in e's flags."""
+    the polynomial e * prod(D) packed in `poly.shared(W)`, and D a dict
+    mapping each denominator base (atom or polynomial expression) to its
+    positive power, in order of first appearance in the terms (the factor
+    order of `power_split`).
+
+    W is `poly.width` of a bound on N's degree, taken before anything is
+    packed.  The terms with one denominator signature are added into one
+    numerator, which is multiplied by the product of the missing powers
+    once; a monomial is an int, so a product of monomials is one addition.
+    A compound key keeps each of its packed powers in its flags, and a
+    compound base keeps its own (N, D), N also as an Expr (`_cleared`).
+    (N, D items) is kept in e's flags."""
     hit = e._flags.get("clear")
     if hit is not None:
         return hit[0], dict(hit[1])
-    groups: dict = {}
-    den_max: dict = {}
+    rows, den_max, top = [], {}, 0
     for mono, coeff in e._terms:
-        num_mono, factors, t_den = [], [], {}
+        atoms, keys, t_den, deg = [], [], {}, 0
         for b, ex in mono:
             k = ex.numerator  # rational fragment: integer exponents only
-            if isinstance(b, Atom):
-                if k >= 0:
-                    num_mono.append((b, k))
+            if type(b) is Atom:
+                if k > 0:
+                    atoms.append((b, k))
+                    deg += k
                 else:
                     t_den[b] = t_den.get(b, 0) - k
-            elif isinstance(b, Expr) and k < 0:
-                nb, db = clear_denominators(b)
-                factors += [_key_expr(dkey).pow(dpow * -k) for dkey, dpow in db.items()]
+            elif type(b) is Expr and k < 0:
+                nb, db = _cleared(b)
+                for key, p in db:
+                    (atoms if type(key) is Atom else keys).append((key, -k * p))
+                    deg -= k * p * _degree(key)
                 t_den[nb] = t_den.get(nb, 0) - k
             else:  # a constant surd, or a sum that the normal form expands
                 raise ExprError(f"{_format_base_pow(b, ex)} is outside the rational fragment")
         for key, p in t_den.items():
             if den_max.get(key, 0) < p:
                 den_max[key] = p
+        rows.append((t_den, atoms, keys, coeff))
+        top = max(top, deg)
+    ring = shared(width(top + sum(p * _degree(key) for key, p in den_max.items())))
+    W, index, shifts = ring.W, ring.index, {}
+
+    def monomial(items) -> int:
+        m = 0
+        for a, k in items:
+            s = shifts.get(a)
+            if s is None:
+                s = shifts[a] = W * index.setdefault((a, 1), len(index))
+            m += k << s
+        return m
+
+    groups: dict = {}
+    for t_den, atoms, keys, coeff in rows:
         acc = groups.setdefault(frozenset(t_den.items()), (t_den, {}))[1]
-        terms = ((tuple(num_mono), coeff),)
-        if factors:
-            terms = math.prod(factors, start=_expr_from_terms(dict(terms)))._terms
-        for m, c in terms:
-            _acc_add(acc, m, c)
-    # each group's numerator times its missing denominator powers, multiplied
-    # left to right; the last factor is multiplied into the sum directly
-    pairs = []
+        if keys:
+            mac(acc, {monomial(atoms): coeff},
+                 reduce(Poly.__mul__, [_power(key, p, ring) for key, p in keys]), 1)
+        else:
+            _acc_add(acc, monomial(atoms), coeff)
+    num: dict = {}
     for t_den, acc in groups.values():
-        head, tail = _expr_from_terms(acc), ONE
+        gaps, powers = 0, []
         for key, p in den_max.items():
             gap = p - t_den.get(key, 0)
             if gap:
-                head, tail = head * tail, _key_expr(key).pow(gap)
-        pairs.append((head, tail))
-    num = sum_of_products(pairs)
-    e._flags["clear"] = (num, tuple(den_max.items()))
+                if type(key) is Atom:
+                    gaps += monomial(((key, gap),))
+                else:
+                    powers.append(_power(key, gap, ring))
+        mac(num, acc, reduce(Poly.__mul__, powers, ring.poly({gaps: 1})), 1)
+    num = ring.poly({m: c if type(c) is int else _normal(c) for m, c in num.items() if c})
+    e._flags["clear"] = (num, tuple(den_max.items()), None)
     return num, den_max
+
+
+def _cleared(b: Expr):
+    """(N, D items) of `clear_denominators` for a compound base b, with N as
+    an Expr: N is b's denominator key, and a factor of `power_split`.
+    Unpacked once, and kept beside the packed N in b's flags."""
+    hit = b._flags.get("clear")
+    if hit is None:
+        clear_denominators(b)
+        hit = b._flags["clear"]
+    if hit[2] is None:
+        hit = b._flags["clear"] = hit[:2] + (hit[0].ring.unpack(hit[0]),)
+    return hit[2], hit[1]
+
+
+def _power(key: Expr, p: int, ring: Ring) -> Poly:
+    """key^p packed in `ring` for a compound key, which keeps its powers in
+    its flags."""
+    powers = key._flags.get(("pow", ring.W))
+    if powers is None:
+        powers = key._flags[("pow", ring.W)] = [None, ring.pack(key)]
+    while len(powers) <= p:
+        powers.append(powers[-1] * powers[1])
+    return powers[p]
+
+
+def _degree(key) -> int:
+    """The degree of a denominator key; a compound key keeps it in its flags."""
+    if type(key) is Atom:
+        return 1
+    d = key._flags.get("degree")
+    if d is None:
+        d = key._flags["degree"] = degree(key)
+    return d
 
 
 def _key_expr(key) -> Expr:
@@ -245,64 +308,90 @@ def _key_expr(key) -> Expr:
 
 # -- power-product split ------------------------------------------------------
 
+def _refused(e: Expr) -> bool:
+    """Whether e holds what `power_split` refuses in every case: a
+    transcendental atom, a constant surd, or a compound base that is not a
+    rational fragment (whose "rat" flag `is_rational_fragment` keeps).
+    Kept in e's flags, so a target split again is not scanned again."""
+    flag = e._flags.get("refused")
+    if flag is None:
+        flag = e._flags["refused"] = any(
+            type(b) is int or type(b) is Atom and b.kind == "transc"
+            or type(b) is Expr and not is_rational_fragment(b)
+            for mono, _c in e._terms for b, _ex in mono)
+    return flag
+
+
 def power_split(e: Expr):
-    """(N, ((P_1, c_1), ...)) with e == N * prod_k P_k^(c_k), N and every
-    P_k polynomials over the atoms and each c_k rational; or None.
+    """(N, ((P_1, c_1), ...)) with e == N * prod_k P_k^(c_k), N a polynomial
+    over the atoms packed in `poly.shared(W)` (`Ring.unpack` gives it as an
+    Expr), every P_k a polynomial expression and each c_k rational; or None.
 
     Integer denominators come from `clear_denominators`.  A base under a
     fractional exponent is factored out at its lowest exponent, provided
     its exponents differ by integers across all terms (a term without it
-    counts as exponent 0).  Such a base is positive wherever e is defined;
-    when it is a rational function Q / prod D_j^(p_j) it is rewritten as
+    counts as exponent 0).  The lowered terms are in normal form as they
+    stand, and are sorted into a sum without being rebuilt; only a
+    compound base left at a positive power is expanded, term by term.  Such
+    a base is positive wherever e is defined; when it is a rational
+    function Q / prod D_j^(p_j) it is rewritten as
     (Q * prod_{p_j odd} D_j) / prod (D_j^2)^ceil(p_j/2), whose factors are
     positive there too, so the identity holds at every point where e is
     defined and every P_k with a fractional exponent is positive.  A base P
     and its negation -P are merged when one of them has an integer
     exponent.  None for transcendental atoms, constant surds, mixed
-    exponent classes, radicals inside a base, and P and -P both under
-    fractional exponents (a target defined nowhere).
+    exponent classes, radicals inside a base (`_refused`, kept in e's
+    flags), and P and -P both under fractional exponents (a target defined
+    nowhere).
     """
-    for b, _ex in walk_bases(e):
-        if isinstance(b, int) or isinstance(b, Atom) and b.kind == "transc":
-            return None
+    if _refused(e):
+        return None
     lows: dict = {}
     for mono, _c in e._terms:
         for b, ex in mono:
             if type(ex) is not int:
                 lows[b] = min(ex, lows.get(b, ex))
-    for b, low in lows.items():
-        if isinstance(b, Expr) and not is_rational_fragment(b):
-            return None
-        for mono, _c in e._terms:
-            if (dict(mono).get(b, 0) - low).denominator != 1:
-                return None
+    counts, expand = dict.fromkeys(lows, 0), False
+    for mono, _c in e._terms:
+        for b, ex in mono:
+            low = lows.get(b)
+            if low is not None:
+                if (ex - low).denominator != 1:
+                    return None
+                counts[b] += 1
+                expand = expand or type(b) is Expr and ex > low
+    if any(n < len(e._terms) for n in counts.values()):
+        return None
     rest = e
-    if lows:
+    if expand:
         rest = expr_sum(_make_term(coeff, {b: ex - lows[b] if b in lows else ex
                                            for b, ex in mono})
                         for mono, coeff in e._terms)
-    if not is_rational_fragment(rest):
-        return None
+    elif lows:  # the lowered terms are in normal form already
+        rest = _expr_from_terms({tuple([(b, _normal(ex - lows[b])) if b in lows else (b, ex)
+                                        for b, ex in mono if ex != lows.get(b)]): coeff
+                                 for mono, coeff in e._terms})
     num, den = clear_denominators(rest)
     factors = [(_key_expr(key), Fraction(-p)) for key, p in den.items()]
     for b, c in lows.items():
         if not isinstance(b, Expr) or is_polynomial(b):
             factors.append((_key_expr(b), c))
             continue
-        nb, db = clear_denominators(b)
-        for key, p in db.items():
+        nb, db = _cleared(b)
+        for key, p in db:
             d = _key_expr(key)
             if p % 2:
                 nb = nb * d
             factors.append((d * d, -((p + 1) // 2) * c))
         factors.append((nb, c))
     merged: dict = {}
+    scale = 1
     for base, c in factors:
         if base.is_rational_const():
             v = base.as_rational()
             if c.denominator != 1 and v != 1:
                 return None
-            num = num * v ** c.numerator
+            scale *= v ** c.numerator
             continue
         neg = -base
         if neg in merged:
@@ -317,10 +406,12 @@ def power_split(e: Expr):
                 return None
             c += c_neg
             if flip.numerator % 2:
-                num = -num
+                scale = -scale
         else:
             c = merged.get(base, 0) + c
         merged[base] = c
+    if scale != 1:
+        num = num.ring.poly({m: _normal(c * scale) for m, c in num.items()})
     return num, tuple((base, c) for base, c in merged.items() if c)
 
 
@@ -497,7 +588,7 @@ def decide_exactly(e: Expr, positive) -> Optional[bool]:
     """The exact tier: whether e is identically zero, or None when it is
     not decided.  For e == N * prod P_k^(c_k) (`power_split`) the product is
     nonzero wherever e is defined, so e is zero iff the polynomial N is,
-    that is iff N's normal form is empty.  When e does not split whole, it
+    that is iff the packed N has no term.  When e does not split whole, it
     is zero when each of its `classes` splits with N empty; a class not
     proved zero proves nothing, as lifted terms may be dependent (Caviness &
     Fateman 1976), so it gives None."""
@@ -505,8 +596,8 @@ def decide_exactly(e: Expr, positive) -> Optional[bool]:
         return True
     split = power_split(e)
     if split is not None:
-        return split[0].is_zero_expr()
-    return all((split := power_split(group)) is not None and split[0].is_zero_expr()
+        return not split[0]
+    return all((split := power_split(group)) is not None and not split[0]
                for group, _lifted in classes(e, positive)) or None
 
 
@@ -530,12 +621,12 @@ def classes(e: Expr, positive) -> list:
     if positive:  # with none, no denominator is a monomial in positive atoms
         for b, ex in (item for mono, _c in e._terms for item in mono):
             if type(ex) is not int and isinstance(b, Expr) and is_rational_fragment(b):
-                num, den = clear_denominators(b)
-                if den and all(type(a) is Atom and a in positive for a in den):
+                num, den = _cleared(b)
+                if den and all(type(a) is Atom and a in positive for a, _p in den):
                     cleared[b] = num, den
     if cleared:
         e = expr_sum(math.prod([cleared[b][0].pow(ex) * _make_term(
-                                    1, {a: -p * ex for a, p in cleared[b][1].items()})
+                                    1, {a: -p * ex for a, p in cleared[b][1]})
                                 if b in cleared else _make_term(1, {b: ex})
                                 for b, ex in mono], start=Expr.rational(coeff))
                      for mono, coeff in e._terms)

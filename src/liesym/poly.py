@@ -1,5 +1,6 @@
 """One sparse polynomial ring outside the expression kernel, for the Lie
-determinant, its factors, the Cramer solve and the `D_X` decisions.
+determinant, its factors, the Cramer solve, the numerator of the exact
+tier's split and the `D_X` decisions.
 
 The indeterminates are the powers in the expressions: b^k with k a positive
 integer is the k-th power of the slot (b, 1), and any other power b^e is a
@@ -97,6 +98,28 @@ class Ring:
             out[m + (t << self.top) if self.graded else m] = c
         return out
 
+    def repack(self, poly: "Poly") -> "Poly":
+        """A polynomial of another ungraded ring in this one, each slot under
+        its key here."""
+        if poly.ring is self:
+            return poly
+        keys, W, out = list(poly.ring.index), poly.ring.W, self.poly(())
+        mask = (1 << W) - 1
+        for m, c in poly.items():
+            t, s = 0, 0
+            while m:
+                if m & mask:
+                    t += (m & mask) << self.W * self.index.setdefault(keys[s], len(self.index))
+                m, s = m >> W, s + 1
+            out[t] = c
+        return out
+
+    def total_degree(self, poly: dict) -> int:
+        """The degree of a polynomial of this ungraded ring, if it is below
+        2^W - 1: as 2^W is 1 modulo 2^W - 1, a monomial is the sum of its
+        exponents there."""
+        return max((m % ((1 << self.W) - 1) for m in poly), default=0)
+
     def unpack(self, poly: dict) -> Expr:
         keys, W, mask, terms = list(self.index), self.W, (1 << self.W) - 1, []
         for m, c in poly.items():
@@ -178,10 +201,18 @@ class Poly(dict):
 
 @functools.cache
 def shared(W: int) -> Ring:
-    """The ungraded ring of the `D_X` decisions at width W: slots 0, 1, 2,
-    ... are x, y, y', ..., and any other key takes the next slot on first
-    sight, so nothing that reads the order of monomials may use it."""
+    """The ungraded ring of the split's numerator and the `D_X` decisions at
+    width W: slots 0, 1, 2, ... are x, y, y', ..., and any other key takes
+    the next slot on first sight, so nothing that reads the order of
+    monomials may use it."""
     return Ring({(a, 1): s for s, a in enumerate(_COORDS)}, W, False)
+
+
+def integral(poly: dict) -> tuple:
+    """(den*poly with int coefficients, den), den the lcm of the
+    denominators of poly's coefficients."""
+    den = math.lcm(*[c.denominator for c in poly.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in poly.items()}, den
 
 
 def packed(e: Expr, W: int) -> tuple:
@@ -189,8 +220,5 @@ def packed(e: Expr, W: int) -> tuple:
     e's denominators; kept in e's flags (a field coefficient packs once)."""
     hit = e._flags.get(("packed", W))
     if hit is None:
-        poly = shared(W).pack(e)
-        den = math.lcm(*[c.denominator for c in poly.values()])
-        hit = e._flags[("packed", W)] = (
-            {m: c.numerator * (den // c.denominator) for m, c in poly.items()}, den, degree(e))
+        hit = e._flags[("packed", W)] = (*integral(shared(W).pack(e)), degree(e))
     return hit

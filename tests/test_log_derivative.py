@@ -17,6 +17,7 @@ from liesym.jet import VectorField, prolong, total_derivative
 from liesym.numeric import ZeroStatus, decide_exactly, power_split
 from liesym.poly import WIDTH
 from log_derivative_oracle import log_derivative_numerator
+import split_oracle
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -27,13 +28,16 @@ def J(k):
 
 
 def _decisions(fields, f, ws):
-    """(packed decisions, decide_exactly of each oracle D_X) for f's split.
-    Where the packed decision is False it comes with the residual, which is
-    the oracle's D_X times prod P_k^(c_k - 1); elsewhere with None."""
+    """(packed decisions, decide_exactly of each oracle D_X) for f's split,
+    each oracle D_X built on the split of `split_oracle`, whose N is an
+    Expr.  Where the packed decision is False it comes with the residual,
+    which is the oracle's D_X times prod P_k^(c_k - 1); elsewhere with
+    None."""
     split = power_split(f)
     top = E.max_jet_order(f)
     PXs = [prolong(X_, top or 0) for X_ in fields]
-    oracle = [log_derivative_numerator(PX, w, *split) for PX, w in zip(PXs, ws)]
+    oracle = [log_derivative_numerator(PX, w, *split_oracle.power_split(f))
+              for PX, w in zip(PXs, ws)]
     got = _decide_log_derivatives(split, PXs, ws)
     front = math.prod([P ** (c - 1) for P, c in split[1]], start=E.ONE)
     for (zero, residual), D in zip(got, oracle):

@@ -121,9 +121,10 @@ def test_eval_exact_fractional_perfect_powers():
 
 def test_clear_denominators_returns_polynomial():
     e = X / (X + Y) + Y / (X + Y) - 1
-    assert clear_denominators(e)[0].is_zero_expr()
+    assert not clear_denominators(e)[0]
     e2 = X / (X + Y)
     num, den = clear_denominators(e2)
+    num = num.ring.unpack(num)
     assert E.is_polynomial(num) and num == X
     assert den == {X + Y: 1}
 
