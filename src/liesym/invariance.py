@@ -40,9 +40,9 @@ from .numeric import (
     ZeroStatus,
     ZeroVerdict,
     _probe_once,
+    _walker,
     classes,
     decide_exactly,
-    eval_exact,
     is_zero,
     nonzero_verdict,
     power_split,
@@ -227,7 +227,8 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
     """Generic rank: the maximum exact rank over at most 5 seeded points.
 
     A point holds one rational per atom, in atom-key order.  The matrix is
-    evaluated there exactly (`eval_exact`) and its rank taken (`_integer_rank`);
+    evaluated there by one exact walker (`numeric._walker`), each atom power
+    and compound base once, and its rank taken (`_integer_rank`);
     `numeric._probe_once` resamples a point with a zero denominator.  Points
     are evaluated until the rank reaches its bound min(m, order + 2), or 5
     of them have been; the report counts them.  d_n = order + 2 - rank.
@@ -239,10 +240,13 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
                    key=lambda a: a._key)
     full = min(len(matrix), order + 2)
     rng = random.Random(probe.seed)
+
+    def rank_at(point):
+        value, _domain = _walker(point, None)
+        return _integer_rank([[value(e) for e in row] for row in matrix])
     best = samples = 0
     while best < full and samples < 5:
-        _point, rank = _probe_once(rng, atoms, frozenset(), lambda p: _integer_rank(
-            [[eval_exact(e, p) for e in row] for row in matrix]))
+        _point, rank = _probe_once(rng, atoms, frozenset(), rank_at)
         best = max(best, rank)
         samples += 1
     return RankReport(order, best, order + 2 - best, samples)

@@ -31,12 +31,15 @@ orders of magnitude between roundoff and an honest nonzero value.
 proved nonzero elsewhere, at points where a second expression (the target
 it was derived from) is defined too.
 
-A probe point is evaluated by one walk over the expression tree with raw
-mpmath values, each base and each power of a base computed once per point.
-Each value, rejected point and magnitude string is bit-identical to
-evaluating the tree with mpf objects at the same precision.  The walker of
-a point (`_walker`) also has a domain walk, which rejects the points the
-value walk rejects while computing only the values its tests read; the
+Every evaluation at a point is one walk over the expression tree
+(`_walker`), each base and each power of a base computed once per point,
+with Python operators on plain values: mpf at the probe's working
+precision, which `_probe` holds around its loop, or exact ints and
+Fractions for the rank of `invariance.rank_and_count`, which evaluates a
+point's whole matrix through one walker.  The exact walk refuses a
+fractional power or a call (ExactEvalError) and rejects only a zero
+denominator.  The walker also has a domain walk, which rejects the points
+the value walk rejects while computing only the values its tests read; the
 witness search of `nonzero_verdict` checks the target's domain with it and
 evaluates the witness expression over the same memo.
 
@@ -57,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,7 +68,6 @@ from functools import reduce
 from typing import Mapping, Optional
 
 import mpmath
-from mpmath import libmp
 
 from .expr import (
     Atom,
@@ -415,56 +418,69 @@ def power_split(e: Expr):
     return num, tuple((base, c) for base, c in merged.items() if c)
 
 
-# -- numeric evaluation -------------------------------------------------------
-#
-# Each raw call is the one the mpf operators make at the same precision and
-# rounding (round to nearest), which is what keeps the results bit-identical
-# to evaluating the tree with mpf objects.
+# -- evaluation ---------------------------------------------------------------
 
 _TINY_EXP = -10  # admissibility threshold 10^-10 for denominators/arguments
 
-_RND = libmp.round_nearest
-
-_MPF_FN = {"exp": libmp.mpf_exp, "ln": libmp.mpf_log, "arctan": libmp.mpf_atan,
-           "sin": libmp.mpf_sin, "cos": libmp.mpf_cos}
+_CALLS = {"exp": mpmath.exp, "ln": mpmath.ln, "arctan": mpmath.atan,
+          "sin": mpmath.sin, "cos": mpmath.cos}
 
 
 def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
-    """Evaluate at a rational point with mpmath at `digits` working digits.
+    """Evaluate at a rational point with mpmath at `digits` + 15 working
+    digits: the precision `_probe` holds around its loop, or entered here.
 
     Raises _BadPoint when the point is inadmissible (near-singular
     denominator, non-positive fractional-power base, bad ln argument), and
     ExprError when the walk reaches an atom that `point` does not bind.
     """
-    value, _domain = _walker(point, digits)
-    return mpmath.mp.make_mpf(value(e))
+    held = mpmath.mp.dps == digits + 15
+    with nullcontext() if held else mpmath.workdps(digits + 15):
+        value, _domain = _walker(point, digits)
+        return mpmath.mpf(value(e))
 
 
-def _walker(point: Mapping[Atom, Fraction], digits: int):
+def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
     """(value, domain): two walks over expressions at one point, sharing one
     memo of base and power values.
 
-    `value(e)` is e's raw value, as `eval_mp` returns it.  `domain(e)` raises
+    With `digits`, values are mpf at the working precision `digits` + 15,
+    which the caller holds (`mpmath.workdps`); with None they are exact ints
+    and Fractions.  The two differ in four places: a rational is converted
+    to an mpf or kept; a base is inadmissible below 10^-10 or at exactly 0;
+    and a fractional power or a call, which the exact walk refuses with
+    ExactEvalError before it evaluates the base or the argument.
+
+    `value(e)` is e's value, as `eval_mp` returns it.  `domain(e)` raises
     _BadPoint exactly when `value(e)` would, and computes only what the
     admissibility tests read: the value of a base under a negative or
     fractional power and of an ln argument.  It visits the other bases once,
     recursing into compound bases and call arguments, and never sums terms or
     converts coefficients.
     """
-    prec = libmp.dps_to_prec(digits + 15)
-    tiny = libmp.mpf_pow_int(libmp.from_int(10), _TINY_EXP, prec, _RND)
-    mul, add, lt = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_lt
+    exact = digits is None
+    tiny = None if exact else mpmath.mpf(10) ** _TINY_EXP
+
+    def rational(q):
+        return q if exact else mpmath.mpf(q.numerator) / q.denominator
+
+    def small(v):
+        return v == 0 if exact else v < tiny
+
     memo: dict = {}  # base -> value, (base, exponent) -> value
     checked = set()  # bases whose domain is checked without their value
 
     def node(e):
-        total = libmp.fzero
+        total = 0
         for mono, coeff in e._terms:
-            v = _mpf_rational(coeff.numerator, coeff.denominator, prec)
+            v = rational(coeff)
             for b, ex in mono:
-                v = mul(v, base(b) if ex == 1 else power(b, ex), prec, _RND)
-            total = add(total, v, prec, _RND)
+                v *= base(b) if ex == 1 else power(b, ex)
+            total += v
         return total
+
+    def refuse(b, ex):
+        return ExactEvalError(f"{_format_base_pow(b, ex)} has no exact value at a rational point")
 
     def base(b):
         bv = memo.get(b)
@@ -472,17 +488,19 @@ def _walker(point: Mapping[Atom, Fraction], digits: int):
             return bv
         if isinstance(b, Atom):
             if b.kind == "transc":
+                if exact:
+                    raise refuse(b, 1)
                 arg = base(b.arg)
-                if b.fn == "ln" and lt(arg, tiny):
+                if b.fn == "ln" and small(arg):
                     raise _BadPoint
-                bv = _MPF_FN[b.fn](arg, prec, _RND)
+                bv = _CALLS[b.fn](arg)
             else:
                 val = point.get(b)
                 if val is None:
                     raise ExprError(f"no value supplied for {atom_name(b)}")
-                bv = _mpf_rational(val.numerator, val.denominator, prec)
+                bv = rational(val)
         elif isinstance(b, int):
-            bv = libmp.mpf_pos(libmp.from_int(b), prec, _RND)
+            bv = rational(b)
         else:
             bv = node(b)
         memo[b] = bv
@@ -492,9 +510,9 @@ def _walker(point: Mapping[Atom, Fraction], digits: int):
         """b's value, once the test that b^ex reads of it passes."""
         bv = base(b)
         if ex.denominator == 1:
-            if ex < 0 and lt(libmp.mpf_abs(bv, prec, _RND), tiny):
+            if ex < 0 and small(abs(bv)):
                 raise _BadPoint
-        elif lt(bv, tiny):
+        elif small(bv):
             raise _BadPoint
         return bv
 
@@ -502,13 +520,10 @@ def _walker(point: Mapping[Atom, Fraction], digits: int):
         pv = memo.get((b, ex))
         if pv is not None:
             return pv
+        if exact and (ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc"):
+            raise refuse(b, ex)
         bv = admissible(b, ex)
-        if ex.denominator == 1:
-            pv = libmp.mpf_pow_int(bv, ex.numerator, prec, _RND)
-        else:
-            pv = libmp.mpf_pow(bv, _mpf_rational(ex.numerator, ex.denominator, prec),
-                               prec, _RND)
-        memo[(b, ex)] = pv
+        pv = memo[(b, ex)] = bv ** (ex.numerator if ex.denominator == 1 else rational(ex))
         return pv
 
     def domain(e):
@@ -523,44 +538,11 @@ def _walker(point: Mapping[Atom, Fraction], digits: int):
                 elif b.kind == "transc":
                     if b.fn != "ln":
                         domain(b.arg)
-                    elif lt(base(b.arg), tiny):
+                    elif small(base(b.arg)):
                         raise _BadPoint
                 checked.add(b)
 
     return node, domain
-
-
-def _mpf_rational(p: int, q: int, prec: int):
-    """Raw value of ``mpf(p) / q`` at ``prec`` bits."""
-    return libmp.mpf_div(libmp.mpf_pos(libmp.from_int(p), prec, _RND),
-                         libmp.from_int(q), prec, _RND)
-
-
-# -- exact rational evaluation ------------------------------------------------
-
-def eval_exact(e: Expr, point: Mapping[Atom, Fraction]) -> Fraction:
-    """Exact value at a rational point.  Only integer powers of atoms and
-    compound bases are evaluated: a transcendental atom or a fractional
-    power raises ExactEvalError naming it, and a zero denominator raises
-    _BadPoint."""
-    total = Fraction(0)
-    for mono, coeff in e._terms:
-        v = coeff
-        for b, ex in mono:
-            if ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc":
-                raise ExactEvalError(
-                    f"{_format_base_pow(b, ex)} has no exact value at a rational point")
-            if isinstance(b, Atom):
-                bv = point.get(b)
-                if bv is None:
-                    raise ExprError(f"no value supplied for {atom_name(b)}")
-            else:
-                bv = eval_exact(b, point)
-            if bv == 0 and ex < 0:
-                raise _BadPoint
-            v *= bv ** ex.numerator
-        total += v
-    return total
 
 
 # -- the zero test ------------------------------------------------------------
@@ -655,7 +637,7 @@ def nonzero_verdict(e: Expr, domain: Expr, probe: ProbeConfig) -> ZeroVerdict:
     def evaluate(p):
         value, check = _walker(p, probe.digits)
         check(domain)
-        return mpmath.mp.make_mpf(value(e))
+        return value(e)
 
     return _probe(leaf_atoms(e) | leaf_atoms(domain), evaluate, False, probe, frozenset())
 
@@ -663,14 +645,15 @@ def nonzero_verdict(e: Expr, domain: Expr, probe: ProbeConfig) -> ZeroVerdict:
 def _probe(atoms, evaluate, zero, probe: ProbeConfig, positive) -> ZeroVerdict:
     """The probe loop of `is_zero`, with the value at a point given by
     `evaluate`; the exact tier's answer `zero` (False or None) only picks
-    the status."""
+    the status.  The loop holds the working precision that `evaluate` and
+    the threshold test compute at."""
     proved = zero is False
     rng = random.Random(probe.seed)
     atoms = sorted(atoms, key=lambda a: a._key)
     threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
-    for i in range(probe.points):
-        point, value = _probe_once(rng, atoms, positive, evaluate)
-        with mpmath.workdps(probe.digits + 15):
+    with mpmath.workdps(probe.digits + 15):
+        for i in range(probe.points):
+            point, value = _probe_once(rng, atoms, positive, evaluate)
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}

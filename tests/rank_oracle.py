@@ -2,7 +2,8 @@
 
 `ref_fraction_rank` is plain Gaussian elimination with Fraction arithmetic
 on the first nonzero pivot; `rank_at_point` evaluates a matrix of
-expressions exactly at a rational point and takes that rank.
+expressions exactly at a rational point, by the oracle recursion
+`eval_oracle.ref_eval_exact`, and takes that rank.
 `ref_numeric_rank` eliminates mpmath values with partial pivoting and a
 pivot tolerance, for matrices that have no exact value.
 `ref_rank_and_count` is `rank_and_count`'s sampling loop as it was before it
@@ -17,7 +18,8 @@ import mpmath
 
 from liesym.expr import leaf_atoms
 from liesym.invariance import RankReport, coefficient_matrix
-from liesym.numeric import MAX_RETRIES, _BadPoint, eval_exact, sample_rational
+from liesym.numeric import MAX_RETRIES, _BadPoint, sample_rational
+from eval_oracle import ref_eval_exact
 
 
 def ref_fraction_rank(rows):
@@ -44,7 +46,7 @@ def ref_fraction_rank(rows):
 
 def rank_at_point(matrix: list, point: dict) -> int:
     """Rank of a matrix of expressions at a rational point."""
-    return ref_fraction_rank([[eval_exact(entry, point) for entry in row] for row in matrix])
+    return ref_fraction_rank([[ref_eval_exact(entry, point) for entry in row] for row in matrix])
 
 
 def ref_numeric_rank(rows, digits):

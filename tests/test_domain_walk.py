@@ -1,18 +1,25 @@
-"""The domain walk of `numeric._walker` rejects a point exactly when
-`eval_mp` does: over the stored targets of the catalog and over built
-expressions with poles, radicals, logarithms and nested calls."""
+"""The walk of `numeric._walker`: its domain walk rejects a point exactly
+when `eval_mp` does, its value walks give the oracles' values, rejected
+points and messages bit for bit (`eval_oracle`), over the stored targets of
+the catalog and over built expressions with poles, radicals, logarithms and
+nested calls; and the rank computes a base once per point."""
 
 import functools
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liesym import expr as E
+from liesym import invariance, numeric
 from liesym.catalog import default_order, instantiate, load_catalog
+from liesym.invariance import rank_and_count
 from liesym.invdiff import apply_D
-from liesym.numeric import _BadPoint, _walker, eval_mp, sample_point
+from liesym.jet import VectorField
+from liesym.numeric import _BadPoint, _walker, eval_mp, sample_point, sample_rational
+from eval_oracle import eval_exact, ref_eval_exact, ref_walker
 
 XA, YA, PA = E.indep(), E.dep(), E.jet(1)
 X, Y, P1 = XA.as_expr(), YA.as_expr(), PA.as_expr()
@@ -33,10 +40,11 @@ def _rejected(run, e) -> bool:
 
 def _agrees(e, point) -> bool:
     """Whether `point` is rejected, after asserting that the domain walk and
-    `eval_mp` reject it alike."""
-    _value, domain = _walker(point, DIGITS)
-    rejected = _rejected(domain, e)
-    assert rejected == _rejected(lambda t: eval_mp(t, point, DIGITS), e)
+    `eval_mp` reject it alike, both at the probe's working precision."""
+    with mpmath.workdps(DIGITS + 15):
+        _value, domain = _walker(point, DIGITS)
+        rejected = _rejected(domain, e)
+        assert rejected == _rejected(lambda t: eval_mp(t, point, DIGITS), e)
     return rejected
 
 
@@ -138,3 +146,77 @@ def test_built_expressions_reject_the_points_eval_mp_rejects(tree, values):
     except (E.ExprError, ZeroDivisionError, ValueError):
         assume(False)  # a constant outside the domain, such as ln(0)
     _agrees(e, dict(zip(_ATOMS, values)))
+
+
+def _outcome(run, e):
+    """run(e), or the type and message of the _BadPoint or ExprError (an
+    ExactEvalError among them) that it raised."""
+    try:
+        return run(e)
+    except (_BadPoint, E.ExprError) as exc:
+        return type(exc), str(exc)
+
+
+# a coordinate: a probe rational, one of VALUES, or none (an unbound atom)
+_COORDINATES = st.one_of(st.randoms(use_true_random=False).map(sample_rational),
+                         st.sampled_from(VALUES + [None]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_TREES, st.integers(0, 10 ** 4)), st.data())
+def test_the_walks_match_the_oracle_walks(drawn, data):
+    # a built tree, or a stored target picked by index
+    if isinstance(drawn, int):
+        e = _stored_targets()[drawn % len(_stored_targets())]
+    else:
+        try:
+            e = _build(drawn)
+        except (E.ExprError, ZeroDivisionError, ValueError):
+            assume(False)
+    point = {}
+    for a in sorted(E.leaf_atoms(e), key=lambda a: a._key):
+        v = data.draw(_COORDINATES)
+        if v is not None:
+            point[a] = v
+    ref_value, ref_domain = ref_walker(point, DIGITS)
+    with mpmath.workdps(DIGITS + 15):
+        value, _domain = _walker(point, DIGITS)
+        assert _outcome(lambda t: mpmath.mpf(value(t))._mpf_, e) == _outcome(ref_value, e)
+        assert _outcome(_walker(point, DIGITS)[1], e) == _outcome(ref_domain, e)
+    assert _outcome(lambda t: eval_exact(t, point), e) == _outcome(
+        lambda t: ref_eval_exact(t, point), e)
+
+
+def test_a_rank_point_computes_a_shared_compound_base_once(monkeypatch):
+    # the prolonged coefficients of the second field hold the base x - y;
+    # each evaluation of it iterates its terms once
+    shared = E.indep().as_expr() - E.dep().as_expr()
+    fields = [VectorField(E.ONE, E.ZERO), VectorField(E.ZERO, shared ** -1)]
+    walks, per_point = [], []
+
+    class Counted(tuple):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    coefficient_matrix, integer_rank = invariance.coefficient_matrix, invariance._integer_rank
+
+    def matrix(fields, order):
+        rows = coefficient_matrix(fields, order)
+        copies = [b for row in rows for e in row for b, _ex in E.walk_bases(e) if b == shared]
+        for b in copies:
+            if type(b._terms) is not Counted:
+                monkeypatch.setattr(b, "_terms", Counted(b._terms))
+        assert len(copies) >= 3
+        return rows
+
+    def point(*args):
+        walks.clear()
+        return sample_point(*args)
+
+    monkeypatch.setattr(invariance, "coefficient_matrix", matrix)
+    monkeypatch.setattr(numeric, "sample_point", point)
+    monkeypatch.setattr(invariance, "_integer_rank",
+                        lambda rows: per_point.append(len(walks)) or integer_rank(rows))
+    rank_and_count(fields, 3, numeric.DEFAULT_PROBE)
+    assert per_point == [1]

@@ -29,11 +29,11 @@ from liesym.numeric import (
     ZeroStatus,
     _BadPoint,
     derive_seed,
-    eval_exact,
     is_zero,
     sample_point,
 )
 from cramer_oracle import fraction_det
+from eval_oracle import eval_exact
 from rank_oracle import rank_at_point, ref_fraction_rank, ref_rank_and_count
 
 X = E.indep().as_expr()
@@ -341,10 +341,13 @@ def test_the_admissible_point_loop_gives_up_after_max_retries_draws(monkeypatch)
     assert len(draws) == MAX_RETRIES
     draws.clear()
 
-    def zero_denominator(e, point):  # rejects every rank point
+    def zero_denominator(e):
         raise _BadPoint
 
-    monkeypatch.setattr(invariance, "eval_exact", zero_denominator)
+    # the rank evaluates each point's matrix through one exact walker, whose
+    # value walk here rejects every rank point
+    monkeypatch.setattr(invariance, "_walker",
+                        lambda point, digits: (zero_denominator, zero_denominator))
     with pytest.raises(SamplingExhausted, match=f"in {MAX_RETRIES} attempts"):
         rank_and_count(gens55(), 4, PR)
     assert len(draws) == MAX_RETRIES

@@ -15,11 +15,11 @@ from liesym.numeric import (
     ZeroStatus,
     _BadPoint,
     clear_denominators,
-    eval_exact,
     eval_mp,
     is_zero,
     sample_point,
 )
+from eval_oracle import eval_exact
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -203,8 +203,8 @@ def _random_pair(rng, sp, syms, pool, depth):
 
 def _tree_walk(e, point, digits):
     """Reference evaluator: the walk over the expression tree with mpf
-    objects that `eval_mp`, on raw mpmath values, must reproduce bit for
-    bit."""
+    objects and no memo, which `eval_mp`, one memo per point, must
+    reproduce bit for bit."""
     def node(e):
         total = mpmath.mpf(0)
         for mono, coeff in e.terms:
