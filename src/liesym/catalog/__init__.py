@@ -24,7 +24,7 @@ from typing import List, Mapping, Optional, Sequence
 from ..expr import (Expr, ExprError, ONE, ZERO, _touched, dep, expr_sum, indep, jet_or_dep,
                     leaf_atoms, param, substitute, sum_of_products, transcendental, walk_bases)
 from ..invariance import OdeEquation
-from ..jet import VectorField, total_derivative
+from ..jet import MAX_JET_ORDER, MaxOrderExceeded, VectorField, total_derivative
 from ..linear_ode import (
     CharSpec,
     coeffs_from_solutions,
@@ -32,7 +32,7 @@ from ..linear_ode import (
     linear_ode_from_spec,
     prop1_symmetries,
 )
-from ..parse import Context, _check_power, parse_expression, parse_vector_field
+from ..parse import Context, _check_power, _Error, parse_expression, parse_vector_field
 
 
 class CatalogError(ExprError):
@@ -211,7 +211,8 @@ def _check_h_powers(exprs: list, values: dict) -> None:
     bound = {a._key for a in values}
     for b, ex in reversed([p for e in exprs for p in walk_bases(e)] if bound else []):
         if ex != 1 and _touched(b, bound):
-            _check_power(substitute(b if type(b) is Expr else b.as_expr(), values), ex, 0)
+            _check_power(dict(substitute(b if type(b) is Expr else b.as_expr(), values)._terms),
+                         ex, 0)
 
 
 # -- instantiation -------------------------------------------------------------
@@ -224,10 +225,21 @@ def instantiate(record: CatalogRecord, n: Optional[int] = None,
     None to keep a parameter symbolic.  A name in ``params`` that is a
     bound replaces that bound's formula before later bounds and defaults
     are evaluated, and is not reported as a parameter.  Raises
-    ConstraintViolation naming the violated constraint.
+    ConstraintViolation naming the violated constraint (also jets past MAX_JET_ORDER).
     """
-    data = record.data
     n = n if n is not None else default_order(record)
+    try:
+        return _ground(record, n, params)
+    except MaxOrderExceeded as exc:
+        raise ConstraintViolation(f"{record.label}: order n={n} needs jets past the "
+                                  f"maximum order {MAX_JET_ORDER}") from exc
+    except _Error as err:  # a parser bound on the value of an H choice
+        message, _, cls = err.args
+        raise cls(message, 0) from None
+
+
+def _ground(record: CatalogRecord, n: int, params) -> ConcreteRecord:
+    data = record.data
     lo, hi = data.get("n_range", [1, None])
     if n < lo or (hi is not None and n > hi):
         raise ConstraintViolation(f"{record.label}: order n={n} outside range [{lo}, {hi}]")

@@ -343,7 +343,7 @@ class Expr:
             if k == 1:
                 return self
             if k > 1 and len(self._terms) > 1:
-                return _int_pow(self, k)
+                return _expr_from_terms(_int_pow(self._terms, k))
         if len(self._terms) == 1:
             mono, coeff = self._terms[0]
             out_coeff, const_bases = _const_pow(coeff, r)
@@ -530,20 +530,21 @@ def _make_term(coeff, items: Mapping) -> Expr:
     mono = tuple(sorted(kept.items(), key=lambda t: _base_key(t[0])))
     result = _expr_from_terms({mono: _normal(coeff)})
     for b, k in expandables:
-        result = result * _int_pow(b, k)
+        result = result * _expr_from_terms(_int_pow(b._terms, k))
     return result
 
 
-def _int_pow(e: Expr, k: int) -> Expr:
-    if k == 0:
-        return ONE
+def _int_pow(terms, k: int) -> dict:
+    """(sum of the term pairs ``terms``)^k, k >= 1, as a raw term dict."""
     if k == 1:
-        return e
-    half = _int_pow(e, k // 2)
-    out = half * half
+        return dict(terms)
+    half = _int_pow(terms, k // 2).items()
+    acc: dict = {}
+    _mul_into(acc, half, half)
     if k % 2:
-        out = out * e
-    return out
+        square, acc = acc.items(), {}
+        _mul_into(acc, square, terms)
+    return acc
 
 
 def _extract_content(e: Expr):

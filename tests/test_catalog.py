@@ -173,6 +173,15 @@ def test_n_range_enforced():
         instantiate(rec, n=5)
 
 
+@pytest.mark.parametrize("label, n", [("(22,n)", 13), ("(23,n)", 13), ("(28,n)", 13),
+                                      ("(28,n)", 40), ("(24,n+2)", 13), ("(9,1)", 14)])
+def test_orders_past_the_jet_ceiling_are_constraint_violations(label, n):
+    # a builder's total derivative or a template's jet past MAX_JET_ORDER
+    with pytest.raises(ConstraintViolation) as err:
+        instantiate(find_record(RECORDS, label), n=n)
+    assert str(err.value).startswith(f"{label}: order n={n} needs jets past")
+
+
 def test_unknown_parameter_rejected():
     rec = find_record(RECORDS, "(24,n+1)")
     with pytest.raises(CatalogError):

@@ -187,7 +187,11 @@ def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys
 @pytest.mark.parametrize("argv", [["prolong", "Dx", "13"], ["prolong", "Dx", "-1"],
                                   ["count", "(22,2)", "--order", "13"], ["liedet", "Dx"],
                                   ["verify", "--workers", "0"],
-                                  ["verify", "--workers", "-3"]])
+                                  ["verify", "--workers", "-3"],
+                                  # orders whose grounding needs jets past the ceiling
+                                  ["liedet", "(22,n)", "--n", "13"],
+                                  ["count", "(22,n)", "--order", "3", "--n", "13"],
+                                  ["count", "(28,n)", "--order", "3", "--n", "40"]])
 def test_bad_user_input_is_a_usage_error(argv, capsys):
     import liesym.cli as cli
 
@@ -540,7 +544,7 @@ def test_instantiate_runs_once_per_record_and_order(monkeypatch):
     import liesym.harness as harness
     import liesym.parse as parse
 
-    real, tokenize = harness.instantiate, parse._tokenize
+    real, fresh_parse = harness.instantiate, parse._parse
     calls, inside = [], []  # calls: (record, overridden values, texts parsed afresh)
 
     def spy(rec, *args, **kwargs):
@@ -552,13 +556,13 @@ def test_instantiate_runs_once_per_record_and_order(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_tokenize(text):  # a parse memo miss, or a text calling a function slot
+    def spy_parse(text, ctx, allow_fields):  # a parse memo miss, or a text calling a slot
         if inside:
             inside[-1].append(text)
-        return tokenize(text)
+        return fresh_parse(text, ctx, allow_fields)
 
     monkeypatch.setattr(harness, "instantiate", spy)
-    monkeypatch.setattr(parse, "_tokenize", spy_tokenize)
+    monkeypatch.setattr(parse, "_parse", spy_parse)
     parse._MEMO.clear()  # a default run keeps about 300 parses: no clear within it
     report = run_verification()
     variants = [r for r in report.results if r.check in ("extra_symmetry", "generator_probe")]

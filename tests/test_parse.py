@@ -1,11 +1,15 @@
 """Grammar round trips and parse errors."""
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import liesym.parse as P
+import parse_oracle
 from liesym import expr as E
+from liesym.catalog import _h_slot, default_order, instantiate, load_catalog, secondary_order
 from liesym.expr import format_expr
 from liesym.jet import VectorField, prolong, total_derivative
 from liesym.parse import (
@@ -397,3 +401,97 @@ def test_memoized_parse_matches_a_fresh_parse(text, ctx1, ctx2, allow_fields):
     for ctx in (ctx1, ctx2, ctx1):
         assert _outcome(lambda: parse(text, ctx)) == \
             _outcome(lambda: _parse(text, ctx, allow_fields))
+
+
+# -- the one-pass parser against the expression-valued oracle -----------------------
+#
+# `_parse` builds raw term dicts over string tokens; `parse_oracle.parse` builds a
+# normalized Expr at every step over tokens with offsets.  Both give the same key,
+# or the same error type, offset and message.
+
+def _typed(e):
+    """e's terms with the type of every coefficient and exponent: a key reads
+    the int 2 and Fraction(2) alike, the normal form does not."""
+    return tuple((tuple((_typed(b) if type(b) is E.Expr else b, x, type(x)) for b, x in m),
+                  c, type(c)) for m, c in e.terms)
+
+
+def _compared(out):
+    """A parse outcome with each expression as its key and typed terms."""
+    if isinstance(out, E.Expr):
+        return out._key, _typed(out)
+    if isinstance(out, tuple) and isinstance(out[0], E.Expr):
+        return tuple(map(_compared, out))
+    return out
+
+
+def _same_as_oracle(text, ctx, allow_fields, oracle_ctx=None):
+    assert _compared(_outcome(lambda: _parse(text, ctx, allow_fields))) == _compared(
+        _outcome(lambda: parse_oracle.parse(text, oracle_ctx or ctx, allow_fields))), text
+
+
+_GARBAGE = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+
+
+@given(st.one_of(_TEXTS, _GARBAGE), _contexts(), st.booleans())
+@example("(x+y+1)^(-1)*(x+y+1)^2/(2*x + 4)^(1/2)", Context(), False)
+@example("x - y - x + y - 1/2", Context(), False)
+@example("y'^(-1/3)*(2*x)^3 - sqrt(4*y^2)/(y)^(2)", Context(), False)
+@example("é + y'^(1/3) * ٣^(2/3) / $", Context(), False)
+def test_one_pass_parse_matches_the_oracle(text, ctx, allow_fields):
+    _same_as_oracle(text, ctx, allow_fields)
+
+
+_NONLINEAR = st.sampled_from(["Dx*Dy", "Dx^2", "Dy^(-1)", "Dx^(1/2)", "exp(Dx)",
+                              "(x + Dy)^(-1)*Dx", "sqrt(1 + Dx)*Dy", "1"])
+
+
+@given(st.lists(st.tuples(_TEXTS, st.sampled_from(["Dx", "Dy"])), min_size=1, max_size=3),
+       st.lists(st.tuples(_TEXTS, _NONLINEAR), max_size=1))
+@example([("x", "Dx"), ("y", "Dy"), ("-x", "Dx")], [])
+@example([("x", "Dx")], [("-x", "Dx*Dy")])
+@example([("y'", "Dx")], [])
+def test_field_split_matches_the_derivative_split(linear, nonlinear):
+    """The one-pass split of linear and nonlinear fields against the split by
+    derivatives in Dx and Dy."""
+    ctx = Context(params={"n": F(2)}, functions={"H": E.expr_sum}, auto_params=True)
+    terms = linear + nonlinear
+    _same_as_oracle(" + ".join(f"({a})*{t}" for a, t in terms), ctx, True)
+
+
+def _workload_parses():
+    """(text, context, allow_fields) of each fresh parse that grounding makes:
+    every record at its default and secondary order, and each open family at
+    orders lo..lo+5 (the benchmark's workloads ground no others)."""
+    seen, real = [], P._parse
+
+    def spy(text, ctx, allow_fields):
+        seen.append((text, Context(dict(ctx.params), dict(ctx.macros), dict(ctx.functions),
+                                   ctx.auto_params), allow_fields))
+        return real(text, ctx, allow_fields)
+
+    P._parse = spy
+    P._MEMO.clear()
+    try:
+        for rec in load_catalog():
+            lo, hi = rec.data.get("n_range", [1, None])
+            orders = {default_order(rec), secondary_order(rec)} - {None}
+            for n in sorted(orders | (set(range(lo, lo + 6)) if hi is None else set())):
+                instantiate(rec, n=n)
+    finally:
+        P._parse = real
+        P._MEMO.clear()
+    return seen
+
+
+def test_every_workload_parse_matches_the_oracle():
+    parses = _workload_parses()
+    assert len(parses) > 500 and any(ctx.functions for _, ctx, _ in parses) \
+        and any(flag for _, _, flag in parses)
+    for text, ctx, allow_fields in parses:
+        if ctx.functions:  # a fresh H slot per parse: its placeholders count its calls
+            ctx, oracle_ctx = [Context(ctx.params, ctx.macros, {"H": partial(_h_slot, [])})
+                               for _ in range(2)]
+            _same_as_oracle(text, ctx, allow_fields, oracle_ctx)
+        else:
+            _same_as_oracle(text, ctx, allow_fields)
