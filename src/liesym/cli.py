@@ -1,14 +1,16 @@
 """Command-line surface: liesym verify | prolong | liedet | count | catalog.
 
 Exit codes: 0 pass, 1 verification failure (a check that raises is a failed
-check), 2 usage or parse error, or generators with no exact value at a
-rational point (count), 3 any other crash (internal error).
+check) or a closed stdout (a pipe whose reader stopped, as `| head -1`;
+nothing is printed), 2 usage or parse error, or generators with no exact
+value at a rational point (count), 3 any other crash (internal error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import CatalogError, ConstraintViolation, find_record, instantiate, load_catalog
@@ -182,7 +184,13 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ConstraintViolation, CatalogError, ExactEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

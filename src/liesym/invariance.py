@@ -19,8 +19,8 @@ as an expression.  An empty D_X is zero; another is
 unpacked for `decide_exactly`, and when that proves it nonzero the witness
 is probed on D_X times the split's nowhere-zero factor, so no residual is
 built.  A target that does not split whole is decided class by class, in
-the classes of the zero test (`numeric.classes`), and only a verdict that
-no class decides builds the residual.
+the classes of the zero test (`numeric.classes`) and by its class rule
+(`numeric.sum_of_classes`); only an undecided verdict builds the residual.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from functools import reduce
 from typing import List, Sequence, Tuple
 
 from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute
-from .jet import _COORDS, VectorField, apply_prolonged, coefficient_row, prolong
+from .jet import (_COORDS, MAX_JET_ORDER, MaxOrderExceeded, VectorField, apply_prolonged,
+                  coefficient_row, prolong)
 from .numeric import (
     DEFAULT_PROBE,
     ProbeConfig,
@@ -46,13 +47,15 @@ from .numeric import (
     is_zero,
     nonzero_verdict,
     power_split,
+    sum_of_classes,
 )
 from .poly import WIDTH, integral, mac, packed, shared, width
 
 
 @dataclass(frozen=True)
 class OdeEquation:
-    """y^(order) = rhs, with rhs involving jets of order < order only."""
+    """y^(order) = rhs, with rhs involving jets of order < order only, and
+    1 <= order <= MAX_JET_ORDER (MaxOrderExceeded past it)."""
 
     order: int
     rhs: Expr
@@ -60,6 +63,8 @@ class OdeEquation:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("equation order must be >= 1")
+        if self.order > MAX_JET_ORDER:
+            raise MaxOrderExceeded(f"equation order {self.order} exceeds limit {MAX_JET_ORDER}")
         top = max_jet_order(self.rhs)
         if top is not None and top >= self.order:
             raise ValueError(
@@ -117,46 +122,31 @@ def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multipli
     answer on D_X settles the verdict whatever the c_k: zero without
     building the residual, and nonzero with the witness of that product
     (`nonzero_verdict`, at points where f is defined), which is the
-    residual.  When f does not split whole, its terms are grouped into the
-    zero test's `classes` and each class f_j is split (`_class_splits`); the
-    residual is linear in f, so it is the sum of the classes' products.
-    Every class zero proves it zero; exactly one class nonzero and the
-    others zero proves it nonzero, and that class's product is the
-    residual.  Otherwise (two nonzero classes may cancel, as lifted terms
-    may be dependent), and when a class does not split or D_X gets no exact
-    answer, the residual is built and goes to `is_zero`.
+    residual.  When f does not split whole, the residual, linear in f, is
+    the sum of the products of its `classes`, each split: `sum_of_classes`
+    decides it from their D_X answers, and a nonzero one is the nonzero
+    class's product.  A class that lifts a factor or does not split (before
+    any D_X is built) or an undecided sum sends the residual to `is_zero`.
     """
     split = power_split(f)
     prolonged = [prolong(X, max_jet_order(f) or 0) for X in fields]
     ws = [multiplier(X) if multiplier else None for X in fields]
-    splits = [split] if split is not None else _class_splits(f)
-    decided = [_decide_log_derivatives(s, prolonged, ws) for s in splits]
+    splits = [split] if split is not None else [
+        None if lifted else power_split(group) for group, lifted in classes(f, frozenset())]
+    decided = [] if None in splits else [_decide_log_derivatives(s, prolonged, ws) for s in splits]
     verdicts = []
-    for PX, w, *classes in zip(prolonged, ws, *decided):
-        zeros = [zero for zero, _E in classes]
-        if classes and all(zeros):
+    for PX, w, *answers in zip(prolonged, ws, *decided):
+        zero = sum_of_classes(z for z, _E in answers) if answers else None
+        if zero:
             verdicts.append(ZeroVerdict(ZeroStatus.EXACT_ZERO))
-        elif zeros.count(False) == 1 and None not in zeros:
-            verdicts.append(nonzero_verdict(classes[zeros.index(False)][1], f, probe))
+        elif zero is False:
+            verdicts.append(nonzero_verdict(next(E for z, E in answers if z is False), f, probe))
         else:
             residual = apply_prolonged(PX, f)
             if w is not None:
                 residual = residual - f * w
             verdicts.append(is_zero(residual, probe))
     return verdicts
-
-
-def _class_splits(f: Expr) -> list:
-    """The split of each of f's `classes`; [] when a class leaves out a
-    transcendental atom or a constant surd, or does not split.  f does not
-    split whole, so a single class, f itself, gives [] too."""
-    splits = []
-    for group, lifted in classes(f, frozenset()):
-        split = None if lifted else power_split(group)
-        if split is None:
-            return []
-        splits.append(split)
-    return splits
 
 
 def _decide_log_derivatives(split, prolonged, ws) -> list:

@@ -35,6 +35,7 @@ from .expr import (
 )
 from .invariance import OdeEquation, bareiss, coefficient_matrix
 from .jet import VectorField
+from .numeric import nowhere_zero
 from .poly import Ring
 
 
@@ -81,12 +82,12 @@ def lie_determinant(fields: Sequence[VectorField]) -> LieDeterminantResult:
 
 def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
     """Classify each factor; solve for the top jet when the factor is linear
-    in it, otherwise keep it implicit.  A product of `exp` calls, or a factor
-    constant where defined (each derivative zero, as of cos(x)^2 + sin(x)^2),
-    vanishes nowhere and is left out."""
+    in it, otherwise keep it implicit.  A `nowhere_zero` monomial, or a
+    factor constant where defined (each derivative zero, as of
+    cos(x)^2 + sin(x)^2), vanishes nowhere and is left out."""
     out = []
     for f, mult in result.factors:
-        if len(f.terms) == 1 and all(getattr(b, "fn", "") == "exp" for b, _e in f.terms[0][0]) \
+        if len(f.terms) == 1 and nowhere_zero(f.terms[0][0]) \
                 or all(diff(f, a).is_zero_expr() for a in leaf_atoms(f)):
             continue
         top = max_jet_order(f)

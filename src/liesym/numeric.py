@@ -17,9 +17,10 @@ in its flags with N as an expression too, for `power_split` and later
 terms.  When e does not split whole (transcendental atoms, constant surds,
 mixed exponent classes), the tier lifts those factors to fresh
 indeterminates and splits the coefficient of each of their monomials, a
-class of e's terms (`classes`): every class split with N empty proves e
-zero, and anything else gives no exact answer, since lifted terms may be
-dependent.
+class of e's terms (`classes`), zero when its N is empty and nonzero when
+N has a term and its lifted factors are `nowhere_zero`.  `sum_of_classes`
+decides e: zero when every class is, nonzero when one is and the rest are
+zero, and else undecided, since lifted terms may be dependent.
 
 `is_zero` runs the exact tier and then the probe, which only searches for
 a witness.  Unless e is proved zero, it is probed at seeded random rational
@@ -570,17 +571,35 @@ def decide_exactly(e: Expr, positive) -> Optional[bool]:
     """The exact tier: whether e is identically zero, or None when it is
     not decided.  For e == N * prod P_k^(c_k) (`power_split`) the product is
     nonzero wherever e is defined, so e is zero iff the polynomial N is,
-    that is iff the packed N has no term.  When e does not split whole, it
-    is zero when each of its `classes` splits with N empty; a class not
-    proved zero proves nothing, as lifted terms may be dependent (Caviness &
-    Fateman 1976), so it gives None."""
+    that is iff the packed N has no term.  Otherwise `sum_of_classes`
+    decides e from its `classes`: one is zero when it splits with N empty,
+    nonzero when N has a term and its lifted factors are `nowhere_zero`."""
     if e.is_zero_expr():
         return True
     split = power_split(e)
     if split is not None:
         return not split[0]
-    return all((split := power_split(group)) is not None and not split[0]
-               for group, _lifted in classes(e, positive)) or None
+    return sum_of_classes(None if (split := power_split(group)) is None
+                          or split[0] and not nowhere_zero(lifted) else not split[0]
+                          for group, lifted in classes(e, positive))
+
+
+def sum_of_classes(answers) -> Optional[bool]:
+    """Whether a sum of classes is zero, from their answers (True, False or
+    None): zero when every class is, nonzero when exactly one is and every
+    other zero, else None, as two nonzero classes may cancel."""
+    nonzero = 0
+    for answer in answers:
+        nonzero += answer is False
+        if answer is None or nonzero > 1:
+            return None
+    return not nonzero
+
+
+def nowhere_zero(powers) -> bool:
+    """Whether a product of the (base, exponent) pairs `powers` vanishes
+    nowhere it is defined: every base is an `exp` call or a constant surd."""
+    return all(type(b) is int or type(b) is Atom and b.fn == "exp" for b, _ex in powers)
 
 
 def classes(e: Expr, positive) -> list:

@@ -174,9 +174,14 @@ def test_n_range_enforced():
 
 
 @pytest.mark.parametrize("label, n", [("(22,n)", 13), ("(23,n)", 13), ("(28,n)", 13),
-                                      ("(28,n)", 40), ("(24,n+2)", 13), ("(9,1)", 14)])
+                                      ("(28,n)", 40), ("(24,n+2)", 13), ("(9,1)", 14)] + [
+    # an equation of order 13 whose rhs stays at or below the ceiling
+    (label, 13) for label in ("(21,n+1)", "(23,n+2)", "(24,n+1)", "(25,n+1)", "(26,n+1)",
+                              "(27,n+1)", "(28,n+1)", "(9,1)", "(10,2)", "(20,2)", "(22,2)",
+                              "(A2.1,2)")])
 def test_orders_past_the_jet_ceiling_are_constraint_violations(label, n):
-    # a builder's total derivative or a template's jet past MAX_JET_ORDER
+    # a builder's total derivative, a template's jet or an equation order
+    # past MAX_JET_ORDER
     with pytest.raises(ConstraintViolation) as err:
         instantiate(find_record(RECORDS, label), n=n)
     assert str(err.value).startswith(f"{label}: order n={n} needs jets past")

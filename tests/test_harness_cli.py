@@ -191,7 +191,11 @@ def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys
                                   # orders whose grounding needs jets past the ceiling
                                   ["liedet", "(22,n)", "--n", "13"],
                                   ["count", "(22,n)", "--order", "3", "--n", "13"],
-                                  ["count", "(28,n)", "--order", "3", "--n", "40"]])
+                                  ["count", "(28,n)", "--order", "3", "--n", "40"],
+                                  # an equation order past the ceiling
+                                  ["liedet", "(24,n+1)", "--n", "13"],
+                                  ["count", "(24,n+1)", "--order", "3", "--n", "13"],
+                                  ["count", "(9,1)", "--order", "3", "--n", "13"]])
 def test_bad_user_input_is_a_usage_error(argv, capsys):
     import liesym.cli as cli
 
@@ -375,6 +379,22 @@ def test_cli_crash_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "rank_and_count", boom)
     assert cli.main(["count", "(22,2)", "--order", "1"]) == 3
     assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["catalog", "list"], ["prolong", "x^2*Dx + y*Dy", "12"]])
+def test_closed_stdout_is_not_an_internal_error(argv):
+    # stdout is a pipe whose reader has already gone, as in `liesym ... | head -1`
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liesym.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=600)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "internal error" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_python_dash_m_liesym_runs_verify():

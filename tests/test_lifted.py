@@ -3,6 +3,7 @@ target that does not split whole): the residuals they prove before any probe
 point, their soundness against the probe oracle, and that they build no
 atom."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -104,14 +105,21 @@ CLASSES = [F(-5, 2), F(-3, 2), F(-1, 2), F(1, 2), F(-2, 3), F(1, 3), F(-2), F(-1
 FACTORS = [E.ONE, E.transcendental("exp", X), E.transcendental("arctan", J(1)) ** 2,
            E.transcendental("exp", X) * E.transcendental("arctan", J(1))]
 ATOMS = [X, J(1), J(2), J(3)]
+# the factors of the perturbation's class: nowhere zero, or not shown to be
+PERTURBATIONS = {True: [E.ONE, E.transcendental("exp", X), E.Expr.rational(3) ** F(-1, 3),
+                        E.Expr.rational(2) ** F(1, 2) * E.transcendental("exp", X)],
+                 False: [E.transcendental("sin", X), E.transcendental("arctan", J(1)) ** 2]}
 
 
 @st.composite
 def lifted_targets(draw):
-    """(target, c, positive): pairs A*P^r*t - (A*P)*P^(r-1)*t, which vanish but
-    not term by term, with mixed exponent classes r and transcendental
-    factors t; the base K/D pairs K^r with (K*D)^r * D^(-r), which needs D > 0.
-    Optionally a perturbation c*y'*B^r*t, zero or not."""
+    """(target, c, nowhere, positive): pairs A*P^r*t - (A*P)*P^(r-1)*t, which
+    vanish but not term by term, with mixed exponent classes r and
+    transcendental factors t; the base K/D pairs K^r with (K*D)^r * D^(-r),
+    which needs D > 0.  Optionally a perturbation c*y'*B^r*u, zero or not:
+    with c != 0 its class is the one nonzero class, and `nowhere` says
+    whether its factor u (exp calls and surds, or sin and arctan) is
+    nowhere zero."""
     target = E.ZERO
     for _ in range(draw(st.integers(1, 3))):
         A = E.Expr.rational(F(draw(st.integers(-9, 9)) or 1, draw(st.integers(1, 4))))
@@ -125,29 +133,33 @@ def lifted_targets(draw):
             D = J(3) ** 2
             target = target + (A * K ** r - A * (K * D) ** r * D ** -r) * t
     c = draw(st.sampled_from([F(-2), 0, F(1, 3), 0, F(5, 2), 0]))
-    target = target + c * J(1) * B ** draw(st.sampled_from(CLASSES)) * draw(st.sampled_from(FACTORS))
-    return target, c, frozenset([E.jet(3)])
+    nowhere = draw(st.booleans())
+    u = draw(st.sampled_from(PERTURBATIONS[nowhere]))
+    target = target + c * J(1) * B ** draw(st.sampled_from(CLASSES)) * u
+    return target, c, nowhere, frozenset([E.jet(3)])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(lifted_targets())
 def test_lifted_zero_has_no_probe_witness(case):
     # soundness: whenever the lifted classes say zero, the probe oracle finds
-    # no witness at 20 points; a target they prove is ExactZero, and any
-    # other verdict is the oracle's, byte for byte
-    target, c, positive = case
+    # no witness at 20 points, and whenever they say nonzero it finds one; a
+    # target they prove zero is ExactZero, one they prove nonzero has the
+    # oracle's witness as ExactNonzero, and any other verdict is the
+    # oracle's, byte for byte
+    target, c, nowhere, positive = case
     if power_split(target) is not None:
         return
     lifted = decide_exactly(target, positive)
-    assert lifted in (True, None)
+    assert lifted is (True if c == 0 else False if nowhere else None)
     oracle = ref_probe_verdict(target, None, PR, positive)
+    verdict = is_zero(target, PR, positive)
     if lifted:
         assert oracle.status == ZeroStatus.PROBABLY_ZERO
-    if c == 0:
-        assert lifted
-    verdict = is_zero(target, PR, positive)
-    if verdict.status == ZeroStatus.EXACT_ZERO:
-        assert lifted
+        assert verdict.status == ZeroStatus.EXACT_ZERO
+    elif lifted is False:
+        assert oracle.status == ZeroStatus.PROBABLY_NONZERO
+        assert verdict == replace(oracle, status=ZeroStatus.EXACT_NONZERO)
     else:
         assert verdict.to_json() == oracle.to_json()
 
@@ -196,6 +208,21 @@ def test_dependent_lifts_leave_the_probe_verdict_unchanged():
     verdict = is_zero(e, PR)
     assert verdict == ref_probe_verdict(e, None, PR, frozenset())
     assert verdict.status == ZeroStatus.PROBABLY_NONZERO and verdict.points_tested == 1
+
+
+def test_one_nonzero_class_with_nowhere_zero_lifts_is_proved_nonzero():
+    # a sum of classes is nonzero when exactly one class is nonzero and its
+    # lifted factors (exp calls, constant surds) vanish nowhere; two nonzero
+    # classes, or a lifted factor that can vanish, leave it undecided
+    exp = E.transcendental("exp", X)
+    assert decide_exactly(E.Expr.rational(F(1, 10 ** 25)) * exp, frozenset()) is False
+    cancelling = ((B ** F(1, 2) - B * B ** F(-1, 2)) * E.transcendental("arctan", J(1))
+                  + B ** F(-1, 3) - B * B ** F(-4, 3))
+    e = J(2) * E.Expr.rational(2) ** F(1, 2) * exp + cancelling
+    assert power_split(e) is None and len(numeric.classes(e, frozenset())) == 3
+    assert decide_exactly(e, frozenset()) is False
+    assert decide_exactly(exp * E.transcendental("exp", -X) - 1, frozenset()) is None
+    assert decide_exactly(E.transcendental("sin", X) * J(1), frozenset()) is None
 
 
 def test_lifted_step_builds_no_atom():

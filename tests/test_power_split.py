@@ -14,7 +14,6 @@ from liesym import expr as E
 from liesym import invariance
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invariance import (
-    _class_splits,
     _decide_log_derivatives,
     check_differential_invariant,
     relative_invariant_verdicts,
@@ -26,6 +25,7 @@ from liesym.numeric import (
     ZeroStatus,
     ZeroVerdict,
     _BadPoint,
+    classes,
     decide_exactly,
     eval_mp,
     is_zero,
@@ -348,8 +348,10 @@ def test_two_nonzero_classes_give_the_residual_verdict(f, status):
     # verdict, which is exactly is_zero(residual)
     fields = [VectorField(E.ZERO, X * Y), VectorField(Y, E.ZERO)]
     assert power_split(f) is None
-    splits = _class_splits(f)
-    assert len(splits) == 2
+    groups = classes(f, frozenset())
+    assert len(groups) == 2 and not any(lifted for _group, lifted in groups)
+    splits = [power_split(group) for group, _lifted in groups]
+    assert None not in splits
     prolonged = [prolong(X_, 1) for X_ in fields]
     for split in splits:
         assert [z for z, _E in _decide_log_derivatives(split, prolonged, [None, None])] \
