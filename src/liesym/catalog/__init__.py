@@ -208,9 +208,8 @@ def _h_values(rhs: Expr, calls: list, choice) -> dict:
 def _check_h_powers(exprs: list, values: dict) -> None:
     """Apply the parser's bounds to each power of a base holding a placeholder,
     at its value and inner bases first, as each choice's parse did (offset 0)."""
-    bound = {a._key for a in values}
-    for b, ex in reversed([p for e in exprs for p in walk_bases(e)] if bound else []):
-        if ex != 1 and _touched(b, bound):
+    for b, ex in reversed([p for e in exprs for p in walk_bases(e)] if values else []):
+        if ex != 1 and _touched(b, values.keys()):
             _check_power(dict(substitute(b if type(b) is Expr else b.as_expr(), values)._terms),
                          ex, 0)
 
@@ -286,6 +285,8 @@ def _ground(record: CatalogRecord, n: int, params) -> ConcreteRecord:
     if dimension and len(fields) != dimension:
         raise CatalogError(
             f"{record.label}: {len(fields)} generators, declared dimension {dimension}")
+    if len(fields) > MAX_JET_ORDER + 2:  # a Lie determinant of r fields prolongs to r - 2
+        raise MaxOrderExceeded(f"{len(fields)} generators exceed {MAX_JET_ORDER + 2}")
     invariants = []
     for inv in content.get("invariants", []):
         order = int(eval_formula(inv["order"], env))

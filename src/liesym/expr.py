@@ -704,10 +704,14 @@ def _derive(e: Expr, values: Mapping[Atom, Expr]) -> Expr:
 
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
     """Simultaneous replacement of atoms by expressions, renormalized: the
-    left fold over each term's bases, with the module docstring's pass-through."""
+    left fold over each term's bases, with the module docstring's pass-through.
+    The keys are indep/dep/jet/param atoms, matched by identity (atoms are
+    interned); a transcendental key raises ValueError."""
     if not bindings:
         return e
-    bound = {a._key for a in bindings}
+    if any(a.kind == "transc" for a in bindings):
+        raise ValueError("cannot substitute for a transcendental atom")
+    bound = bindings.keys()
     acc: dict = {}
     for mono, coeff in e._terms:
         kept = []
@@ -730,22 +734,11 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
 
 
 def _touched(b, bound) -> bool:
-    """Whether a substitution binding the atom keys `bound` changes base b."""
+    """Whether a substitution binding the set `bound` of non-transcendental
+    atoms changes base b: b is one of them, or holds one (`leaf_atoms`)."""
     if type(b) is Atom:
-        if b._key in bound:
-            return True
-        return b.kind == "transc" and not bound.isdisjoint(_atom_keys(b.arg))
-    return isinstance(b, Expr) and not bound.isdisjoint(_atom_keys(b))
-
-
-def _atom_keys(e: Expr) -> frozenset:
-    """The keys of every atom in e, cached on e: `substitute` matches its
-    bindings by key."""
-    keys = e._flags.get("atom_keys")
-    if keys is None:
-        keys = e._flags["atom_keys"] = frozenset(
-            [b._key for b, _ in walk_bases(e) if type(b) is Atom])
-    return keys
+        return b in bound or b.kind == "transc" and not bound.isdisjoint(_scan(b.arg)[0])
+    return type(b) is Expr and not bound.isdisjoint(_scan(b)[0])
 
 
 def _subst_base(b, bindings) -> Expr:
@@ -785,57 +778,54 @@ def walk_bases(e: Expr):
                     stack.append(b.arg)
 
 
+def _scan(e: Expr) -> tuple:
+    """(leaf atoms, jet order, rational fragment, rational apart from its own
+    exponents, polynomial): what e holds, cached on e.  One walk over e's
+    bases reads the cached scan of each compound base and call argument, so
+    an object shared by many parents is walked once."""
+    hit = e._flags.get("scan")
+    if hit is not None:
+        return hit
+    atoms, near, integral, poly = set(), True, True, True
+    for mono, _c in e._terms:
+        for b, ex in mono:
+            if type(ex) is not int:
+                integral = poly = False
+            elif ex < 0:
+                poly = False
+            if type(b) is Atom and b.kind != "transc":
+                atoms.add(b)
+            elif type(b) is int:
+                near = poly = False
+            else:
+                inner = _scan(b) if type(b) is Expr else _scan(b.arg)
+                near, poly = near and type(b) is Expr and inner[2], False
+                atoms |= inner[0]
+    top = max([a.order for a in atoms if a.kind in ("dep", "jet")], default=None)
+    hit = e._flags["scan"] = (frozenset(atoms), top, near and integral, near, poly)
+    return hit
+
+
 def leaf_atoms(e: Expr) -> frozenset:
     """Sampleable coordinates: indep/dep/jet/param atoms, looking through
-    compound bases and transcendental arguments; cached on e."""
-    atoms = e._flags.get("leaf")
-    if atoms is None:
-        atoms = e._flags["leaf"] = frozenset(
-            [b for b, _ in walk_bases(e) if type(b) is Atom and b.kind != "transc"])
-    return atoms
+    compound bases and transcendental arguments."""
+    return _scan(e)[0]
 
 
 def max_jet_order(e: Expr):
-    """Highest jet order present, cached on e; 0 if only y appears, None if no y."""
-    if "top" in e._flags:
-        return e._flags["top"]
-    best = None
-    for b, _ in walk_bases(e):
-        if isinstance(b, Atom):
-            if b.kind == "jet":
-                best = b.order if best is None else max(best, b.order)
-            elif b.kind == "dep" and best is None:
-                best = 0
-    e._flags["top"] = best
-    return best
+    """Highest jet order present; 0 if only y appears, None if no y."""
+    return _scan(e)[1]
 
 
 def is_rational_fragment(e: Expr) -> bool:
     """True when the expression is a rational function of its atoms: no
     transcendental atoms, no fractional exponents anywhere."""
-    flag = e._flags.get("rat")
-    if flag is None:
-        flag = True
-        for b, ex in walk_bases(e):
-            if ex.denominator != 1 or isinstance(b, int):
-                flag = False
-                break
-            if isinstance(b, Atom) and b.kind == "transc":
-                flag = False
-                break
-        e._flags["rat"] = flag
-    return flag
+    return _scan(e)[2]
 
 
 def is_polynomial(e: Expr) -> bool:
     """True when every base is an atom with a nonnegative integer exponent."""
-    for mono, _ in e._terms:
-        for b, ex in mono:
-            if not isinstance(b, Atom) or b.kind == "transc":
-                return False
-            if ex.denominator != 1 or ex < 0:
-                return False
-    return True
+    return _scan(e)[4]
 
 
 # -- printing ----------------------------------------------------------------

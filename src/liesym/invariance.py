@@ -167,7 +167,9 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
     bound = N.ring.total_degree(N) + sum(packed(P, WIDTH)[2] for P, _c in factors) + max(
         [packed(v, WIDTH)[2] for row in rows for v in row], default=0)
     ring = shared(width(bound))
-    polys, dens = zip(integral(ring.repack(N)), *[packed(P, ring.W)[:2] for P, _c in factors])
+    if N.ring is not ring:  # N holds atom slots only, so it repacks faithfully
+        N = ring.pack(N.ring.unpack(N))
+    polys, dens = zip(integral(N), *[packed(P, ring.W)[:2] for P, _c in factors])
     L = math.lcm(*[c.denominator for _P, c in factors])
     weights = [L] + [(L * c).numerator for _P, c in factors]
     W, mask = ring.W, (1 << ring.W) - 1

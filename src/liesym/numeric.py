@@ -79,6 +79,7 @@ from .expr import (
     _expr_from_terms,
     _make_term,
     _normal,
+    _scan,
     atom_name,
     expr_sum,
     is_polynomial,
@@ -312,20 +313,6 @@ def _key_expr(key) -> Expr:
 
 # -- power-product split ------------------------------------------------------
 
-def _refused(e: Expr) -> bool:
-    """Whether e holds what `power_split` refuses in every case: a
-    transcendental atom, a constant surd, or a compound base that is not a
-    rational fragment (whose "rat" flag `is_rational_fragment` keeps).
-    Kept in e's flags, so a target split again is not scanned again."""
-    flag = e._flags.get("refused")
-    if flag is None:
-        flag = e._flags["refused"] = any(
-            type(b) is int or type(b) is Atom and b.kind == "transc"
-            or type(b) is Expr and not is_rational_fragment(b)
-            for mono, _c in e._terms for b, _ex in mono)
-    return flag
-
-
 def power_split(e: Expr):
     """(N, ((P_1, c_1), ...)) with e == N * prod_k P_k^(c_k), N a polynomial
     over the atoms packed in `poly.shared(W)` (`Ring.unpack` gives it as an
@@ -344,11 +331,11 @@ def power_split(e: Expr):
     defined and every P_k with a fractional exponent is positive.  A base P
     and its negation -P are merged when one of them has an integer
     exponent.  None for transcendental atoms, constant surds, mixed
-    exponent classes, radicals inside a base (`_refused`, kept in e's
-    flags), and P and -P both under fractional exponents (a target defined
-    nowhere).
+    exponent classes, radicals inside a base (what `expr._scan` finds, kept
+    in e's flags), and P and -P both under fractional exponents (a target
+    defined nowhere).
     """
-    if _refused(e):
+    if not _scan(e)[3]:
         return None
     lows: dict = {}
     for mono, _c in e._terms:

@@ -98,22 +98,6 @@ class Ring:
             out[m + (t << self.top) if self.graded else m] = c
         return out
 
-    def repack(self, poly: "Poly") -> "Poly":
-        """A polynomial of another ungraded ring in this one, each slot under
-        its key here."""
-        if poly.ring is self:
-            return poly
-        keys, W, out = list(poly.ring.index), poly.ring.W, self.poly(())
-        mask = (1 << W) - 1
-        for m, c in poly.items():
-            t, s = 0, 0
-            while m:
-                if m & mask:
-                    t += (m & mask) << self.W * self.index.setdefault(keys[s], len(self.index))
-                m, s = m >> W, s + 1
-            out[t] = c
-        return out
-
     def total_degree(self, poly: dict) -> int:
         """The degree of a polynomial of this ungraded ring, if it is below
         2^W - 1: as 2^W is 1 modulo 2^W - 1, a monomial is the sum of its

@@ -178,7 +178,9 @@ def test_n_range_enforced():
     # an equation of order 13 whose rhs stays at or below the ceiling
     (label, 13) for label in ("(21,n+1)", "(23,n+2)", "(24,n+1)", "(25,n+1)", "(26,n+1)",
                               "(27,n+1)", "(28,n+1)", "(9,1)", "(10,2)", "(20,2)", "(22,2)",
-                              "(A2.1,2)")])
+                              "(A2.1,2)")] + [
+    # 15 generators: a Lie determinant past the ceiling
+    ("(25,n+2)", 13), ("(27,n+2)", 13)])
 def test_orders_past_the_jet_ceiling_are_constraint_violations(label, n):
     # a builder's total derivative, a template's jet or an equation order
     # past MAX_JET_ORDER

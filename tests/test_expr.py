@@ -169,11 +169,24 @@ def test_max_jet_order_is_cached_and_survives_pickle():
     for e in exprs:
         want = _walk_jet_order(e)
         unwalked = pickle.loads(pickle.dumps(e))
+        assert unwalked is E.ZERO or "scan" not in unwalked._flags
         assert E.max_jet_order(e) == want
-        assert e._flags["top"] == want  # None, for no y, is kept too
-        assert E.max_jet_order(e) == want
+        scan = e._flags["scan"]
+        assert scan[1] == want  # None, for no y, is kept too
+        assert E.max_jet_order(e) == want and e._flags["scan"] is scan
         assert E.max_jet_order(unwalked) == want
+        assert unwalked._flags["scan"] == scan  # the whole scan, atoms re-interned
         assert E.max_jet_order(pickle.loads(pickle.dumps(e))) == want
+
+
+def test_substitute_refuses_a_transcendental_key():
+    t = E.transcendental("exp", X)
+    atom = t.terms[0][0][0][0]
+    assert atom.kind == "transc"
+    for bindings in ({atom: Y}, {E.dep(): X, atom: Y}):
+        with pytest.raises(ValueError, match="transcendental"):
+            substitute(t * Y, bindings)
+    assert substitute(t * Y, {E.dep(): X}) == t * X  # its argument's atoms still bind
 
 
 def test_leaf_atoms_is_cached_and_equals_a_fresh_scan():

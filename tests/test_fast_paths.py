@@ -255,8 +255,11 @@ def test_substitute_passes_untouched_terms_through():
     out = substitute(e, {E.dep(): X})
     assert out == 3 * X * compound * E.transcendental("arctan", X ** 2) \
         + F(1, 2) * X ** 2 * J(2) ** F(1, 3) + J(1)
-    assert E._atom_keys(compound.terms[0][0][0][0]) == frozenset(
-        {E.indep()._key, E.jet(1)._key})
+    base = compound.terms[0][0][0][0]
+    assert E.leaf_atoms(base) == {E.indep(), E.jet(1)} and not E._touched(base, {E.dep(): X}.keys())
+    assert E._touched(base, {E.jet(1): X}.keys())
+    # the compound base of the untouched term is the same object in the result
+    assert any(b is base for mono, _c in out.terms for b, _ex in mono)
 
 
 # -- subtraction with no negated copy ----------------------------------------------

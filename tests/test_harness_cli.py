@@ -195,7 +195,12 @@ def test_verify_refuses_a_probe_that_tests_nothing(flag, value, tmp_path, capsys
                                   # an equation order past the ceiling
                                   ["liedet", "(24,n+1)", "--n", "13"],
                                   ["count", "(24,n+1)", "--order", "3", "--n", "13"],
-                                  ["count", "(9,1)", "--order", "3", "--n", "13"]])
+                                  ["count", "(9,1)", "--order", "3", "--n", "13"],
+                                  # more generators than a Lie determinant at the ceiling
+                                  ["liedet", "(25,n+2)", "--n", "13"],
+                                  ["count", "(25,n+2)", "--order", "3", "--n", "13"],
+                                  ["liedet", "(27,n+2)", "--n", "13"],
+                                  ["count", "(27,n+2)", "--order", "3", "--n", "13"]])
 def test_bad_user_input_is_a_usage_error(argv, capsys):
     import liesym.cli as cli
 

@@ -13,8 +13,8 @@ from liesym import invariance, poly
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invariance import _decide_log_derivatives, check_differential_invariant
 from liesym.invdiff import apply_D, verify_lambda
-from liesym.jet import VectorField, prolong, total_derivative
-from liesym.numeric import ZeroStatus, decide_exactly, power_split
+from liesym.jet import VectorField, apply_prolonged, prolong, total_derivative
+from liesym.numeric import ZeroStatus, decide_exactly, is_zero, power_split
 from liesym.poly import WIDTH
 from log_derivative_oracle import log_derivative_numerator
 import split_oracle
@@ -161,6 +161,25 @@ def test_slot_width_guard_at_the_bound(e):
     for w in (None, total_derivative(lowered.xi)):
         got, want = _decisions([lowered], X ** e * Y, [w])
         assert got == want
+
+
+@pytest.mark.parametrize("f, zero", [(X ** 40000, True), (J(1) ** 40000 + Y ** 3, False)])
+def test_a_wider_decision_ring_repacks_the_split_numerator(f, zero, monkeypatch):
+    # N has degree 40,000 and is packed 17 bits wide; with the field
+    # x^70000*Dy the bound on D_X's degree needs 18, so N is unpacked from its
+    # ring and packed again in the wider one
+    field = VectorField(E.ZERO, X ** 70000)
+    split = power_split(f)
+    unpacked = []
+    real = poly.Ring.unpack
+    monkeypatch.setattr(poly.Ring, "unpack", lambda ring, p: unpacked.append(p) or real(ring, p))
+    (got, _residual), = _decide_log_derivatives(split, [prolong(field, 1)], [None])
+    assert split[0].ring.W == 17 and any(p is split[0] for p in unpacked)
+    assert got is zero
+    monkeypatch.undo()
+    want = is_zero(apply_prolonged(prolong(field, 1), f))
+    assert want.is_exact and want.is_zero is zero
+    assert [v.status for v in check_differential_invariant([field], f)] == [want.status]
 
 
 def test_seven_six_rows_make_no_expression_products_after_prolong(monkeypatch):
