@@ -272,14 +272,11 @@ def _ground(record: CatalogRecord, n: int, params) -> ConcreteRecord:
     dimension = int(eval_formula(data.get("dimension", "0"), env))
     builder = data.get("builder")
     ctx = Context(params=dict(env))
-    blocks: dict = {}
     for name, tmpl in content.get("building_blocks", {}).items():
-        blocks[name] = parse_expression(tmpl, ctx)
-        ctx.macros[name] = blocks[name]
+        ctx.macros[name] = parse_expression(tmpl, ctx)
     if builder:
         fields, extra_blocks = _BUILDERS[builder](n)
         ctx.macros.update(extra_blocks)
-        blocks.update(extra_blocks)
     else:
         fields = _build_generators(content.get("generators", []), ctx)
     if dimension and len(fields) != dimension:
@@ -293,7 +290,6 @@ def _ground(record: CatalogRecord, n: int, params) -> ConcreteRecord:
         expr = parse_expression(inv["expr"], ctx)
         invariants.append((order, expr))
         ctx.macros[f"phi{len(invariants)}"] = expr
-        blocks[f"phi{len(invariants)}"] = expr
     equations = []
     for eq in content.get("equations", []):
         order = int(eval_formula(eq.get("order", data.get("order", "n")), env))
@@ -327,7 +323,7 @@ def _ground(record: CatalogRecord, n: int, params) -> ConcreteRecord:
         lam=lam,
         lie_det_expected=lie_det,
         singular_factors=singular,
-        blocks=blocks,
+        blocks=ctx.macros,
         equivalences=equivalences,
         fundamental_check=bool(content.get("fundamental_check")),
         extra_symmetries=content.get("extra_symmetries", []),

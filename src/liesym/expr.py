@@ -550,14 +550,8 @@ def _int_pow(terms, k: int) -> dict:
 def _extract_content(e: Expr):
     """Split a multi-term expression as content * body, content a positive
     rational, body with coprime integer coefficients (sign preserved)."""
-    nums = [c.numerator for _, c in e._terms]
-    dens = [c.denominator for _, c in e._terms]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
+    g = math.gcd(*[c.numerator for _, c in e._terms])
+    l = math.lcm(*[c.denominator for _, c in e._terms])
     content = Fraction(g, l)
     if content == 1:
         return content, e

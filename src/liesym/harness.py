@@ -83,7 +83,7 @@ class CheckResult:
     passed: bool
     verdicts: list
     elapsed_ms: int
-    note: str = ""
+    note: str
 
     def to_json(self) -> dict:
         out = {
@@ -297,7 +297,7 @@ def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[in
     n = n_override if n_override is not None else default_order(rec)
     return CheckResult(rec.label, "worker", "", n, {},
                        derive_seed(probe.seed, rec.label, n, "worker", ""), False,
-                       [f"{type(exc).__name__}: {exc}"], 0)
+                       [f"{type(exc).__name__}: {exc}"], 0, "")
 
 
 def _pool_results(jobs: list, workers: int) -> list:

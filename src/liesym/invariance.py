@@ -36,7 +36,6 @@ from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import (_COORDS, MAX_JET_ORDER, MaxOrderExceeded, VectorField, apply_prolonged,
                   coefficient_row, prolong)
 from .numeric import (
-    DEFAULT_PROBE,
     ProbeConfig,
     ZeroStatus,
     ZeroVerdict,
@@ -49,7 +48,7 @@ from .numeric import (
     power_split,
     sum_of_classes,
 )
-from .poly import WIDTH, integral, mac, packed, shared, width
+from .poly import degree, integral, mac, packed, shared, width
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class RankReport:
 
 
 def check_equation_invariance(fields: Sequence[VectorField], eq: OdeEquation,
-                              probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
+                              probe: ProbeConfig) -> List[ZeroVerdict]:
     """Per-field verdict on pr_n(X)(y^(n) - rhs) restricted to the equation."""
     n = eq.order
     defect = eq.defect()
@@ -105,13 +104,13 @@ def check_equation_invariance(fields: Sequence[VectorField], eq: OdeEquation,
 
 
 def check_differential_invariant(fields: Sequence[VectorField], phi: Expr,
-                                 probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
+                                 probe: ProbeConfig) -> List[ZeroVerdict]:
     """Per-field verdict on pr_k(X)(phi), with no constraint substitution."""
     return relative_invariant_verdicts(fields, phi, None, probe)
 
 
 def relative_invariant_verdicts(fields: Sequence[VectorField], f: Expr, multiplier,
-                                probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
+                                probe: ProbeConfig) -> List[ZeroVerdict]:
     """Per-field verdict on pr(X)(f) - w*f, where w = multiplier(X), or
     w = 0 when multiplier is None.
 
@@ -164,12 +163,12 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
             for PX, w in zip(prolonged, ws)]
     # a monomial of D_X is one of N or dN/da, one of each P_k or dP_k/da and
     # one of a field coefficient or w: its degree bounds every exponent
-    bound = N.ring.total_degree(N) + sum(packed(P, WIDTH)[2] for P, _c in factors) + max(
-        [packed(v, WIDTH)[2] for row in rows for v in row], default=0)
+    bound = N.ring.total_degree(N) + sum(degree(P) for P, _c in factors) + max(
+        [degree(v) for row in rows for v in row], default=0)
     ring = shared(width(bound))
     if N.ring is not ring:  # N holds atom slots only, so it repacks faithfully
         N = ring.pack(N.ring.unpack(N))
-    polys, dens = zip(integral(N), *[packed(P, ring.W)[:2] for P, _c in factors])
+    polys, dens = zip(integral(N), *[packed(P, ring.W) for P, _c in factors])
     L = math.lcm(*[c.denominator for _P, c in factors])
     weights = [L] + [(L * c).numerator for _P, c in factors]
     W, mask = ring.W, (1 << ring.W) - 1
@@ -190,7 +189,7 @@ def _decide_log_derivatives(split, prolonged, ws) -> list:
     decided, front = [], None
     for row, w in zip(rows, ws):
         scaled = [packed(v, ring.W) for v in row]
-        scale = math.lcm(*[den for _p, den, _d in scaled])
+        scale = math.lcm(*[den for _p, den in scaled])
         acc: dict = {}
         for s, g in G.items():
             if s >= 0 or w is not None:
@@ -215,7 +214,7 @@ def coefficient_matrix(fields: Sequence[VectorField], order: int) -> list:
 
 
 def rank_and_count(fields: Sequence[VectorField], order: int,
-                   probe: ProbeConfig = DEFAULT_PROBE) -> RankReport:
+                   probe: ProbeConfig) -> RankReport:
     """Generic rank: the maximum exact rank over at most 5 seeded points.
 
     A point holds one rational per atom, in atom-key order.  The matrix is
@@ -246,13 +245,9 @@ def rank_and_count(fields: Sequence[VectorField], order: int,
 
 def _integer_rank(rows: list) -> int:
     """Exact rank of a matrix of rationals by `bareiss` over the integers.
-    Each row is first scaled by the lcm of its denominators, which keeps
-    the rank."""
-    a = []
-    for row in rows:
-        scale = math.lcm(*[v.denominator for v in row])
-        a.append([v.numerator * (scale // v.denominator) for v in row])
-    return bareiss(a, 1, True)[0]
+    Each row is first scaled by the lcm of its denominators
+    (`poly.integral`), which keeps the rank."""
+    return bareiss([[*integral(dict(enumerate(row)))[0].values()] for row in rows], 1, True)[0]
 
 
 def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:

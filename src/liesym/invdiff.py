@@ -9,11 +9,11 @@ from typing import List, Sequence
 from .expr import Expr
 from .invariance import relative_invariant_verdicts
 from .jet import VectorField, prolong, total_derivative
-from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroVerdict
+from .numeric import ProbeConfig, ZeroVerdict
 
 
 def verify_lambda(fields: Sequence[VectorField], lam: Expr,
-                  probe: ProbeConfig = DEFAULT_PROBE) -> List[ZeroVerdict]:
+                  probe: ProbeConfig) -> List[ZeroVerdict]:
     """Per-field verdict on pr(X)(lambda) - lambda * D_x(xi)."""
     return relative_invariant_verdicts(fields, lam, lambda X: prolong(X, 0).dxi, probe)
 

@@ -52,7 +52,7 @@ class SingularEquation:
     multiplicity: int
     kind: str
     order: int
-    equation: Optional[OdeEquation] = None
+    equation: Optional[OdeEquation]
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ def singular_equations(result: LieDeterminantResult) -> List[SingularEquation]:
         top = max_jet_order(f)
         if not top:
             kind = "parameter" if all(a.kind == "param" for a in leaf_atoms(f)) else "implicit"
-            out.append(SingularEquation(f, mult, kind, order=top))
+            out.append(SingularEquation(f, mult, kind, top, None))
             continue
         a = diff(f, jet(top))
         if a.is_zero_expr() or not diff(a, jet(top)).is_zero_expr():
-            out.append(SingularEquation(f, mult, "implicit", order=top))
+            out.append(SingularEquation(f, mult, "implicit", top, None))
             continue
         b = f - a * jet(top).as_expr()
         rhs = -b / a
-        out.append(SingularEquation(f, mult, "ode", order=top,
-                                    equation=OdeEquation(top, rhs)))
+        out.append(SingularEquation(f, mult, "ode", top, OdeEquation(top, rhs)))
     return out
 
 

@@ -203,10 +203,10 @@ def clear_denominators(e: Expr):
     positive power, in order of first appearance in the terms (the factor
     order of `power_split`).
 
-    W is `poly.width` of a bound on N's degree, taken before anything is
-    packed.  The terms with one denominator signature are added into one
-    numerator, which is multiplied by the product of the missing powers
-    once; a monomial is an int, so a product of monomials is one addition.
+    W is `poly.width` of a bound on N's degree (`poly.degree`), taken
+    before anything is packed.  Terms with one denominator signature are
+    added into one numerator, multiplied by the product of the missing
+    powers once; a monomial is an int, a product of monomials one addition.
     A compound key keeps each of its packed powers in its flags, and a
     compound base keeps its own (N, D), N also as an Expr (`_cleared`).
     (N, D items) is kept in e's flags."""
@@ -228,7 +228,7 @@ def clear_denominators(e: Expr):
                 nb, db = _cleared(b)
                 for key, p in db:
                     (atoms if type(key) is Atom else keys).append((key, -k * p))
-                    deg -= k * p * _degree(key)
+                    deg -= k * p * degree(key)
                 t_den[nb] = t_den.get(nb, 0) - k
             else:  # a constant surd, or a sum that the normal form expands
                 raise ExprError(f"{_format_base_pow(b, ex)} is outside the rational fragment")
@@ -237,7 +237,7 @@ def clear_denominators(e: Expr):
                 den_max[key] = p
         rows.append((t_den, atoms, keys, coeff))
         top = max(top, deg)
-    ring = shared(width(top + sum(p * _degree(key) for key, p in den_max.items())))
+    ring = shared(width(top + sum(p * degree(key) for key, p in den_max.items())))
     W, index, shifts = ring.W, ring.index, {}
 
     def monomial(items) -> int:
@@ -295,16 +295,6 @@ def _power(key: Expr, p: int, ring: Ring) -> Poly:
     while len(powers) <= p:
         powers.append(powers[-1] * powers[1])
     return powers[p]
-
-
-def _degree(key) -> int:
-    """The degree of a denominator key; a compound key keeps it in its flags."""
-    if type(key) is Atom:
-        return 1
-    d = key._flags.get("degree")
-    if d is None:
-        d = key._flags["degree"] = degree(key)
-    return d
 
 
 def _key_expr(key) -> Expr:
@@ -535,7 +525,7 @@ def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
 
 # -- the zero test ------------------------------------------------------------
 
-def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE,
+def is_zero(e: Expr, probe: ProbeConfig,
             positive=frozenset()) -> ZeroVerdict:
     """Certify whether an expression is identically zero.
 

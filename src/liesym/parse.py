@@ -4,8 +4,8 @@ Grammar (whitespace insignificant):
 
 * numbers are runs of decimal digits; rationals are written with ``/``.  An
   identifier starts with a word character that is not a decimal digit.
-* jets ``y'``, ``y''``, ``y'''`` and ``y^(k)`` for k >= 1 (``y^(2)`` is the
-  same atom as ``y''``); to raise y itself to a parenthesized power,
+* jets ``y'``, ``y''``, ``y'''`` and ``y^(k)`` for k >= 0 (``y^(2)`` is
+  ``y''``, ``y^(0)`` is ``y``); to raise y itself to a parenthesized power,
   parenthesize the base: ``(y)^(3)``.
 * operators ``+ - * / ^`` with precedence ``^`` > unary minus > ``* /`` >
   ``+ -``.  ``^`` takes a unary expression that must fold to an exact
@@ -57,7 +57,7 @@ from .expr import (
     _normal,
     dep,
     indep,
-    jet,
+    jet_or_dep,
     leaf_atoms,
     max_jet_order,
     param,
@@ -312,14 +312,14 @@ class _Parser:
         if t[:1] == "'":
             self.i += 1
             self._check_jet(len(t), i)
-            return {((jet(len(t)), 1),): 1}
+            return {((jet_or_dep(len(t)), 1),): 1}
         if t == "^" and toks[i + 1] == "(":
             self.i += 2
             r = self._fold_rational(self.parse_expr)
             self.expect(")")
-            if r.denominator == 1 and r >= 1:
+            if r.denominator == 1 and r >= 0:
                 self._check_jet(r.numerator, i + 2)
-                return {((jet(r.numerator), 1),): 1}
+                return {((jet_or_dep(r.numerator), 1),): 1}
             return _power({_Y: 1}, r, i)
         return {_Y: 1}
 

@@ -22,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .expr import Expr, ExprError, _base_key, _make_term, _normal, expr_sum
+from .expr import Atom, Expr, ExprError, _base_key, _make_term, _normal, expr_sum
 from .jet import _COORDS
 
 WIDTH = 16
@@ -38,9 +38,16 @@ def _slot(b, ex) -> tuple:
     return ((b, 1), ex) if type(ex) is int and ex > 0 else ((b, ex), 1)
 
 
-def degree(e: Expr) -> int:
-    """The total degree of e over its slots."""
-    return max((sum(_slot(b, ex)[1] for b, ex in mono) for mono, _c in e._terms), default=0)
+def degree(x) -> int:
+    """The total degree of x over its slots: 1 for an atom, and an expression
+    keeps it in its flags under "degree"."""
+    if type(x) is Atom:
+        return 1
+    d = x._flags.get("degree")
+    if d is None:
+        d = x._flags["degree"] = max(
+            (sum(_slot(b, ex)[1] for b, ex in mono) for mono, _c in x._terms), default=0)
+    return d
 
 
 class Ring:
@@ -57,16 +64,9 @@ class Ring:
     def of(exprs: list, scale: int) -> "Ring":
         """The graded ring over the slots of `exprs`, wide enough for degrees
         up to `scale` times the largest of theirs."""
-        keys, deg = set(), 0
-        for e in exprs:
-            for mono, _c in e._terms:
-                t = 0
-                for b, ex in mono:
-                    key, k = _slot(b, ex)
-                    keys.add(key)
-                    t += k
-                deg = max(deg, t)
-        keys = sorted(keys, key=lambda k: (_base_key(k[0]), k[1]), reverse=True)
+        keys = sorted({_slot(b, ex)[0] for e in exprs for mono, _c in e._terms for b, ex in mono},
+                      key=lambda k: (_base_key(k[0]), k[1]), reverse=True)
+        deg = max(map(degree, exprs), default=0)
         return Ring({k: s for s, k in enumerate(keys)}, width(scale * deg), True)
 
     def poly(self, terms) -> "Poly":
@@ -200,9 +200,9 @@ def integral(poly: dict) -> tuple:
 
 
 def packed(e: Expr, W: int) -> tuple:
-    """(den*e as {monomial: int} in `shared(W)`, den, degree), den the lcm of
-    e's denominators; kept in e's flags (a field coefficient packs once)."""
+    """(den*e as {monomial: int} in `shared(W)`, den), den the lcm of e's
+    denominators; kept in e's flags (a field coefficient packs once)."""
     hit = e._flags.get(("packed", W))
     if hit is None:
-        hit = e._flags[("packed", W)] = (*integral(shared(W).pack(e)), degree(e))
+        hit = e._flags[("packed", W)] = integral(shared(W).pack(e))
     return hit

@@ -36,7 +36,7 @@ def lie_recursion(u: Expr, v: Expr, steps: int) -> List[Expr]:
     prev, cur = u, v
     for _ in range(steps):
         den = total_derivative(prev)
-        if is_zero(den).status == ZeroStatus.EXACT_ZERO:
+        if is_zero(den, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO:
             raise DegenerateDenominator(
                 "total derivative of the previous invariant is identically zero")
         num = total_derivative(cur)

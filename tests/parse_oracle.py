@@ -22,6 +22,7 @@ from liesym.expr import (
     diff,
     indep,
     jet,
+    jet_or_dep,
     leaf_atoms,
     max_jet_order,
     param,
@@ -250,9 +251,9 @@ class _Parser:
             pos = self.peek().pos
             r = self._fold_rational(self.parse_expr)
             self.expect_op(")")
-            if r.denominator == 1 and r >= 1:
+            if r.denominator == 1 and r >= 0:
                 self._check_jet(r.numerator, pos)
-                return jet(r.numerator).as_expr()
+                return jet_or_dep(r.numerator).as_expr()
             return _guard(caret.pos, dep().as_expr().pow, r)
         return dep().as_expr()
 

@@ -31,7 +31,7 @@ from liesym.linear_ode import (
     coeffs_from_solutions,
     prop1_symmetries,
 )
-from liesym.numeric import ProbeConfig, ZeroStatus, is_zero
+from liesym.numeric import DEFAULT_PROBE, ProbeConfig, ZeroStatus, is_zero
 from liesym.parse import Context, parse_expression, parse_vector_field
 
 from linear_ode_helpers import coeffs_from_roots
@@ -61,10 +61,10 @@ def announce(num, passed, text):
 
 
 def _matches_up_to_sign(det, template):
-    plus = is_zero(det - template)
+    plus = is_zero(det - template, DEFAULT_PROBE)
     if plus.status == ZeroStatus.EXACT_ZERO:
         return True
-    return is_zero(det + template).status == ZeroStatus.EXACT_ZERO
+    return is_zero(det + template, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def test_criterion_1_lie_determinant_exactness():
@@ -101,7 +101,7 @@ def test_criterion_1_lie_determinant_exactness():
     # matrix is exactly 9*y''^3 (the companion sub-test certifies the
     # tabulated square as a misprint)
     det55 = det_of("(5,5)", 5)
-    assert is_zero(det55 - 9 * J(2) ** 3).status == ZeroStatus.EXACT_ZERO
+    assert is_zero(det55 - 9 * J(2) ** 3, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
     elapsed = time.monotonic() - t0
     assert elapsed < 10, f"criterion 1 runtime {elapsed:.1f}s"
     announce(1, True, f"closed-form determinants exact (up to row parity) in {elapsed:.1f}s")
@@ -150,9 +150,9 @@ def test_criterion_1_tabulated_5_5_square_as_stated():
     res = lie_determinant(con.fields)
     det = res.determinant
     # the engine value is exactly the cube
-    assert is_zero(det - 9 * J(2) ** 3).status == ZeroStatus.EXACT_ZERO
+    assert is_zero(det - 9 * J(2) ** 3, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
     # the tabulated square is rejected with an exact witness
-    square = is_zero(det - 9 * J(2) ** 2)
+    square = is_zero(det - 9 * J(2) ** 2, DEFAULT_PROBE)
     assert square.status == ZeroStatus.EXACT_NONZERO, (
         "the engine agrees with the tabulated 9*y''^2, which the stated "
         "generator matrix does not give")

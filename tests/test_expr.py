@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from liesym import expr as E
 from liesym.catalog import instantiate, load_catalog
 from liesym.expr import Expr, diff, expr_sum, substitute, sum_of_products
-from liesym.numeric import ZeroStatus, is_zero
+from liesym.numeric import DEFAULT_PROBE, ZeroStatus, is_zero
 
 from expr_helpers import renormalized
 
@@ -101,7 +101,7 @@ def test_product_rule_exact_on_rational_fragment():
         e2 = _random_poly(rng, atoms)
         v = rng.choice(atoms)
         residual = diff(e1 * e2, v) - e1 * diff(e2, v) - e2 * diff(e1, v)
-        assert is_zero(residual).status == ZeroStatus.EXACT_ZERO
+        assert is_zero(residual, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def test_substitute_examples():
@@ -237,7 +237,7 @@ def test_structural_sharing_is_safe():
     e = (X + Y) ** F(-1)
     f = e * (X + Y)
     assert not e.is_zero_expr()
-    assert is_zero(f - 1).status == ZeroStatus.EXACT_ZERO
+    assert is_zero(f - 1, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def _random_poly(rng, atoms, terms=4, max_exp=3):

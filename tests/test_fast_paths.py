@@ -31,7 +31,7 @@ from hypothesis import example, given, strategies as st
 
 from liesym import expr as E
 from liesym.expr import Expr, diff, substitute
-from liesym.numeric import eval_mp, is_zero, power_split
+from liesym.numeric import DEFAULT_PROBE, eval_mp, is_zero, power_split
 
 from derivation_oracle import ref_diff_base
 from expr_helpers import renormalized
@@ -161,7 +161,7 @@ def test_atom_expression_is_shared():
     compound = (1 + shared * Y) ** F(-1, 2)
     assert diff(compound, E.indep()) == F(-1, 2) * Y * (1 + X * Y) ** F(-3, 2)
     assert substitute(shared * Y, {E.dep(): shared}) == X ** 2
-    assert is_zero(shared * shared - X ** 2).is_zero
+    assert is_zero(shared * shared - X ** 2, DEFAULT_PROBE).is_zero
     assert power_split(compound * shared) is not None
     assert eval_mp(shared, {E.indep(): F(3)}, 30) == 3
     assert eval_mp(shared, {E.indep(): F(-1, 4)}, 30) == mpmath.mpf(-1) / 4

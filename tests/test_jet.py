@@ -18,7 +18,7 @@ from liesym.jet import (
     prolong,
     total_derivative,
 )
-from liesym.numeric import ZeroStatus, eval_mp, is_zero, sample_point
+from liesym.numeric import DEFAULT_PROBE, ZeroStatus, eval_mp, is_zero, sample_point
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -187,7 +187,7 @@ def test_characteristic_operator_identity():
             for j in range(1, 4):
                 dw = total_derivative(dw)
                 rhs = rhs + dw * diff(e, E.jet(j))
-            assert is_zero(lhs - rhs).status == ZeroStatus.EXACT_ZERO
+            assert is_zero(lhs - rhs, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def test_prolongation_commutes_with_total_derivative():
@@ -199,7 +199,7 @@ def test_prolongation_commutes_with_total_derivative():
             lhs = apply_prolonged(prolong(field, 5), total_derivative(e))
             rhs = total_derivative(apply_prolonged(prolong(field, 3), e)) \
                 - total_derivative(field.xi) * total_derivative(e)
-            assert is_zero(lhs - rhs).status == ZeroStatus.EXACT_ZERO
+            assert is_zero(lhs - rhs, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def test_prolongation_linear_in_field():

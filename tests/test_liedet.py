@@ -24,6 +24,7 @@ from liesym.poly import WIDTH, Ring
 from dense_oracle import ref_dense_div_exact, ref_dense_mul
 from linear_ode_helpers import exact_quotient
 from rank_oracle import rank_at_point
+import rule_oracle
 from sympy_oracle import to_sympy
 
 X = E.indep().as_expr()
@@ -319,6 +320,18 @@ def test_singular_catalog_matrices_stop_at_the_first_column_without_a_pivot():
     assert bareiss([[0, 1], [0, 2]], 1, False) == (0, 0)
     assert bareiss([[0, 1], [0, 2]], 1, True) == (1, 1)
     assert _integer_rank([[F(0), F(1)], [F(0), F(0)]]) == 1
+
+
+def test_graded_ring_slots_and_width_match_the_oracle_on_catalog_matrices():
+    # Ring.of collects its slot keys and reads each entry's `poly.degree`:
+    # the same slots, in the same order, and the same width as the one-pass
+    # loop it replaced
+    mats = _catalog_lie_matrices()
+    assert len(mats) == 63
+    for label, n, matrix in mats:
+        entries = [e for row in matrix for e in row]
+        ring = Ring.of(entries, 2 * len(matrix))
+        assert (ring.index, ring.W) == rule_oracle.ring_of(entries, 2 * len(matrix)), (label, n)
 
 
 def test_perfect_powers_with_large_coefficients():

@@ -14,7 +14,7 @@ from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.invariance import _decide_log_derivatives, check_differential_invariant
 from liesym.invdiff import apply_D, verify_lambda
 from liesym.jet import VectorField, apply_prolonged, prolong, total_derivative
-from liesym.numeric import ZeroStatus, decide_exactly, is_zero, power_split
+from liesym.numeric import DEFAULT_PROBE, ZeroStatus, decide_exactly, is_zero, power_split
 from liesym.poly import WIDTH
 from log_derivative_oracle import log_derivative_numerator
 import split_oracle
@@ -177,9 +177,10 @@ def test_a_wider_decision_ring_repacks_the_split_numerator(f, zero, monkeypatch)
     assert split[0].ring.W == 17 and any(p is split[0] for p in unpacked)
     assert got is zero
     monkeypatch.undo()
-    want = is_zero(apply_prolonged(prolong(field, 1), f))
+    want = is_zero(apply_prolonged(prolong(field, 1), f), DEFAULT_PROBE)
     assert want.is_exact and want.is_zero is zero
-    assert [v.status for v in check_differential_invariant([field], f)] == [want.status]
+    verdicts = check_differential_invariant([field], f, DEFAULT_PROBE)
+    assert [v.status for v in verdicts] == [want.status]
 
 
 def test_seven_six_rows_make_no_expression_products_after_prolong(monkeypatch):
@@ -213,8 +214,10 @@ def test_seven_six_rows_make_no_expression_products_after_prolong(monkeypatch):
     monkeypatch.setattr(E, "_term_product", product)
     monkeypatch.setattr(invariance, "apply_prolonged",
                         lambda *a: calls.append("apply") or real_apply(*a))
-    rows = [check_differential_invariant(con.fields, phi) for _order, phi in con.invariants]
-    rows += [verify_lambda(con.fields, con.lam), check_differential_invariant(con.fields, closure)]
+    rows = [check_differential_invariant(con.fields, phi, DEFAULT_PROBE)
+            for _order, phi in con.invariants]
+    rows += [verify_lambda(con.fields, con.lam, DEFAULT_PROBE),
+             check_differential_invariant(con.fields, closure, DEFAULT_PROBE)]
     assert len(rows) == 5
     for verdicts in rows:
         assert [v.status for v in verdicts] == [ZeroStatus.EXACT_ZERO] * 6

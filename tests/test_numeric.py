@@ -9,6 +9,7 @@ import pytest
 
 from liesym import expr as E
 from liesym.numeric import (
+    DEFAULT_PROBE,
     ExactEvalError,
     ProbeConfig,
     SamplingExhausted,
@@ -32,10 +33,10 @@ def J(k):
 
 def test_exact_zero_via_clearing():
     e = (X ** 2 - Y ** 2) / (X + Y) - (X - Y)
-    assert is_zero(e).status == ZeroStatus.EXACT_ZERO
+    assert is_zero(e, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
     nested = (X + (X + Y) ** -1) ** -1
     identity = nested * (X * (X + Y) + 1) - (X + Y)
-    assert is_zero(identity).status == ZeroStatus.EXACT_ZERO
+    assert is_zero(identity, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO
 
 
 def test_exact_nonzero_with_witness():

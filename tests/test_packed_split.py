@@ -13,7 +13,8 @@ from liesym import harness, invariance
 from liesym.catalog import default_order, find_record, instantiate, load_catalog
 from liesym.harness import run_verification
 from liesym.jet import apply_prolonged, prolong
-from liesym.numeric import ZeroStatus, clear_denominators, decide_exactly, is_zero, power_split
+from liesym.numeric import (DEFAULT_PROBE, ZeroStatus, clear_denominators, decide_exactly, is_zero,
+                            power_split)
 from liesym.poly import WIDTH
 import split_oracle
 
@@ -160,4 +161,4 @@ def test_seven_six_equation_residuals_make_no_expression_products(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for r in residuals:
-        assert is_zero(r).status == ZeroStatus.EXACT_ZERO
+        assert is_zero(r, DEFAULT_PROBE).status == ZeroStatus.EXACT_ZERO

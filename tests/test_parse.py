@@ -40,6 +40,18 @@ def test_jet_spellings():
     assert parse_expression("y^2") == E.dep().as_expr() ** 2
 
 
+def test_zeroth_jet_spelling_is_y():
+    # y^(k) at k = 0 is the 0th derivative y, as a template y^(n-k) reads at
+    # n = k, not y^0 = 1; y^(-1) and y^(1/2) stay powers of y
+    y = E.dep().as_expr()
+    assert rt("y^(0)") == y
+    assert parse_expression("y^(n-k)", Context(params={"n": 3, "k": 3})) == y
+    assert parse_expression("totd(y^(0))") == total_derivative(y) == E.jet(1).as_expr()
+    assert parse_expression("y^(-1)") == y ** -1
+    assert parse_expression("y^(1/2)") == y ** F(1, 2)
+    _same_as_oracle("y^(0)*y^(2-2) + totd(y^(0))", Context(), False)
+
+
 def test_worked_parse_example():
     e = rt("3*y''^2/(2*y')")
     expected = F(3, 2) * E.jet(2).as_expr() ** 2 * E.jet(1).as_expr() ** -1
@@ -436,6 +448,7 @@ _GARBAGE = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
 @given(st.one_of(_TEXTS, _GARBAGE), _contexts(), st.booleans())
 @example("(x+y+1)^(-1)*(x+y+1)^2/(2*x + 4)^(1/2)", Context(), False)
 @example("x - y - x + y - 1/2", Context(), False)
+@example("y^(0)*y^(1-1)^2 + y^(-1)", Context(), False)
 @example("y'^(-1/3)*(2*x)^3 - sqrt(4*y^2)/(y)^(2)", Context(), False)
 @example("é + y'^(1/3) * ٣^(2/3) / $", Context(), False)
 def test_one_pass_parse_matches_the_oracle(text, ctx, allow_fields):
