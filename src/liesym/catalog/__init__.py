@@ -104,8 +104,10 @@ def eval_formula(text, env: Mapping[str, Fraction]) -> Fraction:
 def check_condition(cond: str, env: Mapping[str, Fraction]) -> bool:
     """'alpha != n-1' or 'K = n/(n-1)', evaluated exactly.
 
-    Conditions on symbolic (unset) parameters hold vacuously; a condition
-    that does not parse raises ParseError.
+    A condition on a symbolic (unset) parameter holds for `!=` and fails
+    for `=`: no value is excluded, and no case is selected, since the
+    parameter equals no one value.  A condition that does not parse raises
+    ParseError.
     """
     op = "!=" if "!=" in cond else "="
     lhs, found, rhs = cond.partition(op)
@@ -114,7 +116,7 @@ def check_condition(cond: str, env: Mapping[str, Fraction]) -> bool:
     ctx = Context(params=dict(env))
     lv, rv = parse_expression(lhs, ctx), parse_expression(rhs, ctx)
     if not (lv.is_rational_const() and rv.is_rational_const()):
-        return True  # involves a symbolic parameter: not checkable
+        return op == "!="  # a symbolic parameter
     return (lv == rv) if op == "=" else (lv != rv)
 
 

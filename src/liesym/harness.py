@@ -156,13 +156,13 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
         verdicts, note, *extra) under `params`; return the extra results, none
         when fn raises."""
         seed = derive_seed(probe.seed, rec.label, n, check, detail)
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, verdicts, note, *extra = fn(*args, replace(probe, seed=seed))
         except Exception as exc:  # a raising check is a failed check
             passed, verdicts, note, extra = False, [f"{type(exc).__name__}: {exc}"], "", []
         out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,
-                               passed, verdicts, int((time.time() - t0) * 1000), note))
+                               passed, verdicts, int((time.perf_counter() - t0) * 1000), note))
         return extra
 
     for n in _planned_orders(rec, n_override):

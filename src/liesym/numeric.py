@@ -24,7 +24,8 @@ zero, and else undecided, since lifted terms may be dependent.
 
 `is_zero` runs the exact tier and then the probe, which only searches for
 a witness.  Unless e is proved zero, it is probed at seeded random rational
-points with mpmath at the configured precision, and the first point where
+points in decimal arithmetic (the standard library's `decimal`, at the
+configured precision plus 15 guard digits), and the first point where
 |value| >= 10^-(digits-20) is the witness of ExactNonzero (e proved
 nonzero) or ProbablyNonzero (no exact answer).  The threshold keeps twenty
 orders of magnitude between roundoff and an honest nonzero value.
@@ -34,12 +35,16 @@ it was derived from) is defined too.
 
 Every evaluation at a point is one walk over the expression tree
 (`_walker`), each base and each power of a base computed once per point,
-with Python operators on plain values: mpf at the probe's working
+with Python operators on plain values: Decimals at the probe's working
 precision, which `_probe` holds around its loop, or exact ints and
 Fractions for the rank of `invariance.rank_and_count`, which evaluates a
 point's whole matrix through one walker.  The exact walk refuses a
 fractional power or a call (ExactEvalError) and rejects only a zero
-denominator.  The walker also has a domain walk, which rejects the points
+denominator.  In the probe's walk a fractional power p/q is the p-th
+power of the q-th root (`_root`), and the calls are `Decimal.exp`,
+`Decimal.ln` and the series of `_sin_cos` and `_arctan`; the witness's
+magnitude is printed to 6 digits as `mpmath.nstr` prints it (`_magnitude`).
+The walker also has a domain walk, which rejects the points
 the value walk rejects while computing only the values its tests read; the
 witness search of `nonzero_verdict` checks the target's domain with it and
 evaluates the witness expression over the same memo.
@@ -63,12 +68,11 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Optional
-
-import mpmath
 
 from .expr import (
     Atom,
@@ -400,32 +404,131 @@ def power_split(e: Expr):
 
 _TINY_EXP = -10  # admissibility threshold 10^-10 for denominators/arguments
 
-_CALLS = {"exp": mpmath.exp, "ln": mpmath.ln, "arctan": mpmath.atan,
-          "sin": mpmath.sin, "cos": mpmath.cos}
 
-
-def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int):
-    """Evaluate at a rational point with mpmath at `digits` + 15 working
-    digits: the precision `_probe` holds around its loop, or entered here.
+def eval_mp(e: Expr, point: Mapping[Atom, Fraction], digits: int) -> Decimal:
+    """Evaluate at a rational point in decimal arithmetic at `digits` + 15
+    working digits: the precision `_probe` holds around its loop, or entered
+    here.
 
     Raises _BadPoint when the point is inadmissible (near-singular
     denominator, non-positive fractional-power base, bad ln argument), and
     ExprError when the walk reaches an atom that `point` does not bind.
     """
-    held = mpmath.mp.dps == digits + 15
-    with nullcontext() if held else mpmath.workdps(digits + 15):
+    held = getcontext().prec == digits + 15
+    with nullcontext() if held else _working(digits):
         value, _domain = _walker(point, digits)
-        return mpmath.mpf(value(e))
+        return Decimal(value(e))
+
+
+def _working(digits: int):
+    """The probe's decimal context, to enter: `digits` + 15 digits, and
+    exponents as wide as `decimal` allows, so that exp(1/t) near a pole of
+    1/t stays finite, as an mpf would."""
+    return localcontext(Context(prec=digits + 15, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def _root(v: Decimal, q: int) -> Decimal:
+    """v^(1/q) for v > 0 at the context's precision, at five guard digits:
+    `sqrt` for q = 2; else Newton's iteration for x^q = v', where
+    v' = v / 10^(q*k) lies in [1, 10^q) and the root is scaled back by 10^k.
+    The iteration starts from a float guess made of numbers in [1, 10),
+    which cannot overflow or underflow, and each step doubles the digits it
+    has right, less the digits of q: its error grows by (q - 1)/2.  For
+    q >= 1000, whose v' and x^(q - 1) may pass the exponent range of a
+    context, v^(1/q) is exp(ln(v) / q)."""
+    if q == 2:
+        return v.sqrt()
+    with localcontext() as ctx:
+        ctx.prec += 5
+        if q >= 1000:
+            x = (v.ln() / q).exp()
+        else:
+            k, r = divmod(v.adjusted(), q)
+            m = v.scaleb(-q * k)
+            x = Decimal(float(m.scaleb(-r)) ** (1 / q) * 10 ** (r / q))
+            good = 14  # digits the guess gets right
+            while good < ctx.prec:
+                x = ((q - 1) * x + m / x ** (q - 1)) / q
+                good = 2 * good - len(str(q))
+            x = x.scaleb(k)
+    return +x
+
+
+def _sin_cos(x: Decimal, k: int) -> Decimal:
+    """sin x (k = 1) or cos x (k = 0) at the context's precision: for
+    |x| >= 4, x less its nearest multiple of 2*pi, with pi = 4*arctan(1) and
+    as many more guard digits as x has integer digits; then the Taylor
+    series, summed until a term no longer changes the sum."""
+    with localcontext() as ctx:
+        ctx.prec += 5 + max(0, x.adjusted())
+        if abs(x) >= 4:
+            tau = 8 * _arctan(Decimal(1))
+            x -= tau * (x / tau).to_integral_value()
+        x2, term = x * x, x if k else Decimal(1)
+        total, last, n = term, None, k
+        while total != last:
+            last = total
+            term = -term * x2 / ((n + 1) * (n + 2))
+            total += term
+            n += 2
+    return +total
+
+
+def _arctan(x: Decimal) -> Decimal:
+    """arctan x at the context's precision: the angle is halved,
+    x -> x / (1 + sqrt(1 + x^2)), until |x| < 0.2, and then the series
+    x - x^3/3 + x^5/5 - ... is summed until a term no longer changes it."""
+    with localcontext() as ctx:
+        ctx.prec += 5
+        halvings = 0
+        while abs(x) >= _FIFTH:
+            x /= 1 + (1 + x * x).sqrt()
+            halvings += 1
+        x2, power, total, last, n = -x * x, x, x, None, 1
+        while total != last:
+            last = total
+            power *= x2
+            n += 2
+            total += power / n
+        total *= 2 ** halvings
+    return +total
+
+
+_FIFTH = Decimal("0.2")
+_CALLS = {"exp": Decimal.exp, "ln": Decimal.ln, "arctan": _arctan,
+          "sin": lambda x: _sin_cos(x, 1), "cos": lambda x: _sin_cos(x, 0)}
+
+
+def _magnitude(v: Decimal) -> str:
+    """`mpmath.nstr(v, 6)` for v > 0, as `mpmath.libmp.to_str` prints it:
+    the digits truncated to 9 and rounded half up at the 7th, in fixed
+    notation when the exponent lies in (-5, 6) and as d.ddddde±k otherwise,
+    with trailing zeros stripped down to x.0.  (mpmath reads its 9 digits
+    off a binary value of about 12 digits, so it prints a value less than
+    2*10^-12 above a half at the 7th digit rounded down.)"""
+    digits = "".join(map(str, v.as_tuple().digits[:9])).ljust(9, "0")
+    exp, head = v.adjusted(), int(digits[:6]) + (digits[6] >= "5")
+    if head == 10 ** 6:
+        head, exp = 10 ** 5, exp + 1
+    digits, suffix = str(head), ""
+    if -5 < exp < 0:
+        digits, split = "0" * -exp + digits, 1
+    elif 0 <= exp < 6:
+        split = exp + 1
+    else:
+        split, suffix = 1, f"e{exp:+d}"
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return (text + "0" if text.endswith(".") else text) + suffix
 
 
 def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
     """(value, domain): two walks over expressions at one point, sharing one
     memo of base and power values.
 
-    With `digits`, values are mpf at the working precision `digits` + 15,
-    which the caller holds (`mpmath.workdps`); with None they are exact ints
-    and Fractions.  The two differ in four places: a rational is converted
-    to an mpf or kept; a base is inadmissible below 10^-10 or at exactly 0;
+    With `digits`, values are Decimals at the working precision `digits` +
+    15, which the caller holds (`_working`); with None they are exact ints
+    and Fractions.  The two differ in four places: a rational is rounded to
+    a Decimal or kept; a base is inadmissible below 10^-10 or at exactly 0;
     and a fractional power or a call, which the exact walk refuses with
     ExactEvalError before it evaluates the base or the argument.
 
@@ -437,10 +540,10 @@ def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
     converts coefficients.
     """
     exact = digits is None
-    tiny = None if exact else mpmath.mpf(10) ** _TINY_EXP
+    tiny = None if exact else Decimal(10) ** _TINY_EXP
 
     def rational(q):
-        return q if exact else mpmath.mpf(q.numerator) / q.denominator
+        return q if exact else Decimal(q.numerator) / q.denominator
 
     def small(v):
         return v == 0 if exact else v < tiny
@@ -501,7 +604,9 @@ def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
         if exact and (ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc"):
             raise refuse(b, ex)
         bv = admissible(b, ex)
-        pv = memo[(b, ex)] = bv ** (ex.numerator if ex.denominator == 1 else rational(ex))
+        if ex.denominator != 1:
+            bv = _root(bv, ex.denominator)
+        pv = memo[(b, ex)] = bv ** ex.numerator
         return pv
 
     def domain(e):
@@ -646,8 +751,8 @@ def _probe(atoms, evaluate, zero, probe: ProbeConfig, positive) -> ZeroVerdict:
     proved = zero is False
     rng = random.Random(probe.seed)
     atoms = sorted(atoms, key=lambda a: a._key)
-    threshold = mpmath.mpf(10) ** (-(probe.digits - 20))
-    with mpmath.workdps(probe.digits + 15):
+    threshold = Decimal(10) ** (20 - probe.digits)
+    with _working(probe.digits):
         for i in range(probe.points):
             point, value = _probe_once(rng, atoms, positive, evaluate)
             if abs(value) >= threshold:
@@ -655,7 +760,7 @@ def _probe(atoms, evaluate, zero, probe: ProbeConfig, positive) -> ZeroVerdict:
                            for a, v in point.items()}
                 status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_NONZERO
                 return ZeroVerdict(status, i + 1, probe.digits, witness,
-                                   mpmath.nstr(abs(value), 6))
+                                   _magnitude(abs(value)))
     status = ZeroStatus.EXACT_NONZERO if proved else ZeroStatus.PROBABLY_ZERO
     return ZeroVerdict(status, probe.points, probe.digits)
 

@@ -8,10 +8,15 @@ bit: equal `_mpf_` tuples, equal rejected points and equal messages.
 
 `eval_exact` is the one-expression exact evaluation of the code under test,
 `numeric._walker` with no digits, for tests that evaluate one expression.
+`as_mpf` gives a probe value, a `decimal.Decimal`, to the mpmath oracles,
+and `agrees` compares it with the value of `ref_walker`: the walker computes
+in decimal and the oracle in binary, so their values agree to their
+roundoff, not bit for bit.
 """
 
 from fractions import Fraction
 
+import mpmath
 from mpmath import libmp
 
 from liesym.expr import Atom, Expr, ExprError, _format_base_pow, atom_name
@@ -26,6 +31,31 @@ def eval_exact(e, point):
     """e's exact value at `point` through the walker under test."""
     value, _domain = _walker(point, None)
     return value(e)
+
+
+def as_mpf(d):
+    """The Decimal d as an mpf at mpmath's working precision, parsed from
+    its decimal string."""
+    return mpmath.mpf(str(d))
+
+
+def agrees(d, e, point, digits: int) -> bool:
+    """Whether d, the probe's value of e at `point` at `digits` + 15 working
+    digits, is the oracle walk's value there to 10^3 units in the last of
+    those digits, relative to max(1, |value|), plus 10^2 times the largest
+    error of the oracle walk at 13 to 15 guard digits.  The walker computes
+    in decimal and the oracle in binary, so they agree to their roundoff,
+    not bit for bit, and the second term lets that roundoff grow as much as
+    the oracle's own where e is ill-conditioned at the point: near a pole,
+    exp(1/(x - y)) at x - y = 2*10^-10 loses 20 digits."""
+    def oracle(guard):
+        return mpmath.mpf(ref_walker(point, digits + guard - 15)[0](e))
+
+    with mpmath.workdps(digits + 60):
+        want, truth = oracle(15), oracle(55)
+        spread = max(abs(oracle(guard) - truth) for guard in (13, 14, 15))
+        unit = mpmath.mpf(10) ** -(digits + 15)
+        return abs(as_mpf(d) - want) <= 10 ** 3 * unit * max(1, abs(want)) + 10 ** 2 * spread
 
 
 def _mpf_rational(p: int, q: int, prec: int):

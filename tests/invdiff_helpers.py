@@ -16,6 +16,7 @@ from liesym.expr import Expr, ExprError, diff, leaf_atoms
 from liesym.jet import total_derivative
 from liesym.numeric import (DEFAULT_PROBE, MAX_RETRIES, ProbeConfig, SamplingExhausted,
                             ZeroStatus, _BadPoint, eval_mp, is_zero, sample_point)
+from eval_oracle import as_mpf
 from rank_oracle import ref_numeric_rank
 
 
@@ -63,7 +64,7 @@ def functional_rank(exprs: Sequence[Expr], probe: ProbeConfig = DEFAULT_PROBE) -
         for _ in range(4 * MAX_RETRIES):
             point = sample_point(rng, atoms, frozenset())
             try:
-                rows = [[eval_mp(e, point, probe.digits) for e in row] for row in jac]
+                rows = [[as_mpf(eval_mp(e, point, probe.digits)) for e in row] for row in jac]
             except _BadPoint:
                 continue
             best = max(best, ref_numeric_rank(rows, probe.digits))

@@ -13,6 +13,8 @@ import mpmath
 from liesym.expr import atom_name, leaf_atoms
 from liesym.numeric import ZeroStatus, ZeroVerdict, _probe_once, eval_mp
 
+from eval_oracle import as_mpf
+
 
 def ref_probe_verdict(e, zero, probe, positive):
     """True is ExactZero; otherwise the first of `probe.points` seeded points
@@ -45,6 +47,7 @@ def _ref_search(atoms, evaluate, proved, probe, positive):
     for i in range(probe.points):
         point, value = _probe_once(rng, atoms, positive, evaluate)
         with mpmath.workdps(probe.digits + 15):
+            value = as_mpf(value)
             if abs(value) >= threshold:
                 witness = {atom_name(a): f"{v.numerator}/{v.denominator}"
                            for a, v in point.items()}

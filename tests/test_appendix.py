@@ -18,6 +18,7 @@ from liesym.numeric import (
     sample_point,
 )
 
+from eval_oracle import as_mpf
 from invdiff_helpers import functional_rank
 from probe_oracle import ref_probe_verdict
 
@@ -101,7 +102,7 @@ def test_affine_algebra_residual_tier_and_finite_differences():
         for _ in range(200):
             point = sample_point(rng, jets, frozenset())
             try:
-                direction = [eval_mp(c, point, digits)
+                direction = [as_mpf(eval_mp(c, point, digits))
                              for c in coefficient_row(X4, 5)]
 
                 def at(sign):

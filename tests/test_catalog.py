@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +137,15 @@ def test_case_selection_on_special_weights():
     assert con.lam == E.jet(4).as_expr() ** -1
 
 
+def test_symbolic_weight_selects_no_case_and_is_refused_in_exponents():
+    # with alpha unset no `alpha = ...` case holds, so the general templates
+    # are grounded, and their exponents in alpha do not fold to rationals
+    rec = find_record(RECORDS, "(24,n)")
+    with pytest.raises(ParseError, match="exact rational") as err:
+        instantiate(rec, n=5, params={"alpha": None})
+    assert err.value.offset == rec.data["invariants"][0]["expr"].index("(alpha")  # its exponent
+
+
 def test_formula_reads_bound_values_and_rejects_symbolic_names():
     env = {"n": F(5), "alpha": None}
     assert eval_formula("fact(n-1)/(n+1)", env) == 4
@@ -149,7 +159,9 @@ def test_malformed_case_condition_raises():
         with pytest.raises(ParseError):
             check_condition(cond, env)
     assert not check_condition("alpha = n-1", env)
-    assert check_condition("alpha = n-1", {"alpha": None, "n": F(5)})  # unset: holds
+    unset = {"alpha": None, "n": F(5)}  # a symbolic alpha equals no one value
+    assert not check_condition("alpha = n-1", unset)
+    assert check_condition("alpha != n-1", unset)
     rec = find_record(RECORDS, "(24,n)")
     data = copy.deepcopy(rec.data)
     data["cases"][0]["when"] = ["alpah = n-1"]
@@ -286,6 +298,35 @@ def test_equivalences_resolve_positive_names_through_the_parser():
            for label in ("(6,6)", "(28,6)", "(7,6)", "(16,6)")}
     assert pos == {"(6,6)": [frozenset({E.jet(2)})], "(28,6)": [frozenset({E.jet(3)})],
                    "(7,6)": [frozenset()], "(16,6)": [frozenset()]}
+
+
+_PROSE = ("label", "metadata", "notes", "source")  # names and prose, not templates
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _strings(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _strings(item)
+
+
+def test_every_building_block_is_read_by_another_template():
+    # a block no other template string names is dead data: a mutation of it
+    # changes no check
+    dead = []
+    for rec in RECORDS:
+        blocks = rec.data.get("building_blocks", {})
+        for name in blocks:
+            others = [v for k, v in rec.data.items() if k not in _PROSE + ("building_blocks",)]
+            others += [text for other, text in blocks.items() if other != name]
+            names = {m for s in _strings(others) for m in re.findall(r"[A-Za-z_]\w*", s)}
+            if name not in names:
+                dead.append((rec.label, name))
+    assert dead == []
 
 
 def test_builder_records_expose_blocks():

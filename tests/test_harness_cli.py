@@ -46,6 +46,27 @@ def test_parallel_workers_match_single_worker():
     assert ja == jb
 
 
+def test_start_up_imports_no_mpmath():
+    # the probe computes in the standard library's decimal, so no liesym
+    # process pays for importing mpmath
+    code = "import sys, liesym.harness, liesym.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_verify_runs_to_the_same_report_without_mpmath(tmp_path):
+    out = tmp_path / "report.json"
+    code = ("import sys; sys.modules['mpmath'] = None; from liesym.cli import main; "
+            f"sys.exit(main(['verify', '--filter', '(1*', '--out', {str(out)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    want = run_verification(filter_glob="(1*")
+    assert _strip_timing(json.loads(out.read_text())) == _strip_timing(want.to_json())
+
+
 def test_verify_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "--filter", "(5,5)", "--points", "6",

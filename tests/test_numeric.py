@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath
@@ -15,12 +16,15 @@ from liesym.numeric import (
     SamplingExhausted,
     ZeroStatus,
     _BadPoint,
+    _CALLS,
+    _root,
+    _working,
     clear_denominators,
     eval_mp,
     is_zero,
     sample_point,
 )
-from eval_oracle import eval_exact
+from eval_oracle import as_mpf, eval_exact
 
 X = E.indep().as_expr()
 Y = E.dep().as_expr()
@@ -84,7 +88,7 @@ def test_probing_soundness_of_exact_zeros():
         while hits < 5:
             point = sample_point(rng, atoms, frozenset())
             try:
-                v = eval_mp(e, point, 50)
+                v = as_mpf(eval_mp(e, point, 50))
             except _BadPoint:
                 continue
             assert abs(v) < threshold
@@ -204,13 +208,13 @@ def _random_pair(rng, sp, syms, pool, depth):
 
 
 def _tree_walk(e, point, digits):
-    """Reference evaluator: the walk over the expression tree with mpf
-    objects and no memo, which `eval_mp`, one memo per point, must
-    reproduce bit for bit."""
+    """Reference evaluator: the walk over the expression tree with no memo,
+    in the probe's context with its root and calls, which `eval_mp`, one
+    memo per point, must reproduce digit for digit."""
     def node(e):
-        total = mpmath.mpf(0)
+        total = 0
         for mono, coeff in e.terms:
-            v = mpmath.mpf(coeff.numerator) / coeff.denominator
+            v = Decimal(coeff.numerator) / coeff.denominator
             for b, ex in mono:
                 bv = base(b)
                 if ex.denominator == 1:
@@ -220,24 +224,24 @@ def _tree_walk(e, point, digits):
                 else:
                     if bv < tiny:
                         raise _BadPoint
-                    v *= bv ** (mpmath.mpf(ex.numerator) / ex.denominator)
+                    v *= _root(bv, ex.denominator) ** ex.numerator
             total += v
         return total
 
     def base(b):
         if isinstance(b, int):
-            return mpmath.mpf(b)
+            return Decimal(b)
         if isinstance(b, E.Expr):
             return node(b)
         if b.kind != "transc":
-            return mpmath.mpf(point[b].numerator) / point[b].denominator
+            return Decimal(point[b].numerator) / point[b].denominator
         arg = node(b.arg)
         if b.fn == "ln" and arg < tiny:
             raise _BadPoint
-        return getattr(mpmath, {"arctan": "atan"}.get(b.fn, b.fn))(arg)
+        return _CALLS[b.fn](arg)
 
-    with mpmath.workdps(digits + 15):
-        tiny = mpmath.mpf(10) ** -10
+    with _working(digits):
+        tiny = Decimal(10) ** -10
         return node(e)
 
 
@@ -260,12 +264,13 @@ def test_eval_mp_matches_tree_walk_and_sympy_oracle():
                 with pytest.raises(_BadPoint):
                     _tree_walk(e, point, 50)
                 continue
-            assert v._mpf_ == _tree_walk(e, point, 50)._mpf_
+            assert str(v) == str(_tree_walk(e, point, 50))
             subs = {s: sp.Rational(point[a].numerator, point[a].denominator)
                     for s, a in zip(syms, _ORACLE_ATOMS)}
             ref = sp.N(se.subs(subs), 60)
             with mpmath.workdps(70):
                 want = mpmath.mpf(str(ref))
+                v = as_mpf(v)
                 assert abs(v - want) <= mpmath.mpf(10) ** -40 * max(1, abs(want)), (
                     str(e), point)
             compared += 1
@@ -308,7 +313,7 @@ def test_bad_point_raised_exactly_when_a_base_or_ln_argument_is_inadmissible():
             with pytest.raises(_BadPoint):
                 _tree_walk(e, point, 50)
         else:
-            assert eval_mp(e, point, 50)._mpf_ == _tree_walk(e, point, 50)._mpf_
+            assert str(eval_mp(e, point, 50)) == str(_tree_walk(e, point, 50))
 
 
 def test_eval_mp_is_right_at_each_precision_and_caches_nothing():
@@ -318,14 +323,27 @@ def test_eval_mp_is_right_at_each_precision_and_caches_nothing():
     flags[e] = dict(e._flags)
     low = eval_mp(e, point, 30)
     high = eval_mp(e, point, 80)
+    assert eval_mp(e, point, 30) == low
     with mpmath.workdps(120):
         t = mpmath.mpf(7) / 3
         want = mpmath.sqrt(1 + t ** 2) * mpmath.exp(t) - mpmath.sqrt(2)
-        assert abs(low - want) < mpmath.mpf(10) ** -30
-        assert abs(high - want) < mpmath.mpf(10) ** -80
-        assert abs(eval_mp(e, point, 30) - low) == 0
+        assert abs(as_mpf(low) - want) < mpmath.mpf(10) ** -30
+        assert abs(as_mpf(high) - want) < mpmath.mpf(10) ** -80
     # the evaluator leaves no entry behind, on e or on a base inside it
     assert all(ex._flags == before for ex, before in flags.items())
+
+
+@pytest.mark.parametrize("digits", [21, 50, 185])
+def test_eval_mp_keeps_fifteen_guard_digits(digits):
+    # a value with no short expansion has all digits + 15 working digits,
+    # each of them right, against mpmath at twice as many
+    e = (1 + X ** 2) ** F(1, 3) * E.transcendental("arctan", X) + E.transcendental("ln", X)
+    v = eval_mp(e, {E.indep(): F(7, 3)}, digits)
+    assert len(v.as_tuple().digits) == digits + 15
+    with mpmath.workdps(2 * digits + 30):
+        t = mpmath.mpf(7) / 3
+        want = mpmath.cbrt(1 + t ** 2) * mpmath.atan(t) + mpmath.ln(t)
+        assert abs(as_mpf(v) - want) <= mpmath.mpf(10) ** -(digits + 13) * abs(want)
 
 
 def test_missing_atom_is_named_inside_compound_bases_and_arguments():
@@ -357,5 +375,6 @@ def test_probe_verdict_golden():
         "magnitude": "2.46771"}
     point = {E.jet(1): F(-194452, 81415), E.jet(2): F(-108279, 97750),
              E.jet(3): F(-216113, 186655)}
-    assert eval_mp(u, point, 50)._mpf_ == (
-        0, 129940307145465949042248194218105671596828260344972274689791350853, -215, 217)
+    # the binary value recorded before differs from it by 5*10^-65 relative
+    assert str(eval_mp(u, point, 50)) == (
+        "2.4677139788092159426735980319530076845107811930777886213511923975")

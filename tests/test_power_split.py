@@ -34,6 +34,7 @@ from liesym.numeric import (
     sample_point,
     sample_rational,
 )
+from eval_oracle import as_mpf
 from log_derivative_oracle import log_derivative_numerator
 from probe_oracle import ref_nonzero_verdict, ref_probe_verdict
 from sympy_oracle import to_sympy
@@ -100,9 +101,10 @@ def test_split_reproduces_the_target(target):
         except _BadPoint:
             continue
         with mpmath.workdps(65):
-            got = eval_mp(num, point, PR.digits)
+            want = as_mpf(want)
+            got = as_mpf(eval_mp(num, point, PR.digits))
             for P, c in factors:
-                pv = eval_mp(P, point, PR.digits)
+                pv = as_mpf(eval_mp(P, point, PR.digits))
                 if c.denominator != 1:
                     assert pv > 0  # positive wherever the target is defined
                 got *= mpmath.power(pv, mpmath.mpf(c.numerator) / c.denominator)
@@ -238,7 +240,8 @@ def _witness_holds(residual, verdict) -> bool:
         drawn = sample_rational(rng)
         point[a] = F(verdict.witness.get(E.atom_name(a), drawn))
     with mpmath.workdps(PR.digits + 15):
-        return mpmath.nstr(abs(eval_mp(residual, point, PR.digits)), 6) == verdict.magnitude
+        value = as_mpf(eval_mp(residual, point, PR.digits))
+        return mpmath.nstr(abs(value), 6) == verdict.magnitude
 
 
 UPGRADES = {(ZeroStatus.EXACT_ZERO, ZeroStatus.PROBABLY_ZERO),
