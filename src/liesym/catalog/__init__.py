@@ -15,11 +15,10 @@ returns the fields and the blocks that the record's templates may name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, NamedTuple, Optional, Sequence
 
 from ..expr import (Expr, ExprError, ONE, ZERO, _touched, dep, expr_sum, indep, jet_or_dep,
                     leaf_atoms, param, substitute, sum_of_products, transcendental, walk_bases)
@@ -43,8 +42,7 @@ class ConstraintViolation(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """A raw record: label, template strings and metadata, as loaded."""
 
     label: str
@@ -55,8 +53,7 @@ class CatalogRecord:
         return self.data.get("notes", "")
 
 
-@dataclass
-class ConcreteEquation:
+class ConcreteEquation(NamedTuple):
     """One canonical equation under every H choice: `variants` maps each
     name of `H_CHOICES` to its equation when the rhs calls H, and holds
     only `"identity"` otherwise."""
@@ -72,8 +69,7 @@ class ConcreteEquation:
         return len(self.variants) > 1
 
 
-@dataclass
-class ConcreteRecord:
+class ConcreteRecord(NamedTuple):
     label: str
     n: int
     dimension: int

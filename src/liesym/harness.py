@@ -36,11 +36,11 @@ one failed row with no parameters, as a record that cannot be grounded does.
 `_job_cost` (the size of the record's JSON template times its number of
 planned orders; ties by label), and submits the pool jobs in that order:
 longest-processing-time-first list scheduling (Graham 1969), so `(7,6)`,
-a third of the summed check time, starts at once.  The checks grow with
-the number and length of the stored equations, invariants and fields, so
-the template size stands in for the work: on the catalog this key gives a
-2-worker makespan within 0.2% of the order by measured check time, with
-no timing file or setting.  The report rows are sorted at the end, so the
+about a fifth of the summed check time, starts at once.  The checks grow
+with the number and length of the stored equations, invariants and
+fields, so the template size stands in for the work: on the catalog this
+key gives a 2-worker makespan within 0.5% of the order by measured check
+time, with no timing file or setting.  The report rows are sorted at the end, so the
 report does not depend on the order.
 """
 
@@ -52,9 +52,8 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .catalog import (
     H_CHOICES,
@@ -72,8 +71,7 @@ from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroStatus, derive_seed, is_zer
 from .parse import Context, parse_vector_field
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     record: str
     check: str
     detail: str
@@ -100,8 +98,7 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     seed: int
     probe_points: int
     probe_digits: int
@@ -158,7 +155,7 @@ def run_record_checks(rec: CatalogRecord, probe: ProbeConfig,
         seed = derive_seed(probe.seed, rec.label, n, check, detail)
         t0 = time.perf_counter()
         try:
-            passed, verdicts, note, *extra = fn(*args, replace(probe, seed=seed))
+            passed, verdicts, note, *extra = fn(*args, probe._replace(seed=seed))
         except Exception as exc:  # a raising check is a failed check
             passed, verdicts, note, extra = False, [f"{type(exc).__name__}: {exc}"], "", []
         out.append(CheckResult(rec.label, check, detail, n, _params_json(params), seed,

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import (_COORDS, MAX_JET_ORDER, MaxOrderExceeded, VectorField, apply_prolonged,
@@ -51,15 +50,21 @@ from .numeric import (
 from .poly import degree, integral, mac, packed, shared, width
 
 
-@dataclass(frozen=True)
-class OdeEquation:
-    """y^(order) = rhs, with rhs involving jets of order < order only, and
-    1 <= order <= MAX_JET_ORDER (MaxOrderExceeded past it)."""
-
+class _EquationSides(NamedTuple):
     order: int
     rhs: Expr
 
-    def __post_init__(self):
+
+class OdeEquation(_EquationSides):
+    """y^(order) = rhs, with rhs involving jets of order < order only, and
+    1 <= order <= MAX_JET_ORDER (MaxOrderExceeded past it), checked by the
+    constructor, `_make` (and so `_replace`) and unpickling at pickle
+    protocol 2 or later."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order < 1:
             raise ValueError("equation order must be >= 1")
         if self.order > MAX_JET_ORDER:
@@ -68,13 +73,17 @@ class OdeEquation:
         if top is not None and top >= self.order:
             raise ValueError(
                 f"rhs contains jet order {top}, not allowed at equation order {self.order}")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def defect(self) -> Expr:
         return jet(self.order).as_expr() - self.rhs
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     order: int
     rank_rn: int
     count_dn: int

@@ -16,7 +16,7 @@ is prolonged once per process whatever the orders asked of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expr import ONE, Expr, ExprError, _derive, indep, jet_or_dep, max_jet_order
 
@@ -39,22 +39,32 @@ class OrderMismatch(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """xi * d/dx + eta * d/dy with coefficients depending on x, y only."""
-
+class _FieldCoefficients(NamedTuple):
     xi: Expr
     eta: Expr
 
-    def __post_init__(self):
-        for name, e in (("xi", self.xi), ("eta", self.eta)):
+
+class VectorField(_FieldCoefficients):
+    """xi * d/dx + eta * d/dy with coefficients depending on x, y only,
+    checked by the constructor, `_make` (and so `_replace`) and unpickling
+    at pickle protocol 2 or later."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, e in zip(self._fields, self):
             order = max_jet_order(e)
             if order is not None and order > 0:
                 raise ValueError(f"{name} coefficient must not contain jet atoms")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class ProlongedField:
+class ProlongedField(NamedTuple):
     base: VectorField
     order: int
     coeffs: tuple  # (eta[1], ..., eta[order])

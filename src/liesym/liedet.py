@@ -16,9 +16,8 @@ also serves the Cramer solve of :mod:`liesym.linear_ode`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
     Expr,
@@ -39,8 +38,7 @@ from .numeric import nowhere_zero
 from .poly import Ring
 
 
-@dataclass(frozen=True)
-class SingularEquation:
+class SingularEquation(NamedTuple):
     """One vanishing factor of a Lie determinant.
 
     kind is "ode" when the factor is solved for its top jet, "parameter"
@@ -55,8 +53,7 @@ class SingularEquation:
     equation: Optional[OdeEquation]
 
 
-@dataclass(frozen=True)
-class LieDeterminantResult:
+class LieDeterminantResult(NamedTuple):
     matrix_order: int
     determinant: Expr
     factors: tuple

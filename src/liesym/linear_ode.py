@@ -12,9 +12,8 @@ back-substitution (`coeffs_from_solutions`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .expr import (
     Expr,
@@ -40,14 +39,20 @@ class DependentSolutions(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class CharSpec:
-    """Distinct characteristic roots: real ones and complex pairs a +- ib."""
-
+class _Roots(NamedTuple):
     real_roots: tuple = ()
     complex_pairs: tuple = ()
 
-    def __post_init__(self):
+
+class CharSpec(_Roots):
+    """Distinct characteristic roots: real ones and complex pairs a +- ib,
+    checked by the constructor, `_make` (and so `_replace`) and unpickling
+    at pickle protocol 2 or later."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         roots = [(Fraction(r), Fraction(0)) for r in self.real_roots]
         for a, b in self.complex_pairs:
             if Fraction(b) == 0:
@@ -56,14 +61,18 @@ class CharSpec:
             roots.append((Fraction(a), -Fraction(b)))
         if len(set(roots)) != len(roots):
             raise DuplicateRoots("characteristic roots must be pairwise distinct")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def order(self) -> int:
         return len(self.real_roots) + 2 * len(self.complex_pairs)
 
 
-@dataclass(frozen=True)
-class LinearOde:
+class LinearOde(NamedTuple):
     """y^(order) = sum_{i} coeffs[i] * y^(i), coefficients as expressions."""
 
     order: int

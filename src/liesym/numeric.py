@@ -67,12 +67,11 @@ import hashlib
 import math
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .expr import (
     Atom,
@@ -112,8 +111,7 @@ class ZeroStatus(Enum):
     PROBABLY_NONZERO = "ProbablyNonzero"
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(NamedTuple):
     status: ZeroStatus
     points_tested: int = 0
     precision_digits: Optional[int] = None
@@ -149,25 +147,36 @@ MAG_HIGH = Fraction(4)
 MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class _ProbeFields(NamedTuple):
+    points: int = 20
+    digits: int = 50
+    seed: int = 20240101
+
+
+class ProbeConfig(_ProbeFields):
     """Points per probe, working precision in decimal digits, and seed.
 
     A ProbablyZero verdict needs |value| < 10^-(digits-20) at every one of
     `points` points, so at least one point and more than 20 digits are
     required.  The sampling region and the retry limit are fixed by the
     module constants DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH and MAX_RETRIES.
+    The constructor, `_make` (and so `_replace`) and unpickling at pickle
+    protocol 2 or later check this.
     """
 
-    points: int = 20
-    digits: int = 50
-    seed: int = 20240101
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.points < 1:
             raise ValueError(f"points must be at least 1, got {self.points}")
         if self.digits <= 20:
             raise ValueError(f"digits must exceed 20, got {self.digits}")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
 DEFAULT_PROBE = ProbeConfig()

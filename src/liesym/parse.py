@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expr import (
     Atom,
@@ -141,20 +140,35 @@ def _power(terms: dict, r: Fraction, i: int) -> dict:
     return dict(_guard(i, _expr_from_terms(terms).pow, r)._terms)
 
 
-@dataclass
-class Context:
+class _SymbolTable(NamedTuple):
+    params: Optional[dict] = None
+    macros: Optional[dict] = None
+    functions: Optional[dict] = None
+    auto_params: bool = False
+
+
+class Context(_SymbolTable):
     """Symbol table for parsing.
 
     ``params`` maps declared names to an exact rational value or to None for
     a symbolic parameter atom.  ``macros`` are named expressions spliced in
     by reference.  ``functions`` are arbitrary-function slots applied to
-    their parsed argument list at parse time.
+    their parsed argument list at parse time.  A table left at None becomes
+    a fresh dict in the constructor and in `_make` (and so `_replace`), so
+    the catalog's writes to one context's macros reach no other context.
     """
 
-    params: dict = field(default_factory=dict)
-    macros: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    auto_params: bool = False
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        params, macros, functions, auto_params = super().__new__(cls, *args, **kwargs)
+        return super().__new__(cls, {} if params is None else params,
+                               {} if macros is None else macros,
+                               {} if functions is None else functions, auto_params)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def child(self, **extra_params) -> "Context":
         p = dict(self.params)

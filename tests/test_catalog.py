@@ -1,7 +1,6 @@
 """Catalog loading, instantiation grounding, and constraint handling."""
 
 import copy
-import dataclasses
 import re
 from fractions import Fraction as F
 
@@ -166,7 +165,7 @@ def test_malformed_case_condition_raises():
     data = copy.deepcopy(rec.data)
     data["cases"][0]["when"] = ["alpah = n-1"]
     with pytest.raises(ParseError):
-        instantiate(dataclasses.replace(rec, data=data), n=5, params={"alpha": 3})
+        instantiate(rec._replace(data=data), n=5, params={"alpha": 3})
 
 
 def test_constraint_violations_are_named():
@@ -274,7 +273,7 @@ def _with_rhs(label, rhs):
     rec = find_record(RECORDS, label)
     data = copy.deepcopy(rec.data)
     data["equations"] = [{"rhs": rhs}]
-    return dataclasses.replace(rec, data=data)
+    return rec._replace(data=data)
 
 
 @pytest.mark.parametrize("rhs", ["H(H(y) + x)", "y*H(y')^2 + exp(H(x))^3",

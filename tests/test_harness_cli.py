@@ -46,14 +46,16 @@ def test_parallel_workers_match_single_worker():
     assert ja == jb
 
 
-def test_start_up_imports_no_mpmath():
-    # the probe computes in the standard library's decimal, so no liesym
-    # process pays for importing mpmath
-    code = "import sys, liesym.harness, liesym.cli; print('mpmath' in sys.modules)"
+def test_start_up_imports_no_mpmath_dataclasses_or_inspect():
+    # the probe computes in the standard library's decimal and the value
+    # types are NamedTuples, so no liesym process pays for importing mpmath,
+    # or dataclasses and the inspect, ast and dis it pulls in
+    code = ("import sys, liesym.harness, liesym.cli; "
+            "print(*sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == ""
 
 
 def test_verify_runs_to_the_same_report_without_mpmath(tmp_path):
@@ -577,7 +579,7 @@ def test_pool_jobs_are_submitted_longest_first(inline_pool, monkeypatch):
     assert sorted(first) == sorted(records) and len(first) == 41
     keys = [(-harness._job_cost(records[label], None), label) for label in first]
     assert keys == sorted(keys)
-    # the record that is a third of the check time starts at once
+    # the record that is about a fifth of the check time starts at once
     assert "(7,6)" in first[:2]
     harness.run_verification(workers=2)
     assert inline_pool.labels[41:] == first

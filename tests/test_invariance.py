@@ -1,7 +1,6 @@
 """Equation invariance, invariant annihilation, and rank counting."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -269,7 +268,7 @@ def _rank_and_count_pair(rep):
 
 def test_rank_sampling_matches_the_reference_loop():
     for seed in (1, 77, 20240101):
-        probe = replace(PR, seed=seed)
+        probe = PR._replace(seed=seed)
         rep = rank_and_count(gens55(), 4, probe)
         assert _rank_and_count_pair(rep) == _rank_and_count_pair(
             ref_rank_and_count(gens55(), 4, probe))
@@ -295,7 +294,7 @@ def test_rank_shortcut_matches_the_reference_loop_on_the_catalog(monkeypatch):
             for order in (con.dimension - 1, con.dimension):
                 if order > MAX_JET_ORDER:
                     continue
-                probe = replace(DEFAULT_PROBE, seed=derive_seed(
+                probe = DEFAULT_PROBE._replace(seed=derive_seed(
                     DEFAULT_PROBE.seed, rec.label, n, "rank", f"d@{order}"))
                 rep = rank_and_count(con.fields, order, probe)
                 ref = ref_rank_and_count(con.fields, order, probe)

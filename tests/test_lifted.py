@@ -3,7 +3,6 @@ target that does not split whole): the residuals they prove before any probe
 point, their soundness against the probe oracle, and that they build no
 atom."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -159,7 +158,7 @@ def test_lifted_zero_has_no_probe_witness(case):
         assert verdict.status == ZeroStatus.EXACT_ZERO
     elif lifted is False:
         assert oracle.status == ZeroStatus.PROBABLY_NONZERO
-        assert verdict == replace(oracle, status=ZeroStatus.EXACT_NONZERO)
+        assert verdict == oracle._replace(status=ZeroStatus.EXACT_NONZERO)
     else:
         assert verdict.to_json() == oracle.to_json()
 

@@ -1,7 +1,7 @@
 """Zero certification: exact tier, probabilistic tier, sampling discipline."""
 
+import pickle
 import random
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -9,6 +9,9 @@ import mpmath
 import pytest
 
 from liesym import expr as E
+from liesym.invariance import OdeEquation
+from liesym.jet import MaxOrderExceeded, VectorField
+from liesym.linear_ode import CharSpec, DuplicateRoots
 from liesym.numeric import (
     DEFAULT_PROBE,
     ExactEvalError,
@@ -70,7 +73,7 @@ def test_sampling_exhausted_on_identically_singular():
 def test_determinism_same_seed():
     u = (2 * J(1) * J(3) - 3 * J(2) ** 2) ** F(1, 2) - J(2)
     assert is_zero(u, PR) == is_zero(u, PR)
-    first, second = is_zero(u, replace(PR, seed=7)), is_zero(u, replace(PR, seed=7))
+    first, second = is_zero(u, PR._replace(seed=7)), is_zero(u, PR._replace(seed=7))
     assert first.status == ZeroStatus.PROBABLY_NONZERO
     assert first.witness is not None and first.magnitude is not None
     assert first == second  # verdict, witness and magnitude alike
@@ -150,9 +153,32 @@ def test_probe_config_refuses_a_probe_that_tests_nothing(kwargs):
     with pytest.raises(ValueError):
         ProbeConfig(**kwargs)
     with pytest.raises(ValueError):
-        replace(PR, **kwargs)
+        PR._replace(**kwargs)
     assert is_zero(J(2) ** F(1, 2) + 5, ProbeConfig(points=1, digits=21)).status \
         == ZeroStatus.PROBABLY_NONZERO
+
+
+@pytest.mark.parametrize("cls, good, bad, error", [
+    (ProbeConfig, (10, 50, 7), (0, 50, 7), ValueError),
+    (ProbeConfig, (10, 50, 7), (10, 20, 7), ValueError),
+    (OdeEquation, (3, J(2)), (3, J(3)), ValueError),
+    (OdeEquation, (3, J(2)), (13, J(2)), MaxOrderExceeded),
+    (VectorField, (X, Y), (J(1), Y), ValueError),
+    (CharSpec, ((1, 2), ()), ((1, 1), ()), DuplicateRoots),
+    (CharSpec, ((), ((1, 2),)), ((), ((1, 0),)), ValueError),
+])
+def test_every_way_to_build_a_checked_value_checks_it(cls, good, bad, error):
+    # the constructor, `_make`, `_replace` (through `_make`) and unpickling
+    # each refuse the invalid field values `bad`; the forged value, built
+    # past every check, is what a pickle from elsewhere could carry
+    value = cls(*good)
+    assert cls._make(good) == value == pickle.loads(pickle.dumps(value))
+    forged = tuple.__new__(cls, bad)
+    for build in (lambda: cls(*bad), lambda: cls._make(bad),
+                  lambda: value._replace(**dict(zip(cls._fields, bad))),
+                  lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(error):
+            build()
 
 
 # -- the probe evaluator ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grammar round trips and parse errors."""
 
+import pickle
 from fractions import Fraction as F
 from functools import partial
 
@@ -275,6 +276,20 @@ def test_input_errors_are_parse_errors(text):
 # A parse is kept by its text, its flags and the binding of each name the text
 # reads, so a template parsed again under the same bindings of those names is
 # the kept expression, and under other bindings is parsed afresh.
+
+def test_contexts_share_no_table():
+    # the catalog writes macros into its context as it grounds a record, so
+    # a table left at None is a fresh dict however the context is built
+    built = [Context(), Context(auto_params=True), Context._make((None, None, None, False)),
+             pickle.loads(pickle.dumps(Context()))]
+    tables = [getattr(c, name) for c in built for name in ("params", "macros", "functions")]
+    assert all(t == {} for t in tables) and len({id(t) for t in tables}) == len(tables)
+    ctx = built[0]
+    again = ctx._replace(macros=None)
+    assert again.macros == {} and again.macros is not ctx.macros and again.params is ctx.params
+    ctx.macros["u"] = E.indep().as_expr()
+    assert all(c.macros == {} for c in built[1:] + [again])
+
 
 def test_cached_template_follows_each_context():
     text = "y^(n) + n*x"
