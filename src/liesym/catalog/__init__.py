@@ -31,7 +31,7 @@ from ..linear_ode import (
     linear_ode_from_spec,
     prop1_symmetries,
 )
-from ..parse import Context, _check_power, _Error, parse_expression, parse_vector_field
+from ..parse import Context, ParseError, _check_power, _Error, parse_expression, parse_vector_field
 
 
 class CatalogError(ExprError):
@@ -91,9 +91,12 @@ class ConcreteRecord(NamedTuple):
 # -- arithmetic over template formulas ----------------------------------------
 
 def eval_formula(text, env: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate a template ('n+1', 'fact(n-1)', '7') or a number exactly."""
+    """Evaluate a template ('n+1', 'fact(n-1)', '7') or a number exactly;
+    ParseError when it does not fold to a rational."""
     ctx = Context(params={k: v for k, v in env.items() if v is not None})
     e = parse_expression(str(text), ctx)
+    if not e.is_rational_const():
+        raise ParseError(f"{text!r} is not a rational value", 0)
     return e.as_rational()
 
 
@@ -348,14 +351,14 @@ def _build_generators(specs: list, ctx: Context) -> list:
     fields = []
     for spec in specs:
         if isinstance(spec, str):
-            fields.append(VectorField(*parse_vector_field(spec, ctx)))
+            fields.append(parse_vector_field(spec, ctx))
         else:
             var = spec["var"]
             lo = int(eval_formula(spec["from"], ctx.params))
             hi = int(eval_formula(spec["to"], ctx.params))
             for k in range(lo, hi + 1):
                 sub = ctx.child(**{var: Fraction(k)})
-                fields.append(VectorField(*parse_vector_field(spec["template"], sub)))
+                fields.append(parse_vector_field(spec["template"], sub))
     return fields
 
 

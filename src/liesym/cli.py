@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .catalog import CatalogError, ConstraintViolation, find_record, instantiate, load_catalog
 from .expr import format_expr
 from .harness import run_verification
 from .invariance import rank_and_count
-from .jet import MAX_JET_ORDER, VectorField, prolong
+from .jet import MAX_JET_ORDER, prolong
 from .liedet import lie_determinant, singular_equations
 from .numeric import DEFAULT_PROBE, ExactEvalError, ProbeConfig
 from .parse import Context, ParseError, parse_vector_field
@@ -109,15 +110,16 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_verification(filter_glob=args.filter, probe=probe,
-                              workers=args.workers, n_override=args.n,
-                              param_overrides=_parse_params(args.param) or None)
-    text = report.render()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:  # before the run, so that a bad path costs no verification
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        report = run_verification(filter_glob=args.filter, probe=probe,
+                                  workers=args.workers, n_override=args.n,
+                                  param_overrides=_parse_params(args.param) or None)
+        print(report.render(), file=fh)
     if not report.results:
         print("no records matched the filter", file=sys.stderr)
         return 2
@@ -130,7 +132,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prolong(args) -> int:
     ctx = Context(auto_params=True)
-    pf = prolong(VectorField(*parse_vector_field(args.field, ctx)), args.order)
+    pf = prolong(parse_vector_field(args.field, ctx), args.order)
     for j, coeff in enumerate(pf.coeffs, start=1):
         print(f"eta[{j}] = {format_expr(coeff)}")
     return 0
@@ -139,8 +141,7 @@ def cmd_prolong(args) -> int:
 def cmd_liedet(args) -> int:
     if "Dx" in args.target or "Dy" in args.target:
         ctx = Context(auto_params=True)
-        fields = [VectorField(*parse_vector_field(chunk.strip(), ctx))
-                  for chunk in args.target.split(";")]
+        fields = [parse_vector_field(chunk.strip(), ctx) for chunk in args.target.split(";")]
     else:
         fields = _instantiate_target(args.target, args).fields
     if not 2 <= len(fields) <= MAX_JET_ORDER + 2:

@@ -88,6 +88,29 @@ class DomainError(ExprError):
     """Raised when an operation leaves the supported real domain."""
 
 
+class Checked:
+    """The first base of a value type `class V(Checked, Fields)`, Fields a
+    `typing.NamedTuple`: the constructor runs `V._check`, and `_make` (so
+    `_replace`), copying and unpickling at every protocol go through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def _check(self) -> None:
+        pass
+
+
 def _as_exact(value):
     """An int or Fraction argument in normal form (see `_normal`)."""
     if type(value) is int:

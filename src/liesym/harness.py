@@ -65,7 +65,7 @@ from .catalog import (
 )
 from .invariance import check_differential_invariant, check_equation_invariance, rank_and_count
 from .invdiff import apply_D, verify_lambda
-from .jet import MAX_JET_ORDER, VectorField
+from .jet import MAX_JET_ORDER
 from .liedet import lie_determinant, singular_equations
 from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroStatus, derive_seed, is_zero
 from .parse import Context, parse_vector_field
@@ -277,8 +277,8 @@ def _equivalence(ea, eb, positive, probe):
 def _discrimination(con_v, field, expect_zero, probe):
     """Verdicts on the first equation of the grounded variant `con_v` under
     the extra `field`, or under its own fields when `field` is None."""
-    fields = con_v.fields if field is None else [VectorField(*parse_vector_field(
-        field, Context(params={"n": Fraction(con_v.n), **con_v.params})))]
+    fields = con_v.fields if field is None else [parse_vector_field(
+        field, Context(params={"n": Fraction(con_v.n), **con_v.params}))]
     return _verdicts(check_equation_invariance, fields, con_v.equations[0].equation,
                      expect_zero, probe)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .expr import ONE, Expr, jet, leaf_atoms, max_jet_order, substitute
+from .expr import ONE, Checked, Expr, jet, leaf_atoms, max_jet_order, substitute
 from .jet import (_COORDS, MAX_JET_ORDER, MaxOrderExceeded, VectorField, apply_prolonged,
                   coefficient_row, prolong)
 from .numeric import (
@@ -55,16 +55,13 @@ class _EquationSides(NamedTuple):
     rhs: Expr
 
 
-class OdeEquation(_EquationSides):
+class OdeEquation(Checked, _EquationSides):
     """y^(order) = rhs, with rhs involving jets of order < order only, and
-    1 <= order <= MAX_JET_ORDER (MaxOrderExceeded past it), checked by the
-    constructor, `_make` (and so `_replace`) and unpickling at pickle
-    protocol 2 or later."""
+    1 <= order <= MAX_JET_ORDER (MaxOrderExceeded past it)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.order < 1:
             raise ValueError("equation order must be >= 1")
         if self.order > MAX_JET_ORDER:
@@ -73,11 +70,6 @@ class OdeEquation(_EquationSides):
         if top is not None and top >= self.order:
             raise ValueError(
                 f"rhs contains jet order {top}, not allowed at equation order {self.order}")
-        return self
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
     def defect(self) -> Expr:
         return jet(self.order).as_expr() - self.rhs

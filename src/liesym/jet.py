@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .expr import ONE, Expr, ExprError, _derive, indep, jet_or_dep, max_jet_order
+from .expr import ONE, Checked, Expr, ExprError, _derive, indep, jet_or_dep, max_jet_order
 
 # The one jet-order ceiling: prolongation, total derivatives, the parser
 # and the harness's check plan all stop here.
@@ -44,24 +44,16 @@ class _FieldCoefficients(NamedTuple):
     eta: Expr
 
 
-class VectorField(_FieldCoefficients):
-    """xi * d/dx + eta * d/dy with coefficients depending on x, y only,
-    checked by the constructor, `_make` (and so `_replace`) and unpickling
-    at pickle protocol 2 or later."""
+class VectorField(Checked, _FieldCoefficients):
+    """xi * d/dx + eta * d/dy with coefficients depending on x, y only."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, e in zip(self._fields, self):
             order = max_jet_order(e)
             if order is not None and order > 0:
                 raise ValueError(f"{name} coefficient must not contain jet atoms")
-        return self
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
 
 class ProlongedField(NamedTuple):

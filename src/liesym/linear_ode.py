@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Sequence
 
 from .expr import (
+    Checked,
     Expr,
     ExprError,
     ONE,
@@ -44,15 +45,12 @@ class _Roots(NamedTuple):
     complex_pairs: tuple = ()
 
 
-class CharSpec(_Roots):
-    """Distinct characteristic roots: real ones and complex pairs a +- ib,
-    checked by the constructor, `_make` (and so `_replace`) and unpickling
-    at pickle protocol 2 or later."""
+class CharSpec(Checked, _Roots):
+    """Distinct characteristic roots: real ones and complex pairs a +- ib."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         roots = [(Fraction(r), Fraction(0)) for r in self.real_roots]
         for a, b in self.complex_pairs:
             if Fraction(b) == 0:
@@ -61,11 +59,6 @@ class CharSpec(_Roots):
             roots.append((Fraction(a), -Fraction(b)))
         if len(set(roots)) != len(roots):
             raise DuplicateRoots("characteristic roots must be pairwise distinct")
-        return self
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
     @property
     def order(self) -> int:

@@ -75,6 +75,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .expr import (
     Atom,
+    Checked,
     Expr,
     ExprError,
     _format_base_pow,
@@ -153,30 +154,22 @@ class _ProbeFields(NamedTuple):
     seed: int = 20240101
 
 
-class ProbeConfig(_ProbeFields):
+class ProbeConfig(Checked, _ProbeFields):
     """Points per probe, working precision in decimal digits, and seed.
 
     A ProbablyZero verdict needs |value| < 10^-(digits-20) at every one of
     `points` points, so at least one point and more than 20 digits are
     required.  The sampling region and the retry limit are fixed by the
     module constants DEN_LOW, DEN_HIGH, MAG_LOW, MAG_HIGH and MAX_RETRIES.
-    The constructor, `_make` (and so `_replace`) and unpickling at pickle
-    protocol 2 or later check this.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.points < 1:
             raise ValueError(f"points must be at least 1, got {self.points}")
         if self.digits <= 20:
             raise ValueError(f"digits must exceed 20, got {self.digits}")
-        return self
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
 
 DEFAULT_PROBE = ProbeConfig()

@@ -44,6 +44,7 @@ from typing import NamedTuple, Optional
 
 from .expr import (
     Atom,
+    Checked,
     Expr,
     ExprError,
     _acc_add,
@@ -62,7 +63,7 @@ from .expr import (
     param,
     transcendental,
 )
-from .jet import MAX_JET_ORDER, MaxOrderExceeded, total_derivative
+from .jet import MAX_JET_ORDER, MaxOrderExceeded, VectorField, total_derivative
 
 _FUNCTIONS = ("exp", "ln", "arctan", "sin", "cos", "sqrt")
 
@@ -147,28 +148,24 @@ class _SymbolTable(NamedTuple):
     auto_params: bool = False
 
 
-class Context(_SymbolTable):
+class Context(Checked, _SymbolTable):
     """Symbol table for parsing.
 
     ``params`` maps declared names to an exact rational value or to None for
     a symbolic parameter atom.  ``macros`` are named expressions spliced in
     by reference.  ``functions`` are arbitrary-function slots applied to
     their parsed argument list at parse time.  A table left at None becomes
-    a fresh dict in the constructor and in `_make` (and so `_replace`), so
-    the catalog's writes to one context's macros reach no other context.
+    a fresh dict, so the catalog's writes to one context's macros reach no
+    other context.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        params, macros, functions, auto_params = super().__new__(cls, *args, **kwargs)
+        params, macros, functions, auto_params = _SymbolTable(*args, **kwargs)
         return super().__new__(cls, {} if params is None else params,
                                {} if macros is None else macros,
                                {} if functions is None else functions, auto_params)
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
     def child(self, **extra_params) -> "Context":
         p = dict(self.params)
@@ -418,7 +415,7 @@ def _parse(text: str, ctx: Context, allow_fields: bool):
     xi, eta = map(_expr_from_terms, parts)
     if max(max_jet_order(xi) or 0, max_jet_order(eta) or 0) > 0:
         raise ParseError("vector field coefficients must not contain jets", 0)
-    return xi, eta
+    return VectorField(xi, eta)
 
 
 _MEMO: dict = {}
@@ -448,10 +445,10 @@ def parse_expression(text: str, context: Optional[Context] = None) -> Expr:
     return _memoized(text, context, False)
 
 
-def parse_vector_field(text: str, context: Optional[Context] = None):
+def parse_vector_field(text: str, context: Optional[Context] = None) -> VectorField:
     """Parse a point vector field written with ``Dx``/``Dy`` terminals.
 
-    Returns the pair (xi, eta) of coefficient expressions; the input must be
-    linear in Dx and Dy with coefficients free of them and of jets.
+    Returns the VectorField (xi, eta); the input must be linear in Dx and Dy
+    with coefficients free of them and of jets.
     """
     return _memoized(text, context, True)

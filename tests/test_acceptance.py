@@ -230,7 +230,7 @@ def test_criterion_4_exceptional_parameter_discrimination():
     ctx = Context(params={"n": None})
     for n in (5, 6):
         rec = find_record(RECORDS, "(26,n+1)")
-        extra = VectorField(*parse_vector_field(f"x^2*Dx + {n-3}*x*y*Dy", ctx))
+        extra = parse_vector_field(f"x^2*Dx + {n-3}*x*y*Dy", ctx)
         good = instantiate(rec, n=n, params={"K": F(n, n - 1)})
         vs = check_equation_invariance([extra], good.equations[0].equation, STANDARD)
         assert all(v.is_zero for v in vs), ("(26)", n)

@@ -18,7 +18,6 @@ from liesym.catalog import (
     load_catalog,
     secondary_order,
 )
-from liesym.jet import VectorField
 from liesym.parse import (
     Context,
     ParseError,
@@ -80,7 +79,7 @@ def test_power_family_record_grounds():
 def test_bound_override_replaces_its_formula():
     rec = find_record(RECORDS, "(25,n+1)")
     con = instantiate(rec, n=5, params={"r": 1})
-    want = VectorField(*parse_vector_field("x*Dx + (y + x)*Dy"))
+    want = parse_vector_field("x*Dx + (y + x)*Dy")
     assert con.fields[-1] == want
     assert "r" not in con.params
     assert instantiate(rec, n=5).fields[-1] != want  # r = n-1 by default

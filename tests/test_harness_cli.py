@@ -84,6 +84,33 @@ def test_verify_exit_codes(tmp_path):
     assert proc.returncode == 2
 
 
+def test_verify_refuses_an_out_path_before_it_runs(tmp_path, monkeypatch, capsys):
+    import liesym.cli as cli
+
+    def no_run(**kwargs):
+        raise AssertionError("the verification ran")
+
+    monkeypatch.setattr(cli, "run_verification", no_run)
+    assert cli.main(["verify", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: --out" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("value", ["x", "sqrt(2)", "exp(1)"])
+def test_a_param_that_is_not_rational_is_a_usage_error(value, capsys):
+    import liesym.cli as cli
+
+    assert cli.main(["liedet", "(6,6)", "--param", f"K={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{value!r} is not a rational value" in err and "internal error" not in err
+    # verify books it as the record's one failed instantiate row
+    report = run_verification(filter_glob="(6,6)", probe=ProbeConfig(points=6),
+                              param_overrides={"K": value})
+    [row] = report.results
+    assert row.check == "instantiate" and not row.passed
+    assert row.verdicts[0].startswith(f"ParseError: {value!r} is not a rational value")
+
+
 def test_cli_parse_error_exit_code():
     proc = run_cli("prolong", "x*)Dx", "3")
     assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Zero certification: exact tier, probabilistic tier, sampling discipline."""
 
+import copy
 import pickle
 import random
 from decimal import Decimal
@@ -168,15 +169,20 @@ def test_probe_config_refuses_a_probe_that_tests_nothing(kwargs):
     (CharSpec, ((), ((1, 2),)), ((), ((1, 0),)), ValueError),
 ])
 def test_every_way_to_build_a_checked_value_checks_it(cls, good, bad, error):
-    # the constructor, `_make`, `_replace` (through `_make`) and unpickling
-    # each refuse the invalid field values `bad`; the forged value, built
-    # past every check, is what a pickle from elsewhere could carry
+    # the constructor, `_make`, `_replace` (through `_make`), copying and
+    # unpickling at every protocol each refuse the invalid field values
+    # `bad`; the forged value, built past every check, is what a pickle
+    # from elsewhere could carry
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     value = cls(*good)
-    assert cls._make(good) == value == pickle.loads(pickle.dumps(value))
+    assert cls._make(good) == value == copy.copy(value) == copy.deepcopy(value)
+    assert all(pickle.loads(pickle.dumps(value, p)) == value for p in protocols)
     forged = tuple.__new__(cls, bad)
-    for build in (lambda: cls(*bad), lambda: cls._make(bad),
-                  lambda: value._replace(**dict(zip(cls._fields, bad))),
-                  lambda: pickle.loads(pickle.dumps(forged))):
+    builds = [lambda: cls(*bad), lambda: cls._make(bad),
+              lambda: value._replace(**dict(zip(cls._fields, bad))),
+              lambda: copy.copy(forged), lambda: copy.deepcopy(forged)]
+    builds += [lambda p=p: pickle.loads(pickle.dumps(forged, p)) for p in protocols]
+    for build in builds:
         with pytest.raises(error):
             build()
 

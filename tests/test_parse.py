@@ -168,10 +168,10 @@ def test_syntax_error_reports_offset():
 
 def test_vector_field_parsing():
     ctx = Context(params={"r": None})
-    xi, eta = parse_vector_field("x^2*Dx + r*x*y*Dy", ctx)
+    field = parse_vector_field("x^2*Dx + r*x*y*Dy", ctx)
     x, y = E.indep().as_expr(), E.dep().as_expr()
-    assert xi == x ** 2
-    assert eta == E.param("r").as_expr() * x * y
+    assert type(field) is VectorField
+    assert field == VectorField(x ** 2, E.param("r").as_expr() * x * y) == tuple(field)
     xi, eta = parse_vector_field("Dx")
     assert xi == E.ONE and eta.is_zero_expr()
     with pytest.raises(ParseError):
@@ -281,7 +281,7 @@ def test_contexts_share_no_table():
     # the catalog writes macros into its context as it grounds a record, so
     # a table left at None is a fresh dict however the context is built
     built = [Context(), Context(auto_params=True), Context._make((None, None, None, False)),
-             pickle.loads(pickle.dumps(Context()))]
+             pickle.loads(pickle.dumps(Context())), pickle.loads(pickle.dumps(Context(), 0))]
     tables = [getattr(c, name) for c in built for name in ("params", "macros", "functions")]
     assert all(t == {} for t in tables) and len({id(t) for t in tables}) == len(tables)
     ctx = built[0]
@@ -344,7 +344,7 @@ def test_memoized_results_are_never_changed():
     field = parse_vector_field("x^2*Dx + x*y*Dy")
     for _ in range(2):  # the kept results in use downstream
         prolong(VectorField(kept, kept), 3)
-        prolong(VectorField(*field), 3)
+        prolong(field, 3)
         E.diff(kept, E.dep())
         E.substitute(kept, {E.indep(): E.ONE})
         total_derivative(kept * kept)
