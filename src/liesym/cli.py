@@ -119,7 +119,8 @@ def cmd_verify(args) -> int:
         report = run_verification(filter_glob=args.filter, probe=probe,
                                   workers=args.workers, n_override=args.n,
                                   param_overrides=_parse_params(args.param) or None)
-        print(report.render(), file=fh)
+        if report.results:  # a report of no checks would read as a pass
+            print(report.render(), file=fh)
     if not report.results:
         print("no records matched the filter", file=sys.stderr)
         return 2

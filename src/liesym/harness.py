@@ -67,7 +67,14 @@ from .invariance import check_differential_invariant, check_equation_invariance,
 from .invdiff import apply_D, verify_lambda
 from .jet import MAX_JET_ORDER
 from .liedet import lie_determinant, singular_equations
-from .numeric import DEFAULT_PROBE, ProbeConfig, ZeroStatus, derive_seed, is_zero
+from .numeric import (
+    DEFAULT_PROBE,
+    ProbeConfig,
+    ZeroStatus,
+    decide_exactly,
+    derive_seed,
+    is_zero,
+)
 from .parse import Context, parse_vector_field
 
 
@@ -248,20 +255,28 @@ def _lie_det(con, probe):
     res = lie_determinant(con.fields)
     notes, problems = [], []
     if con.lie_det_expected is not None:
-        if is_zero(res.determinant - con.lie_det_expected, probe).is_zero:
+        if _vanishes(res.determinant - con.lie_det_expected, probe):
             notes.append("sign +")
-        elif is_zero(res.determinant + con.lie_det_expected, probe).is_zero:
+        elif _vanishes(res.determinant + con.lie_det_expected, probe):
             notes.append("sign -")
         else:
             problems.append("determinant does not match the stored form")
     if not (res.reassembled() - res.determinant).is_zero_expr():
         problems.append("factor reassembly failed")
     problems += [f"expected singular factor missing: {want}" for want in con.singular_factors
-                 if not any(is_zero(want - f, probe).is_zero or is_zero(want + f, probe).is_zero
+                 if not any(_vanishes(want - f, probe) or _vanishes(want + f, probe)
                             for f, _m in res.factors)]
     return (not problems, [], "; ".join(notes + problems),
             *(s.equation for s in singular_equations(res)
               if s.equation is not None and s.equation.order < MAX_JET_ORDER))
+
+
+def _vanishes(e, probe) -> bool:
+    """Whether e is identically zero: the exact tier's answer, and the
+    probe's only where the exact tier has none, so that no witness is
+    searched for a difference the check reads only as nonzero."""
+    zero = decide_exactly(e, frozenset())
+    return is_zero(e, probe).is_zero if zero is None else zero
 
 
 def _rank_count(fields, order, want_d, probe):

@@ -254,23 +254,31 @@ def _integer_rank(rows: list) -> int:
 def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 1968) of the rows `a`
     in place, over the integers or the polynomials of `poly.Poly`: any domain
-    with `*`, `-`, an exact `//`, a truth value and the unit `one`.  The
-    pivot is the first nonzero entry of a column; a column without one is
-    skipped when `skip` (the rank), else it stops the elimination with sign
-    0.  Each entry right of and below a pivot is a minor of the row-swapped
-    matrix, so dividing by the previous pivot is exact, and a square matrix
-    ends with its determinant times the returned sign in the last entry.
+    with `*`, `-`, an exact `//`, `==`, a truth value and the unit `one`.
+    The pivot of a column is its entry with the fewest terms in the rows not
+    yet eliminated, the first such row on a tie (over the integers, the
+    first nonzero entry): a one-term pivot makes each product and division
+    by it one pass over the other operand (`Poly.__mul__`, `__floordiv__`).
+    Only rows are swapped.  A column without a pivot is skipped when `skip`
+    (the rank), else it stops the elimination with sign 0.  Each entry right
+    of and below a pivot is a minor of the row-swapped matrix, so dividing
+    by the previous pivot is exact, and a square matrix ends with its
+    determinant times the returned sign in the last entry: the rank, the
+    determinant and the Cramer solve do not depend on the pivot rule.  The
+    step (pv*x - f*y) // prev skips f*y when f or y is zero, keeps a zero x
+    when both are, and leaves a row as it is when f is zero and pv == prev.
     Returns (rank, sign of the row swaps)."""
     m, n = len(a), len(a[0]) if a else 0
     rank = col = 0
-    prev, sign, zero = one, 1, one - one
+    prev, sign, zero, sized = one, 1, one - one, isinstance(one, dict)
     while rank < m and col < n:
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
+        live = [i for i in range(rank, m) if a[i][col]]
+        if not live:
             if not skip:
                 return rank, 0
             col += 1
             continue
+        piv = min(live, key=lambda i: len(a[i][col])) if sized else live[0]
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
             sign = -sign
@@ -278,7 +286,9 @@ def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
         pv = top[col]
         for row in a[rank + 1:]:
             f, row[col] = row[col], zero
-            row[col + 1:] = [(pv * x - f * y) // prev
+            if not f and pv == prev:
+                continue
+            row[col + 1:] = [(pv * x - f * y) // prev if f and y else pv * x // prev if x else x
                              for x, y in zip(row[col + 1:], top[col + 1:])]
         prev = pv
         rank += 1

@@ -6,7 +6,11 @@ The determinant is computed by `invariance.bareiss`, the one fraction-free
 elimination, over the graded ring of :mod:`liesym.poly` over the powers in
 the entries.  This is exact for every matrix: the determinant is an integer
 polynomial in the entries, Bareiss divisions are exact in any polynomial
-ring, and substituting the powers back is a ring homomorphism.  Factor
+ring, and substituting the powers back is a ring homomorphism.  The pivot
+of each column is its entry with the fewest terms, often a constant or a
+single power, which keeps the products small; the determinant does not
+depend on that choice, as the last entry is the determinant of the
+row-swapped matrix and `bareiss` returns the sign of the swaps.  Factor
 extraction takes the rational content and the monomial factors, then the
 content in the top jet (the factors common to its coefficients) and a
 perfect-power root of the rest, which suffices for the catalog.  `eliminate`

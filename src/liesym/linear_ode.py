@@ -120,24 +120,32 @@ def fundamental_solutions(spec: CharSpec) -> List[Expr]:
 def coeffs_from_solutions(xis: Sequence[Expr], order: int, lowest_index: int) -> List[Expr]:
     """Solve xi_k^(n) = sum_{i>=lowest_index} A_i(x) xi_k^(i) for the A_i.
 
-    Cramer's rule, A_i = det(M_i) / det(M), where M holds the derivatives
-    xi_k^(i) and M_i has column i replaced by b = (xi_k^(n)): one `bareiss`
-    elimination of [M | b] over the polynomial ring of :mod:`liesym.poly`
-    (`liedet.eliminate`) gives det(M), then an exact back-substitution every
-    det(M_i).  A_i is the polynomial quotient when det(M) divides det(M_i)
-    in that ring, as it does for constant coefficients, and the expression
-    fraction otherwise.
-    Dependence is decided over the indeterminates of the polynomials (atoms
-    and calls such as exp(x), sin(x)), so a dependence through an identity
-    like sin^2 + cos^2 = 1 goes unseen.
-    Returns [A_lowest, ..., A_{order-1}].
+    The system M A = b has the rows [M | b] = (xi_k^(i) for i >= lowest_index
+    | xi_k^(n)), solved by `cramer`.  Returns [A_lowest, ..., A_{order-1}].
     """
     if not 0 <= lowest_index < order:
         raise ValueError("need 0 <= lowest_index < order")
     m = order - lowest_index
     if len(xis) != m:
         raise ValueError(f"need exactly {m} solutions, got {len(xis)}")
-    a, sign, ring = eliminate([_derivative_ladder(f, order)[lowest_index:] for f in xis])
+    return cramer([_derivative_ladder(f, order)[lowest_index:] for f in xis])
+
+
+def cramer(rows: list) -> List[Expr]:
+    """The solution A of M A = b, for the m rows [M | b] of expressions.
+
+    Cramer's rule, A_i = det(M_i) / det(M), M_i with column i replaced by b:
+    one `bareiss` elimination of [M | b] over the polynomial ring of
+    :mod:`liesym.poly` (`liedet.eliminate`) gives det(M), then an exact
+    back-substitution every det(M_i).  A_i is the polynomial quotient when
+    det(M) divides det(M_i) in that ring, as it does for constant
+    coefficients, and the expression fraction otherwise.  Raises
+    DependentSolutions when det(M) is zero, decided over the indeterminates
+    of the polynomials (atoms and calls such as exp(x), sin(x)), so that a
+    dependence through an identity like sin^2 + cos^2 = 1 goes unseen.
+    """
+    m = len(rows)
+    a, sign, ring = eliminate(rows)
     det = a[-1][m - 1] if sign > 0 else ring.poly(()) - a[-1][m - 1]
     den = ring.unpack(det)
     if not sign or den.is_zero_expr():

@@ -126,6 +126,11 @@ def mac(acc: dict, a: dict, b: dict, scale: int) -> dict:
     return acc
 
 
+def _quotient(r, c):
+    """The rational r / c, an int when integral."""
+    return r // c if type(r) is int and type(c) is int and not r % c else _normal(Fraction(r, c))
+
+
 class Poly(dict):
     """A polynomial of the graded ring `ring` as {monomial: coefficient}, with
     no zero coefficient: the domain `invariance.bareiss` runs on."""
@@ -133,17 +138,38 @@ class Poly(dict):
     __slots__ = ("ring",)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """The product; by a one-term factor, each term of the other moved
+        and scaled in one pass, to the coefficients `mac` gives."""
+        if len(other) == 1:
+            (m0, c), = other.items()
+            return self.ring.poly({m + m0: v * c for m, v in self.items()})
+        if len(self) == 1:
+            return other * self
         return self.ring.poly({m: c for m, c in mac({}, self, other, 1).items() if c})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self.ring.poly({m: c for m, c in mac(dict(self), {0: 1}, other, -1).items() if c})
+        out = dict(self)
+        for m, c in other.items():
+            out[m] = out.get(m, 0) - c
+        return self.ring.poly({m: c for m, c in out.items() if c})
 
     def __floordiv__(self, q: "Poly") -> "Poly":
         """The exact quotient; raises ExprError if q does not divide self.
-        Each step subtracts (quotient of the leading terms) * q from the
-        remainder in place: an exact quotient is the same in every order."""
+        A one-term q divides each term on its own, and the constant 1 leaves
+        int coefficients as they are.  Otherwise each step subtracts
+        (quotient of the leading terms) * q from the remainder in place: an
+        exact quotient is the same in every order."""
         if not q:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(q) == 1:
+            (lq, cq), = q.items()
+            if not lq and cq == 1 and all(type(r) is int for r in self.values()):
+                return self
+            g = self.ring.guards  # a cleared guard bit is a borrow (`Ring.quotient`)
+            quot = self.ring.poly({(m | g) - lq ^ g: _quotient(r, cq) for m, r in self.items()})
+            if any(e & g for e in quot):
+                raise ExprError("inexact polynomial division")
+            return quot
         rem, quot, lq = dict(self), self.ring.poly(()), max(q)
         cq = q[lq]
         while rem:
@@ -151,9 +177,7 @@ class Poly(dict):
             e = self.ring.quotient(lr, lq)
             if e is None:
                 raise ExprError("inexact polynomial division")
-            r = rem[lr]
-            c = quot[e] = r // cq if type(r) is int and type(cq) is int and not r % cq \
-                else _normal(Fraction(r, cq))
+            c = quot[e] = _quotient(rem[lr], cq)
             for m, v in q.items():
                 m += e
                 cur = rem.get(m, 0) - c * v

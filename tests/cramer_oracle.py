@@ -4,10 +4,11 @@ For distinct roots a_1..a_n the coefficients A_i of y^(n) = sum A_i y^(i)
 solve the Vandermonde system V X = B with B = (a_1^n, ..., a_n^n)^T.  This
 module solves that system literally by Cramer's rule with exact fractions,
 and gives the Vandermonde product formula for checking the determinants.
+`cramer_solve` is that rule for any square system of rationals.
 """
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from liesym.linear_ode import DuplicateRoots
 
@@ -49,19 +50,22 @@ def fraction_det(matrix: list) -> Fraction:
     return sign * det
 
 
+def cramer_solve(matrix: list, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    """[X_0, ..., X_{n-1}] with matrix X = rhs, X_i = det(M_i) / det(M) by
+    `fraction_det`, M_i with column i replaced by rhs; None when det(M) = 0."""
+    det = fraction_det(matrix)
+    if det == 0:
+        return None
+    return [fraction_det([row[:i] + [b] + row[i + 1:] for row, b in zip(matrix, rhs)]) / det
+            for i in range(len(matrix))]
+
+
 def cramer_coeffs(roots: Sequence[Fraction]) -> List[Fraction]:
     """[A_0, ..., A_{n-1}] from V X = B, B = (a_k^n), solved by Cramer."""
     roots = [Fraction(r) for r in roots]
     if len(set(roots)) != len(roots):
         raise DuplicateRoots("repeated characteristic root")
-    n = len(roots)
-    V = vandermonde_matrix(roots)
-    B = [r ** n for r in roots]
-    detV = fraction_det(V)
-    if detV == 0:
+    out = cramer_solve(vandermonde_matrix(roots), [r ** len(roots) for r in roots])
+    if out is None:
         raise DuplicateRoots("singular Vandermonde matrix")
-    out = []
-    for i in range(n):
-        Fi = [row[:i] + [B[k]] + row[i + 1:] for k, row in enumerate(V)]
-        out.append(fraction_det(Fi) / detV)
     return out

@@ -96,6 +96,20 @@ def test_verify_refuses_an_out_path_before_it_runs(tmp_path, monkeypatch, capsys
     assert "error: --out" in err and "internal error" not in err
 
 
+def test_a_filter_that_matches_nothing_writes_no_report(tmp_path, capsys):
+    # a report of no checks reads "pass": true; none is written, and an
+    # earlier report at the --out path does not survive the run
+    import liesym.cli as cli
+
+    out = tmp_path / "r.json"
+    out.write_text(json.dumps({"pass": True, "checks": []}))
+    assert cli.main(["verify", "--filter", "(99,99)", "--out", str(out)]) == 2
+    assert out.read_text() == ""
+    assert "no records matched the filter" in capsys.readouterr().err
+    assert cli.main(["verify", "--filter", "(99,99)"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("value", ["x", "sqrt(2)", "exp(1)"])
 def test_a_param_that_is_not_rational_is_a_usage_error(value, capsys):
     import liesym.cli as cli

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liesym import expr as E
+from liesym import harness, poly
 from liesym.catalog import default_order, find_record, instantiate, load_catalog, secondary_order
 from liesym.invariance import _integer_rank, bareiss, coefficient_matrix
 from liesym.jet import VectorField
@@ -18,10 +19,13 @@ from liesym.liedet import (
     lie_determinant,
     singular_equations,
 )
+from liesym.linear_ode import DependentSolutions, cramer
 from liesym.numeric import ProbeConfig, is_zero
 from liesym.parse import Context, parse_expression
 from liesym.poly import WIDTH, Ring
+from cramer_oracle import cramer_solve
 from dense_oracle import ref_dense_div_exact, ref_dense_mul
+from eval_oracle import ref_eval_exact
 from linear_ode_helpers import exact_quotient
 from rank_oracle import rank_at_point
 import rule_oracle
@@ -262,6 +266,106 @@ def test_bareiss_matches_cofactor_expansion_off_polynomials(case):
     assert (res.reassembled() - res.determinant).is_zero_expr()
 
 
+_COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
+_TERMS = st.lists(st.tuples(_COEFFS, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3)
+_ENTRIES = st.one_of(st.just(E.ZERO), _COEFFS.map(E.Expr.rational),
+                     _TERMS.map(lambda ts: E.expr_sum([c * X ** i * Y ** j for c, i, j in ts])))
+_POINTS = [{E.indep(): F(2, 3), E.dep(): F(-5, 7)}, {E.indep(): F(-3), E.dep(): F(11, 2)},
+           {E.indep(): F(7, 5), E.dep(): F(13)}]
+
+
+@st.composite
+def _augmented_matrices(draw):
+    """The rows [M | b] of an n x n system in x and y, n <= 4: zero, constant
+    and multi-term entries, and often a singular M, with one row a multiple
+    of another or a zero column."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(_ENTRIES) for _ in range(n + 1)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "multiple", "zero column"]))
+    if kind == "multiple" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = E.Expr.rational(draw(_COEFFS))
+        rows[i][:n] = [c * e for e in rows[j][:n]]
+    elif kind == "zero column":
+        k = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[k] = E.ZERO
+    return rows
+
+
+@given(_augmented_matrices())
+def test_pivot_rule_keeps_the_determinant_and_the_cramer_solution(rows):
+    # whichever rows the sparsest-entry pivots come from: the determinant is
+    # the cofactor expansion's, and the Cramer solution, at a rational point
+    # where det(M) is not zero, is the rational Cramer oracle's there
+    n = len(rows)
+    square = [row[:n] for row in rows]
+    det = determinant(square)
+    assert det == cofactor_determinant(square)
+    if det.is_zero_expr():
+        with pytest.raises(DependentSolutions):
+            cramer(rows)
+        return
+    got = cramer(rows)
+    for point in _POINTS:
+        at = [[ref_eval_exact(e, point) for e in row] for row in rows]
+        want = cramer_solve([row[:n] for row in at], [row[n] for row in at])
+        if want is not None:
+            assert [ref_eval_exact(a, point) for a in got] == want
+            return
+    pytest.fail(f"det(M) = {det} vanishes at every point")
+
+
+def test_family_lie_determinants_match_their_closed_forms_up_to_order_12():
+    # each open-range family with a stored closed form, at every order from
+    # the lower end of its range to 12, past the orders the report checks:
+    # the determinant is that form times the sign of the row order
+    checked = []
+    for rec in load_catalog():
+        lo, hi = rec.data.get("n_range", [1, None])
+        for n in range(lo, 13) if hi is None else ():
+            con = instantiate(rec, n=n)
+            if con.lie_det_expected is not None:
+                det = lie_determinant(con.fields).determinant
+                assert det in (con.lie_det_expected, -con.lie_det_expected), (rec.label, n)
+                checked.append(rec.label)
+    assert len(checked) == 51 and len(set(checked)) == 5
+
+
+def test_the_28_lie_matrix_eliminates_with_no_general_product_or_division(monkeypatch):
+    # every product and every division of the (28,n+2) elimination at n = 9
+    # has a one-term operand, as its sparsest pivots are terms: none runs
+    # the general product `mac` or the general division, which calls
+    # `Ring.quotient` at each step (a constant divisor among them)
+    fields = instantiate(find_record(load_catalog(), "(28,n+2)"), n=9).fields
+    matrix = coefficient_matrix(fields, 9)
+    want = cofactor_determinant(matrix)
+    calls = []
+    real_mac, real_quotient = poly.mac, Ring.quotient
+    monkeypatch.setattr(poly, "mac", lambda *a: calls.append("mac") or real_mac(*a))
+    monkeypatch.setattr(Ring, "quotient", lambda ring, a, b: calls.append(
+        "division by a constant" if b == 0 else "division") or real_quotient(ring, a, b))
+    assert determinant(matrix) == want
+    assert calls == []
+
+
+def test_lie_det_rows_search_no_witness_for_a_decided_difference(monkeypatch):
+    # the stored form and the expected singular factors of every catalog Lie
+    # row are compared by the exact tier alone: no probe runs, and the sign
+    # each row notes is the one is_zero gives
+    cons = _catalog_lie_det_instantiations()
+    probed = []
+    monkeypatch.setattr(harness, "is_zero", lambda e, probe: probed.append(e) or is_zero(e, probe))
+    for con in cons:
+        passed, _verdicts, detail, *_equations = harness._lie_det(con, PR)
+        assert passed, (con.label, detail)
+        if con.lie_det_expected is not None:
+            det = lie_determinant(con.fields).determinant
+            sign = "+" if is_zero(det - con.lie_det_expected, PR).is_zero else "-"
+            assert detail == f"sign {sign}", con.label
+    assert probed == []
+
+
 def _catalog_lie_fields():
     """(label, n, fields) of every catalog record with m >= 2 fields, at
     default and secondary order."""
@@ -465,9 +569,6 @@ def test_singular_equation_is_invariant_and_rank_drops():
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError):
         lie_determinant([DX])
-
-
-_COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).filter(bool)
 
 
 def _packing(nvars, graded):
