@@ -680,41 +680,45 @@ def diff(e: Expr, a: Atom) -> Expr:
 
 def _derive(e: Expr, values: Mapping[Atom, Expr]) -> Expr:
     """The derivation that sends each atom in `values` to its value and every
-    other atom to 0, applied term by term (see the module docstring)."""
-    memo: dict = {}  # compound or transcendental base -> its derivative
+    other atom to 0, applied term by term (see the module docstring).  The
+    memo of compound and transcendental bases lives for this call only and
+    is passed down, not closed over, so a call leaves no reference cycle for
+    the cyclic collector."""
+    return _derive_memo(e, values, {})
 
-    def derive(e: Expr) -> Expr:
-        acc: dict = {}
-        for mono, coeff in e._terms:
-            for i, (b, ex) in enumerate(mono):
-                if type(b) is Atom and b.kind != "transc":
-                    db = values.get(b)
-                    if db is None:
-                        continue  # another coordinate: a zero derivative
-                elif type(b) is int:
-                    continue  # a prime surd is a constant
-                else:
-                    db = memo.get(b)
-                    if db is None:
-                        if type(b) is Expr:
-                            db = derive(b)
-                        else:  # fn(u): fn'(u) * D(u)
-                            db = derive(b.arg)
-                            if db._terms:
-                                db = _D_TRANSC[b.fn](b) * db
-                        memo[b] = db
-                if not db._terms:
-                    continue
-                # power rule: the base keeps its place, so the monomial stays
-                # sorted and needs no rebuild
-                c = coeff * ex
-                if type(c) is not int:
-                    c = _normal(c)
-                lowered = () if ex == 1 else ((b, ex - 1),)
-                _mul_into(acc, ((mono[:i] + lowered + mono[i + 1:], c),), db._terms)
-        return _expr_from_terms(acc)
 
-    return derive(e)
+def _derive_memo(e: Expr, values: Mapping[Atom, Expr], memo: dict) -> Expr:
+    """`_derive(e, values)` with `memo`, compound or transcendental base ->
+    its derivative, shared by the recursion into compound bases."""
+    acc: dict = {}
+    for mono, coeff in e._terms:
+        for i, (b, ex) in enumerate(mono):
+            if type(b) is Atom and b.kind != "transc":
+                db = values.get(b)
+                if db is None:
+                    continue  # another coordinate: a zero derivative
+            elif type(b) is int:
+                continue  # a prime surd is a constant
+            else:
+                db = memo.get(b)
+                if db is None:
+                    if type(b) is Expr:
+                        db = _derive_memo(b, values, memo)
+                    else:  # fn(u): fn'(u) * D(u)
+                        db = _derive_memo(b.arg, values, memo)
+                        if db._terms:
+                            db = _D_TRANSC[b.fn](b) * db
+                    memo[b] = db
+            if not db._terms:
+                continue
+            # power rule: the base keeps its place, so the monomial stays
+            # sorted and needs no rebuild
+            c = coeff * ex
+            if type(c) is not int:
+                c = _normal(c)
+            lowered = () if ex == 1 else ((b, ex - 1),)
+            _mul_into(acc, ((mono[:i] + lowered + mono[i + 1:], c),), db._terms)
+    return _expr_from_terms(acc)
 
 
 # -- substitution ------------------------------------------------------------

@@ -41,7 +41,10 @@ with the number and length of the stored equations, invariants and
 fields, so the template size stands in for the work: on the catalog this
 key gives a 2-worker makespan within 0.5% of the order by measured check
 time, with no timing file or setting.  The report rows are sorted at the end, so the
-report does not depend on the order.
+report does not depend on the order.  The process pool (`concurrent.futures`,
+with the `multiprocessing`, `subprocess` and `logging` it loads) is imported
+on the first pool run, so a 1-worker run and the other subcommands never
+load it.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ import fnmatch
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import List, NamedTuple, Optional
 
@@ -304,7 +305,7 @@ def _worker(args):
 
 
 def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[int],
-                 exc: BrokenProcessPool) -> CheckResult:
+                 exc: Exception) -> CheckResult:
     """The failed row of a record whose worker died before returning."""
     n = n_override if n_override is not None else default_order(rec)
     return CheckResult(rec.label, "worker", "", n, {},
@@ -315,6 +316,9 @@ def _worker_died(rec: CatalogRecord, probe: ProbeConfig, n_override: Optional[in
 def _pool_results(jobs: list, workers: int) -> list:
     """Each job's rows from a pool of at most `workers` processes, or the
     BrokenProcessPool its future raised."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     out = []
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         for fut in [pool.submit(_worker, job) for job in jobs]:
@@ -342,6 +346,8 @@ def run_verification(filter_glob: Optional[str] = None,
     chosen.sort(key=lambda r: (-_job_cost(r, n_override), r.label))
     results: List[CheckResult] = []
     if workers > 1 and chosen:
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = [(r, probe, n_override, param_overrides) for r in chosen]
         for rec, job, rows in zip(chosen, jobs, _pool_results(jobs, workers)):
             # a broken pool fails every pending job: rerun each on its own

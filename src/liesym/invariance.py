@@ -256,9 +256,12 @@ def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
     in place, over the integers or the polynomials of `poly.Poly`: any domain
     with `*`, `-`, an exact `//`, `==`, a truth value and the unit `one`.
     The pivot of a column is its entry with the fewest terms in the rows not
-    yet eliminated, the first such row on a tie (over the integers, the
-    first nonzero entry): a one-term pivot makes each product and division
-    by it one pass over the other operand (`Poly.__mul__`, `__floordiv__`).
+    yet eliminated, and on a tie the one whose row has the fewest nonzero
+    entries from that column on, then the first such row (Markowitz's rule
+    in part: a sparse pivot row spreads the least fill into the rows below;
+    over the integers, the first nonzero entry): a one-term pivot makes each
+    product and division by it one pass over the other operand
+    (`Poly.__mul__`, `__floordiv__`).
     Only rows are swapped.  A column without a pivot is skipped when `skip`
     (the rank), else it stops the elimination with sign 0.  Each entry right
     of and below a pivot is a minor of the row-swapped matrix, so dividing
@@ -278,7 +281,8 @@ def bareiss(a: list, one, skip: bool) -> Tuple[int, int]:
                 return rank, 0
             col += 1
             continue
-        piv = min(live, key=lambda i: len(a[i][col])) if sized else live[0]
+        piv = min(live, key=lambda i: (len(a[i][col]), sum(map(bool, a[i][col:])))
+                  ) if sized else live[0]
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
             sign = -sign

@@ -8,7 +8,8 @@ the entries.  This is exact for every matrix: the determinant is an integer
 polynomial in the entries, Bareiss divisions are exact in any polynomial
 ring, and substituting the powers back is a ring homomorphism.  The pivot
 of each column is its entry with the fewest terms, often a constant or a
-single power, which keeps the products small; the determinant does not
+single power, which keeps the products small, in the sparsest row on a tie,
+which keeps the fill small; the determinant does not
 depend on that choice, as the last entry is the determinant of the
 row-swapped matrix and `bareiss` returns the sign of the swaps.  Factor
 extraction takes the rational content and the monomial factors, then the

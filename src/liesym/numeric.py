@@ -525,7 +525,9 @@ def _magnitude(v: Decimal) -> str:
 
 def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
     """(value, domain): two walks over expressions at one point, sharing one
-    memo of base and power values.
+    memo of base and power values: the bound `node` and `domain` of one
+    `_Walk`, which holds no reference to them, so a point's memo leaves no
+    reference cycle for the cyclic collector.
 
     With `digits`, values are Decimals at the working precision `digits` +
     15, which the caller holds (`_working`); with None they are exact ints
@@ -541,93 +543,103 @@ def _walker(point: Mapping[Atom, Fraction], digits: Optional[int]):
     recursing into compound bases and call arguments, and never sums terms or
     converts coefficients.
     """
-    exact = digits is None
-    tiny = None if exact else Decimal(10) ** _TINY_EXP
+    walk = _Walk(point, digits)
+    return walk.node, walk.domain
 
-    def rational(q):
-        return q if exact else Decimal(q.numerator) / q.denominator
 
-    def small(v):
-        return v == 0 if exact else v < tiny
+class _Walk:
+    """The state of `_walker`'s walks at one point."""
 
-    memo: dict = {}  # base -> value, (base, exponent) -> value
-    checked = set()  # bases whose domain is checked without their value
+    __slots__ = ("point", "exact", "tiny", "memo", "checked")
 
-    def node(e):
+    def __init__(self, point: Mapping[Atom, Fraction], digits: Optional[int]):
+        self.point = point
+        self.exact = digits is None
+        self.tiny = None if self.exact else Decimal(10) ** _TINY_EXP
+        self.memo: dict = {}  # base -> value, (base, exponent) -> value
+        self.checked = set()  # bases whose domain is checked without their value
+
+    def rational(self, q):
+        return q if self.exact else Decimal(q.numerator) / q.denominator
+
+    def small(self, v):
+        return v == 0 if self.exact else v < self.tiny
+
+    def node(self, e):
         total = 0
         for mono, coeff in e._terms:
-            v = rational(coeff)
+            v = self.rational(coeff)
             for b, ex in mono:
-                v *= base(b) if ex == 1 else power(b, ex)
+                v *= self.base(b) if ex == 1 else self.power(b, ex)
             total += v
         return total
 
-    def refuse(b, ex):
-        return ExactEvalError(f"{_format_base_pow(b, ex)} has no exact value at a rational point")
-
-    def base(b):
-        bv = memo.get(b)
+    def base(self, b):
+        bv = self.memo.get(b)
         if bv is not None:
             return bv
         if isinstance(b, Atom):
             if b.kind == "transc":
-                if exact:
-                    raise refuse(b, 1)
-                arg = base(b.arg)
-                if b.fn == "ln" and small(arg):
+                if self.exact:
+                    raise _refuse(b, 1)
+                arg = self.base(b.arg)
+                if b.fn == "ln" and self.small(arg):
                     raise _BadPoint
                 bv = _CALLS[b.fn](arg)
             else:
-                val = point.get(b)
+                val = self.point.get(b)
                 if val is None:
                     raise ExprError(f"no value supplied for {atom_name(b)}")
-                bv = rational(val)
+                bv = self.rational(val)
         elif isinstance(b, int):
-            bv = rational(b)
+            bv = self.rational(b)
         else:
-            bv = node(b)
-        memo[b] = bv
+            bv = self.node(b)
+        self.memo[b] = bv
         return bv
 
-    def admissible(b, ex):
+    def admissible(self, b, ex):
         """b's value, once the test that b^ex reads of it passes."""
-        bv = base(b)
+        bv = self.base(b)
         if ex.denominator == 1:
-            if ex < 0 and small(abs(bv)):
+            if ex < 0 and self.small(abs(bv)):
                 raise _BadPoint
-        elif small(bv):
+        elif self.small(bv):
             raise _BadPoint
         return bv
 
-    def power(b, ex):
-        pv = memo.get((b, ex))
+    def power(self, b, ex):
+        pv = self.memo.get((b, ex))
         if pv is not None:
             return pv
-        if exact and (ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc"):
-            raise refuse(b, ex)
-        bv = admissible(b, ex)
+        if self.exact and (ex.denominator != 1 or isinstance(b, Atom) and b.kind == "transc"):
+            raise _refuse(b, ex)
+        bv = self.admissible(b, ex)
         if ex.denominator != 1:
             bv = _root(bv, ex.denominator)
-        pv = memo[(b, ex)] = bv ** ex.numerator
+        pv = self.memo[(b, ex)] = bv ** ex.numerator
         return pv
 
-    def domain(e):
+    def domain(self, e):
+        memo, checked = self.memo, self.checked
         for mono, _coeff in e._terms:
             for b, ex in mono:
                 if ex < 0 or ex.denominator != 1:
-                    admissible(b, ex)
+                    self.admissible(b, ex)
                 elif b in memo or b in checked or isinstance(b, int):
                     continue
                 elif isinstance(b, Expr):
-                    domain(b)
+                    self.domain(b)
                 elif b.kind == "transc":
                     if b.fn != "ln":
-                        domain(b.arg)
-                    elif small(base(b.arg)):
+                        self.domain(b.arg)
+                    elif self.small(self.base(b.arg)):
                         raise _BadPoint
                 checked.add(b)
 
-    return node, domain
+
+def _refuse(b, ex) -> ExactEvalError:
+    return ExactEvalError(f"{_format_base_pow(b, ex)} has no exact value at a rational point")
 
 
 # -- the zero test ------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from liesym.harness import run_verification
-from liesym.numeric import ProbeConfig
+from liesym.numeric import DEFAULT_PROBE, ProbeConfig
 
 
 def _strip_timing(report_json):
@@ -47,15 +47,42 @@ def test_parallel_workers_match_single_worker():
 
 
 def test_start_up_imports_no_mpmath_dataclasses_or_inspect():
-    # the probe computes in the standard library's decimal and the value
-    # types are NamedTuples, so no liesym process pays for importing mpmath,
-    # or dataclasses and the inspect, ast and dis it pulls in
+    # the probe computes in the standard library's decimal, the value types
+    # are NamedTuples and the process pool is imported on the first pool
+    # run, so no liesym process pays for importing mpmath, dataclasses and
+    # the inspect, ast and dis it pulls in, or concurrent.futures and the
+    # logging, multiprocessing and subprocess it pulls in
     code = ("import sys, liesym.harness, liesym.cli; "
-            "print(*sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(*sorted({'mpmath', 'dataclasses', 'inspect', 'concurrent.futures', "
+            "'logging', 'multiprocessing', 'subprocess'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    # the derivation memo is passed down, not closed over, and each point's
+    # walk is an object whose bound methods the caller holds, so neither
+    # leaves a reference cycle for the cyclic collector
+    import gc
+
+    from liesym.catalog import default_order, find_record, instantiate, load_catalog
+    from liesym.expr import indep
+    from liesym.invariance import check_differential_invariant
+
+    rec = find_record(load_catalog(), "(7,6)")
+    con = instantiate(rec, n=default_order(rec))
+    phi = con.invariants[0][1] + indep().as_expr()
+    gc.collect()
+    gc.disable()
+    try:
+        run_verification(filter_glob="(2[58],n+1)")
+        verdicts = check_differential_invariant(con.fields, phi, DEFAULT_PROBE)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not all(v.is_zero for v in verdicts)
 
 
 def test_verify_runs_to_the_same_report_without_mpmath(tmp_path):
@@ -550,13 +577,13 @@ def test_verify_ends_with_a_summary_line(tmp_path, capsys):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Swap the harness's process pool for one that records the size it is
-    asked for and the record label of each job in submission order, and
-    runs each job in this process; return both lists."""
+    """Swap the process pool that the harness imports on a pool run for one
+    that records the size it is asked for and the record label of each job
+    in submission order, and runs each job in this process; return both
+    lists."""
+    import concurrent.futures
     from concurrent.futures import Future
     from types import SimpleNamespace
-
-    import liesym.harness as harness
 
     seen = SimpleNamespace(sizes=[], labels=[])
 
@@ -576,7 +603,7 @@ def inline_pool(monkeypatch):
             fut.set_result(fn(job))
             return fut
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return seen
 
 
